@@ -316,9 +316,6 @@ class SubgroupRecord:
     def order(self):
         return len(self.elements)
 
-    def contains(self, g):
-        return g in self.project or g in set(self.elements)
-
     def ab_labels(self):
         return self.ab.labels
 

@@ -38,17 +38,6 @@ def _poly_trim(p):
     return p
 
 
-def _poly_mul_int(p, q):
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
 def _poly_divmod_int(p, q):
     # exact-integer polynomial division; q monic up to sign
     p = list(p)

@@ -60,19 +60,12 @@ class GroupRingElement:
         assert g in group._index if hasattr(group, "_index") else True
         return GroupRingElement(group, {g: 1}, scalars)
 
-    @staticmethod
-    def from_function(group, f, scalars=RATIONAL):
-        return GroupRingElement(group, {g: f(g) for g in group.elements}, scalars)
-
     # --- basic access ---
 
     def coefficient(self, g):
         if g in self.coeffs:
             return self.coeffs[g]
         return _coerce(0, self.scalars)
-
-    def support(self):
-        return set(self.coeffs)
 
     def is_zero(self):
         return not self.coeffs

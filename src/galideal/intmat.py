@@ -4,8 +4,18 @@
 #   - matrices are lists of rows; entries int or Fraction
 #   - row HNF: pivot columns strictly increase, pivots positive, entries
 #     above a pivot reduced into [0, pivot), zero rows at the bottom
-#   - column HNF is the transpose of the row HNF of the transpose
-#   - all transforms returned are unimodular, so spans are preserved exactly
+#   - column HNF is the transpose of the row HNF of the transpose: columns
+#     ordered by the row of their first nonzero entry (the pivot), pivots
+#     positive, every other column reduced into [0, pivot) on pivot rows.
+#     It is unique for a lattice, so equal spans give equal matrices.
+#   - hnf_rows returns its unimodular transform (row_kernel reads the
+#     kernel off it); hnf_columns needs none and builds the basis
+#     incrementally instead: each generator is inserted into a basis kept
+#     in HNF, merging with the column on its pivot row by xgcd, and every
+#     change of the basis re-reduces the earlier columns.  Entries on pivot
+#     rows therefore stay below their pivots, which bounds their growth
+#     without reducing modulo a determinant (Cohen, A Course in
+#     Computational Algebraic Number Theory, sec. 2.4).
 
 from fractions import Fraction
 
@@ -101,10 +111,63 @@ def hnf_columns(A):
     # Canonical column HNF of the column span of A; zero columns dropped.
     if not A:
         return []
-    At = transpose(A)
-    H, _ = hnf_rows(At)
-    cols = [row for row in H if any(x != 0 for x in row)]
+    basis = {}
+    for col in zip(*A):
+        _insert(basis, list(map(int, col)))
+    cols = [basis[p] for p in sorted(basis)]
     return transpose(cols) if cols else [[] for _ in A]
+
+
+def _insert(basis, v):
+    # Adds the vector v to the lattice spanned by `basis`, a dict from pivot
+    # row to the basis column whose first nonzero entry sits on that row.
+    n = len(v)
+    p = 0
+    while True:
+        while p < n and v[p] == 0:
+            p += 1
+        if p == n:
+            return
+        b = basis.get(p)
+        if b is None:
+            _place(basis, p, v if v[p] > 0 else [-x for x in v])
+            return
+        q = v[p] // b[p]
+        if q:
+            v = [x - q * y for x, y in zip(v, b)]
+        if v[p]:
+            # 0 < v[p] < b[p]: replace b by the gcd combination of b and v
+            # and go on inserting the remainder, which vanishes on row p
+            g, x, y = xgcd(b[p], v[p])
+            s, t = b[p] // g, v[p] // g
+            merged = [x * bi + y * vi for bi, vi in zip(b, v)]
+            v = [s * vi - t * bi for bi, vi in zip(b, v)]
+            _place(basis, p, merged)
+
+
+def _place(basis, p, v):
+    # Makes v the basis column on pivot row p and restores the reduction:
+    # every column reduced into [0, pivot) on each later pivot row.
+    basis[p] = v
+    pivots = sorted(basis)
+    later = [q for q in pivots if q > p]
+    _reduce(v, basis, later)
+    for j in pivots:
+        if j >= p:
+            break
+        w = basis[j]
+        if not 0 <= w[p] < v[p]:
+            _reduce(w, basis, [p] + later)
+
+
+def _reduce(v, basis, pivots):
+    # in place, pivot rows in increasing order: subtracting the column of
+    # row q changes v only on rows >= q, so earlier rows stay reduced
+    for q in pivots:
+        b = basis[q]
+        c = v[q] // b[q]
+        if c:
+            v[q:] = [x - c * y for x, y in zip(v[q:], b[q:])]
 
 
 def row_kernel(A):
@@ -117,101 +180,6 @@ def row_kernel(A):
 def column_kernel(A):
     # Basis (list of vectors) of {v : A*v = 0} over Z, saturated.
     return row_kernel(transpose(A))
-
-
-def snf_diagonal_with_span(A):
-    # Diagonalizes A by row and column operations, tracking only enough to
-    # recover the column span: returns (diag, W) where diag is the list of
-    # diagonal entries (length min(n, k), possibly with zeros) and W is an
-    # n x n unimodular matrix with  span_Z(columns of A) = span_Z{diag[i] * W[:,i]}.
-    # Column operations leave the span alone; a row operation E (A -> E*A)
-    # is compensated by W -> W*E^{-1}.
-    M = [list(map(int, row)) for row in A]
-    n = len(M)
-    k = len(M[0]) if M else 0
-    W = identity_matrix(n)
-
-    def swap_rows(i, j):
-        M[i], M[j] = M[j], M[i]
-        for row in W:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, q):
-        # row_i += q * row_j  on M;  col_j -= q * col_i  on W
-        for c in range(k):
-            M[i][c] += q * M[j][c]
-        for row in W:
-            row[j] -= q * row[i]
-
-    def negate_row(i):
-        M[i] = [-x for x in M[i]]
-        for row in W:
-            row[i] = -row[i]
-
-    def swap_cols(i, j):
-        for row in M:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(i, j, q):
-        for row in M:
-            row[i] += q * row[j]
-
-    def reduce_pivot(t):
-        # assumes M[t][t] != 0; clears row t and column t beyond the pivot
-        while True:
-            for i in range(t + 1, n):
-                while M[i][t] != 0:
-                    if abs(M[i][t]) < abs(M[t][t]):
-                        swap_rows(t, i)
-                    q = M[i][t] // M[t][t]
-                    add_row(i, t, -q)
-            for j in range(t + 1, k):
-                while M[t][j] != 0:
-                    if abs(M[t][j]) < abs(M[t][t]):
-                        swap_cols(t, j)
-                    q = M[t][j] // M[t][t]
-                    add_col(j, t, -q)
-            if all(M[i][t] == 0 for i in range(t + 1, n)):
-                break
-        if M[t][t] < 0:
-            negate_row(t)
-
-    t = 0
-    while t < min(n, k):
-        # locate a nonzero pivot in the trailing submatrix
-        piv = None
-        for i in range(t, n):
-            for j in range(t, k):
-                if M[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        i0, j0 = piv
-        if i0 != t:
-            swap_rows(t, i0)
-        if j0 != t:
-            swap_cols(t, j0)
-        reduce_pivot(t)
-        t += 1
-    r = t
-    # enforce the divisor chain d_t | d_j: mix offending pairs through the
-    # pivot and re-reduce; each fix replaces d_t by gcd(d_t, d_j)
-    for t in range(r - 1):
-        stable = False
-        while not stable:
-            stable = True
-            for j in range(t + 1, r):
-                if M[j][j] % M[t][t] != 0:
-                    add_col(t, j, 1)
-                    reduce_pivot(t)
-                    if M[j][j] < 0:
-                        negate_row(j)
-                    stable = False
-    diag = [M[i][i] for i in range(r)]
-    return diag, W
 
 
 def rref(A):

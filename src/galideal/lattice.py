@@ -5,16 +5,19 @@
 # Z[1/2]-span of {column / d}.  Canonical form:
 #   - d odd and positive  (2-power content is absorbed: 2 is invertible)
 #   - columns an integer matrix in column HNF with no zero columns
-#   - every elementary divisor of the column lattice is odd, and
-#     gcd(d, all elementary divisors) = 1
+#   - the column lattice is 2-saturated (x in Z^n and 2x in it imply x in
+#     it), and gcd(d, content of the columns) = 1
 # Uniqueness: write the module M = L/d.  The integer lattice
 # Lambda = (d M) cap Z^n is intrinsic, its 2-saturation
 # {x in Z^n : 2^k x in Lambda} likewise, and d is minimal among odd
 # denominators presenting M over an integer lattice — so equal modules get
-# identical fields.  Canonicalization: clear denominators, diagonalize
-# tracking a span-preserving unimodular W (intmat.snf_diagonal_with_span),
-# strip 2-parts of the elementary divisors, cancel the common odd content
-# against d, then column-HNF.
+# identical fields.
+# Canonicalization: clear denominators (keeping the odd part of the common
+# denominator), column-HNF the integer matrix, then saturate at 2: for a
+# basis c of the F2-kernel {c : H c = 0 mod 2} adjoin (H c)/2 and re-HNF,
+# until the kernel is empty.  Last, divide d and the columns by
+# g = gcd(d, content), which leaves gcd(d, content) = 1; g is odd, so the
+# divided lattice is still 2-saturated and still in column HNF.
 #
 # Membership is decided by coordinate denominators (power of 2 <=> member),
 # never by iterative doubling.  The zero module (no columns, d = 1)
@@ -30,7 +33,6 @@ from .intmat import (
     mat_vec,
     rank,
     row_kernel,
-    snf_diagonal_with_span,
     solve,
 )
 
@@ -47,14 +49,13 @@ def _is_power_of_two(x):
 
 
 class FractionalIdeal:
-    __slots__ = ("labels", "denominator", "columns", "two_saturated")
+    __slots__ = ("labels", "denominator", "columns")
 
     def __init__(self, labels, denominator, columns):
         # trusted constructor: canonicalize() is the public entry
         self.labels = tuple(labels)
         self.denominator = denominator
         self.columns = tuple(tuple(c) for c in columns)
-        self.two_saturated = True
         assert denominator >= 1 and denominator % 2 == 1
 
     @property
@@ -104,18 +105,39 @@ def canonicalize(labels, vectors):
     for v in vs:
         for x in v:
             d0 = d0 * x.denominator // gcd(d0, x.denominator)
-    A = [[int(v[r] * d0) for v in vs] for r in range(n)]
-    diag, W = snf_diagonal_with_span(A)
-    odds = [_odd_part(di) for di in diag]
+    H = hnf_columns([[int(v[r] * d0) for v in vs] for r in range(n)])
+    halves = _half_columns(H)
+    while halves:
+        H = hnf_columns([row + [h[r] for h in halves] for r, row in enumerate(H)])
+        halves = _half_columns(H)
     d = _odd_part(d0)
-    g0 = d
-    for o in odds:
-        g0 = gcd(g0, o)
-    cols = [[(o // g0) * W[r][i] for r in range(n)] for i, o in enumerate(odds)]
-    d //= g0
-    H = hnf_columns([[cols[i][r] for i in range(len(cols))] for r in range(n)])
-    columns = [tuple(row[j] for row in H) for j in range(len(H[0]))] if H and H[0] else []
-    return FractionalIdeal(labels, d, columns)
+    g = gcd(d, *(x for row in H for x in row))
+    columns = [[x // g for x in col] for col in zip(*H)]
+    return FractionalIdeal(labels, d // g, columns)
+
+
+def _half_columns(H):
+    # (H c)/2 for a basis c of the F2-kernel {c : H c = 0 mod 2}, found by
+    # elimination on bitmasks of the columns mod 2; each dependent column
+    # gives one kernel vector, recorded as the set of columns it combines
+    cols = list(zip(*H))
+    echelon = {}  # leading bit -> (column bitmask, combination bitmask)
+    halves = []
+    for j, col in enumerate(cols):
+        mask = sum(1 << r for r, x in enumerate(col) if x & 1)
+        combo = 1 << j
+        while mask:
+            top = mask.bit_length() - 1
+            if top not in echelon:
+                echelon[top] = (mask, combo)
+                break
+            m, c = echelon[top]
+            mask ^= m
+            combo ^= c
+        else:
+            picked = [cols[k] for k in range(j + 1) if combo >> k & 1]
+            halves.append([sum(xs) // 2 for xs in zip(*picked)])
+    return halves
 
 
 def group_labels(group):

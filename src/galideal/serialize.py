@@ -58,23 +58,42 @@ def lattice_payload(I):
     }
 
 
+def _is_int(x):
+    # JSON integers only: floats are never truncated, and bool is not a number
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_lattice(payload, field="lattice"):
     if not isinstance(payload, dict):
         raise FixtureError("field %r must be an object" % field)
     for key in ("ambient", "denominator", "columns"):
         if key not in payload:
             raise FixtureError("field %r is missing %r" % (field, key))
+    if not isinstance(payload["ambient"], list):
+        raise FixtureError("field '%s.ambient' must be a list of labels"
+                           % field)
     labels = tuple(str(s) for s in payload["ambient"])
     den = payload["denominator"]
-    if not isinstance(den, int) or den < 1:
+    if not _is_int(den) or den < 1:
         raise FixtureError("field %r: denominator must be a positive integer"
                            % field)
+    columns = payload["columns"]
+    if not isinstance(columns, list):
+        raise FixtureError("field '%s.columns' must be a list of columns"
+                           % field)
     vectors = []
-    for j, col in enumerate(payload["columns"]):
+    for j, col in enumerate(columns):
+        if not isinstance(col, list):
+            raise FixtureError("field '%s.columns': column %d is not a list"
+                               % (field, j))
         if len(col) != len(labels):
             raise FixtureError("field %r: column %d has length %d, expected %d"
                                % (field, j, len(col), len(labels)))
-        vectors.append([Fraction(int(x), den) for x in col])
+        for x in col:
+            if not _is_int(x):
+                raise FixtureError("field '%s.columns': column %d has entry "
+                                   "%r, not an integer" % (field, j, x))
+        vectors.append([Fraction(x, den) for x in col])
     return canonicalize(labels, vectors)
 
 

@@ -80,13 +80,6 @@ def apply_inclusion(x, group, embed):
     return map_elements(x, group, embed)
 
 
-def inclusion_matrix(subgroup, group, embed):
-    M = [[0] * subgroup.order for _ in range(group.order)]
-    for j, h in enumerate(subgroup.elements):
-        M[group.index(embed(h))][j] = 1
-    return M
-
-
 def induced_det_both_routes(subgroup, group, embed, M):
     # the two sides of phi(Det_{Q[H]} M) = Det_{Q[G]} (phi entrywise M):
     # the left side goes through H-characters, the right through

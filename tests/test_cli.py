@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
 from galideal.brauer import symmetric3, to_cayley_text
 from galideal.cli import main
+from galideal.serialize import lattice_payload, parse_lattice
 from galideal.suites import SUITE_ALIASES, SUITES
 
 COVARIANT_S3 = """{
@@ -160,15 +162,47 @@ def test_ideal_units_fixture(capsys, tmp_path):
                  "--units", str(fixture)])
     assert code == 0
     assert report["inputs"]["units"] == str(fixture)
+    plus = '"ambient": ["s1+", "s2+", "s3+"], "denominator": 1'
+    cases = [
+        ('"ambient": ["s1", "s2", "s3"], "denominator": 1, '
+         '"columns": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]', "lattice.ambient"),
+        ('"ambient": 5, "denominator": 1, "columns": []', "lattice.ambient"),
+        ('"ambient": ["s1+", "s2+", "s3+"], "denominator": true, '
+         '"columns": [[1, 0, 0]]', "denominator"),
+        # a float entry is refused, never truncated to an integer
+        (plus + ', "columns": [[1, 0, 0], [0, 2.7, 0], [0, 0, 2]]',
+         "column 1"),
+        (plus + ', "columns": [[1, 0, 0], [0, 2, 0], [0, 0, "x"]]',
+         "column 2"),
+        (plus + ', "columns": 5', "lattice.columns"),
+        (plus + ', "columns": [[1, 0, 0], 7]', "column 1"),
+    ]
     bad = tmp_path / "bad.json"
-    bad.write_text(
-        '{"schema-version": 1, "kind": "units", "lattice": '
-        '{"ambient": ["s1", "s2", "s3"], "denominator": 1, '
-        '"columns": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}')
-    code, out, err = run(capsys, ["ideal", "--ell", "7", "--part", "plus",
-                                  "--units", str(bad)])
-    assert code == 2
-    assert "lattice.ambient" in err
+    for body, needle in cases:
+        bad.write_text('{"schema-version": 1, "kind": "units", '
+                       '"lattice": {%s}}' % body)
+        code, out, err = run(capsys, ["ideal", "--ell", "7", "--part", "plus",
+                                      "--units", str(bad)])
+        assert code == 2, body
+        assert out == ""
+        assert err.startswith("error: ") and needle in err, (needle, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--ell", "5", "--level", "2", "--part", "minus"],
+    ["--ell", "11", "--level", "1", "--part", "minus"],
+    ["--ell", "61", "--part", "minus", "--r", "-1"],
+    ["--ell", "3", "--level", "4", "--part", "minus"],
+])
+def test_ideal_large_minus_parts_finish(capsys, argv):
+    # sizes (phi = 100, 110, 60, 162) whose canonical form once took minutes
+    started = time.perf_counter()
+    code, report = run_json(capsys, ["ideal"] + argv)
+    assert time.perf_counter() - started < 5.0
+    assert code == 0
+    # the printed lattice is already canonical: canonicalizing it again
+    # reproduces it
+    assert lattice_payload(parse_lattice(report["lattice"])) == report["lattice"]
 
 
 def test_brauer_map_builtin(capsys):

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galideal.abelian import FiniteAbelianGroup, unit_group
+from galideal.cycloideal import CyclotomicLevel, ideal_J_minus
 from galideal.groupring import GroupRingElement, invert_unit
+from galideal.intmat import hnf_columns
 from galideal.lattice import (
     canonicalize,
     compare,
@@ -24,6 +27,7 @@ from galideal.lattice import (
     unit_ideal,
     zero_ideal,
 )
+from galideal.stickelberger import stickelberger
 
 C2 = FiniteAbelianGroup((2,))
 
@@ -165,6 +169,26 @@ def test_zero_module_participates():
     assert from_generators(C2, []) == z
     assert not contains_vector(z, [1, 0])
     assert contains_vector(z, [0, 0])
+
+
+def test_canonicalize_against_sympy_hnf():
+    # sympy's HNF of the Stickelberger generators at conductor 49 spans the
+    # same lattice, so it must canonicalize to the same ideal
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    level = CyclotomicLevel(7, 1)
+    group = level.group
+    theta = stickelberger(level.modulus, level.places(), 0).element
+    vecs = [element_vector(group, GroupRingElement.basis(group, g) * theta)
+            for g in group.elements]
+    d0 = lcm(*(x.denominator for v in vecs for x in v))
+    A = [[int(v[r] * d0) for v in vecs] for r in range(group.order)]
+    S = hermite_normal_form(Matrix(A))
+    B = [[int(S[r, j]) for j in range(S.cols)] for r in range(S.rows)]
+    assert hnf_columns(B) == hnf_columns(A)
+    cols = [[Fraction(B[r][j], d0) for r in range(S.rows)] for j in range(S.cols)]
+    assert canonicalize(group_labels(group), cols) == ideal_J_minus(level)
 
 
 @settings(max_examples=60, deadline=None)
