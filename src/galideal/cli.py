@@ -20,7 +20,8 @@ from .serialize import (FixtureError, element_payload, fraction_str,
                         lattice_payload, load_fixture, parse_element,
                         parse_lattice, to_json)
 from .stickelberger import ramified_places, stickelberger
-from .suites import SUITE_ALIASES, SUITE_PARAMS, SUITES, run_all, run_suite
+from .suites import (SUITE_ALIASES, SUITE_PARAMS, SUITES, check_params,
+                     run_all, run_suite)
 
 
 class UsageError(Exception):
@@ -147,7 +148,7 @@ def parse_places(text):
         primes.append(int(token))
     try:
         return PlaceSet(primes)
-    except AssertionError as e:
+    except ValueError as e:
         raise UsageError("--s: %s" % e)
 
 
@@ -408,6 +409,10 @@ def cmd_check(args):
         if extras:
             raise UsageError("suite %r does not accept: %s"
                              % (suite, ", ".join(sorted(extras))))
+        try:
+            check_params(suite, **params)
+        except ValueError as e:
+            raise UsageError(str(e))
         results = run_suite(suite, **params)
     inputs = {"suite": suite}
     for key in ("ell", "levels", "r", "seed", "count", "max_modulus"):

@@ -17,7 +17,7 @@ from .groupring import GroupRingElement, invert_unit, map_elements
 from .lattice import (from_generators, group_labels, ideal_sum, map_image,
                       scale_by, unit_ideal)
 from .stickelberger import (complex_conjugation, half_stickelberger,
-                            stickelberger)
+                            require_imagquad_prime, stickelberger)
 from .towers import TowerDatum, cyclotomic_tower
 
 
@@ -230,7 +230,7 @@ def ideal_J_imagquad(level, units=None):
     # ideal over H (the imaginary-quadratic base): transport the real
     # ideal through phi, scale by twice the half-Stickelberger element,
     # and pull back
-    assert level.ell % 4 == 3 and level.ell > 3
+    require_imagquad_prime(level.ell)
     h = half_subgroup(level)
     quot = plus_quotient(level.modulus)
     real = ideal_J_real(level, units)

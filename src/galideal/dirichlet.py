@@ -14,7 +14,7 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 from .abelian import unit_group
 from .cyclotomic import CyclotomicNumber
@@ -37,6 +37,10 @@ def bernoulli_polynomial(n, x):
                 for k in range(n + 1)), Fraction(0))
 
 
+def is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
 class PlaceSet:
     # finite set of rational primes, with the archimedean place always in
     __slots__ = ("primes",)
@@ -44,8 +48,8 @@ class PlaceSet:
     def __init__(self, primes=()):
         ps = sorted(set(int(p) for p in primes))
         for p in ps:
-            assert p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1)), \
-                "not a prime: %d" % p
+            if not is_prime(p):
+                raise ValueError("not a prime: %d" % p)
         self.primes = tuple(ps)
 
     def covers_modulus(self, m):

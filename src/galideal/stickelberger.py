@@ -5,14 +5,17 @@
 # Orientation convention, fixed project-wide: theta = sum_sigma zeta_S(r,
 # sigma^{-1}) sigma.  The tau-flipped variant is reachable via .tau().
 #
-# theta has two independent construction routes (partial zetas per residue;
-# lambda-assembly of chi -> L_S(r, conj(chi))) which are required to agree —
-# they are kept as separate code paths on purpose.
+# theta has two independent construction routes, required to agree and kept
+# as separate code paths on purpose:
+#   (i)  Hurwitz/Bernoulli partial zetas over the ramified places, times the
+#        Euler factor (1 - p^{-r} sigma_p^{-1}) of each p in S not dividing
+#        m, removed in Q[G]: no character and no L-value is involved;
+#   (ii) lambda-assembly of chi -> L_S(r, conj(chi)) (characters).
 
 from typing import NamedTuple
 
 from .abelian import squares_subgroup, unit_group
-from .dirichlet import PlaceSet, l_value, partial_zeta
+from .dirichlet import PlaceSet, is_prime, l_value, partial_zeta_hurwitz
 from .groupring import GroupRingElement, lambda_assemble, map_elements
 
 
@@ -24,16 +27,25 @@ class StickelbergerElement(NamedTuple):
 
 
 def ramified_places(m):
-    return PlaceSet([p for p in range(2, m + 1)
-                     if m % p == 0 and all(p % d for d in range(2, p))])
+    return PlaceSet([p for p in range(2, m + 1) if m % p == 0 and is_prime(p)])
 
 
 def stickelberger(m, places, r=0):
-    # theta = sum over residues a of zeta_S(r, sigma_a^{-1}) sigma_a
-    assert places.covers_modulus(m)
+    # theta = sum over residues a of zeta_S(r, sigma_a^{-1}) sigma_a, built
+    # as theta_ram * prod over p in S, p not | m of (1 - p^{-r} sigma_p^{-1})
+    if r > 0:
+        raise ValueError("need r <= 0, got r = %d" % r)
+    if not places.covers_modulus(m):
+        raise ValueError("place set %r does not cover the modulus %d"
+                         % (places, m))
     g = unit_group(m)
-    coeffs = {a: partial_zeta(r, g.inv(a), m, places) for a in g.elements}
-    return StickelbergerElement(GroupRingElement(g, coeffs), m, places, r)
+    ramified = ramified_places(m)
+    c = {a: partial_zeta_hurwitz(r, g.inv(a), m, ramified) for a in g.elements}
+    for p in places.primes:
+        if m % p:
+            # zeta_{S u p}(r, b) = zeta_S(r, b) - p^{-r} zeta_S(r, b p^{-1})
+            c = {a: c[a] - p ** -r * c[a * p % m] for a in g.elements}
+    return StickelbergerElement(GroupRingElement(g, c), m, places, r)
 
 
 def stickelberger_by_characters(m, places, r=0):
@@ -64,8 +76,9 @@ def half_stickelberger(m, subgroup=None, places=None):
                          (g.order // max(subgroup.order, 1)))
     if complex_conjugation(m) in subgroup:
         raise ValueError("complex conjugation lies in the subgroup")
-    coeffs = {a: partial_zeta(0, subgroup.inv(a), m, places) for a in subgroup.elements}
-    return GroupRingElement(subgroup, coeffs)
+    theta = stickelberger(m, places, 0).element
+    return GroupRingElement(subgroup, {a: theta.coefficient(a)
+                                       for a in subgroup.elements})
 
 
 def include_subgroup(x, big_group):
@@ -92,12 +105,20 @@ def even_extension(group, subgroup, eta):
     return matches[0]
 
 
+def require_imagquad_prime(ell):
+    # the imaginary quadratic subfield is cut out by the quadratic character,
+    # which is odd exactly when ell = 3 mod 4
+    if ell % 4 != 3 or ell <= 3:
+        raise ValueError("--ell: need a prime ell = 3 (mod 4), ell > 3; "
+                         "got %d" % ell)
+
+
 def base_change_element(ell, level=0):
     # B = sum over even psi of L_S(0, rho psi)^{-1} e_{psi|_H}, an element of
     # Q[H] for H the squares in (Z/ell^{level+1})^*; rho is the quadratic
     # character (cutting out the imaginary quadratic subfield when
     # ell = 3 mod 4).  Satisfies tau(B)^{-1} = 2 theta-tilde.
-    assert ell % 4 == 3 and ell > 3, "need a prime = 3 mod 4, larger than 3"
+    require_imagquad_prime(ell)
     m = ell ** (level + 1)
     g = unit_group(m)
     h = squares_subgroup(m)

@@ -16,7 +16,8 @@ from .cycloideal import (CyclotomicLevel, ideal_J_full, ideal_J_imagquad,
                          ideal_J_minus, ideal_J_real, level_tower,
                          plus_tower)
 from .cyclotomic import CyclotomicNumber
-from .dirichlet import PlaceSet, generalized_bernoulli, l_value, partial_zeta
+from .dirichlet import (PlaceSet, generalized_bernoulli, is_prime, l_value,
+                        partial_zeta)
 from .groupring import (EmbeddingSignature, GroupRingElement, invert_unit,
                         map_elements, psi_eval, y_rank)
 from .lattice import unit_ideal
@@ -465,31 +466,67 @@ SUITE_ALIASES = {
     "annihilator": "nc-ideal",
 }
 
-# which keyword parameters each suite accepts from the outside
+# which keyword parameters each suite accepts from the outside, each with
+# the rule its values must satisfy: (predicate, what it asks for)
+_ANY = (lambda v: True, "an integer")
+_ODD_PRIME = (lambda v: v > 2 and is_prime(v), "an odd prime")
+_PRIME_3_MOD_4 = (lambda v: v % 4 == 3 and is_prime(v), "a prime = 3 (mod 4)")
+_PRIME_3_MOD_4_ABOVE_3 = (lambda v: v > 3 and v % 4 == 3 and is_prime(v),
+                          "a prime = 3 (mod 4), larger than 3")
+
+
+def _at_least(k):
+    return (lambda v: v >= k, "an integer >= %d" % k)
+
+
+def _at_most(k):
+    return (lambda v: v <= k, "an integer <= %d" % k)
+
+
 SUITE_PARAMS = {
-    "half-stickelberger": ("ells", "levels"),
-    "lvalue-identity": ("ells",),
-    "base-change": ("ells",),
-    "functoriality": ("ells", "levels", "rs"),
-    "induced-det": ("count", "seed"),
-    "fixed-point": ("seed",),
-    "brauer": (),
-    "abelian-reduction": ("ells",),
-    "integrality": ("ells", "rs"),
-    "nc-ideal": (),
-    "oracles": ("max_modulus", "rs"),
-    "rank": (),
+    "half-stickelberger": {"ells": _PRIME_3_MOD_4, "levels": _at_least(0)},
+    "lvalue-identity": {"ells": _PRIME_3_MOD_4},
+    "base-change": {"ells": _PRIME_3_MOD_4_ABOVE_3},
+    "functoriality": {"ells": _ODD_PRIME, "levels": _at_least(1),
+                      "rs": _at_most(0)},
+    "induced-det": {"count": _at_least(1), "seed": _ANY},
+    "fixed-point": {"seed": _ANY},
+    "brauer": {},
+    "abelian-reduction": {"ells": _ODD_PRIME},
+    "integrality": {"ells": _ODD_PRIME, "rs": _at_most(-1)},
+    "nc-ideal": {},
+    "oracles": {"max_modulus": _at_least(1), "rs": _at_most(0)},
+    "rank": {},
 }
 
+# the command-line flag that carries each parameter
+PARAM_FLAGS = {"ells": "--ell", "levels": "--levels", "rs": "--r",
+               "count": "--count", "seed": "--seed",
+               "max_modulus": "--max-modulus"}
 
-def run_suite(name, **params):
+
+def check_params(name, **params):
+    # the canonical suite name and the parameters it takes from `params`;
+    # raises ValueError naming the flag of the first value the suite cannot
+    # take, before any of its work starts
     name = SUITE_ALIASES.get(name, name)
     if name not in SUITES:
         raise KeyError("unknown suite %r; available: %s"
                        % (name, ", ".join(sorted(SUITES))))
-    allowed = SUITE_PARAMS[name]
+    rules = SUITE_PARAMS[name]
     kwargs = {k: v for k, v in params.items()
-              if v is not None and k in allowed}
+              if v is not None and k in rules}
+    for key, value in kwargs.items():
+        ok, want = rules[key]
+        for v in value if isinstance(value, tuple) else (value,):
+            if not ok(v):
+                raise ValueError("%s: suite %r needs %s, got %d"
+                                 % (PARAM_FLAGS[key], name, want, v))
+    return name, kwargs
+
+
+def run_suite(name, **params):
+    name, kwargs = check_params(name, **params)
     return SUITES[name](**kwargs)
 
 

@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import galideal
 from galideal.brauer import symmetric3, to_cayley_text
 from galideal.cli import main
 from galideal.serialize import lattice_payload, parse_lattice
@@ -61,6 +65,29 @@ def test_stickelberger_defaults_to_ramified_places(capsys):
     code, report = run_json(capsys, ["stickelberger", "--modulus", "12"])
     assert code == 0
     assert report["inputs"]["places"] == "infty,2,3"
+
+
+def test_stickelberger_extra_places_budget(capsys):
+    # phi(420) = 96 with an extra prime: Euler factors applied in Q[G], so
+    # no L-value is computed (this took 31 s by characters)
+    started = time.perf_counter()
+    code, report = run_json(capsys, ["stickelberger", "--modulus", "420",
+                                     "--s", "infty,2,3,5,7,11"])
+    assert time.perf_counter() - started < 2.0
+    assert code == 0
+    assert len(report["element"]) == 96
+
+
+def test_places_checked_under_optimize_flag():
+    # the prime check must not be an assert, which python -O strips
+    src = str(Path(galideal.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "galideal.cli", "stickelberger",
+         "--modulus", "7", "--s", "infty,7,9"],
+        capture_output=True, text=True, env={"PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: --s: not a prime: 9\n"
 
 
 def test_lvalue_zeta_minus_one(capsys):
@@ -125,6 +152,21 @@ def test_check_rejects_wrong_parameter_for_suite(capsys):
     assert "does not accept" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--suite", "functoriality", "--levels", "0"], "--levels"),
+    (["--suite", "half-stickelberger", "--ell", "4"], "--ell"),
+    (["--suite", "base-change", "--ell", "5"], "--ell"),
+    (["--suite", "integrality", "--r", "0"], "--r"),
+])
+def test_check_rejects_bad_parameter_values(capsys, argv, flag):
+    # a value the suite cannot take is a usage error (exit 2), never a
+    # failed check (exit 1) or a traceback
+    code, out, err = run(capsys, ["check"] + argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: " + flag + ": ")
+
+
 def test_check_unknown_suite(capsys):
     code, out, err = run(capsys, ["check", "--suite", "nosuch"])
     assert code == 2
@@ -148,6 +190,10 @@ def test_ideal_part_flag_validation(capsys):
     code, out, err = run(capsys, ["ideal", "--ell", "3", "--part", "full",
                                   "--r", "-1"])
     assert code == 2 and "--r" in err
+    # the imaginary quadratic part needs ell = 3 mod 4, ell > 3
+    code, out, err = run(capsys, ["ideal", "--ell", "5", "--part", "imagquad"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --ell: ") and "3 (mod 4)" in err
 
 
 def test_ideal_units_fixture(capsys, tmp_path):

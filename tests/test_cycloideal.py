@@ -236,5 +236,5 @@ def test_imagquad_base_change_consistency():
 
 
 def test_imagquad_requires_3_mod_4():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="3 \\(mod 4\\)"):
         ideal_J_imagquad(CyclotomicLevel(5, 0))

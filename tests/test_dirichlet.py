@@ -63,7 +63,7 @@ def test_place_set():
     assert not s.covers_modulus(10)
     assert PlaceSet([3]).is_exactly_ramified(9)
     assert not PlaceSet([3, 7]).is_exactly_ramified(9)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="not a prime: 4"):
         PlaceSet([4])
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from galideal.abelian import ResidueGroup, squares_subgroup, unit_group
+from galideal.dirichlet import PlaceSet
 from galideal.groupring import GroupRingElement, invert_unit, psi_eval
 from galideal.stickelberger import (
     base_change_element,
@@ -40,11 +41,23 @@ def test_theta_mod7_frozen():
 
 
 def test_routes_agree():
-    for m in [1, 3, 4, 5, 7, 8, 9, 12]:
-        s = ramified_places(m)
-        for r in [0, -1, -2]:
-            assert stickelberger(m, s, r).element == \
-                stickelberger_by_characters(m, s, r), (m, r)
+    # Hurwitz values times Euler factors against lambda-assembled L-values
+    for m in [1, 2, 3, 4, 5, 7, 8, 9, 12, 15]:
+        for extra in [(), (2,), (3, 5), (11,), (2, 13)]:
+            s = PlaceSet(ramified_places(m).primes +
+                         tuple(p for p in extra if m % p))
+            for r in [0, -1, -2]:
+                assert stickelberger(m, s, r).element == \
+                    stickelberger_by_characters(m, s, r), (m, s, r)
+
+
+def test_stickelberger_refuses_bad_input():
+    with pytest.raises(ValueError):
+        stickelberger(6, PlaceSet([3]))  # 2 | 6 is missing from S
+    with pytest.raises(ValueError):
+        stickelberger(7, ramified_places(7), 1)
+    with pytest.raises(ValueError):
+        PlaceSet([7, 9])
 
 
 def test_minus_eigenspace():
@@ -82,6 +95,17 @@ def test_half_identity_one_minus_c():
         c = GroupRingElement.basis(g, complex_conjugation(m))
         lhs = ht - c * ht
         assert lhs == theta(m, 0), m
+
+
+def test_half_stickelberger_extra_places():
+    # (1 - c) theta-tilde_S = theta_S with S beyond the ramified primes,
+    # against the character route
+    for m, extra in [(7, (2,)), (11, (3, 5))]:
+        s = PlaceSet((m,) + extra)
+        g = unit_group(m)
+        ht = include_subgroup(half_stickelberger(m, places=s), g)
+        c = GroupRingElement.basis(g, complex_conjugation(m))
+        assert ht - c * ht == stickelberger_by_characters(m, s, 0), m
 
 
 def test_half_stickelberger_validations():
