@@ -108,7 +108,7 @@ def even_extension(group, subgroup, eta):
 def require_imagquad_prime(ell):
     # the imaginary quadratic subfield is cut out by the quadratic character,
     # which is odd exactly when ell = 3 mod 4
-    if ell % 4 != 3 or ell <= 3:
+    if ell % 4 != 3 or ell <= 3 or not is_prime(ell):
         raise ValueError("--ell: need a prime ell = 3 (mod 4), ell > 3; "
                          "got %d" % ell)
 
