@@ -13,7 +13,7 @@ from .brauer import (BUILTIN_GROUPS, bgstar, duality_certificate,
                      from_cayley_text, record_index, subgroup_lattice)
 from .cycloideal import (CyclotomicLevel, ideal_J_full, ideal_J_imagquad,
                          ideal_J_minus, ideal_J_real, plus_quotient)
-from .dirichlet import PlaceSet, l_value
+from .dirichlet import PlaceSet, is_prime, l_value
 from .ncideal import (IntegralityError, nc_ideal, subgroup_datum,
                       two_sided_check)
 from .serialize import (FixtureError, element_payload, fraction_str,
@@ -325,8 +325,9 @@ def _parse_data_fixture(G, fixture):
     if "ell" not in fixture:
         raise FixtureError("fixture is missing the 'ell' field")
     ell = fixture["ell"]
-    if not isinstance(ell, int) or ell < 2:
-        raise FixtureError("field 'ell' must be an integer prime")
+    if type(ell) is not int or ell == 2 or not is_prime(ell):
+        raise FixtureError("field 'ell' must be an odd prime, got %r"
+                           % (ell,))
     entries = fixture.get("data")
     if not isinstance(entries, list) or not entries:
         raise FixtureError("field 'data' must be a non-empty list")

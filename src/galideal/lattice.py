@@ -20,8 +20,13 @@
 # divided lattice is still 2-saturated and still in column HNF.
 #
 # Membership is decided by coordinate denominators (power of 2 <=> member),
-# never by iterative doubling.  The zero module (no columns, d = 1)
-# participates in everything.
+# never by iterative doubling.  The coordinates of d*v come from one forward
+# pass over the columns in pivot order: y_j = r[p_j] / col_j[p_j], then
+# r <- r - y_j col_j; v is outside the Q-span if r is nonzero above a pivot
+# or after the last one.  That is O(rank * dim) Fraction operations and
+# needs only the echelon shape, so it also holds for trusted-constructor
+# ideals whose columns are echelon but not reduced.  The zero module (no
+# columns, d = 1) participates in everything.
 
 from fractions import Fraction
 from math import gcd
@@ -172,37 +177,40 @@ def zero_ideal(labels):
     return FractionalIdeal(tuple(labels), 1, [])
 
 
+def _member(ideal, vector, unit):
+    # True iff columns . y = d*vector has a solution y over Q with
+    # unit(denominator) for every y_j; the forward pass of the header
+    if len(vector) != ideal.dimension:
+        raise ValueError("vector of length %d in an ambient of dimension %d"
+                         % (len(vector), ideal.dimension))
+    r = [Fraction(x) * ideal.denominator for x in vector]
+    start = 0
+    for col in ideal.columns:
+        p = start
+        while not col[p]:
+            p += 1
+        if any(r[start:p]):
+            return False
+        y = r[p] / col[p]
+        if not unit(y.denominator):
+            return False
+        if y:
+            r[p:] = [a - y * b for a, b in zip(r[p:], col[p:])]
+        start = p + 1
+    return not any(r[start:])
+
+
 def contains_vector(ideal, vector):
     # is vector (Fractions) in the Z[1/2]-span?
-    vector = [Fraction(x) for x in vector]
-    assert len(vector) == ideal.dimension
-    if not any(vector):
-        return True
-    if ideal.is_zero():
-        return False
-    A = [[col[r] for col in ideal.columns] for r in range(ideal.dimension)]
-    target = [x * ideal.denominator for x in vector]
-    y = solve(A, target)
-    if y is None:
-        return False
-    return all(_is_power_of_two(c.denominator) for c in y)
+    return _member(ideal, vector, _is_power_of_two)
 
 
 def contains_vector_locally(ideal, vector, ell):
     # membership after tensoring with Z_ell (ell odd): all coordinate
     # denominators prime to ell
-    assert ell % 2 == 1 and ell > 1
-    vector = [Fraction(x) for x in vector]
-    if not any(vector):
-        return True
-    if ideal.is_zero():
-        return False
-    A = [[col[r] for col in ideal.columns] for r in range(ideal.dimension)]
-    target = [x * ideal.denominator for x in vector]
-    y = solve(A, target)
-    if y is None:
-        return False
-    return all(c.denominator % ell != 0 for c in y)
+    if ell % 2 == 0 or ell < 3:
+        raise ValueError("ell must be odd and at least 3, got %r" % (ell,))
+    return _member(ideal, vector, lambda den: den % ell != 0)
 
 
 def contains_element(ideal, group, x):

@@ -320,7 +320,8 @@ def test_nc_ideal_fixture_diagnostics(capsys, tmp_path):
         ('{"schema-version": 1, "kind": "units", "ell": 3, "data": []}',
          "'kind'"),
         ('{"kind": "annihilator-data"}', "schema-version"),
-    ]
+    ] + [(COVARIANT_S3.replace('"ell": 3', '"ell": ' + ell),
+          "field 'ell' must be an odd prime") for ell in ("4", "2", "true")]
     for text, needle in cases:
         path = tmp_path / "f.json"
         path.write_text(text)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from galideal.abelian import FiniteAbelianGroup, unit_group
 from galideal.cycloideal import CyclotomicLevel, ideal_J_minus
 from galideal.groupring import GroupRingElement, invert_unit
-from galideal.intmat import hnf_columns
+from galideal.intmat import hnf_columns, solve
 from galideal.lattice import (
+    FractionalIdeal,
     canonicalize,
     compare,
     contains_element,
@@ -227,3 +229,72 @@ def test_generators_are_members_and_sum_monotone(data):
         assert contains_element(I, group, x)
     J = ideal_sum(I, unit_ideal(group))
     assert compare(I, J) in ("equal", "subset")
+
+
+def _reference_coordinates(ideal, vector):
+    # the coordinates of d*vector by a Fraction rref of the augmented matrix
+    # (intmat.solve), or None outside the Q-span
+    if not any(vector):
+        return [Fraction(0)] * ideal.rank
+    if ideal.is_zero():
+        return None
+    A = [[col[r] for col in ideal.columns] for r in range(ideal.dimension)]
+    return solve(A, [Fraction(x) * ideal.denominator for x in vector])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_membership_matches_rref_reference(data):
+    n = data.draw(st.integers(1, 6))
+    labels = tuple("x%d" % i for i in range(n))
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-4, max_value=4, max_denominator=6))
+    gens = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              max_size=4))
+    ideal = canonicalize(labels, gens)
+    if data.draw(st.booleans()):
+        # trusted constructor: each column times a nonzero integer keeps the
+        # echelon shape but not the reduction on pivot rows (like q*I)
+        ideal = FractionalIdeal(labels, ideal.denominator, [
+            [data.draw(st.integers(-6, 6).filter(bool)) * x for x in col]
+            for col in ideal.columns])
+    kind = data.draw(st.sampled_from(["combination", "any", "zero"]))
+    if kind == "combination":
+        coeffs = data.draw(st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=12),
+            min_size=ideal.rank, max_size=ideal.rank))
+        v = [sum((c * col[i] for c, col in zip(coeffs, ideal.columns)),
+                 Fraction(0)) / ideal.denominator for i in range(n)]
+    elif kind == "any":
+        v = data.draw(st.lists(entry, min_size=n, max_size=n))
+    else:
+        v = [Fraction(0)] * n
+    y = _reference_coordinates(ideal, v)
+    assert contains_vector(ideal, v) == (
+        y is not None and all(c.denominator & (c.denominator - 1) == 0 for c in y))
+    for ell in (3, 5):
+        assert contains_vector_locally(ideal, v, ell) == (
+            y is not None and all(c.denominator % ell for c in y))
+
+
+def test_membership_input_checks():
+    I = unit_ideal(C2)
+    for bad in ([1], [1, 0, 0]):
+        with pytest.raises(ValueError):
+            contains_vector(I, bad)
+        with pytest.raises(ValueError):
+            contains_vector_locally(I, bad, 3)
+    for ell in (1, 2, 4, -3):
+        with pytest.raises(ValueError):
+            contains_vector_locally(I, [1, 0], ell)
+
+
+@pytest.mark.parametrize("ell, n", [(101, 0), (5, 2)])
+def test_compare_rank_50_budget(ell, n):
+    I = ideal_J_minus(CyclotomicLevel(ell, n))
+    assert I.rank == 50
+    tripled = FractionalIdeal(I.labels, I.denominator,
+                              [[3 * x for x in col] for col in I.columns])
+    t0 = time.perf_counter()
+    assert compare(tripled, I) == "subset"
+    assert time.perf_counter() - t0 < 1.0
