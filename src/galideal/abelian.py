@@ -19,6 +19,10 @@
 # multiplication) into such coordinates, constructively: pick x of maximal
 # order N, split off <x>, recurse on the quotient, and lift quotient
 # generators y with y^d = x^s to honest order-d elements y * x^(-s/d).
+#
+# left_cosets() is the one coset partition of the package: the quotient
+# here, the abelianizations and quotient groups of brauer.py and the coset
+# representatives of its component map all come from it.
 
 from fractions import Fraction
 from functools import lru_cache
@@ -49,6 +53,21 @@ def _power(g, e, mul, identity):
     return x
 
 
+def left_cosets(elems, mul, sub):
+    # The left cosets x*sub of a subgroup `sub` among `elems` (a union of
+    # them): (reps, coset_of), with cosets numbered in order of first
+    # appearance in `elems`, reps[i] the first element of coset i, and
+    # coset_of mapping every element to its coset's number.
+    reps = []
+    coset_of = {}
+    for x in elems:
+        if x not in coset_of:
+            for h in sub:
+                coset_of[mul(x, h)] = len(reps)
+            reps.append(x)
+    return reps, coset_of
+
+
 def decompose(elems, mul, identity):
     # Returns (invariants, generators): invariants an ascending divisor
     # chain (d_1, ..., d_k), generators a list of elements with
@@ -76,33 +95,22 @@ def decompose(elems, mul, identity):
         p += 1 if p == 2 else 2
     assert _element_order(x, mul, identity) == exponent
 
-    # quotient G / <x> on frozenset cosets
+    # quotient G / <x>, on coset indices
     xcyc = []
     t = identity
     for _ in range(exponent):
         xcyc.append(t)
         t = mul(t, x)
-    xset = set(xcyc)
-    coset_of = {}
-    cosets = []
-    for g in elems:
-        if g in coset_of:
-            continue
-        cs = frozenset(mul(g, h) for h in xcyc)
-        for a in cs:
-            coset_of[a] = cs
-        cosets.append(cs)
-    reps = {cs: min(range(len(elems)), key=lambda i: (elems[i] not in cs, i)) for cs in cosets}
+    reps, coset_of = left_cosets(elems, mul, xcyc)
 
-    def qmul(c1, c2):
-        return coset_of[mul(elems[reps[c1]], elems[reps[c2]])]
+    def qmul(i, j):
+        return coset_of[mul(reps[i], reps[j])]
 
-    qid = coset_of[identity]
-    qinv, qgens = decompose(cosets, qmul, qid)
+    qinv, qgens = decompose(range(len(reps)), qmul, coset_of[identity])
 
     generators = []
     for d, cbar in zip(qinv, qgens):
-        y = elems[reps[cbar]]
+        y = reps[cbar]
         yd = _power(y, d, mul, identity)
         s = xcyc.index(yd)
         # y^d = x^s forces d | s (raise both sides to exponent/d), so the

@@ -14,10 +14,10 @@
 from fractions import Fraction
 from typing import NamedTuple
 
-from .abelian import coordinates
+from .abelian import coordinates, left_cosets
 from .cyclotomic import CyclotomicNumber
 from .groupring import GroupRingElement, psi_eval
-from .intmat import mat_mul, rank
+from .intmat import hnf_columns, mat_mul
 from .lattice import (canonicalize, contains_vector, map_image,
                       map_preimage)
 
@@ -32,16 +32,28 @@ class FiniteGroup:
     def __init__(self, table, labels=None):
         table = [tuple(row) for row in table]
         n = len(table)
-        assert n >= 1
-        for row in table:
-            assert len(row) == n and all(0 <= x < n for x in row)
+        if n < 1:
+            raise ValueError("table has no rows; the order must be at least 1")
+        for i, row in enumerate(table):
+            if len(row) != n:
+                raise ValueError("row %d has %d entries, expected %d"
+                                 % (i, len(row), n))
+            for x in row:
+                if not 0 <= x < n:
+                    raise ValueError("row %d: entry %d is outside 0..%d"
+                                     % (i, x, n - 1))
         self.order = n
         self.table = tuple(table)
         self.elements = tuple(range(n))
         if labels is None:
             labels = ["g%d" % i for i in range(n)]
         self.labels = tuple(str(s) for s in labels)
-        assert len(self.labels) == n and len(set(self.labels)) == n
+        if len(self.labels) != n:
+            raise ValueError("%d labels for %d elements"
+                             % (len(self.labels), n))
+        for i, lab in enumerate(self.labels):
+            if lab in self.labels[:i]:
+                raise ValueError("duplicate label %r" % lab)
         ident = [e for e in range(n)
                  if all(table[e][j] == j and table[j][e] == j for j in range(n))]
         if len(ident) != 1:
@@ -117,8 +129,13 @@ def from_cayley_text(text):
     if not lines:
         raise ValueError("empty Cayley table")
     n = int(lines[0])
+    if n < 1:
+        raise ValueError("order %d; the order must be at least 1" % n)
     if len(lines) < n + 1:
         raise ValueError("expected %d table rows, found %d" % (n, len(lines) - 1))
+    if len(lines) > n + 2:
+        raise ValueError("%d lines after the table rows; only one, the labels, "
+                         "may follow them" % (len(lines) - n - 1))
     table = [[int(tok) for tok in lines[1 + i].split()] for i in range(n)]
     labels = None
     if len(lines) > n + 1:
@@ -292,22 +309,11 @@ class SubgroupRecord:
             assert all(G.conjugate(h, c) in comm for c in comm), \
                 "commutator subgroup is not normal"
         self.commutator = tuple(sorted(comm))
-        cosets = []
-        placed = {}
-        for h in self.elements:
-            if h in placed:
-                continue
-            cs = frozenset(G.op(h, c) for c in self.commutator)
-            for x in cs:
-                placed[x] = len(cosets)
-            cosets.append(cs)
-        order = sorted(range(len(cosets)), key=lambda i: min(cosets[i]))
-        self.cosets = tuple(cosets[i] for i in order)
-        self.project = {}
-        for i, cs in enumerate(self.cosets):
-            for x in cs:
-                self.project[x] = i
-        reps = [min(cs) for cs in self.cosets]
+        # elements ascend, so each representative is its coset's minimum
+        reps, self.project = left_cosets(self.elements, G.op, self.commutator)
+        self.reps = tuple(reps)
+        self.cosets = tuple(frozenset(G.op(r, c) for c in self.commutator)
+                            for r in reps)
         table = [[self.project[G.op(a, b)] for b in reps] for a in reps]
         self.ab = FiniteGroup(table, [G.label(r) for r in reps])
         self._characters = None
@@ -318,6 +324,11 @@ class SubgroupRecord:
 
     def ab_labels(self):
         return self.ab.labels
+
+    def induced(self, other, f):
+        # the map H^ab -> other^ab induced by a group map f sending this
+        # subgroup into `other`, on coset indices: images[u] for coset u
+        return tuple(other.project[f(r)] for r in self.reps)
 
     def push(self, x):
         # Q[H] (supported inside the subgroup) -> Q[H^ab]
@@ -425,7 +436,7 @@ class BrauerMap(NamedTuple):
 
     @property
     def rank(self):
-        return rank(self.matrix)
+        return len(hnf_columns(self.matrix)[0])
 
     @property
     def injective(self):
@@ -451,19 +462,6 @@ class BrauerMap(NamedTuple):
         return tuple(out)
 
 
-def coset_representatives(G, elements):
-    # left cosets xH, one representative each, in increasing element order
-    eset = set(elements)
-    reps = []
-    seen = set()
-    for x in G.elements:
-        if x in seen:
-            continue
-        reps.append(x)
-        seen |= {G.op(x, h) for h in eset}
-    return reps
-
-
 def bgstar(G, records=None):
     # For each class (by its smallest representative) and each subgroup H:
     # sum over cosets xH with x^-1 g x in H of the image of x^-1 g x in
@@ -478,11 +476,12 @@ def bgstar(G, records=None):
         offsets.append(total)
         total += rec.ab.order
     matrix = [[0] * space.dimension for _ in range(total)]
+    reps = [left_cosets(G.elements, G.op, rec.elements)[0] for rec in records]
     for c, cls in enumerate(space.classes):
         g = min(cls)
         for k, rec in enumerate(records):
             lo = offsets[k]
-            for x in coset_representatives(G, rec.elements):
+            for x in reps[k]:
                 y = G.conjugate(G.inv(x), g)
                 if y in rec.project:
                     matrix[lo + rec.project[y]][c] += 1
@@ -552,7 +551,7 @@ def duality_certificate(bmap):
     gens = _generating_set(G)
     checked = 0
     for k, rec in enumerate(bmap.records):
-        reps = coset_representatives(G, rec.elements)
+        reps = left_cosets(G.elements, G.op, rec.elements)[0]
         for ci, chi in enumerate(rec.characters()):
             mats = {g: _induced_matrix(G, rec, chi, g, reps) for g in G.elements}
             ident = mats[G.identity]
@@ -583,16 +582,18 @@ def duality_certificate(bmap):
 # ---------------------------------------------------------------------------
 # component transport along conjugation, and the preimage ideal
 
+def _map_matrix(images, rows):
+    # 0/1 matrix of the basis map u -> images[u]
+    return [[int(v == t) for v in images] for t in range(rows)]
+
+
 def transport_matrix(records, i, j, w):
     # H^ab of record i -> H^ab of record j along h -> w h w^-1
     src, dst = records[i], records[j]
     G = src.group
     assert conjugate_set(G, src.elements, w) == frozenset(dst.elements)
-    P = [[0] * src.ab.order for _ in range(dst.ab.order)]
-    for u, cs in enumerate(src.cosets):
-        v = dst.project[G.conjugate(w, min(cs))]
-        P[v][u] = 1
-    return P
+    return _map_matrix(src.induced(dst, lambda h: G.conjugate(w, h)),
+                       dst.ab.order)
 
 
 def transport_component(records, i, j, w, ideal):
@@ -683,20 +684,9 @@ def quotient_group(G, normal_elements):
     for h in nset:
         assert all(G.op(G.op(a, h), G.inv(a)) in nset for a in G.elements), \
             "subgroup is not normal"
-    cosets = []
-    placed = {}
-    for g in G.elements:
-        if g in placed:
-            continue
-        cs = frozenset(G.op(g, h) for h in nset)
-        for x in cs:
-            placed[x] = len(cosets)
-        cosets.append(cs)
-    order = sorted(range(len(cosets)), key=lambda i: min(cosets[i]))
-    rank_of = {old: new for new, old in enumerate(order)}
-    proj = [rank_of[placed[g]] for g in G.elements]
-    cosets = [cosets[i] for i in order]
-    reps = [min(cs) for cs in cosets]
+    # elements ascend, so each representative is its coset's minimum
+    reps, coset_of = left_cosets(G.elements, G.op, nset)
+    proj = [coset_of[g] for g in G.elements]
     table = [[proj[G.op(a, b)] for b in reps] for a in reps]
     Q = FiniteGroup(table, [G.label(r) for r in reps])
     return Q, proj
@@ -710,25 +700,28 @@ def class_quotient_matrix(space_big, space_small, proj):
     return M
 
 
+def _full_preimages(bmap_big, bmap_small, proj):
+    # for each subgroup J of the quotient: (its index, the index of its full
+    # preimage H in the big group, the map H^ab -> J^ab induced by proj)
+    G = bmap_big.group
+    for kq, rec_q in enumerate(bmap_small.records):
+        jset = set(rec_q.elements)
+        kg = record_index(bmap_big.records,
+                          [g for g in G.elements if proj[g] in jset])
+        yield kq, kg, bmap_big.records[kg].induced(rec_q, proj.__getitem__)
+
+
 def component_quotient_matrix(bmap_big, bmap_small, proj):
     # the dual of the inflation-assembly map: for each subgroup J of the
     # quotient, take the component at its full preimage H and push it
     # along H^ab -> J^ab; components at subgroups that are not full
     # preimages are dropped
-    G = bmap_big.group
     rows = sum(rec.ab.order for rec in bmap_small.records)
     cols = sum(rec.ab.order for rec in bmap_big.records)
     M = [[0] * cols for _ in range(rows)]
-    for kq, rec_q in enumerate(bmap_small.records):
-        jset = set(rec_q.elements)
-        pre = [g for g in G.elements if proj[g] in jset]
-        kg = record_index(bmap_big.records, pre)
-        rec_g = bmap_big.records[kg]
-        lo_q = bmap_small.offsets[kq]
-        lo_g = bmap_big.offsets[kg]
-        for u, cs in enumerate(rec_g.cosets):
-            v = rec_q.project[proj[min(cs)]]
-            M[lo_q + v][lo_g + u] = 1
+    for kq, kg, images in _full_preimages(bmap_big, bmap_small, proj):
+        for u, v in enumerate(images):
+            M[bmap_small.offsets[kq] + v][bmap_big.offsets[kg] + u] = 1
     return M
 
 
@@ -758,16 +751,11 @@ def quotient_naturality(G, normal_elements, components, components_small=None):
     full_big = complete_components(bmap_big, components)
     if components_small is None:
         components_small = {}
-        for kq, rec_q in enumerate(bmap_small.records):
-            jset = set(rec_q.elements)
-            pre = [g for g in G.elements if proj[g] in jset]
-            kg = record_index(bmap_big.records, pre)
-            rec_g = bmap_big.records[kg]
-            push = [[0] * rec_g.ab.order for _ in range(rec_q.ab.order)]
-            for u, cs in enumerate(rec_g.cosets):
-                push[rec_q.project[proj[min(cs)]]][u] = 1
-            components_small[kq] = map_image(full_big[kg], push,
-                                             rec_q.ab_labels())
+        for kq, kg, images in _full_preimages(bmap_big, bmap_small, proj):
+            rec_q = bmap_small.records[kq]
+            components_small[kq] = map_image(
+                full_big[kg], _map_matrix(images, rec_q.ab.order),
+                rec_q.ab_labels())
     J_big = nonabelian_J(bmap_big, full_big)
     J_small = nonabelian_J(bmap_small, components_small)
     image = map_image(J_big, clsmat, bmap_small.space.labels)

@@ -178,7 +178,7 @@ def load_group(args):
         raise UsageError("cannot read --cayley file: %s" % e)
     try:
         return from_cayley_text(text), {"cayley": args.cayley}
-    except (AssertionError, ValueError) as e:
+    except ValueError as e:
         raise FixtureError("--cayley: %s" % e)
 
 

@@ -16,8 +16,9 @@
 #     rows therefore stay below their pivots, which bounds their growth
 #     without reducing modulo a determinant (Cohen, A Course in
 #     Computational Algebraic Number Theory, sec. 2.4).
-
-from fractions import Fraction
+#   - all elimination is integer HNF: rank, kernels, injectivity and
+#     solutions over Q are read off hnf_rows / hnf_columns (ibid., sec.
+#     2.4.3); there is no rational Gauss-Jordan.
 
 
 def xgcd(a, b):
@@ -181,54 +182,3 @@ def column_kernel(A):
     # Basis (list of vectors) of {v : A*v = 0} over Z, saturated.
     return row_kernel(transpose(A))
 
-
-def rref(A):
-    # Reduced row echelon form over Q; returns (R, pivots) with R a list of
-    # Fraction rows and pivots the list of pivot column indices.
-    R = [[Fraction(x) for x in row] for row in A]
-    n = len(R)
-    m = len(R[0]) if R else 0
-    pivots = []
-    r = 0
-    for c in range(m):
-        piv = None
-        for i in range(r, n):
-            if R[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        R[r], R[piv] = R[piv], R[r]
-        inv = 1 / R[r][c]
-        R[r] = [x * inv for x in R[r]]
-        for i in range(n):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return R, pivots
-
-
-def rank(A):
-    if not A or not A[0]:
-        return 0
-    _, pivots = rref(A)
-    return len(pivots)
-
-
-def solve(A, b):
-    # One solution x of A*x = b over Q, or None if inconsistent.  If A has
-    # full column rank the solution is unique.
-    n = len(A)
-    m = len(A[0]) if A else 0
-    aug = [list(A[i]) + [b[i]] for i in range(n)]
-    R, pivots = rref(aug)
-    if m in pivots:
-        return None
-    x = [Fraction(0)] * m
-    for i, c in enumerate(pivots):
-        x[c] = R[i][m]
-    return x

@@ -25,8 +25,9 @@
 # r <- r - y_j col_j; v is outside the Q-span if r is nonzero above a pivot
 # or after the last one.  That is O(rank * dim) Fraction operations and
 # needs only the echelon shape, so it also holds for trusted-constructor
-# ideals whose columns are echelon but not reduced.  The zero module (no
-# columns, d = 1) participates in everything.
+# ideals whose columns are echelon but not reduced.  The same pass serves
+# map_preimage, which solves T x = v on the rows of the row HNF of T^t.
+# The zero module (no columns, d = 1) participates in everything.
 
 from fractions import Fraction
 from math import gcd
@@ -35,10 +36,9 @@ from .groupring import GroupRingElement
 from .intmat import (
     column_kernel,
     hnf_columns,
+    hnf_rows,
     mat_vec,
-    rank,
     row_kernel,
-    solve,
 )
 
 
@@ -101,7 +101,9 @@ def canonicalize(labels, vectors):
     vs = []
     for v in vectors:
         v = [Fraction(x) for x in v]
-        assert len(v) == n
+        if len(v) != n:
+            raise ValueError("vector of length %d in an ambient of dimension %d"
+                             % (len(v), n))
         if any(v):
             vs.append(v)
     if not vs:
@@ -177,27 +179,36 @@ def zero_ideal(labels):
     return FractionalIdeal(tuple(labels), 1, [])
 
 
-def _member(ideal, vector, unit):
-    # True iff columns . y = d*vector has a solution y over Q with
-    # unit(denominator) for every y_j; the forward pass of the header
-    if len(vector) != ideal.dimension:
-        raise ValueError("vector of length %d in an ambient of dimension %d"
-                         % (len(vector), ideal.dimension))
-    r = [Fraction(x) * ideal.denominator for x in vector]
+def _coordinates(columns, r, unit):
+    # y with sum_j y_j columns[j] = r (r a list of Fractions, consumed), by
+    # the forward pass of the header over echelon columns; None if r is
+    # outside the Q-span, or at the first y_j whose denominator fails unit
+    y = []
     start = 0
-    for col in ideal.columns:
+    for col in columns:
         p = start
         while not col[p]:
             p += 1
         if any(r[start:p]):
-            return False
-        y = r[p] / col[p]
-        if not unit(y.denominator):
-            return False
-        if y:
-            r[p:] = [a - y * b for a, b in zip(r[p:], col[p:])]
+            return None
+        c = r[p] / col[p]
+        if not unit(c.denominator):
+            return None
+        if c:
+            r[p:] = [a - c * b for a, b in zip(r[p:], col[p:])]
+        y.append(c)
         start = p + 1
-    return not any(r[start:])
+    return None if any(r[start:]) else y
+
+
+def _member(ideal, vector, unit):
+    # True iff columns . y = d*vector has a solution y over Q with
+    # unit(denominator) for every y_j
+    if len(vector) != ideal.dimension:
+        raise ValueError("vector of length %d in an ambient of dimension %d"
+                         % (len(vector), ideal.dimension))
+    r = [Fraction(x) * ideal.denominator for x in vector]
+    return _coordinates(ideal.columns, r, unit) is not None
 
 
 def contains_vector(ideal, vector):
@@ -269,31 +280,42 @@ def scale_by(ideal, group, x):
 def map_image(ideal, T, out_labels):
     # lattice generated by T(generators), canonicalized in the codomain
     out_labels = tuple(out_labels)
-    assert len(T) == len(out_labels)
-    if ideal.columns:
-        assert len(T[0]) == ideal.dimension
+    _check_shape(T, len(out_labels), ideal.dimension)
     vecs = [mat_vec(T, v) for v in ideal.vectors()]
     return canonicalize(out_labels, vecs)
 
 
+def _check_shape(T, rows, cols):
+    if len(T) != rows:
+        raise ValueError("matrix with %d rows, expected %d" % (len(T), rows))
+    for i, row in enumerate(T):
+        if len(row) != cols:
+            raise ValueError("matrix row %d has %d entries, expected %d"
+                             % (i, len(row), cols))
+
+
 def _clear_denominators(T):
+    # (lcm, lcm*T) with lcm the common denominator of the entries
     lcm = 1
     for row in T:
         for x in row:
             f = Fraction(x)
             lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    return [[int(Fraction(x) * lcm) for x in row] for row in T]
+    return lcm, [[int(Fraction(x) * lcm) for x in row] for row in T]
 
 
 def map_preimage(ideal, T, in_labels):
     # {x : T(x) in ideal} for an injective linear map T (matrix over Q,
     # codomain = ideal's ambient).  Intersect the ideal with im(T) via the
-    # left kernel, then pull back through T.
+    # left kernel, then pull back through T.  With Ti = lcm*T and
+    # U Ti^t = H the row HNF of Ti^t, T is injective iff H has no zero row,
+    # and then T x = v iff x = U^t y for the y with H^t y = lcm*v.
     in_labels = tuple(in_labels)
     n_out, n_in = len(T), len(in_labels)
-    assert n_out == ideal.dimension
-    Ti = _clear_denominators(T)
-    if rank(Ti) != n_in:
+    _check_shape(T, ideal.dimension, n_in)
+    lcm, Ti = _clear_denominators(T)
+    H, U = hnf_rows([[row[j] for row in Ti] for j in range(n_in)])
+    if not all(any(row) for row in H):
         raise ValueError("map is not injective; preimage is not a lattice")
     if ideal.is_zero():
         return zero_ideal(in_labels)
@@ -310,11 +332,12 @@ def map_preimage(ideal, T, in_labels):
     pre = []
     d = ideal.denominator
     for c in coeffs:
-        v = [Fraction(sum(B[r][j] * c[j] for j in range(len(c))), d)
-             for r in range(n_out)]
-        u = solve(T, v)
-        assert u is not None, "intersection vector fell outside the image"
-        pre.append(u)
+        rhs = [Fraction(lcm * sum(B[r][j] * c[j] for j in range(len(c))), d)
+               for r in range(n_out)]
+        y = _coordinates(H, rhs, lambda den: True)
+        assert y is not None, "intersection vector fell outside the image"
+        pre.append([sum(U[i][j] * y[i] for i in range(n_in))
+                    for j in range(n_in)])
     return canonicalize(in_labels, pre)
 
 

@@ -119,12 +119,17 @@ def two_sided_check(I):
 
 def conjugate_datum(d, target_record, w):
     # move a datum to the conjugate subgroup w H w^-1
-    rec, G = d.record, d.record.group
+    G = d.record.group
+    return _push(d, target_record, lambda h: G.conjugate(w, h))
+
+
+def _push(d, target_record, f):
+    # the datum carried along the map of abelianizations induced by the
+    # group map f
+    images = d.record.induced(target_record, f)
 
     def move(x):
-        return map_elements(
-            x, target_record.ab,
-            lambda u: target_record.project[G.conjugate(w, min(rec.cosets[u]))])
+        return map_elements(x, target_record.ab, images.__getitem__)
 
     return AnnihilatorDatum(target_record, move(d.alpha), move(d.beta), d.ell)
 
@@ -148,19 +153,8 @@ def covariant_data(records, base_data):
 # ---------------------------------------------------------------------------
 # quotient behaviour
 
-def _ab_quotient(record_big, record_small, proj):
-    # abelianization-level map induced by the group quotient, as a function
-    # on coset indices
-    return lambda u: record_small.project[proj[min(record_big.cosets[u])]]
-
-
 def push_datum(d, record_small, proj):
-    f = _ab_quotient(d.record, record_small, proj)
-    return AnnihilatorDatum(
-        record_small,
-        map_elements(d.alpha, record_small.ab, f),
-        map_elements(d.beta, record_small.ab, f),
-        d.ell)
+    return _push(d, record_small, proj.__getitem__)
 
 
 def quotient_data(data, Q, proj):
@@ -199,8 +193,9 @@ def quotient_check(G, Q, proj, data, data_small):
         for d2 in data_small:
             if d2.record.elements != jset or d2.ell != d.ell:
                 continue
-            f = _ab_quotient(d.record, d2.record, proj)
-            pushed = map_elements(d.alpha * d.beta, d2.record.ab, f)
+            images = d.record.induced(d2.record, proj.__getitem__)
+            pushed = map_elements(d.alpha * d.beta, d2.record.ab,
+                                  images.__getitem__)
             if pushed == d2.alpha * d2.beta:
                 hit = True
                 break

@@ -40,6 +40,8 @@ def test_builtin_groups_are_groups():
 
 
 def test_rejects_non_group_tables():
+    with pytest.raises(ValueError, match="no rows"):
+        FiniteGroup([])
     with pytest.raises(ValueError, match="identity"):
         FiniteGroup([[1, 1], [1, 1]])
     # a loop with identity and two-sided inverses but no associativity

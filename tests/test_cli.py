@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import galideal
 from galideal.brauer import symmetric3, to_cayley_text
 from galideal.cli import main
 from galideal.serialize import lattice_payload, parse_lattice
-from galideal.suites import SUITE_ALIASES, SUITES
+from galideal.suites import SUITE_ALIASES, SUITE_PARAMS, SUITES
 
 COVARIANT_S3 = """{
   "schema-version": 1,
@@ -167,6 +168,14 @@ def test_check_rejects_bad_parameter_values(capsys, argv, flag):
     assert err.startswith("error: " + flag + ": ")
 
 
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suite_params_match_signatures(name):
+    # check_params passes a suite only the parameters SUITE_PARAMS lists, so
+    # a parameter missing there would be dropped without a word
+    params = inspect.signature(SUITES[name]).parameters
+    assert set(SUITE_PARAMS[name]) == set(params)
+
+
 def test_check_unknown_suite(capsys):
     code, out, err = run(capsys, ["check", "--suite", "nosuch"])
     assert code == 2
@@ -273,6 +282,31 @@ def test_brauer_map_cayley_file(capsys, tmp_path):
     code, out, err = run(capsys, ["brauer-map", "--cayley", str(bad)])
     assert code == 2
     assert "--cayley" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2\n0 1\n1\n", "row 1 has 1 entries, expected 2"),
+    ("2\n0 1\n1 2\n", "row 1: entry 2 is outside 0..1"),
+    ("0\n", "order 0; the order must be at least 1"),
+    ("-3\n", "order -3; the order must be at least 1"),
+    ("2\n0 1\n1 0\na b\nc d\n",
+     "2 lines after the table rows; only one, the labels, may follow them"),
+    ("2\n0 1\n1 0\na a\n", "duplicate label 'a'"),
+    ("2\n0 1\n1 0\na b c\n", "3 labels for 2 elements"),
+], ids=["short-row", "entry-out-of-range", "order-0", "order-negative",
+        "extra-lines", "duplicate-labels", "label-count"])
+def test_malformed_cayley_table(capsys, tmp_path, text, message):
+    # checked in-process and under python -O, which strips asserts
+    path = tmp_path / "table.txt"
+    path.write_text(text)
+    expected = (2, "", "error: --cayley: %s\n" % message)
+    assert run(capsys, ["brauer-map", "--cayley", str(path)]) == expected
+    src = str(Path(galideal.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "galideal.cli", "brauer-map",
+         "--cayley", str(path)],
+        capture_output=True, text=True, env={"PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
 def test_brauer_map_needs_exactly_one_source(capsys):

@@ -1,6 +1,6 @@
 import random
-from fractions import Fraction
 
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,10 +11,7 @@ from galideal.intmat import (
     identity_matrix,
     mat_mul,
     mat_vec,
-    rank,
     row_kernel,
-    rref,
-    solve,
     transpose,
     xgcd,
 )
@@ -107,7 +104,7 @@ def test_row_kernel(A):
     K = row_kernel(A)
     for k in K:
         assert all(v == 0 for v in mat_vec(transpose(A), k))
-    assert len(K) == len(A) - rank(A)
+    assert len(K) == len(A) - sympy.Matrix(A).rank()
 
 
 @settings(max_examples=100)
@@ -118,22 +115,7 @@ def test_column_kernel(A):
         assert all(v == 0 for v in mat_vec(A, k))
 
 
-def test_solve():
-    A = [[2, 0], [0, 3], [1, 1]]
-    b = [4, 9, 5]
-    x = solve(A, b)
-    assert x == [Fraction(2), Fraction(3)]
-    assert solve(A, [1, 0, 0]) is None
-
-
 def test_hnf_columns_drops_zero_columns():
     A = [[2, 0, 4], [0, 0, 0]]
     H = hnf_columns(A)
     assert H == [[2], [0]]
-
-
-def test_rref():
-    R, piv = rref([[1, 2], [2, 4]])
-    assert piv == [0]
-    assert R[0] == [Fraction(1), Fraction(2)]
-    assert R[1] == [Fraction(0), Fraction(0)]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from galideal.abelian import FiniteAbelianGroup, unit_group
 from galideal.cycloideal import CyclotomicLevel, ideal_J_minus
 from galideal.groupring import GroupRingElement, invert_unit
-from galideal.intmat import hnf_columns, solve
+from galideal.intmat import hnf_columns
 from galideal.lattice import (
     FractionalIdeal,
     canonicalize,
@@ -137,6 +137,24 @@ def test_map_preimage_examples():
     assert map_preimage(amb2, doubled, ("q",)) == one
     with pytest.raises(ValueError):
         map_preimage(amb2, [[0], [0]], ("q",))
+    # no rows: the map from Q^1 to Q^0 is not injective
+    with pytest.raises(ValueError):
+        map_preimage(zero_ideal(()), [], ("q",))
+
+
+def test_shapes_checked_without_asserts():
+    # wrong shapes raise ValueError, which python -O does not strip; as
+    # asserts they were stripped and the extra entries silently dropped
+    with pytest.raises(ValueError):
+        canonicalize(("a", "b"), [[1, 2, 3]])
+    I = canonicalize(("a", "b"), [[1, 0], [0, 1]])
+    assert I.rank == 2
+    for T in ([[1, 0, 0], [0, 1, 0]], [[1, 0]], [[1, 0], [0, 1], [1, 1]]):
+        with pytest.raises(ValueError):
+            map_image(I, T, ("a", "b"))
+    for T in ([[1], [0], [0]], [[1, 0], [0, 1]]):
+        with pytest.raises(ValueError):
+            map_preimage(I, T, ("q",))
 
 
 def test_map_preimage_of_image_contains_identity():
@@ -231,15 +249,43 @@ def test_generators_are_members_and_sum_monotone(data):
     assert compare(I, J) in ("equal", "subset")
 
 
+def _gauss_jordan_solve(A, b):
+    # one solution x of A*x = b over Q by Fraction Gauss-Jordan on the
+    # augmented matrix, or None if inconsistent; an elimination independent
+    # of the forward pass under test
+    m = len(A[0])
+    R = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(A, b)]
+    pivots = []
+    for c in range(m + 1):
+        i = next((i for i in range(len(pivots), len(R)) if R[i][c]), None)
+        if i is None:
+            continue
+        r = len(pivots)
+        R[r], R[i] = R[i], R[r]
+        R[r] = [x / R[r][c] for x in R[r]]
+        for k in range(len(R)):
+            if k != r and R[k][c]:
+                R[k] = [a - R[k][c] * p for a, p in zip(R[k], R[r])]
+        pivots.append(c)
+        if len(pivots) == len(R):
+            break
+    if m in pivots:
+        return None
+    x = [Fraction(0)] * m
+    for i, c in enumerate(pivots):
+        x[c] = R[i][m]
+    return x
+
+
 def _reference_coordinates(ideal, vector):
-    # the coordinates of d*vector by a Fraction rref of the augmented matrix
-    # (intmat.solve), or None outside the Q-span
+    # the coordinates of d*vector by Gauss-Jordan on the augmented matrix,
+    # or None outside the Q-span
     if not any(vector):
         return [Fraction(0)] * ideal.rank
     if ideal.is_zero():
         return None
     A = [[col[r] for col in ideal.columns] for r in range(ideal.dimension)]
-    return solve(A, [Fraction(x) * ideal.denominator for x in vector])
+    return _gauss_jordan_solve(A, [Fraction(x) * ideal.denominator for x in vector])
 
 
 @settings(max_examples=150, deadline=None)
