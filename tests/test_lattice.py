@@ -143,8 +143,8 @@ def test_map_preimage_examples():
 
 
 def test_shapes_checked_without_asserts():
-    # wrong shapes raise ValueError, which python -O does not strip; as
-    # asserts they were stripped and the extra entries silently dropped
+    # a wrong shape raises ValueError, which python -O does not strip, so
+    # no entry is ever dropped silently
     with pytest.raises(ValueError):
         canonicalize(("a", "b"), [[1, 2, 3]])
     I = canonicalize(("a", "b"), [[1, 0], [0, 1]])
