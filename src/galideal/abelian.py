@@ -197,11 +197,14 @@ class AbelianCharacter:
     def index(self):
         return self.group.index(self.tuple)
 
-    def __call__(self, e):
+    def exponent(self, e):
+        # k in [0, N) with chi(e) = zeta_N^k
         N = self.group.exponent
-        k = sum(t * x * (N // d) for t, x, d in
-                zip(self.tuple, e, self.group.invariants)) % N
-        return _zeta_cached(N, k)
+        return sum(t * x * (N // d) for t, x, d in
+                   zip(self.tuple, e, self.group.invariants)) % N
+
+    def __call__(self, e):
+        return _zeta_cached(self.group.exponent, self.exponent(e))
 
     def is_trivial(self):
         return all(t == 0 for t in self.tuple)

@@ -9,7 +9,8 @@
 # space; ideals over the class space are defined by pulling per-subgroup
 # component lattices back through it.  A quotient map of groups induces
 # compatible maps on both sides, and the resulting square is checked as an
-# exact matrix identity.
+# exact matrix identity.  The duality certificate checks the map against
+# traces of induced representations, kept as monomial (perm, exps) pairs.
 
 from fractions import Fraction
 from typing import NamedTuple
@@ -128,7 +129,7 @@ def from_cayley_text(text):
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty Cayley table")
-    n = int(lines[0])
+    n = _integer(lines[0], "order")
     if n < 1:
         raise ValueError("order %d; the order must be at least 1" % n)
     if len(lines) < n + 1:
@@ -136,11 +137,17 @@ def from_cayley_text(text):
     if len(lines) > n + 2:
         raise ValueError("%d lines after the table rows; only one, the labels, "
                          "may follow them" % (len(lines) - n - 1))
-    table = [[int(tok) for tok in lines[1 + i].split()] for i in range(n)]
-    labels = None
-    if len(lines) > n + 1:
-        labels = lines[n + 1].split()
+    table = [[_integer(tok, "row %d: entry" % i) for tok in lines[1 + i].split()]
+             for i in range(n)]
+    labels = lines[n + 1].split() if len(lines) > n + 1 else None
     return FiniteGroup(table, labels)
+
+
+def _integer(token, what):
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError("%s %r is not an integer" % (what, token)) from None
 
 
 def to_cayley_text(G):
@@ -353,11 +360,16 @@ class SubgroupRecord:
 
 
 class _AbCharacter:
-    __slots__ = ("inner", "to_tuple")
+    __slots__ = ("inner", "to_tuple", "root_order")
 
     def __init__(self, inner, to_tuple):
         self.inner = inner
         self.to_tuple = to_tuple
+        self.root_order = inner.group.exponent  # values are powers of zeta_N
+
+    def exponent(self, q):
+        # k with chi(q) = zeta_N^k
+        return self.inner.exponent(self.to_tuple[q])
 
     def __call__(self, q):
         return self.inner(self.to_tuple[q])
@@ -498,42 +510,18 @@ def _generating_set(G):
         if g not in cur:
             gens.append(g)
             cur = closure(G, cur | {g})
-            if len(cur) == G.order:
-                break
-    assert len(cur) == G.order
     return gens
 
 
-def _induced_matrix(G, rec, chi, g, reps):
-    # monomial matrix of g acting on the cosets xH, twisted by chi on H^ab
-    zero = CyclotomicNumber.zero()
-    eset = set(rec.elements)
-    n = len(reps)
-    M = [[zero] * n for _ in range(n)]
-    for j, xj in enumerate(reps):
-        gx = G.op(g, xj)
-        for i, xi in enumerate(reps):
-            y = G.op(G.inv(xi), gx)
-            if y in eset:
-                M[i][j] = chi(rec.project[y])
-                break
-        else:
-            raise AssertionError("coset representatives do not cover")
-    return M
-
-
-def _cyc_mat_mul(A, B):
-    n, m, p = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            t = CyclotomicNumber.zero()
-            for k in range(m):
-                t = t + A[i][k] * B[k][j]
-            row.append(t)
-        out.append(row)
-    return out
+def _induced(G, rec, chi, g, cosets):
+    # g on the cosets xH twisted by chi, as a monomial matrix: column j has
+    # one entry, zeta_N^exps[j], in row i = perm[j], where g x_j = x_i h with
+    # h in H and chi(h) = zeta_N^exps[j]
+    reps, coset_of = cosets
+    perm = [coset_of[G.op(g, x)] for x in reps]
+    exps = [chi.exponent(rec.project[G.op(G.inv(reps[i]), G.op(g, x))])
+            for i, x in zip(perm, reps)]
+    return perm, exps
 
 
 class DualityReport(NamedTuple):
@@ -545,33 +533,38 @@ class DualityReport(NamedTuple):
 def duality_certificate(bmap):
     # Certify every component against the trace of the induced twisted
     # permutation representation, computed independently from the Cayley
-    # table.  The representation property itself is verified on a
-    # generating set, which extends to all elements by induction.
+    # table.  Its matrices are monomial, one root of unity zeta_N^k per
+    # column, kept as (perm, exps): a product, the identity test and a trace
+    # each cost O([G:H]).  M(g)M(x) = M(gx) is checked for g in a generating
+    # set and all x; with M(e) = 1 it extends by induction on word length to
+    # all g, since every element of a finite group is a word in generators.
     G = bmap.group
     gens = _generating_set(G)
     checked = 0
     for k, rec in enumerate(bmap.records):
-        reps = left_cosets(G.elements, G.op, rec.elements)[0]
+        cosets = left_cosets(G.elements, G.op, rec.elements)
         for ci, chi in enumerate(rec.characters()):
-            mats = {g: _induced_matrix(G, rec, chi, g, reps) for g in G.elements}
-            ident = mats[G.identity]
-            for i in range(len(reps)):
-                for j in range(len(reps)):
-                    expect = CyclotomicNumber.one() if i == j else CyclotomicNumber.zero()
-                    if ident[i][j] != expect:
-                        return DualityReport(False, checked, (k, ci, "identity"))
+            N = chi.root_order
+            mats = {g: _induced(G, rec, chi, g, cosets) for g in G.elements}
+            perm, exps = mats[G.identity]
+            if any(i != j or e % N for j, (i, e) in enumerate(zip(perm, exps))):
+                return DualityReport(False, checked, (k, ci, "identity"))
             for g in gens:
+                pg, kg = mats[g]
                 for x in G.elements:
-                    if _cyc_mat_mul(mats[g], mats[x]) != mats[G.op(g, x)]:
+                    px, kx = mats[x]
+                    pgx, kgx = mats[G.op(g, x)]
+                    # column j of M(g)M(x) is zeta_N^(kg[i] + kx[j]) in row pg[i]
+                    if any(pg[i] != pgx[j] or (kg[i] + kx[j] - kgx[j]) % N
+                           for j, i in enumerate(px)):
                         return DualityReport(False, checked,
                                              (k, ci, "hom@%s,%s" % (G.label(g), G.label(x))))
             for c in range(bmap.space.dimension):
-                comp = bmap.component(c, k)
-                lhs = psi_eval(comp, chi)
-                M = mats[min(bmap.space.classes[c])]
-                tr = CyclotomicNumber.zero()
-                for i in range(len(reps)):
-                    tr = tr + M[i][i]
+                lhs = psi_eval(bmap.component(c, k), chi)
+                perm, exps = mats[min(bmap.space.classes[c])]
+                tr = sum((CyclotomicNumber.zeta(N, e) for j, (i, e)
+                          in enumerate(zip(perm, exps)) if i == j),
+                         CyclotomicNumber.zero())
                 if lhs != tr:
                     return DualityReport(False, checked,
                                          (k, ci, bmap.space.labels[c]))

@@ -86,6 +86,18 @@ def test_characters_multiplicative():
                 assert chi(g.op(a, b)) == chi(a) * chi(b)
 
 
+def test_character_exponents():
+    # chi(e) = zeta_N^k with k = chi.exponent(e) in [0, N), additive in e
+    g = FiniteAbelianGroup((2, 6))
+    N = g.exponent
+    for chi in g.characters():
+        for a in g.elements:
+            k = chi.exponent(a)
+            assert 0 <= k < N and chi(a) == CyclotomicNumber.zeta(N, k)
+            for b in g.elements:
+                assert chi.exponent(g.op(a, b)) == (k + chi.exponent(b)) % N
+
+
 def test_dirichlet_convention():
     chi = unit_group(6).characters()[1]
     assert chi(3).is_zero()

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from galideal import brauer
 from galideal.brauer import (BUILTIN_GROUPS, BrauerMap, ClassSpace,
                              FiniteGroup, alternating4, bgstar, closure,
                              complete_components, component_images,
@@ -17,6 +18,7 @@ from galideal.brauer import (BUILTIN_GROUPS, BrauerMap, ClassSpace,
                              record_index, subgroup_lattice, symmetric3,
                              to_cayley_text, transport_matrix)
 from galideal.cycloideal import CyclotomicLevel, ideal_J_full
+from galideal.cyclotomic import CyclotomicNumber
 from galideal.groupring import GroupRingElement
 from galideal.lattice import (canonicalize, compare, contains_vector,
                               group_labels, map_image, unit_ideal,
@@ -171,6 +173,64 @@ def test_duality_negative_control():
     report = duality_certificate(bmap._replace(matrix=bad))
     assert not report.passed
     assert report.witness == (0, 0, "e")
+
+
+class _OffByOne:
+    # a character of H^ab whose exponent at one element q is one too large
+    def __init__(self, chi, q):
+        self.chi, self.q = chi, q
+        self.root_order = chi.root_order
+
+    def exponent(self, q):
+        return self.chi.exponent(q) + (q == self.q)
+
+    def __call__(self, q):
+        return CyclotomicNumber.zeta(self.root_order, self.exponent(q))
+
+
+@pytest.mark.parametrize("ci", [0, 1, 2])
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_duality_detects_corrupted_character(monkeypatch, q, ci):
+    # record 4 of S3 is A3, with H^ab = C3: shifting one exponent breaks
+    # M(e) = 1 (at the identity q = 0) or multiplicativity.  On C2 the same
+    # shift would turn the trivial character into the sign character, which
+    # is still a homomorphism.
+    bmap = bgstar(symmetric3())
+    rec = bmap.records[4]
+    assert rec.ab.order == 3 and rec.ab.identity == 0
+    chars = list(rec.characters())
+    chars[ci] = _OffByOne(chars[ci], q)
+    monkeypatch.setattr(rec, "characters", lambda: tuple(chars))
+    report = duality_certificate(bmap)
+    assert not report.passed and report.witness[:2] == (4, ci)
+    if q == 0:
+        assert report.witness[2] == "identity"
+    else:
+        assert report.witness[2].startswith("hom@")
+    if (q, ci) == (2, 1):
+        assert report.witness[2] == "hom@(12),(12)"
+
+
+@pytest.mark.parametrize("make", [symmetric3, quaternion8, alternating4])
+def test_duality_detects_corrupted_permutation(monkeypatch, make):
+    # swap two entries of the coset permutation of one non-identity element
+    # g on the trivial subgroup's cosets; M(s)M(g) = M(sg) then fails for
+    # the first generator s
+    G = make()
+    bmap = bgstar(G)
+    g = next(g for g in G.elements if g != G.identity)
+    induced = brauer._induced
+
+    def corrupted(G, rec, chi, h, cosets):
+        perm, exps = induced(G, rec, chi, h, cosets)
+        if rec is bmap.records[0] and h == g:
+            perm[0], perm[1] = perm[1], perm[0]
+        return perm, exps
+
+    monkeypatch.setattr(brauer, "_induced", corrupted)
+    report = duality_certificate(bmap)
+    assert not report.passed and report.witness[:2] == (0, 0)
+    assert report.witness[2].startswith("hom@")
 
 
 def test_transport_depends_on_conjugator():

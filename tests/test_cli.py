@@ -1,14 +1,18 @@
 import inspect
 import json
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import galideal
-from galideal.brauer import symmetric3, to_cayley_text
+from galideal.brauer import (cyclic_group, product_cyclic, symmetric3,
+                             to_cayley_text)
 from galideal.cli import main
 from galideal.serialize import lattice_payload, parse_lattice
 from galideal.suites import SUITE_ALIASES, SUITE_PARAMS, SUITES
@@ -260,6 +264,22 @@ def test_ideal_large_minus_parts_finish(capsys, argv):
     assert lattice_payload(parse_lattice(report["lattice"])) == report["lattice"]
 
 
+def test_certified_brauer_maps_finish(capsys):
+    # S4 (order 24) once took a minute to certify, when each induced
+    # representation was a dense matrix of cyclotomic numbers
+    s4 = Path(__file__).parent / "golden" / "s4.txt"
+    started = time.perf_counter()
+    code, report = run_json(capsys, ["brauer-map", "--cayley", str(s4),
+                                     "--certify"])
+    assert time.perf_counter() - started < 3.0
+    assert code == 0
+    assert report["duality"]["passed"] and report["duality"]["checked"] == 420
+    started = time.perf_counter()
+    code, report = run_json(capsys, ["check", "--suite", "brauer"])
+    assert time.perf_counter() - started < 0.5
+    assert code == 0 and report["passed"] and report["checks"] == 12
+
+
 def test_brauer_map_builtin(capsys):
     code, report = run_json(capsys, ["brauer-map", "--group", "S3",
                                      "--certify"])
@@ -293,8 +313,11 @@ def test_brauer_map_cayley_file(capsys, tmp_path):
      "2 lines after the table rows; only one, the labels, may follow them"),
     ("2\n0 1\n1 0\na a\n", "duplicate label 'a'"),
     ("2\n0 1\n1 0\na b c\n", "3 labels for 2 elements"),
+    ("two\n0 1\n1 0\n", "order 'two' is not an integer"),
+    ("2\n0 1\n1 x\n", "row 1: entry 'x' is not an integer"),
 ], ids=["short-row", "entry-out-of-range", "order-0", "order-negative",
-        "extra-lines", "duplicate-labels", "label-count"])
+        "extra-lines", "duplicate-labels", "label-count", "order-not-integer",
+        "entry-not-integer"])
 def test_malformed_cayley_table(capsys, tmp_path, text, message):
     # checked in-process and under python -O, which strips asserts
     path = tmp_path / "table.txt"
@@ -307,6 +330,78 @@ def test_malformed_cayley_table(capsys, tmp_path, text, message):
          "--cayley", str(path)],
         capture_output=True, text=True, env={"PYTHONPATH": src})
     assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+_SMALL_GROUPS = [cyclic_group(n) for n in range(1, 7)] + [
+    product_cyclic(2, 2), symmetric3()]
+_TOKENS = st.one_of(st.integers(-2, 7).map(str),
+                    st.sampled_from(["x", "1.5", "+1", "0x1", "--", ""]))
+
+
+@st.composite
+def cayley_texts(draw):
+    # (text, valid): a random table of order <= 6, or a valid one with its
+    # elements renumbered and then 0-3 token or line mutations
+    if draw(st.booleans()):
+        n = draw(st.integers(-1, 6))
+        entries = st.integers(0, max(n - 1, 0)).map(str)
+        rows = [[str(n)]] + [draw(st.lists(entries, min_size=n, max_size=n))
+                             for _ in range(n)]
+        if draw(st.booleans()):
+            rows.append(draw(st.lists(st.sampled_from("abcde"), max_size=7)))
+        return "\n".join(" ".join(r) for r in rows) + "\n", False
+    G = draw(st.sampled_from(_SMALL_GROUPS))
+    sigma = draw(st.permutations(range(G.order)))
+    table = [[None] * G.order for _ in range(G.order)]
+    for a in G.elements:
+        for b in G.elements:
+            table[sigma[a]][sigma[b]] = str(sigma[G.op(a, b)])
+    labels = [None] * G.order
+    for a in G.elements:
+        labels[sigma[a]] = G.label(a)
+    rows = [[str(G.order)]] + table + [labels]
+    mutations = draw(st.integers(0, 3))
+    for _ in range(mutations):
+        i = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["token", "drop-token", "drop-line",
+                                     "copy-line"]))
+        if kind == "drop-line":
+            del rows[i]
+        elif kind == "copy-line":
+            rows.insert(i, list(rows[i]))
+        elif rows[i]:
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            if kind == "token":
+                rows[i][j] = draw(_TOKENS)
+            else:
+                del rows[i][j]
+        if not rows:
+            break
+    return "\n".join(" ".join(r) for r in rows) + "\n", mutations == 0
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=cayley_texts())
+def test_cayley_certify_fuzz(capsys, tmp_path, case):
+    # any table text: exit 0 or 1 with a JSON report, or exit 2 with an
+    # error line naming --cayley; never a traceback
+    text, valid = case
+    path = tmp_path / "table.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, ["brauer-map", "--cayley", str(path),
+                                  "--certify"])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert re.fullmatch(r"error: --cayley: \S[^\n]*\n", err)
+    else:
+        assert err == ""
+        report = json.loads(out)
+        assert (code == 0) == (report["injective"]
+                               and report["duality"]["passed"])
+    if valid:
+        assert code == 0
 
 
 def test_brauer_map_needs_exactly_one_source(capsys):
