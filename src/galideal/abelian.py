@@ -14,6 +14,9 @@
 # lexicographically.  Characters are indexed by the same tuples: the
 # character with tuple t sends e to zeta_N^(sum_i t_i e_i N/d_i) where
 # N = d_k is the exponent.  Character index = lexicographic position.
+# Characters report values as exponents: chi.exponent(e) is the k with
+# chi(e) = zeta_N^k (None where a Dirichlet character vanishes) and
+# chi.root_order is N; calling chi builds the CyclotomicNumber.
 #
 # decompose() turns any concretely-given finite abelian group (elements +
 # multiplication) into such coordinates, constructively: pick x of maximal
@@ -197,6 +200,11 @@ class AbelianCharacter:
     def index(self):
         return self.group.index(self.tuple)
 
+    @property
+    def root_order(self):
+        # values are powers of zeta_N, N the group exponent
+        return self.group.exponent
+
     def exponent(self, e):
         # k in [0, N) with chi(e) = zeta_N^k
         N = self.group.exponent
@@ -320,14 +328,27 @@ class ResidueCharacter:
     def modulus(self):
         return self.group.modulus
 
-    def __call__(self, a):
+    @property
+    def root_order(self):
+        return self.inner.group.exponent
+
+    def exponent(self, a):
+        # k in [0, N) with chi(a) = zeta_N^k, N = root_order; None where
+        # chi(a) = 0
         m = self.group.modulus
         a = a % m
-        if a in self._to_tuple:
-            return self.inner(self._to_tuple[a])
+        t = self._to_tuple.get(a)
+        if t is not None:
+            return self.inner.exponent(t)
         if m == 1 or gcd(a, m) != 1:
-            return CyclotomicNumber.zero()
+            return None
         raise KeyError("residue %d outside subgroup of (Z/%d)^*" % (a, m))
+
+    def __call__(self, a):
+        k = self.exponent(a)
+        if k is None:
+            return CyclotomicNumber.zero()
+        return _zeta_cached(self.root_order, k)
 
     def is_trivial(self):
         return self.inner.is_trivial()

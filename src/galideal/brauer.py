@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .abelian import coordinates, left_cosets
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import root_sum
 from .groupring import GroupRingElement, psi_eval
 from .intmat import hnf_columns, mat_mul
 from .lattice import (canonicalize, contains_vector, map_image,
@@ -375,11 +375,16 @@ class _AbCharacter:
         return self.inner(self.to_tuple[q])
 
 
-def subgroup_lattice(G):
-    # every subgroup exactly once, ordered by (order, element labels)
+def check_order_budget(G):
+    # subgroup enumeration is refused above SUBGROUP_ORDER_BUDGET
     if G.order > SUBGROUP_ORDER_BUDGET:
         raise ValueError("order budget exceeded: %d > %d"
                          % (G.order, SUBGROUP_ORDER_BUDGET))
+
+
+def subgroup_lattice(G):
+    # every subgroup exactly once, ordered by (order, element labels)
+    check_order_budget(G)
     subs = {frozenset([G.identity])}
     frontier = list(subs)
     while frontier:
@@ -562,9 +567,8 @@ def duality_certificate(bmap):
             for c in range(bmap.space.dimension):
                 lhs = psi_eval(bmap.component(c, k), chi)
                 perm, exps = mats[min(bmap.space.classes[c])]
-                tr = sum((CyclotomicNumber.zeta(N, e) for j, (i, e)
-                          in enumerate(zip(perm, exps)) if i == j),
-                         CyclotomicNumber.zero())
+                tr = root_sum(N, [(e, 1) for j, (i, e)
+                                  in enumerate(zip(perm, exps)) if i == j])
                 if lhs != tr:
                     return DualityReport(False, checked,
                                          (k, ci, bmap.space.labels[c]))

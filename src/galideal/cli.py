@@ -9,8 +9,9 @@ import sys
 import time
 
 from .abelian import unit_group
-from .brauer import (BUILTIN_GROUPS, bgstar, duality_certificate,
-                     from_cayley_text, record_index, subgroup_lattice)
+from .brauer import (BUILTIN_GROUPS, bgstar, check_order_budget,
+                     duality_certificate, from_cayley_text, record_index,
+                     subgroup_lattice)
 from .cycloideal import (CyclotomicLevel, ideal_J_full, ideal_J_imagquad,
                          ideal_J_minus, ideal_J_real, plus_quotient)
 from .dirichlet import PlaceSet, is_prime, l_value
@@ -76,12 +77,20 @@ def build_parser():
     return top
 
 
-def read_config(path):
+def read_text(path, what):
+    # the whole file as UTF-8 text; a file that cannot be read or decoded is
+    # a usage error naming `what`
     try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as e:
-        raise UsageError("cannot read config file: %s" % e)
+        raise UsageError("cannot read %s: %s" % (what, e))
+    except UnicodeDecodeError as e:
+        raise UsageError("%s %r is not UTF-8 text: %s" % (what, path, e))
+
+
+def read_config(path):
+    lines = read_text(path, "config file").splitlines()
     cfg = {}
     for i, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -171,24 +180,17 @@ def load_group(args):
             raise UsageError("--group: unknown group %r (have: %s)"
                              % (args.group, ", ".join(sorted(BUILTIN_GROUPS))))
         return BUILTIN_GROUPS[args.group](), {"group": args.group}
+    text = read_text(args.cayley, "--cayley file")
     try:
-        with open(args.cayley) as fh:
-            text = fh.read()
-    except OSError as e:
-        raise UsageError("cannot read --cayley file: %s" % e)
-    try:
-        return from_cayley_text(text), {"cayley": args.cayley}
+        G = from_cayley_text(text)
+        check_order_budget(G)
     except ValueError as e:
         raise FixtureError("--cayley: %s" % e)
+    return G, {"cayley": args.cayley}
 
 
 def read_fixture(path, kind):
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as e:
-        raise UsageError("cannot read fixture file: %s" % e)
-    return load_fixture(text, kind)
+    return load_fixture(read_text(path, "fixture file"), kind)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,34 @@
 # Exact arithmetic in cyclotomic fields Q(zeta_N).
 #
 # A CyclotomicNumber of order N is the residue of a polynomial in zeta_N
-# modulo the N-th cyclotomic polynomial, stored as a coefficient tuple of
-# Fractions of length phi(N) = deg Phi_N.  Equality is coefficient-wise on
-# this canonical form; values of different orders are compared after lifting
-# both to the lcm order.  Rational values are collapsed to order 1 on
-# construction, so rationals hash consistently; equal irrational values kept
-# at different orders would not, and nothing here uses them as dict keys.
+# modulo the N-th cyclotomic polynomial Phi_N.  It is stored as integer
+# numerators `nums`, one per power-basis coordinate (a tuple of length
+# phi(N) = deg Phi_N), over one denominator `den` > 0 with
+# gcd(den, nums) = 1 -- the form of FLINT's fmpq_poly.  The form is unique
+# at a given order, so equality at equal orders is tuple equality; values of
+# different orders are compared after lifting both to the lcm order.
+# Rational values are collapsed to order 1 on construction, so rationals
+# hash like the equal Fraction; equal irrational values kept at different
+# orders would not, and nothing here uses them as dict keys.  The Fraction
+# coordinates (`coeffs`) are computed on demand and not stored.
+#
+# Phi_N is monic, so reduction mod Phi_N stays in the integers: for
+# phi(N) <= k < N the coordinates of zeta_N^k form an integer row, and every
+# other power folds onto [0, N) by zeta_N^N = 1.
+#
+# Exponent convention: a character value is a root of unity zeta_N^k, and
+# character sums take the exponent k rather than the number.  Multiplying by
+# zeta_N^k rotates exponents, so Sigma_i v_i zeta_N^(k_i) adds each v_i's
+# numerators, shifted by k_i, into one integer accumulator indexed by
+# exponent mod M (M the lcm of N and the orders of the v_i) and reduces mod
+# Phi_M once (`RootSums`, `root_sum`, `from_exponents`); `dot` does the
+# same for a sum of general products.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
+@lru_cache(maxsize=None)
 def euler_phi(n):
     assert n >= 1
     result = n
@@ -73,116 +86,132 @@ def cyclotomic_polynomial(n):
 
 @lru_cache(maxsize=None)
 def _reduction_rows(n):
-    # Row k (k = phi(n) .. n-1) gives the canonical coefficients of zeta_n^k,
-    # precomputed so reduction mod Phi_n is a table lookup.
+    # Row k - phi(n), for k = phi(n) .. n-1, lists the nonzero integer
+    # coordinates (i, c) of zeta_n^k, so reduction mod Phi_n is a lookup.
     phi = euler_phi(n)
-    mod = cyclotomic_polynomial(n)
-    head = [Fraction(-c, mod[-1]) for c in mod[:-1]]  # zeta^phi
-    rows = {}
-    current = list(head)
+    head = [-c for c in cyclotomic_polynomial(n)[:-1]]  # zeta^phi
+    rows = []
+    current = head
     for k in range(phi, n):
         if k > phi:
-            shifted = [_ZERO] + current[:-1]
             overflow = current[-1]
+            current = [0] + current[:-1]
             if overflow:
-                shifted = [a + overflow * b for a, b in zip(shifted, head)]
-            current = shifted
-        rows[k] = tuple(current)
+                current = [a + overflow * b for a, b in zip(current, head)]
+        rows.append(tuple((i, c) for i, c in enumerate(current) if c))
     return rows
 
 
-def _reduce_mod_phi(coeffs, n):
-    # coeffs: list of Fractions, any length; returns canonical tuple of
-    # length phi(n)
+def _reduce(n, acc):
+    # acc: integer coefficients of a polynomial in zeta_n, any length;
+    # returns the phi(n) canonical coordinates as a list
+    if len(acc) > n:
+        folded = acc[:n]
+        for k in range(n, len(acc)):
+            folded[k % n] += acc[k]
+        acc = folded
     phi = euler_phi(n)
-    out = list(coeffs[:phi]) + [_ZERO] * max(0, phi - len(coeffs))
-    if len(coeffs) > phi:
+    out = acc[:phi]
+    if len(out) < phi:
+        out.extend([0] * (phi - len(out)))
+    if len(acc) > phi:
         rows = _reduction_rows(n)
-        for k in range(phi, len(coeffs)):
-            c = coeffs[k]
-            if not c:
-                continue
-            e = k % n  # zeta^n = 1
-            if e < phi:
-                out[e] += c
-            else:
-                row = rows[e]
-                for i in range(phi):
-                    if row[i]:
-                        out[i] += c * row[i]
-    return tuple(out)
+        for k in range(phi, len(acc)):
+            c = acc[k]
+            if c:
+                for i, r in rows[k - phi]:
+                    out[i] += c * r
+    return out
+
+
+def _make(order, nums, den):
+    # the canonical number nums/den of the given order, den > 0
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [a // g for a in nums]
+        den //= g
+    if order > 1 and not any(nums[1:]):
+        order, nums = 1, nums[:1]
+    x = object.__new__(CyclotomicNumber)
+    x.order = order
+    x.nums = tuple(nums)
+    x.den = den
+    return x
+
+
+def from_exponents(n, acc, den=1):
+    # Sigma_k acc[k] zeta_n^k / den, for integers acc[k] and den > 0
+    return _make(n, _reduce(n, list(acc)), den)
 
 
 class CyclotomicNumber:
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order, coeffs):
-        # coeffs: iterable of Fractions of length phi(order), already reduced
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        # coeffs: phi(order) rationals, the coordinates in the power basis
+        coeffs = [Fraction(c) for c in coeffs]
         assert len(coeffs) == euler_phi(order)
-        if order > 1 and all(c == 0 for c in coeffs[1:]):
-            order, coeffs = 1, (coeffs[0],)
-        self.order = order
-        self.coeffs = coeffs
+        den = lcm(*(c.denominator for c in coeffs))
+        x = _make(order, [c.numerator * (den // c.denominator)
+                          for c in coeffs], den)
+        self.order, self.nums, self.den = x.order, x.nums, x.den
 
     # --- constructors ---
 
     @staticmethod
     def from_rational(q):
-        return CyclotomicNumber(1, (Fraction(q),))
+        q = Fraction(q)
+        return _make(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def zero():
-        return CyclotomicNumber(1, (_ZERO,))
+        return _make(1, (0,), 1)
 
     @staticmethod
     def one():
-        return CyclotomicNumber(1, (_ONE,))
+        return _make(1, (1,), 1)
 
     @staticmethod
     def zeta(n, k=1):
         # zeta_n^k
         k %= n
-        poly = [_ZERO] * (k + 1)
-        poly[k] = _ONE
-        return CyclotomicNumber(n, _reduce_mod_phi(poly, n))
+        acc = [0] * (k + 1)
+        acc[k] = 1
+        return _make(n, _reduce(n, acc), 1)
 
     # --- order handling ---
 
+    def _at(self, m):
+        # numerators of self viewed at order m (self.order | m), over den
+        n = self.order
+        if m == n:
+            return self.nums
+        step = m // n
+        acc = [0] * m
+        for i, a in enumerate(self.nums):
+            acc[i * step] = a
+        return _reduce(m, acc)
+
+    def _terms(self, m):
+        # the nonzero (position, numerator) pairs of self at order m
+        step = m // self.order
+        return [(i * step, a) for i, a in enumerate(self.nums) if a]
+
     def lift(self, m):
         # view in Q(zeta_m), self.order | m
-        n = self.order
-        assert m % n == 0
-        if m == n:
+        assert m % self.order == 0
+        if m == self.order:
             return self
-        step = m // n
-        poly = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                poly[i * step] = c
-        return CyclotomicNumber(m, _reduce_mod_phi(poly, m))
+        return _make(m, self._at(m), self.den)
 
-    @staticmethod
-    def _common(a, b):
-        # Coerce both to CyclotomicNumber.  NOTE: because the constructor
-        # collapses rational values to order 1, the results may still have
-        # different orders when one side is rational; callers handle the
-        # order-1 cases before lifting.
-        if not isinstance(a, CyclotomicNumber):
-            a = CyclotomicNumber.from_rational(a)
-        if not isinstance(b, CyclotomicNumber):
-            b = CyclotomicNumber.from_rational(b)
-        if a.order == b.order:
-            return a, b
-        if a.order == 1 or b.order == 1:
-            return a, b
-        m = a.order * b.order // gcd(a.order, b.order)
-        return a.lift(m), b.lift(m)
+    @property
+    def coeffs(self):
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     # --- predicates / extraction ---
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return self.order == 1 and self.nums[0] == 0
 
     def is_rational(self):
         return self.order == 1
@@ -190,49 +219,71 @@ class CyclotomicNumber:
     def as_fraction(self):
         if self.order != 1:
             raise ValueError("not a rational value: %r" % (self,))
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # --- ring operations ---
 
     def __add__(self, other):
-        a, b = CyclotomicNumber._common(self, other)
-        if a.order != b.order:
-            # exactly one side rational; the constant sits at coordinate 0
-            if b.order == 1:
-                a, b = b, a
-            out = list(b.coeffs)
-            out[0] += a.coeffs[0]
-            return CyclotomicNumber(b.order, out)
-        return CyclotomicNumber(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if not isinstance(other, CyclotomicNumber):
+            other = CyclotomicNumber.from_rational(other)
+        a, b = self, other
+        if a.order == 1:
+            a, b = b, a
+        den = lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        if a.order == b.order:
+            nums = [x * sa + y * sb for x, y in zip(a.nums, b.nums)]
+            return _make(a.order, nums, den)
+        if b.order == 1:
+            # the constant sits at coordinate 0
+            nums = [x * sa for x in a.nums]
+            nums[0] += b.nums[0] * sb
+            return _make(a.order, nums, den)
+        m = lcm(a.order, b.order)
+        nums = [x * sa + y * sb for x, y in zip(a._at(m), b._at(m))]
+        return _make(m, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, tuple(-c for c in self.coeffs))
+        return _make(self.order, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, CyclotomicNumber) else CyclotomicNumber.from_rational(-Fraction(other)))
+        if not isinstance(other, CyclotomicNumber):
+            other = CyclotomicNumber.from_rational(other)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        a, b = CyclotomicNumber._common(self, other)
-        if a.order != b.order:
-            if b.order == 1:
-                a, b = b, a
-            c = a.coeffs[0]
-            return CyclotomicNumber(b.order, tuple(c * x for x in b.coeffs))
+        if not isinstance(other, CyclotomicNumber):
+            other = CyclotomicNumber.from_rational(other)
+        a, b = self, other
         if a.order == 1:
-            return CyclotomicNumber(1, (a.coeffs[0] * b.coeffs[0],))
-        prod = _poly_mul_frac(a.coeffs, b.coeffs)
-        return CyclotomicNumber(a.order, _reduce_mod_phi(prod, a.order))
+            a, b = b, a
+        den = a.den * b.den
+        if b.order == 1:
+            c = b.nums[0]
+            return _make(a.order, [x * c for x in a.nums], den)
+        n = a.order
+        p, q = a.nums, b.nums
+        if n != b.order:
+            n = lcm(n, b.order)
+            p, q = a._at(n), b._at(n)
+        qt = [(j, y) for j, y in enumerate(q) if y]
+        prod = [0] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            if x:
+                for j, y in qt:
+                    prod[i + j] += x * y
+        return _make(n, _reduce(n, prod), den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, CyclotomicNumber):
-            return self * CyclotomicNumber.from_rational(Fraction(1) / Fraction(other))
+            return self * (1 / Fraction(other))
         return self * other.inverse()
 
     def __pow__(self, e):
@@ -248,17 +299,16 @@ class CyclotomicNumber:
         return result
 
     def inverse(self):
+        # a^-1 = c / (a c), c the product of the other Galois conjugates of
+        # a: a c is the norm of a, a nonzero rational
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         n = self.order
-        if n == 1:
-            return CyclotomicNumber(1, (Fraction(1) / self.coeffs[0],))
-        mod = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        g, inv = _poly_xgcd_modular(list(self.coeffs), mod)
-        # g is a nonzero constant since Phi_n is irreducible over Q
-        assert len(g) == 1 and g[0] != 0
-        inv = [c / g[0] for c in inv]
-        return CyclotomicNumber(n, _reduce_mod_phi(inv, n))
+        others = CyclotomicNumber.one()
+        for t in range(2, n):
+            if gcd(t, n) == 1:
+                others = others * self.galois(t)
+        return others * (1 / (self * others).as_fraction())
 
     # --- Galois action ---
 
@@ -269,11 +319,11 @@ class CyclotomicNumber:
             return self
         t %= n
         assert gcd(t, n) == 1
-        poly = [_ZERO] * n
-        for i, c in enumerate(self.coeffs):
-            if c:
-                poly[(i * t) % n] += c
-        return CyclotomicNumber(n, _reduce_mod_phi(poly, n))
+        acc = [0] * n
+        for i, a in enumerate(self.nums):
+            if a:
+                acc[(i * t) % n] += a
+        return _make(n, _reduce(n, acc), self.den)
 
     def conjugate(self):
         return self.galois(self.order - 1) if self.order > 2 else self
@@ -281,23 +331,30 @@ class CyclotomicNumber:
     # --- comparisons ---
 
     def __eq__(self, other):
+        if isinstance(other, CyclotomicNumber):
+            if self.order == other.order:
+                return self.den == other.den and self.nums == other.nums
+            if self.order == 1 or other.order == 1:
+                return False  # a rational against an irrational value
+            m = lcm(self.order, other.order)
+            return ([a * other.den for a in self._at(m)]
+                    == [b * self.den for b in other._at(m)])
         if isinstance(other, (int, Fraction)):
-            return self.order == 1 and self.coeffs[0] == other
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
-        a, b = CyclotomicNumber._common(self, other)
-        return a.coeffs == b.coeffs
+            return (self.order == 1 and self.nums[0] * other.denominator
+                    == other.numerator * self.den)
+        return NotImplemented
 
     def __hash__(self):
         if self.order == 1:
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.order, self.nums, self.den))
 
     def __repr__(self):
+        coeffs = self.coeffs
         if self.order == 1:
-            return "CyclotomicNumber(%s)" % (self.coeffs[0],)
+            return "CyclotomicNumber(%s)" % (coeffs[0],)
         terms = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(coeffs):
             if c == 0:
                 continue
             if i == 0:
@@ -307,52 +364,54 @@ class CyclotomicNumber:
         return " + ".join(terms) if terms else "0"
 
 
-def _poly_mul_frac(p, q):
-    out = [_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return out
+class RootSums:
+    # Fixed values v_0, v_1, ... (rational or cyclotomic) put over one order
+    # M, a multiple of n, and one denominator, so that each sum
+    # Sigma_i v_i zeta_n^(k_i) costs one rotation per value and a single
+    # reduction mod Phi_M.  An exponent None drops its term (a character
+    # value 0).
+
+    def __init__(self, n, values):
+        values = [v if isinstance(v, CyclotomicNumber)
+                  else CyclotomicNumber.from_rational(v) for v in values]
+        order = lcm(n, *(v.order for v in values))
+        den = lcm(*(v.den for v in values))
+        self.order = order
+        self.den = den
+        self.step = order // n
+        self.terms = [[(i, a * (den // v.den)) for i, a in v._terms(order)]
+                      for v in values]
+
+    def __call__(self, exponents):
+        M, step = self.order, self.step
+        acc = [0] * (2 * M)  # positions below 2M; _reduce folds mod M
+        for k, terms in zip(exponents, self.terms):
+            if k is not None:
+                s = k * step % M
+                for pos, a in terms:
+                    acc[pos + s] += a
+        return _make(M, _reduce(M, acc), self.den)
 
 
-def _poly_divmod_frac(p, q):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    q = list(q)
-    while q and q[-1] == 0:
-        q.pop()
-    if len(p) < len(q):
-        return [], p
-    out = [_ZERO] * (len(p) - len(q) + 1)
-    inv_lead = Fraction(1) / q[-1]
-    for i in range(len(p) - len(q), -1, -1):
-        c = p[i + len(q) - 1] * inv_lead
-        out[i] = c
-        if c:
-            for j, b in enumerate(q):
-                p[i + j] -= c * b
-    while p and p[-1] == 0:
-        p.pop()
-    return out, p
+def root_sum(n, terms):
+    # Sigma c zeta_n^k over the pairs (k, c) of terms, c rational or
+    # cyclotomic; k None drops the pair
+    terms = list(terms)
+    return RootSums(n, [c for _, c in terms])([k for k, _ in terms])
 
 
-def _poly_xgcd_modular(a, mod):
-    # returns (g, u) with u*a = g (mod `mod`), g the gcd; enough for inverses
-    r0, r1 = list(mod), list(a)
-    s0, s1 = [], [_ONE]
-    while any(c != 0 for c in r1):
-        q, r = _poly_divmod_frac(r0, r1)
-        r0, r1 = r1, r
-        qs1 = _poly_mul_frac(q, s1) if q and s1 else []
-        new_s = [x - y for x, y in
-                 zip(s0 + [_ZERO] * max(0, len(qs1) - len(s0)),
-                     qs1 + [_ZERO] * max(0, len(s0) - len(qs1)))]
-        while new_s and new_s[-1] == 0:
-            new_s.pop()
-        s0, s1 = s1, new_s
-    while r0 and r0[-1] == 0:
-        r0.pop()
-    return r0, s0
+def dot(pairs):
+    # Sigma a * b over the pairs (a, b) of cyclotomic numbers: the products
+    # are added unreduced at one order M and reduced mod Phi_M once
+    pairs = list(pairs)
+    M = lcm(*(x.order for pair in pairs for x in pair))
+    den = lcm(*(a.den * b.den for a, b in pairs))
+    acc = [0] * (2 * M)  # positions below 2M; _reduce folds mod M
+    for a, b in pairs:
+        s = den // (a.den * b.den)
+        tb = b._terms(M)
+        for p, x in a._terms(M):
+            x *= s
+            for q, y in tb:
+                acc[p + q] += x * y
+    return _make(M, _reduce(M, acc), den)

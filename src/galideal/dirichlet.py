@@ -14,10 +14,10 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 
 from .abelian import unit_group
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import from_exponents, root_sum
 
 
 @lru_cache(maxsize=None)
@@ -84,9 +84,9 @@ def conductor(chi):
     # minimal f | m with chi trivial on residues = 1 mod f
     m = chi.modulus
     group = chi.group
-    one = CyclotomicNumber.one()
     for f in sorted(d for d in range(1, m + 1) if m % d == 0):
-        if all(chi(a) == one for a in group.elements if a % f == 1 % f):
+        if all(chi.exponent(a) == 0
+               for a in group.elements if a % f == 1 % f):
             return f
     raise AssertionError("unreachable: f = m always works")
 
@@ -96,10 +96,14 @@ def _primitive_core_cached(chi):
     f = conductor(chi)
     m = chi.modulus
     src = unit_group(m)
-    candidates = []
-    for psi in characters_mod(f):
-        if all(psi(a) == chi(a) for a in src.elements):
-            candidates.append(psi)
+    chars = characters_mod(f)
+    # exponents compared at the common root order L
+    L = lcm(chi.root_order, chars[0].root_order)
+    up, up_f = L // chi.root_order, L // chars[0].root_order
+    want = [chi.exponent(a) * up for a in src.elements]
+    candidates = [psi for psi in chars
+                  if all(psi.exponent(a) * up_f == k
+                         for a, k in zip(src.elements, want))]
     assert len(candidates) == 1, "primitive core not unique for %r" % (chi,)
     return f, candidates[0]
 
@@ -109,18 +113,34 @@ def primitive_core(chi):
     return _primitive_core_cached(chi)
 
 
+def _bernoulli_sum(n, f, star):
+    # f^(n-1) Sigma_{a=1..f} chi*(a) B_n(a/f) as (N, acc, den), the value
+    # Sigma_k acc[k] zeta_N^k / den.  With L the lcm of the denominators of
+    # B_0 .. B_n,
+    #   f^(n-1) B_n(a/f) = Sigma_j C(n,j) B_j a^(n-j) f^(j-1) = P(a) / (f L)
+    # for an integer polynomial P; P(a) is added into slot k(a).
+    bs = [bernoulli_number(j) for j in range(n + 1)]
+    L = lcm(*(b.denominator for b in bs))
+    poly = [comb(n, j) * b.numerator * (L // b.denominator) * f ** j
+            for j, b in enumerate(bs)]  # coefficient of a^(n-j)
+    N = star.root_order
+    acc = [0] * N
+    for a in range(1, f + 1):
+        k = star.exponent(a)
+        if k is not None:
+            value = 0
+            for c in poly:
+                value = value * a + c
+            acc[k] += value
+    return N, acc, f * L
+
+
 def generalized_bernoulli(n, chi):
     # B_{n,chi*} = f^{n-1} sum_{a=1..f} chi*(a) B_n(a/f), through the
     # primitive core; exact cyclotomic value
     if n == 0:
         raise ValueError("generalized Bernoulli number needs n >= 1")
-    f, star = primitive_core(chi)
-    total = CyclotomicNumber.zero()
-    for a in range(1, f + 1):
-        c = star(a)
-        if not c.is_zero():
-            total = total + c * bernoulli_polynomial(n, Fraction(a, f))
-    return Fraction(f) ** (n - 1) * total
+    return from_exponents(*_bernoulli_sum(n, *primitive_core(chi)))
 
 
 def l_value(r, chi, places):
@@ -128,11 +148,13 @@ def l_value(r, chi, places):
     # character chi mod m:
     #   -B_{1-r,chi*}/(1-r) * prod over {p | m, p not | f} u {p in S, p not | m}
     #                          of (1 - chi*(p) p^{-r})
+    # Each Euler factor multiplies the exponent accumulator of B_{1-r,chi*}
+    # by 1 - p^{-r} zeta_N^k, k the exponent of chi*(p); Phi_N reduces once.
     assert r <= 0
     m = chi.modulus
     f, star = primitive_core(chi)
     n = 1 - r
-    value = -generalized_bernoulli(n, chi) * Fraction(1, n)
+    N, acc, den = _bernoulli_sum(n, f, star)
     removed = set()
     p = 2
     mm = m
@@ -147,17 +169,20 @@ def l_value(r, chi, places):
         if m % p != 0:
             removed.add(p)
     for p in sorted(removed):
-        value = value * (CyclotomicNumber.one() - star(p) * (p ** (-r)))
-    return value
+        k = star.exponent(p)
+        c = p ** -r
+        acc = [x - c * acc[(e - k) % N] for e, x in enumerate(acc)]
+    return from_exponents(N, [-x for x in acc], den * n)
 
 
 def partial_zeta_characters(r, a, m, places):
     # route (i): |G|^{-1} sum_chi conj(chi)(a) L_S(r, chi)
     group = unit_group(m)
     assert gcd(a, m) == 1 or m == 1
-    total = CyclotomicNumber.zero()
-    for chi in group.characters():
-        total = total + chi.conjugate()(a) * l_value(r, chi, places)
+    chars = group.characters()
+    total = root_sum(chars[0].root_order,
+                     [(chi.conjugate().exponent(a), l_value(r, chi, places))
+                      for chi in chars])
     value = total * Fraction(1, group.order)
     assert value.is_rational(), "partial zeta came out irrational"
     return value.as_fraction()

@@ -9,13 +9,17 @@
 #                        non-rational assembled coefficients)
 #   det_over_group_ring  determinant via character-wise evaluation
 #
+# psi_eval and lambda_assemble read a character through its exponents
+# (chi(g) = zeta_N^k): each sum is one integer accumulator reduced once
+# (cyclotomic.RootSums), never a chain of cyclotomic products.
+#
 # Elements carry a declared scalar kind, "rational" or "cyclotomic";
 # combining mismatched kinds is an error (widen() upcasts explicitly).
 
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, RootSums, dot, root_sum
 
 RATIONAL = "rational"
 CYCLOTOMIC = "cyclotomic"
@@ -112,6 +116,14 @@ class GroupRingElement:
             return self.scale(other)
         self._check(other)
         op = self.group.op
+        if self.scalars == CYCLOTOMIC:
+            # each coefficient of the product is one dot product
+            pairs = {}
+            for g, a in self.coeffs.items():
+                for h, b in other.coeffs.items():
+                    pairs.setdefault(op(g, h), []).append((a, b))
+            return GroupRingElement(
+                self.group, {k: dot(p) for k, p in pairs.items()}, CYCLOTOMIC)
         out = {}
         for g, a in self.coeffs.items():
             for h, b in other.coeffs.items():
@@ -158,11 +170,10 @@ class GroupRingElement:
 
 
 def psi_eval(x, chi):
-    # the chi-component: Sigma_g c_g chi(g), a cyclotomic number
-    total = CyclotomicNumber.zero()
-    for g, c in x.coeffs.items():
-        total = total + c * chi(g)
-    return total
+    # the chi-component: Sigma_g c_g chi(g), a cyclotomic number, as c_g
+    # rotated by the exponent of chi(g)
+    return root_sum(chi.root_order,
+                    [(chi.exponent(g), c) for g, c in x.coeffs.items()])
 
 
 def _check_homomorphism(group, chi):
@@ -192,13 +203,13 @@ def lambda_assemble(group, h):
         values = [h[chi] for chi in chars]
     else:
         values = [h(chi) for chi in chars]
+    # every character of the group takes values in mu_N, N its exponent
+    sums = RootSums(chars[0].root_order, values)
     n = Fraction(1, group.order)
     coeffs = {}
     for g in group.elements:
         ginv = group.inv(g)
-        total = CyclotomicNumber.zero()
-        for chi, v in zip(chars, values):
-            total = total + v * chi(ginv)
+        total = sums([chi.exponent(ginv) for chi in chars])
         if not total.is_rational():
             raise ValueError(
                 "character values are not Galois-equivariant: coefficient at %s "

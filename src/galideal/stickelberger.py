@@ -40,7 +40,16 @@ def stickelberger(m, places, r=0):
                          % (places, m))
     g = unit_group(m)
     ramified = ramified_places(m)
-    c = {a: partial_zeta_hurwitz(r, g.inv(a), m, ramified) for a in g.elements}
+    # one Hurwitz value per pair {a, -a}: B_n(1 - x) = (-1)^n B_n(x) gives
+    # zeta(r, -b) = (-1)^(1-r) zeta(r, b), and each Euler factor below
+    # keeps that parity; for m <= 2 the pair is the one class a = -a
+    sign = (-1) ** (1 - r)
+    half = {}
+    for a in g.elements:
+        if (-a) % m not in half:
+            half[a] = partial_zeta_hurwitz(r, g.inv(a), m, ramified)
+    c = {a: half[a] if a in half else sign * half[(-a) % m]
+         for a in g.elements}
     for p in places.primes:
         if m % p:
             # zeta_{S u p}(r, b) = zeta_S(r, b) - p^{-r} zeta_S(r, b p^{-1})

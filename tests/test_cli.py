@@ -280,6 +280,16 @@ def test_certified_brauer_maps_finish(capsys):
     assert code == 0 and report["passed"] and report["checks"] == 12
 
 
+def test_oracles_to_modulus_60_finish(capsys):
+    # every character sum is one integer accumulator reduced once; with a
+    # cyclotomic product per term this suite took 49 s
+    started = time.perf_counter()
+    code, report = run_json(capsys, ["check", "--suite", "oracles",
+                                     "--max-modulus", "60"])
+    assert time.perf_counter() - started < 5.0
+    assert code == 0 and report["passed"]
+
+
 def test_brauer_map_builtin(capsys):
     code, report = run_json(capsys, ["brauer-map", "--group", "S3",
                                      "--certify"])
@@ -330,6 +340,40 @@ def test_malformed_cayley_table(capsys, tmp_path, text, message):
          "--cayley", str(path)],
         capture_output=True, text=True, env={"PYTHONPATH": src})
     assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+def test_cayley_order_budget(capsys, tmp_path):
+    # a valid table above the subgroup budget is refused before any
+    # subgroup is enumerated, also under python -O
+    path = tmp_path / "c33.txt"
+    path.write_text(to_cayley_text(cyclic_group(33)))
+    data = tmp_path / "data.json"
+    data.write_text(COVARIANT_S3)
+    expected = (2, "", "error: --cayley: order budget exceeded: 33 > 32\n")
+    assert run(capsys, ["brauer-map", "--cayley", str(path)]) == expected
+    assert run(capsys, ["nc-ideal", "--cayley", str(path),
+                        "--data", str(data)]) == expected
+    src = str(Path(galideal.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "galideal.cli", "brauer-map",
+         "--cayley", str(path)],
+        capture_output=True, text=True, env={"PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+@pytest.mark.parametrize("what, argv", [
+    ("--cayley file", ["brauer-map", "--cayley", "{path}"]),
+    ("fixture file", ["nc-ideal", "--group", "S3", "--data", "{path}"]),
+    ("fixture file", ["ideal", "--ell", "7", "--units", "{path}"]),
+    ("config file", ["--config", "{path}", "check"]),
+], ids=["cayley", "data", "units", "config"])
+def test_non_utf8_input_file(capsys, tmp_path, what, argv):
+    path = tmp_path / "input"
+    path.write_bytes(b"2\n0 1\n1 0\n\xff\xfe\n")
+    code, out, err = run(capsys, [a.format(path=path) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s %r is not UTF-8 text: " % (what, str(path)))
+    assert err.count("\n") == 1
 
 
 _SMALL_GROUPS = [cyclic_group(n) for n in range(1, 7)] + [

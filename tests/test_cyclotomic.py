@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,3 +117,104 @@ def test_conjugate():
     a = zeta(5) + 2 * zeta(5, 2)
     assert a.conjugate() == zeta(5, 4) + 2 * zeta(5, 3)
     assert (a * a.conjugate()).conjugate() == a * a.conjugate()
+
+
+# --- the integer form against sympy, across mixed orders up to 60 ---
+
+@lru_cache(maxsize=None)
+def _sympy_phi(n):
+    from sympy import QQ, Poly, cyclotomic_poly, symbols
+
+    x = symbols("x")
+    return Poly(cyclotomic_poly(n, x), x, domain=QQ)
+
+
+def _sympy_poly(coeffs):
+    # sympy polynomial with the given coefficients, constant term first
+    from sympy import QQ, Poly, symbols
+
+    return Poly.from_list(list(coeffs)[::-1] or [0], symbols("x"), domain=QQ)
+
+
+def _sympy_lift(v, n, t=1):
+    # v(x^t) as a polynomial in x = zeta_n, for v.order | n, with the
+    # exponents taken mod n
+    step = n // v.order
+    out = [Fraction(0)] * n
+    for i, c in enumerate(v.coeffs):
+        out[i * step * t % n] += c
+    return _sympy_poly(out)
+
+
+def _sympy_coords(poly, n):
+    # coordinates of poly(zeta_n) in the power basis: poly rem Phi_n
+    r = poly.rem(_sympy_phi(n))
+    cs = [Fraction(int(c.numerator), int(c.denominator))
+          for c in r.all_coeffs()[::-1]]
+    if cs == [0]:
+        cs = []
+    return cs + [Fraction(0)] * (euler_phi(n) - len(cs))
+
+
+def _coords_at(v, n):
+    # our coordinates of v at order n
+    if v.is_rational():
+        return [v.as_fraction()] + [Fraction(0)] * (euler_phi(n) - 1)
+    return list(v.lift(n).coeffs)
+
+
+def _assert_canonical(v):
+    from math import gcd
+
+    assert len(v.nums) == euler_phi(v.order)
+    assert all(type(a) is int for a in v.nums) and type(v.den) is int
+    assert v.den > 0 and gcd(v.den, *v.nums) == 1
+    if v.order == 1:
+        q = v.as_fraction()
+        assert hash(v) == hash(q) and v == q
+    else:
+        assert any(v.nums[1:]), "rational value not collapsed"
+
+
+@st.composite
+def mixed_orders(draw):
+    # a field order n <= 60 and two elements of orders dividing n, with
+    # sparse coordinates so that sums and products often turn rational
+    n = draw(st.integers(1, 60))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    coord = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                      st.fractions(min_value=-5, max_value=5,
+                                   max_denominator=7))
+    pair = []
+    for _ in range(2):
+        d = draw(st.sampled_from(divisors))
+        cs = draw(st.lists(coord, min_size=euler_phi(d),
+                           max_size=euler_phi(d)))
+        pair.append(CyclotomicNumber(d, cs))
+    return n, pair[0], pair[1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(mixed_orders())
+def test_integer_form_against_sympy(case):
+    n, a, b = case
+    pa, pb = _sympy_lift(a, n), _sympy_lift(b, n)
+    for v, p in ((a, pa), (b, pb)):
+        _assert_canonical(v)
+        assert _coords_at(v, n) == _sympy_coords(p, n)
+    total, prod = a + b, a * b
+    for v in (total, prod):
+        _assert_canonical(v)
+        assert n % v.order == 0
+    assert _coords_at(total, n) == _sympy_coords(pa + pb, n)
+    assert _coords_at(prod, n) == _sympy_coords(pa * pb, n)
+    if not a.is_zero():
+        inv = a.inverse()
+        _assert_canonical(inv)
+        one = _sympy_coords(pa * _sympy_lift(inv, n), n)
+        assert one == _coords_at(CyclotomicNumber.one(), n)
+    units = [t for t in range(2, n) if gcd(t, n) == 1]
+    for t in units[:3]:
+        g = a.lift(n).galois(t) if not a.is_rational() else a
+        _assert_canonical(g)
+        assert _coords_at(g, n) == _sympy_coords(_sympy_lift(a, n, t), n)

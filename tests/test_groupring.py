@@ -127,6 +127,42 @@ def test_lambda_rejects_nonequivariant():
         lambda_assemble(C3, h)
 
 
+@pytest.mark.parametrize("group", [C3, C4, unit_group(7), unit_group(15),
+                                   FiniteAbelianGroup((2, 4))],
+                         ids=["C3", "C4", "units7", "units15", "C2xC4"])
+def test_lambda_rejects_value_times_root_of_unity(group):
+    # negative control for the irrationality check: take the components of
+    # a rational element and multiply one of them by a root of unity
+    # zeta != 1.  The values are then no longer Galois-equivariant, except
+    # when zeta = -1 meets a rational character: that gives the components
+    # of another rational element.
+    import random
+
+    rng = random.Random(group.order)
+    x = GroupRingElement(group, {g: Fraction(rng.randint(-9, 9),
+                                             rng.randint(1, 4))
+                                 for g in group.elements})
+    comps = character_components(x)
+    assert lambda_assemble(group, comps) == x
+    roots = [CyclotomicNumber.zeta(n, k)
+             for n, k in [(2, 1), (3, 1), (3, 2), (4, 1), (5, 2)]]
+    rejected = 0
+    for chi in group.characters():
+        assert not comps[chi].is_zero()
+        for zeta in roots + [CyclotomicNumber.zeta(chi.root_order, 1)]:
+            if zeta == 1:
+                continue
+            bad = dict(comps)
+            bad[chi] = comps[chi] * zeta
+            if zeta == -1 and chi.order() <= 2:
+                lambda_assemble(group, bad)
+                continue
+            with pytest.raises(ValueError, match="not Galois-equivariant"):
+                lambda_assemble(group, bad)
+            rejected += 1
+    assert rejected >= 4 * group.order
+
+
 def test_invert_unit():
     x = elem(C2, ((0,), 3), ((1,), 1))  # components 4 and 2, a unit
     y = invert_unit(x)

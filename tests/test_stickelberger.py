@@ -1,9 +1,10 @@
+import importlib
 from fractions import Fraction
 
 import pytest
 
 from galideal.abelian import ResidueGroup, squares_subgroup, unit_group
-from galideal.dirichlet import PlaceSet
+from galideal.dirichlet import PlaceSet, partial_zeta_hurwitz
 from galideal.groupring import GroupRingElement, invert_unit, psi_eval
 from galideal.stickelberger import (
     base_change_element,
@@ -49,6 +50,28 @@ def test_routes_agree():
             for r in [0, -1, -2]:
                 assert stickelberger(m, s, r).element == \
                     stickelberger_by_characters(m, s, r), (m, s, r)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 12, 15, 49])
+@pytest.mark.parametrize("r", [0, -1])
+def test_one_hurwitz_value_per_sign_pair(monkeypatch, m, r):
+    # theta fills the class of -a from that of a by parity, so it takes
+    # ceil(phi(m)/2) Hurwitz values; for m <= 2 the only class is a = -a
+    # the package exports a function of the module's name
+    mod = importlib.import_module("galideal.stickelberger")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return partial_zeta_hurwitz(*args)
+
+    monkeypatch.setattr(mod, "partial_zeta_hurwitz", counted)
+    g = unit_group(m)
+    s = PlaceSet(ramified_places(m).primes + ((5,) if m % 5 else ()))
+    x = stickelberger(m, s, r).element
+    assert len(calls) == -(-g.order // 2)
+    monkeypatch.undo()
+    assert x == stickelberger_by_characters(m, s, r)
 
 
 def test_stickelberger_refuses_bad_input():
