@@ -282,7 +282,7 @@ def test_certified_brauer_maps_finish(capsys):
 
 def test_oracles_to_modulus_60_finish(capsys):
     # every character sum is one integer accumulator reduced once; with a
-    # cyclotomic product per term this suite took 49 s
+    # cyclotomic product per term this suite took 41-49 s
     started = time.perf_counter()
     code, report = run_json(capsys, ["check", "--suite", "oracles",
                                      "--max-modulus", "60"])

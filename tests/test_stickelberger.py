@@ -56,8 +56,8 @@ def test_routes_agree():
 @pytest.mark.parametrize("r", [0, -1])
 def test_one_hurwitz_value_per_sign_pair(monkeypatch, m, r):
     # theta fills the class of -a from that of a by parity, so it takes
-    # ceil(phi(m)/2) Hurwitz values; for m <= 2 the only class is a = -a
-    # the package exports a function of the module's name
+    # ceil(phi(m)/2) Hurwitz values; for m <= 2 the only class is a = -a.
+    # The package exports a function named like the module, hence importlib.
     mod = importlib.import_module("galideal.stickelberger")
     calls = []
 
