@@ -14,9 +14,18 @@
 # lexicographically.  Characters are indexed by the same tuples: the
 # character with tuple t sends e to zeta_N^(sum_i t_i e_i N/d_i) where
 # N = d_k is the exponent.  Character index = lexicographic position.
-# Characters report values as exponents: chi.exponent(e) is the k with
-# chi(e) = zeta_N^k (None where a Dirichlet character vanishes) and
-# chi.root_order is N; calling chi builds the CyclotomicNumber.
+#
+# AbelianCharacter is the one character type of the package, for every
+# finite abelian group: FiniteAbelianGroup itself, the ResidueGroups of
+# Dirichlet characters and the abelianizations H^ab of brauer.py.  Each
+# character holds its group, the coordinates A of that group and a lookup
+# from elements to coordinate tuples (the identity for FiniteAbelianGroup,
+# the decomposition map for the others).  Characters report values as
+# exponents: chi.exponent(g) is the k with chi(g) = zeta_N^k and
+# chi.root_order is N; calling chi builds the CyclotomicNumber.  The
+# Dirichlet convention lives only in ResidueGroup's lookup: an integer is
+# reduced mod m, a non-unit has no coordinates (exponent None, value 0),
+# and a unit outside the subgroup raises KeyError.
 #
 # decompose() turns any concretely-given finite abelian group (elements +
 # multiplication) into such coordinates, constructively: pick x of maximal
@@ -38,6 +47,10 @@ from .cyclotomic import CyclotomicNumber, euler_phi
 @lru_cache(maxsize=None)
 def _zeta_cached(n, k):
     return CyclotomicNumber.zeta(n, k)
+
+
+def _same(e):
+    return e
 
 
 def _element_order(g, mul, identity):
@@ -175,7 +188,7 @@ class FiniteAbelianGroup:
         return "a" + "_".join(str(x) for x in a) if a else "e"
 
     def characters(self):
-        return [AbelianCharacter(self, t) for t in self.elements]
+        return [AbelianCharacter(self, self, t, _same) for t in self.elements]
 
     def __eq__(self, other):
         return isinstance(other, FiniteAbelianGroup) and self.invariants == other.invariants
@@ -188,49 +201,62 @@ class FiniteAbelianGroup:
 
 
 class AbelianCharacter:
-    # chi_t(e) = zeta_N ^ (sum_i t_i e_i N / d_i),  N the group exponent
+    # The character with tuple t of a group whose elements have coordinates
+    # in A = Z/d_1 x ... x Z/d_k (`coords`): for x = lookup(g),
+    #   chi(g) = zeta_N ^ (sum_i t_i x_i N / d_i),  N = d_k = root_order,
+    # and chi(g) = 0 where lookup(g) is None.
 
-    __slots__ = ("group", "tuple")
+    __slots__ = ("group", "coords", "tuple", "root_order", "_lookup",
+                 "_weights")
 
-    def __init__(self, group, t):
+    def __init__(self, group, coords, t, lookup):
         self.group = group
+        self.coords = coords
         self.tuple = tuple(t)
+        self.root_order = N = coords.exponent
+        self._lookup = lookup
+        self._weights = tuple(ti * (N // d)
+                              for ti, d in zip(self.tuple, coords.invariants))
 
     @property
     def index(self):
-        return self.group.index(self.tuple)
+        return self.coords.index(self.tuple)
 
     @property
-    def root_order(self):
-        # values are powers of zeta_N, N the group exponent
-        return self.group.exponent
+    def modulus(self):
+        return self.group.modulus
 
-    def exponent(self, e):
-        # k in [0, N) with chi(e) = zeta_N^k
-        N = self.group.exponent
-        return sum(t * x * (N // d) for t, x, d in
-                   zip(self.tuple, e, self.group.invariants)) % N
+    def exponent(self, g):
+        # k in [0, N) with chi(g) = zeta_N^k; None where chi(g) = 0
+        x = self._lookup(g)
+        if x is None:
+            return None
+        return sum(w * xi for w, xi in zip(self._weights, x)) % self.root_order
 
-    def __call__(self, e):
-        return _zeta_cached(self.group.exponent, self.exponent(e))
+    def __call__(self, g):
+        k = self.exponent(g)
+        if k is None:
+            return CyclotomicNumber.zero()
+        return _zeta_cached(self.root_order, k)
+
+    def _with(self, t):
+        return AbelianCharacter(self.group, self.coords, t, self._lookup)
 
     def is_trivial(self):
         return all(t == 0 for t in self.tuple)
 
     def __mul__(self, other):
         assert self.group == other.group
-        return AbelianCharacter(self.group, self.group.op(self.tuple, other.tuple))
+        return self._with(self.coords.op(self.tuple, other.tuple))
 
     def inverse(self):
-        return AbelianCharacter(self.group, self.group.inv(self.tuple))
+        return self._with(self.coords.inv(self.tuple))
 
     conjugate = inverse
 
     def __pow__(self, e):
-        t = self.tuple
-        return AbelianCharacter(
-            self.group,
-            tuple((x * e) % d for x, d in zip(t, self.group.invariants)))
+        return self._with(tuple((x * e) % d for x, d in
+                                zip(self.tuple, self.coords.invariants)))
 
     def order(self):
         n = 1
@@ -239,6 +265,13 @@ class AbelianCharacter:
             c = c * self
             n += 1
         return n
+
+    def is_odd(self):
+        # value at -1 is -1 (only meaningful when -1 lies in the group)
+        return self(-1) == CyclotomicNumber.from_rational(-1)
+
+    def is_even(self):
+        return self(-1) == CyclotomicNumber.one()
 
     def __eq__(self, other):
         return (isinstance(other, AbelianCharacter)
@@ -291,7 +324,18 @@ class ResidueGroup:
 
     def characters(self):
         A, to_tuple, _ = self.abelian_coordinates()
-        return [ResidueCharacter(self, chi, to_tuple) for chi in A.characters()]
+        m = self.modulus
+
+        def lookup(a):
+            # the Dirichlet convention (see the header)
+            a %= m
+            x = to_tuple.get(a)
+            if x is None and gcd(a, m) == 1:
+                raise KeyError("residue %d outside subgroup of (Z/%d)^*"
+                               % (a, m))
+            return x
+
+        return [AbelianCharacter(self, A, t, lookup) for t in A.elements]
 
     def character(self, index):
         return self.characters()[index]
@@ -306,84 +350,6 @@ class ResidueGroup:
 
     def __repr__(self):
         return "ResidueGroup(%d, order %d)" % (self.modulus, self.order)
-
-
-class ResidueCharacter:
-    # Character of a ResidueGroup.  Calling it on an integer reduces mod m;
-    # integers sharing a factor with m give 0 (the Dirichlet convention),
-    # integers coprime to m but outside the subgroup are an error.
-
-    __slots__ = ("group", "inner", "_to_tuple")
-
-    def __init__(self, group, inner, to_tuple):
-        self.group = group
-        self.inner = inner
-        self._to_tuple = to_tuple
-
-    @property
-    def index(self):
-        return self.inner.index
-
-    @property
-    def modulus(self):
-        return self.group.modulus
-
-    @property
-    def root_order(self):
-        return self.inner.group.exponent
-
-    def exponent(self, a):
-        # k in [0, N) with chi(a) = zeta_N^k, N = root_order; None where
-        # chi(a) = 0
-        m = self.group.modulus
-        a = a % m
-        t = self._to_tuple.get(a)
-        if t is not None:
-            return self.inner.exponent(t)
-        if m == 1 or gcd(a, m) != 1:
-            return None
-        raise KeyError("residue %d outside subgroup of (Z/%d)^*" % (a, m))
-
-    def __call__(self, a):
-        k = self.exponent(a)
-        if k is None:
-            return CyclotomicNumber.zero()
-        return _zeta_cached(self.root_order, k)
-
-    def is_trivial(self):
-        return self.inner.is_trivial()
-
-    def order(self):
-        return self.inner.order()
-
-    def __mul__(self, other):
-        assert self.group == other.group
-        return ResidueCharacter(self.group, self.inner * other.inner, self._to_tuple)
-
-    def inverse(self):
-        return ResidueCharacter(self.group, self.inner.inverse(), self._to_tuple)
-
-    conjugate = inverse
-
-    def __pow__(self, e):
-        return ResidueCharacter(self.group, self.inner ** e, self._to_tuple)
-
-    def is_odd(self):
-        # value at -1 is -1 (only meaningful when -1 lies in the subgroup)
-        return self(-1) == CyclotomicNumber.from_rational(-1)
-
-    def is_even(self):
-        return self(-1) == CyclotomicNumber.one()
-
-    def __eq__(self, other):
-        return (isinstance(other, ResidueCharacter)
-                and self.group == other.group and self.inner == other.inner)
-
-    def __hash__(self):
-        return hash((self.group, self.inner))
-
-    def __repr__(self):
-        return "ResidueCharacter(mod %d, index %d)" % (self.group.modulus, self.index)
 
 
 @lru_cache(maxsize=None)

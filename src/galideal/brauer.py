@@ -15,7 +15,7 @@
 from fractions import Fraction
 from typing import NamedTuple
 
-from .abelian import coordinates, left_cosets
+from .abelian import AbelianCharacter, coordinates, left_cosets
 from .cyclotomic import root_sum
 from .groupring import GroupRingElement, psi_eval
 from .intmat import hnf_columns, mat_mul
@@ -346,33 +346,18 @@ class SubgroupRecord:
         return GroupRingElement(self.ab, out)
 
     def characters(self):
-        # all characters of the abelianization, as callables on its indices
+        # all characters of the abelianization, on its coset indices
         if self._characters is None:
             A, to_tuple, _ = coordinates(
                 list(self.ab.elements), self.ab.op, self.ab.identity)
             self._characters = tuple(
-                _AbCharacter(chi, to_tuple) for chi in A.characters())
+                AbelianCharacter(self.ab, A, t, to_tuple.__getitem__)
+                for t in A.elements)
         return self._characters
 
     def __repr__(self):
         return "SubgroupRecord(order %d: %s)" % (
             self.order, ",".join(self.group.label(h) for h in self.elements))
-
-
-class _AbCharacter:
-    __slots__ = ("inner", "to_tuple", "root_order")
-
-    def __init__(self, inner, to_tuple):
-        self.inner = inner
-        self.to_tuple = to_tuple
-        self.root_order = inner.group.exponent  # values are powers of zeta_N
-
-    def exponent(self, q):
-        # k with chi(q) = zeta_N^k
-        return self.inner.exponent(self.to_tuple[q])
-
-    def __call__(self, q):
-        return self.inner(self.to_tuple[q])
 
 
 def check_order_budget(G):

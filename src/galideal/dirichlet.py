@@ -92,7 +92,8 @@ def conductor(chi):
 
 
 @lru_cache(maxsize=None)
-def _primitive_core_cached(chi):
+def primitive_core(chi):
+    # (f, chi*) with chi* primitive mod f and chi* = chi on units mod m
     f = conductor(chi)
     m = chi.modulus
     src = unit_group(m)
@@ -106,11 +107,6 @@ def _primitive_core_cached(chi):
                          for a, k in zip(src.elements, want))]
     assert len(candidates) == 1, "primitive core not unique for %r" % (chi,)
     return f, candidates[0]
-
-
-def primitive_core(chi):
-    # (f, chi*) with chi* primitive mod f and chi* = chi on units mod m
-    return _primitive_core_cached(chi)
 
 
 def _bernoulli_sum(n, f, star):

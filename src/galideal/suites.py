@@ -506,23 +506,27 @@ PARAM_FLAGS = {"ells": "--ell", "levels": "--levels", "rs": "--r",
 
 
 def check_params(name, **params):
-    # the canonical suite name and the parameters it takes from `params`;
-    # raises ValueError naming the flag of the first value the suite cannot
-    # take, before any of its work starts
-    name = SUITE_ALIASES.get(name, name)
-    if name not in SUITES:
+    # the canonical suite name and its parameters from `params` (None means
+    # not given); raises ValueError, before any of the suite's work starts,
+    # on parameters the suite does not take and on the first value it
+    # cannot take, naming that value's flag
+    canonical = SUITE_ALIASES.get(name, name)
+    if canonical not in SUITES:
         raise KeyError("unknown suite %r; available: %s"
-                       % (name, ", ".join(sorted(SUITES))))
-    rules = SUITE_PARAMS[name]
-    kwargs = {k: v for k, v in params.items()
-              if v is not None and k in rules}
+                       % (canonical, ", ".join(sorted(SUITES))))
+    rules = SUITE_PARAMS[canonical]
+    kwargs = {k: v for k, v in params.items() if v is not None}
+    extras = set(kwargs) - set(rules)
+    if extras:
+        raise ValueError("suite %r does not accept: %s"
+                         % (name, ", ".join(sorted(extras))))
     for key, value in kwargs.items():
         ok, want = rules[key]
         for v in value if isinstance(value, tuple) else (value,):
             if not ok(v):
                 raise ValueError("%s: suite %r needs %s, got %d"
-                                 % (PARAM_FLAGS[key], name, want, v))
-    return name, kwargs
+                                 % (PARAM_FLAGS[key], canonical, want, v))
+    return canonical, kwargs
 
 
 def run_suite(name, **params):
@@ -530,8 +534,8 @@ def run_suite(name, **params):
     return SUITES[name](**kwargs)
 
 
-def run_all(**params):
+def run_all():
     out = []
     for name in SUITES:
-        out.extend(run_suite(name, **params))
+        out.extend(run_suite(name))
     return out

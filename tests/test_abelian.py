@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,6 +121,18 @@ def test_squares_subgroup():
     assert 6 not in h
     # index 2, and -1 is not a square mod 7 (7 = 3 mod 4)
     assert unit_group(7).order == 2 * h.order
+
+
+def test_residue_convention_on_proper_subgroup():
+    # H = {1, 2, 4} in (Z/7)^*: arguments reduce mod 7, non-units give 0,
+    # and a unit outside H is an error rather than a silent value
+    h = squares_subgroup(7)
+    for chi in h.characters():
+        assert chi.exponent(9) == chi.exponent(2)
+        assert chi.exponent(14) is None
+        assert chi(14).is_zero()
+        with pytest.raises(KeyError):
+            chi.exponent(3)
 
 
 def test_subgroup_of_units():

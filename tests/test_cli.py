@@ -15,7 +15,7 @@ from galideal.brauer import (cyclic_group, product_cyclic, symmetric3,
                              to_cayley_text)
 from galideal.cli import main
 from galideal.serialize import lattice_payload, parse_lattice
-from galideal.suites import SUITE_ALIASES, SUITE_PARAMS, SUITES
+from galideal.suites import SUITE_ALIASES, SUITE_PARAMS, SUITES, run_suite
 
 COVARIANT_S3 = """{
   "schema-version": 1,
@@ -119,12 +119,6 @@ def test_output_is_byte_deterministic(capsys):
     assert "timing-ms" not in first
 
 
-def test_timing_is_opt_in(capsys):
-    code, report = run_json(capsys, ["--timing", "check", "--suite", "rank"])
-    assert code == 0
-    assert isinstance(report["timing-ms"], int)
-
-
 def test_check_every_suite_is_reachable(capsys):
     for name in sorted(SUITES) + sorted(SUITE_ALIASES):
         if name in ("brauer", "oracles", "induced-det", "integrality"):
@@ -174,10 +168,18 @@ def test_check_rejects_bad_parameter_values(capsys, argv, flag):
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_suite_params_match_signatures(name):
-    # check_params passes a suite only the parameters SUITE_PARAMS lists, so
-    # a parameter missing there would be dropped without a word
+    # check_params rejects every parameter SUITE_PARAMS does not list, so a
+    # parameter missing there could never reach the suite
     params = inspect.signature(SUITES[name]).parameters
     assert set(SUITE_PARAMS[name]) == set(params)
+
+
+def test_run_suite_rejects_parameter_the_suite_does_not_take():
+    # the one validation serves the library as well as the command line,
+    # and names the suite as it was given
+    with pytest.raises(ValueError, match="suite 'annihilator' does not "
+                                         "accept: count, ells"):
+        run_suite("annihilator", ells=(3,), count=2, seed=None)
 
 
 def test_check_unknown_suite(capsys):
