@@ -28,13 +28,13 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# flag tables (shared by argparse and the config file)
+# flag table
 
 _FLAGS = {
     "stickelberger": {"modulus": int, "s": str, "r": int},
     "lvalue": {"modulus": int, "char": int, "r": int, "s": str},
-    "ideal": {"family": str, "ell": int, "level": int, "r": int,
-              "part": str, "units": str},
+    "ideal": {"ell": int, "level": int, "r": int, "part": str,
+              "units": str},
     "brauer-map": {"group": str, "cayley": str, "certify": bool},
     "nc-ideal": {"group": str, "cayley": str, "data": str},
     "check": {"suite": str, "ell": int, "levels": int, "r": int,
@@ -59,7 +59,6 @@ def build_parser():
     top = argparse.ArgumentParser(
         prog="galideal",
         description="exact fractional Galois ideal computations")
-    top.add_argument("--config", help="key=value defaults, one per line")
     subs = top.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     for name, flags in _FLAGS.items():
         sub = subs.add_parser(name, help=_HELP[name])
@@ -82,53 +81,6 @@ def read_text(path, what):
         raise UsageError("cannot read %s: %s" % (what, e))
     except UnicodeDecodeError as e:
         raise UsageError("%s %r is not UTF-8 text: %s" % (what, path, e))
-
-
-def read_config(path):
-    lines = read_text(path, "config file").splitlines()
-    cfg = {}
-    for i, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError("config line %d: expected key=value, got %r"
-                             % (i, raw))
-        key, _, value = line.partition("=")
-        cfg[key.strip()] = value.strip()
-    return cfg
-
-
-def _parse_bool(text, key):
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise UsageError("config key %r: %r is not a boolean" % (key, text))
-
-
-def apply_config(args, cfg):
-    # flags given on the command line win; unknown keys are rejected
-    flags = _FLAGS[args.subcommand]
-    for key, text in cfg.items():
-        if key not in flags:
-            raise UsageError("config key %r is not a flag of %r"
-                             % (key, args.subcommand))
-        dest = _dest(key)
-        if getattr(args, dest) is not None:
-            continue
-        kind = flags[key]
-        if kind is bool:
-            setattr(args, dest, _parse_bool(text, key))
-        elif kind is int:
-            try:
-                setattr(args, dest, int(text))
-            except ValueError:
-                raise UsageError("config key %r: %r is not an integer"
-                                 % (key, text))
-        else:
-            setattr(args, dest, text)
 
 
 def require(args, *keys):
@@ -237,9 +189,6 @@ def cmd_lvalue(args):
 
 def cmd_ideal(args):
     require(args, "ell")
-    family = args.family or "cyclotomic"
-    if family != "cyclotomic":
-        raise UsageError("--family: only 'cyclotomic' is available")
     part = args.part or "full"
     if part not in ("full", "minus", "plus", "imagquad"):
         raise UsageError("--part must be full, minus, plus, or imagquad")
@@ -278,7 +227,7 @@ def cmd_ideal(args):
             ideal = ideal_J_full(lev, units)
     except (ValueError, AssertionError) as e:
         raise UsageError(str(e))
-    inputs = {"family": family, "ell": args.ell, "level": level_n,
+    inputs = {"family": "cyclotomic", "ell": args.ell, "level": level_n,
               "part": part}
     if part == "minus":
         inputs["r"] = r
@@ -441,8 +390,6 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 2
     try:
-        if args.config is not None:
-            apply_config(args, read_config(args.config))
         report, code = _COMMANDS[args.subcommand](args)
     except (UsageError, FixtureError) as e:
         print("error: %s" % e, file=sys.stderr)

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .abelian import squares_subgroup, subgroup_of_units, unit_group
 from .dirichlet import PlaceSet
-from .groupring import GroupRingElement, invert_unit, map_elements
+from .groupring import GroupRingElement, map_elements
 from .lattice import (from_generators, group_labels, ideal_sum, map_image,
                       scale_by, unit_ideal)
 from .stickelberger import (complex_conjugation, half_stickelberger,
@@ -137,18 +137,6 @@ def minus_idempotent(level, r=0):
     c = GroupRingElement.basis(level.group, level.conjugation)
     sign = -1 if r % 2 == 0 else 1
     return (one + c.scale(sign)).scale(Fraction(1, 2))
-
-
-def ideal_from_components(group, gens, fixture):
-    # module generated by gens, times tau(fixture)^{-1}; fixtures differing
-    # by a unit of Z[1/2][G] (a power of 2 times a group element, up to
-    # sign) produce the same ideal
-    try:
-        inv = invert_unit(fixture)
-    except ZeroDivisionError:
-        raise ValueError("fixture is not invertible: some character "
-                         "component vanishes")
-    return scale_by(from_generators(group, gens), group, inv.tau())
 
 
 def ideal_J_minus(level, r=0, places=None):

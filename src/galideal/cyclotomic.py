@@ -21,8 +21,7 @@
 # zeta_N^k rotates exponents, so Sigma_i v_i zeta_N^(k_i) adds each v_i's
 # numerators, shifted by k_i, into one integer accumulator indexed by
 # exponent mod M (M the lcm of N and the orders of the v_i) and reduces mod
-# Phi_M once (`RootSums`, `root_sum`, `from_exponents`); `dot` does the
-# same for a sum of general products.
+# Phi_M once (`RootSums`, `root_sum`, `from_exponents`).
 
 from fractions import Fraction
 from functools import lru_cache
@@ -399,19 +398,3 @@ def root_sum(n, terms):
     terms = list(terms)
     return RootSums(n, [c for _, c in terms])([k for k, _ in terms])
 
-
-def dot(pairs):
-    # Sigma a * b over the pairs (a, b) of cyclotomic numbers: the products
-    # are added unreduced at one order M and reduced mod Phi_M once
-    pairs = list(pairs)
-    M = lcm(*(x.order for pair in pairs for x in pair))
-    den = lcm(*(a.den * b.den for a, b in pairs))
-    acc = [0] * (2 * M)  # positions below 2M; _reduce folds mod M
-    for a, b in pairs:
-        s = den // (a.den * b.den)
-        tb = b._terms(M)
-        for p, x in a._terms(M):
-            x *= s
-            for q, y in tb:
-                acc[p + q] += x * y
-    return _make(M, _reduce(M, acc), den)

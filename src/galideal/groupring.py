@@ -1,8 +1,7 @@
-# Group rings Q[G] and Q(zeta)[G] for finite abelian (and, for the plain
-# ring operations, arbitrary finite) groups, plus the character calculus:
+# The group ring Q[G] of a finite abelian (and, for the plain ring
+# operations, arbitrary finite) group, plus the character calculus:
 #
 #   psi_eval(x, chi)     Sigma c_g chi(g), the chi-component of x
-#   idempotent(chi)      e_chi with coefficient chi(g^-1)/|G| at g
 #   lambda_assemble(...) the inverse of psi: given one value per character,
 #                        the unique element with those components; raises if
 #                        the values are not Galois-equivariant (detected as
@@ -13,83 +12,67 @@
 # (chi(g) = zeta_N^k): each sum is one integer accumulator reduced once
 # (cyclotomic.RootSums), never a chain of cyclotomic products.
 #
-# Elements carry a declared scalar kind, "rational" or "cyclotomic";
-# combining mismatched kinds is an error (widen() upcasts explicitly).
+# Coefficients are Fractions.  Cyclotomic values live only as character
+# components; a rational CyclotomicNumber given as a coefficient is stored as
+# its Fraction, and an irrational one is refused.
 
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cyclotomic import CyclotomicNumber, RootSums, dot, root_sum
+from .cyclotomic import CyclotomicNumber, RootSums, root_sum
 
-RATIONAL = "rational"
-CYCLOTOMIC = "cyclotomic"
+_ZERO = Fraction(0)
 
 
-def _coerce(value, kind):
-    if kind == RATIONAL:
-        if isinstance(value, CyclotomicNumber):
-            return value.as_fraction()
-        return Fraction(value)
+def _coerce(value):
+    # a rational CyclotomicNumber becomes its Fraction; as_fraction raises
+    # ValueError on an irrational one
     if isinstance(value, CyclotomicNumber):
-        return value
-    return CyclotomicNumber.from_rational(Fraction(value))
+        return value.as_fraction()
+    return Fraction(value)
 
 
 class GroupRingElement:
-    __slots__ = ("group", "coeffs", "scalars")
+    __slots__ = ("group", "coeffs")
 
-    def __init__(self, group, coeffs, scalars=RATIONAL):
-        assert scalars in (RATIONAL, CYCLOTOMIC)
+    def __init__(self, group, coeffs):
         clean = {}
         for g, c in coeffs.items():
-            c = _coerce(c, scalars)
+            c = _coerce(c)
             if c != 0:
                 clean[g] = c
         self.group = group
         self.coeffs = clean
-        self.scalars = scalars
 
     # --- constructors ---
 
     @staticmethod
-    def zero(group, scalars=RATIONAL):
-        return GroupRingElement(group, {}, scalars)
+    def zero(group):
+        return GroupRingElement(group, {})
 
     @staticmethod
-    def one(group, scalars=RATIONAL):
-        return GroupRingElement(group, {group.identity: 1}, scalars)
+    def one(group):
+        return GroupRingElement(group, {group.identity: 1})
 
     @staticmethod
-    def basis(group, g, scalars=RATIONAL):
+    def basis(group, g):
         assert g in group._index if hasattr(group, "_index") else True
-        return GroupRingElement(group, {g: 1}, scalars)
+        return GroupRingElement(group, {g: 1})
 
     # --- basic access ---
 
     def coefficient(self, g):
-        if g in self.coeffs:
-            return self.coeffs[g]
-        return _coerce(0, self.scalars)
+        return self.coeffs.get(g, _ZERO)
 
     def is_zero(self):
         return not self.coeffs
 
     def augmentation(self):
-        total = _coerce(0, self.scalars)
-        for c in self.coeffs.values():
-            total = total + c
-        return total
-
-    def widen(self):
-        if self.scalars == CYCLOTOMIC:
-            return self
-        return GroupRingElement(self.group, self.coeffs, CYCLOTOMIC)
+        return sum(self.coeffs.values(), _ZERO)
 
     def _check(self, other):
         if self.group != other.group:
             raise ValueError("group mismatch: %r vs %r" % (self.group, other.group))
-        if self.scalars != other.scalars:
-            raise TypeError("scalar kind mismatch: %s vs %s" % (self.scalars, other.scalars))
 
     # --- ring operations ---
 
@@ -98,46 +81,38 @@ class GroupRingElement:
         out = dict(self.coeffs)
         for g, c in other.coeffs.items():
             out[g] = out[g] + c if g in out else c
-        return GroupRingElement(self.group, out, self.scalars)
+        return GroupRingElement(self.group, out)
 
     def __neg__(self):
-        return GroupRingElement(self.group, {g: -c for g, c in self.coeffs.items()}, self.scalars)
+        return GroupRingElement(self.group, {g: -c for g, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, scalar):
-        scalar = _coerce(scalar, self.scalars)
+        scalar = _coerce(scalar)
         return GroupRingElement(
-            self.group, {g: scalar * c for g, c in self.coeffs.items()}, self.scalars)
+            self.group, {g: scalar * c for g, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if not isinstance(other, GroupRingElement):
             return self.scale(other)
         self._check(other)
         op = self.group.op
-        if self.scalars == CYCLOTOMIC:
-            # each coefficient of the product is one dot product
-            pairs = {}
-            for g, a in self.coeffs.items():
-                for h, b in other.coeffs.items():
-                    pairs.setdefault(op(g, h), []).append((a, b))
-            return GroupRingElement(
-                self.group, {k: dot(p) for k, p in pairs.items()}, CYCLOTOMIC)
         out = {}
         for g, a in self.coeffs.items():
             for h, b in other.coeffs.items():
                 k = op(g, h)
                 v = a * b
                 out[k] = out[k] + v if k in out else v
-        return GroupRingElement(self.group, out, self.scalars)
+        return GroupRingElement(self.group, out)
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
 
     def __pow__(self, e):
         assert e >= 0
-        result = GroupRingElement.one(self.group, self.scalars)
+        result = GroupRingElement.one(self.group)
         base = self
         while e:
             if e & 1:
@@ -150,7 +125,7 @@ class GroupRingElement:
         # the involution g -> g^-1, extended linearly
         inv = self.group.inv
         return GroupRingElement(
-            self.group, {inv(g): c for g, c in self.coeffs.items()}, self.scalars)
+            self.group, {inv(g): c for g, c in self.coeffs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingElement):
@@ -176,23 +151,6 @@ def psi_eval(x, chi):
                     [(chi.exponent(g), c) for g, c in x.coeffs.items()])
 
 
-def _check_homomorphism(group, chi):
-    # cheap spot-check that chi is multiplicative
-    sample = group.elements[: min(4, len(group.elements))]
-    for a in sample:
-        for b in sample:
-            if chi(group.op(a, b)) != chi(a) * chi(b):
-                raise ValueError("character is not a homomorphism at (%r, %r)" % (a, b))
-
-
-def idempotent(group, chi):
-    # e_chi = |G|^-1 Sigma_g chi(g) g^-1; coefficient of h is chi(h^-1)/|G|
-    _check_homomorphism(group, chi)
-    n = Fraction(1, group.order)
-    coeffs = {h: n * chi(group.inv(h)) for h in group.elements}
-    return GroupRingElement(group, coeffs, CYCLOTOMIC)
-
-
 def lambda_assemble(group, h):
     # Inverse of psi_eval: builds the unique x with psi_eval(x, chi) = h(chi)
     # for every character chi.  h: callable on characters, or dict keyed by
@@ -215,7 +173,7 @@ def lambda_assemble(group, h):
                 "character values are not Galois-equivariant: coefficient at %s "
                 "came out irrational" % group.label(g))
         coeffs[g] = n * total.as_fraction()
-    return GroupRingElement(group, coeffs, RATIONAL)
+    return GroupRingElement(group, coeffs)
 
 
 def character_components(x):
@@ -278,7 +236,7 @@ def det_leibniz(M):
     n = len(M)
     if n == 1:
         return M[0][0]
-    total = GroupRingElement.zero(M[0][0].group, M[0][0].scalars)
+    total = GroupRingElement.zero(M[0][0].group)
     for j in range(n):
         if M[0][j].is_zero():
             continue
@@ -295,7 +253,7 @@ def map_elements(x, target_group, f):
     for g, c in x.coeffs.items():
         k = f(g)
         out[k] = out[k] + c if k in out else c
-    return GroupRingElement(target_group, out, x.scalars)
+    return GroupRingElement(target_group, out)
 
 
 class EmbeddingSignature(NamedTuple):

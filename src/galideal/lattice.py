@@ -164,7 +164,7 @@ def from_generators(group, gens):
     # canonicalize.  Empty generator list gives the zero module.
     vecs = []
     for x in gens:
-        assert x.group == group and x.scalars == "rational"
+        assert x.group == group
         for g in group.elements:
             shifted = GroupRingElement.basis(group, g) * x
             vecs.append(element_vector(group, shifted))
@@ -201,27 +201,14 @@ def _coordinates(columns, r, unit):
     return None if any(r[start:]) else y
 
 
-def _member(ideal, vector, unit):
-    # True iff columns . y = d*vector has a solution y over Q with
-    # unit(denominator) for every y_j
+def contains_vector(ideal, vector):
+    # is vector (Fractions) in the Z[1/2]-span?  True iff columns . y =
+    # d*vector has a solution y over Q with power-of-two denominators
     if len(vector) != ideal.dimension:
         raise ValueError("vector of length %d in an ambient of dimension %d"
                          % (len(vector), ideal.dimension))
     r = [Fraction(x) * ideal.denominator for x in vector]
-    return _coordinates(ideal.columns, r, unit) is not None
-
-
-def contains_vector(ideal, vector):
-    # is vector (Fractions) in the Z[1/2]-span?
-    return _member(ideal, vector, _is_power_of_two)
-
-
-def contains_vector_locally(ideal, vector, ell):
-    # membership after tensoring with Z_ell (ell odd): all coordinate
-    # denominators prime to ell
-    if ell % 2 == 0 or ell < 3:
-        raise ValueError("ell must be odd and at least 3, got %r" % (ell,))
-    return _member(ideal, vector, lambda den: den % ell != 0)
+    return _coordinates(ideal.columns, r, _is_power_of_two) is not None
 
 
 def contains_element(ideal, group, x):

@@ -92,7 +92,7 @@ def eigen_projection(level, power, x, precision=20):
     # (1 - (1+ell) sigma^{-1}), sigma the wild generator 1+ell, which is
     # what makes the Stickelberger image land in the integers.
     ell, m = level.ell, level.modulus
-    assert x.group == level.group and x.scalars == "rational"
+    assert x.group == level.group
     assert precision >= 1
     mod = ell ** precision
     denom = 1

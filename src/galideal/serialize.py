@@ -20,7 +20,16 @@ def fraction_str(x):
     return str(Fraction(x))
 
 
+def _is_int(x):
+    # JSON integers only: floats are never truncated, and bool is not a number
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_fraction(text, field="value"):
+    # a fraction string or a JSON integer; a float is refused, not rounded
+    if not (isinstance(text, str) or _is_int(text)):
+        raise FixtureError("field %r must be a fraction string or an "
+                           "integer, got %r" % (field, text))
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError):
@@ -56,11 +65,6 @@ def lattice_payload(I):
         "denominator": I.denominator,
         "columns": [list(col) for col in I.columns],
     }
-
-
-def _is_int(x):
-    # JSON integers only: floats are never truncated, and bool is not a number
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def parse_lattice(payload, field="lattice"):

@@ -141,7 +141,7 @@ def apply_corestriction(x, subgroup, group, embed):
     for g, c in x.coeffs.items():
         if g in image:
             out[image[g]] = index * c
-    return GroupRingElement(subgroup, out, x.scalars)
+    return GroupRingElement(subgroup, out)
 
 
 def corestriction_matrix(subgroup, group, embed):

@@ -367,8 +367,7 @@ def test_cayley_order_budget(capsys, tmp_path):
     ("--cayley file", ["brauer-map", "--cayley", "{path}"]),
     ("fixture file", ["nc-ideal", "--group", "S3", "--data", "{path}"]),
     ("fixture file", ["ideal", "--ell", "7", "--units", "{path}"]),
-    ("config file", ["--config", "{path}", "check"]),
-], ids=["cayley", "data", "units", "config"])
+], ids=["cayley", "data", "units"])
 def test_non_utf8_input_file(capsys, tmp_path, what, argv):
     path = tmp_path / "input"
     path.write_bytes(b"2\n0 1\n1 0\n\xff\xfe\n")
@@ -495,6 +494,8 @@ def test_nc_ideal_fixture_diagnostics(capsys, tmp_path):
         ('{"schema-version": 1, "kind": "units", "ell": 3, "data": []}',
          "'kind'"),
         ('{"kind": "annihilator-data"}', "schema-version"),
+        (SINGLE_S3.replace('"e": "1", "(12)"', '"e": 0.5, "(12)"'),
+         "error: field 'data[0].alpha[e]' must be a fraction string"),
     ] + [(COVARIANT_S3.replace('"ell": 3', '"ell": ' + ell),
           "field 'ell' must be an odd prime") for ell in ("4", "2", "true")]
     for text, needle in cases:
@@ -518,31 +519,6 @@ def test_nc_ideal_rejects_non_integral_datum(capsys, tmp_path):
     assert "not 3-integral" in err
 
 
-def test_config_supplies_defaults_and_flags_override(capsys, tmp_path):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("# worked example\nmodulus=7\nr=0\ns=infty,7\n")
-    code, report = run_json(capsys, ["--config", str(cfg), "stickelberger"])
-    assert code == 0
-    assert report["inputs"]["modulus"] == 7
-    code, report = run_json(capsys, ["--config", str(cfg), "stickelberger",
-                                     "--modulus", "21", "--s", "infty,3,7"])
-    assert code == 0
-    assert report["inputs"] == {"modulus": 21, "places": "infty,3,7", "r": 0}
-
-
-def test_config_validation(capsys, tmp_path):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("modulus=7\n")
-    code, out, err = run(capsys, ["--config", str(cfg), "check"])
-    assert code == 2 and "config key 'modulus'" in err
-    cfg.write_text("just words\n")
-    code, out, err = run(capsys, ["--config", str(cfg), "check"])
-    assert code == 2 and "expected key=value" in err
-    cfg.write_text("ell=three\n")
-    code, out, err = run(capsys, ["--config", str(cfg), "check"])
-    assert code == 2 and "not an integer" in err
-
-
 def test_usage_errors_exit_2(capsys):
     code, out, err = run(capsys, ["stickelberger"])
     assert code == 2 and "--modulus is required" in err
@@ -562,6 +538,10 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_unknown_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["stickelberger", "--modulus", "7", "--frobnicate"])
-    assert exc.value.code == 2
+    # neither --family nor --config is a flag: argparse refuses both
+    for argv in (["stickelberger", "--modulus", "7", "--frobnicate"],
+                 ["ideal", "--family", "cyclotomic", "--ell", "3"],
+                 ["--config", "f", "check"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv

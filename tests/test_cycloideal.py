@@ -5,10 +5,9 @@ import pytest
 from galideal.abelian import squares_subgroup
 from galideal.cycloideal import (CyclotomicLevel, full_ideal_parts,
                                  ideal_J_full, ideal_J_imagquad, ideal_J_minus,
-                                 ideal_J_real, ideal_from_components,
-                                 inflate_plus, level_tower, minus_idempotent,
-                                 phi_pull_matrix, phi_push, plus_idempotent,
-                                 plus_quotient, plus_tower,
+                                 ideal_J_real, inflate_plus, level_tower,
+                                 minus_idempotent, phi_pull_matrix, phi_push,
+                                 plus_idempotent, plus_quotient, plus_tower,
                                  smallest_primitive_root)
 from galideal.dirichlet import PlaceSet
 from galideal.groupring import GroupRingElement, invert_unit
@@ -72,31 +71,6 @@ def test_idempotent_split():
         # theta(r) lives in the twisted minus eigenspace
         th = theta(5, r)
         assert em * th == th
-
-
-def test_ideal_from_components_examples():
-    lev = CyclotomicLevel(3, 0)
-    g = lev.group
-    one = GroupRingElement.one(g)
-    assert ideal_from_components(g, [one], one) == unit_ideal(g)
-    # 2 is a unit of Z[1/2], so scaling the fixture by 2 changes nothing
-    assert ideal_from_components(g, [one], one.scale(2)) == unit_ideal(g)
-    th = theta(3)
-    principal = from_generators(g, [th])
-    assert ideal_from_components(g, [th], one) == principal
-    # unit rescalings of the fixture: a group element times a power of 2
-    sigma2 = GroupRingElement.basis(g, 2)
-    fixture = one + one  # = 2
-    assert (ideal_from_components(g, [th], sigma2 * fixture) == principal)
-
-
-def test_ideal_from_components_rejects_non_units():
-    lev = CyclotomicLevel(3, 0)
-    g = lev.group
-    # 1 - sigma_2 has vanishing trivial-character component
-    bad = GroupRingElement.one(g) - GroupRingElement.basis(g, 2)
-    with pytest.raises(ValueError):
-        ideal_from_components(g, [GroupRingElement.one(g)], bad)
 
 
 def test_full_ideal_shape_mod_3():

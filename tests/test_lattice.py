@@ -17,7 +17,6 @@ from galideal.lattice import (
     compare,
     contains_element,
     contains_vector,
-    contains_vector_locally,
     element_vector,
     from_generators,
     group_labels,
@@ -71,15 +70,6 @@ def test_contains():
     J = from_generators(g3, [gre(g3, {1: Fraction(1, 6), 2: Fraction(-1, 6)})])
     assert contains_vector(J, [Fraction(1, 6), Fraction(-1, 6)])
     assert not contains_vector(J, [Fraction(1, 9), Fraction(-1, 9)])
-
-
-def test_contains_locally():
-    g3 = unit_group(3)
-    J = from_generators(g3, [gre(g3, {1: Fraction(1, 6), 2: Fraction(-1, 6)})])
-    # (s1-s2)/9 is not in J globally nor 3-locally, but is 5-locally
-    v = [Fraction(1, 9), Fraction(-1, 9)]
-    assert not contains_vector_locally(J, v, 3)
-    assert contains_vector_locally(J, v, 5)
 
 
 def test_compare():
@@ -318,9 +308,6 @@ def test_membership_matches_rref_reference(data):
     y = _reference_coordinates(ideal, v)
     assert contains_vector(ideal, v) == (
         y is not None and all(c.denominator & (c.denominator - 1) == 0 for c in y))
-    for ell in (3, 5):
-        assert contains_vector_locally(ideal, v, ell) == (
-            y is not None and all(c.denominator % ell for c in y))
 
 
 def test_membership_input_checks():
@@ -328,11 +315,6 @@ def test_membership_input_checks():
     for bad in ([1], [1, 0, 0]):
         with pytest.raises(ValueError):
             contains_vector(I, bad)
-        with pytest.raises(ValueError):
-            contains_vector_locally(I, bad, 3)
-    for ell in (1, 2, 4, -3):
-        with pytest.raises(ValueError):
-            contains_vector_locally(I, [1, 0], ell)
 
 
 @pytest.mark.parametrize("ell, n", [(101, 0), (5, 2)])

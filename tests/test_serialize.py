@@ -29,6 +29,11 @@ def test_parse_fraction_names_field():
         parse_fraction("one half", "beta")
     with pytest.raises(FixtureError, match="not an exact fraction"):
         parse_fraction("1/0")
+    # a JSON integer is exact; a float, bool, null or list is refused
+    assert parse_fraction(3, "alpha[e]") == 3
+    for bad in (0.5, 2.0, True, None, [1]):
+        with pytest.raises(FixtureError, match="'alpha\\[e\\]'"):
+            parse_fraction(bad, "alpha[e]")
 
 
 def test_element_round_trip_drops_zeros():
