@@ -13,6 +13,7 @@
 # traces of induced representations, kept as monomial (perm, exps) pairs.
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .abelian import AbelianCharacter, coordinates, left_cosets
@@ -630,15 +631,11 @@ def product_lattice(bmap, components):
     full = complete_components(bmap, components)
     labels = bmap.long_labels()
     n = len(labels)
-    vecs = []
-    for k in range(len(bmap.records)):
-        lo = bmap.offsets[k]
-        for v in full[k].vectors():
-            long = [Fraction(0)] * n
-            for t, x in enumerate(v):
-                long[lo + t] = x
-            vecs.append(long)
-    return canonicalize(labels, vecs)
+    d = lcm(*(ideal.denominator for ideal in full.values()))
+    vecs = [[0] * lo + [d // full[k].denominator * x for x in col]
+            + [0] * (n - lo - len(col))
+            for k, lo in enumerate(bmap.offsets) for col in full[k].columns]
+    return canonicalize(labels, d, vecs)
 
 
 def nonabelian_J(bmap, components):

@@ -14,8 +14,8 @@ from functools import lru_cache
 from .abelian import squares_subgroup, subgroup_of_units, unit_group
 from .dirichlet import PlaceSet
 from .groupring import GroupRingElement, map_elements
-from .lattice import (from_generators, group_labels, ideal_sum, map_image,
-                      scale_by, unit_ideal)
+from .lattice import (element_from_vector, from_generators, group_labels,
+                      ideal_sum, map_image, scale_by, unit_ideal)
 from .stickelberger import (complex_conjugation, half_stickelberger,
                             require_imagquad_prime, stickelberger)
 from .towers import TowerDatum, cyclotomic_tower
@@ -163,10 +163,8 @@ def full_ideal_parts(level, units=None):
         units = unit_ideal(quot)
     assert units.labels == group_labels(quot), "unit data on wrong ambient"
     half = Fraction(1, 2)
-    plus_gens = []
-    for vec in units.vectors():
-        xbar = GroupRingElement(quot, dict(zip(quot.elements, vec)))
-        plus_gens.append(inflate_plus(level, xbar).scale(half))
+    plus_gens = [inflate_plus(level, element_from_vector(quot, v)).scale(half)
+                 for v in units.vectors()]
     plus_part = from_generators(level.group, plus_gens)
     minus_part = ideal_J_minus(level, 0)
     return plus_part, minus_part

@@ -231,21 +231,6 @@ def det_over_group_ring(M):
     return lambda_assemble(group, values)
 
 
-def det_leibniz(M):
-    # direct expansion inside the group ring; cross-check route, small n only
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    total = GroupRingElement.zero(M[0][0].group)
-    for j in range(n):
-        if M[0][j].is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in M[1:]]
-        term = M[0][j] * det_leibniz(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
 def map_elements(x, target_group, f):
     # push x forward along g -> f(g); a ring homomorphism of group rings
     # whenever f is one of groups

@@ -1,7 +1,7 @@
 # Exact integer / rational linear algebra used by the lattice layer.
 #
 # Conventions:
-#   - matrices are lists of rows; entries int or Fraction
+#   - matrices are lists of rows of integers (the HNFs reject a Fraction)
 #   - row HNF: pivot columns strictly increase, pivots positive, entries
 #     above a pivot reduced into [0, pivot), zero rows at the bottom
 #   - column HNF is the transpose of the row HNF of the transpose: columns
@@ -19,6 +19,8 @@
 #   - all elimination is integer HNF: rank, kernels, injectivity and
 #     solutions over Q are read off hnf_rows / hnf_columns (ibid., sec.
 #     2.4.3); there is no rational Gauss-Jordan.
+
+from operator import index, mul
 
 
 def xgcd(a, b):
@@ -55,12 +57,12 @@ def mat_mul(A, B):
 
 
 def mat_vec(A, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in A]
+    return [sum(map(mul, row, v)) for row in A]
 
 
 def hnf_rows(A):
     # Returns (H, U) with U unimodular and U*A = H in canonical row HNF.
-    H = [list(map(int, row)) for row in A]
+    H = [list(map(index, row)) for row in A]
     n = len(H)
     m = len(H[0]) if H else 0
     U = identity_matrix(n)
@@ -114,7 +116,7 @@ def hnf_columns(A):
         return []
     basis = {}
     for col in zip(*A):
-        _insert(basis, list(map(int, col)))
+        _insert(basis, list(map(index, col)))
     cols = [basis[p] for p in sorted(basis)]
     return transpose(cols) if cols else [[] for _ in A]
 

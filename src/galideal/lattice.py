@@ -12,45 +12,46 @@
 # {x in Z^n : 2^k x in Lambda} likewise, and d is minimal among odd
 # denominators presenting M over an integer lattice — so equal modules get
 # identical fields.
-# Canonicalization: clear denominators (keeping the odd part of the common
-# denominator), column-HNF the integer matrix, then saturate at 2: for a
-# basis c of the F2-kernel {c : H c = 0 mod 2} adjoin (H c)/2 and re-HNF,
-# until the kernel is empty.  Last, divide d and the columns by
-# g = gcd(d, content), which leaves gcd(d, content) = 1; g is odd, so the
-# divided lattice is still 2-saturated and still in column HNF.
+# Canonicalization takes integer vectors over one denominator (keeping its
+# odd part), column-HNFs them, then saturates at 2: for a basis c of the
+# F2-kernel {c : H c = 0 mod 2} adjoin (H c)/2 and re-HNF, until the
+# kernel is empty.  Last, divide d and the columns by g = gcd(d, content),
+# which leaves gcd(d, content) = 1; g is odd, so the divided lattice is
+# still 2-saturated and still in column HNF.  Fractions occur only at the
+# API's edges; a translate g x or x g permutes x's integer numerators.
 #
-# Membership is decided by coordinate denominators (power of 2 <=> member),
-# never by iterative doubling.  The coordinates of d*v come from one forward
-# pass over the columns in pivot order: y_j = r[p_j] / col_j[p_j], then
-# r <- r - y_j col_j; v is outside the Q-span if r is nonzero above a pivot
-# or after the last one.  That is O(rank * dim) Fraction operations and
-# needs only the echelon shape, so it also holds for trusted-constructor
-# ideals whose columns are echelon but not reduced.  The same pass serves
-# map_preimage, which solves T x = v on the rows of the row HNF of T^t.
+# Membership: unless d*v is integral up to a power of 2, v is no member.
+# Else one integer forward pass over the columns in pivot order keeps r
+# over a scale s (from d*v and 1): at the pivot c = col[p], with
+# g = gcd(r[p], c) and f = c/g, y_j = (r[p]/g) / (s f), r <- f r - (r[p]/g)
+# col and s <- s f.  So y_j is in Z[1/2] iff f is a power of 2 (for
+# c = 2^e o: iff o divides r[p]); v is outside the Q-span if r is nonzero
+# above a pivot or after the last one.  The pass needs only the echelon
+# shape, so it also holds for trusted-constructor ideals whose columns are
+# echelon but not reduced; it serves map_preimage too, which solves T x = v
+# on the rows of the row HNF of T^t.
 # The zero module (no columns, d = 1) participates in everything.
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .groupring import GroupRingElement
 from .intmat import (
     column_kernel,
     hnf_columns,
     hnf_rows,
+    identity_matrix,
+    mat_mul,
     mat_vec,
     row_kernel,
+    transpose,
 )
 
 
 def _odd_part(x):
     x = abs(x)
-    while x and x % 2 == 0:
-        x //= 2
-    return x
-
-
-def _is_power_of_two(x):
-    return x >= 1 and (x & (x - 1)) == 0
+    return x // (x & -x) if x else 0
 
 
 class FractionalIdeal:
@@ -58,10 +59,13 @@ class FractionalIdeal:
 
     def __init__(self, labels, denominator, columns):
         # trusted constructor: canonicalize() is the public entry
+        if not (isinstance(denominator, int) and denominator % 2 == 1
+                and denominator >= 1):
+            raise ValueError("denominator %r is not odd and positive"
+                             % (denominator,))
         self.labels = tuple(labels)
         self.denominator = denominator
         self.columns = tuple(tuple(c) for c in columns)
-        assert denominator >= 1 and denominator % 2 == 1
 
     @property
     def dimension(self):
@@ -94,13 +98,14 @@ class FractionalIdeal:
             self.dimension, self.rank, self.denominator)
 
 
-def canonicalize(labels, vectors):
-    # vectors: iterable of length-n sequences of Fractions/ints
+def canonicalize(labels, denominator, vectors):
+    # the Z[1/2]-span of {v / denominator}: v integer sequences of the
+    # ambient's length, denominator a nonzero integer (0 fails as the
+    # FractionalIdeal's denominator)
     labels = tuple(labels)
     n = len(labels)
     vs = []
     for v in vectors:
-        v = [Fraction(x) for x in v]
         if len(v) != n:
             raise ValueError("vector of length %d in an ambient of dimension %d"
                              % (len(v), n))
@@ -108,16 +113,12 @@ def canonicalize(labels, vectors):
             vs.append(v)
     if not vs:
         return FractionalIdeal(labels, 1, [])
-    d0 = 1
-    for v in vs:
-        for x in v:
-            d0 = d0 * x.denominator // gcd(d0, x.denominator)
-    H = hnf_columns([[int(v[r] * d0) for v in vs] for r in range(n)])
+    H = hnf_columns(transpose(vs))
     halves = _half_columns(H)
     while halves:
         H = hnf_columns([row + [h[r] for h in halves] for r, row in enumerate(H)])
         halves = _half_columns(H)
-    d = _odd_part(d0)
+    d = _odd_part(denominator)
     g = gcd(d, *(x for row in H for x in row))
     columns = [[x // g for x in col] for col in zip(*H)]
     return FractionalIdeal(labels, d // g, columns)
@@ -159,16 +160,29 @@ def element_from_vector(group, v):
     return GroupRingElement(group, dict(zip(group.elements, map(Fraction, v))))
 
 
+def _check_same(what, expected, found):
+    if found != expected:
+        raise ValueError("%s mismatch: %r, expected %r" % (what, found, expected))
+
+
+def _translations(group, left):
+    # per g in group.elements, the k with (g x)[t] = x[k[t]] (left) or
+    # (x g)[t] = x[k[t]] (right), x a coefficient vector
+    els, index, op, inv = group.elements, group.index, group.op, group.inv
+    return [[index(op(inv(g), t) if left else op(t, inv(g))) for t in els]
+            for g in els]
+
+
 def from_generators(group, gens):
-    # Z[1/2][G]-module generated by gens: close under the G-action, then
-    # canonicalize.  Empty generator list gives the zero module.
-    vecs = []
+    # Z[1/2][G]-module generated by gens: each translate g x permutes x's
+    # numerators over the common denominator; then canonicalize.  Empty
+    # generator list gives the zero module.
     for x in gens:
-        assert x.group == group
-        for g in group.elements:
-            shifted = GroupRingElement.basis(group, g) * x
-            vecs.append(element_vector(group, shifted))
-    return canonicalize(group_labels(group), vecs)
+        _check_same("generator's group", group, x.group)
+    den, nums = _clear_denominators([element_vector(group, x) for x in gens])
+    shifts = _translations(group, left=True)
+    return canonicalize(group_labels(group), den,
+                        [[num[k] for k in s] for num in nums for s in shifts])
 
 
 def unit_ideal(group):
@@ -180,49 +194,64 @@ def zero_ideal(labels):
 
 
 def _coordinates(columns, r, unit):
-    # y with sum_j y_j columns[j] = r (r a list of Fractions, consumed), by
+    # (Y, s) with sum_j (Y_j / s) columns[j] = r (r integers, consumed), by
     # the forward pass of the header over echelon columns; None if r is
-    # outside the Q-span, or at the first y_j whose denominator fails unit
-    y = []
-    start = 0
+    # outside the Q-span, or at the first pivot whose factor f fails unit
+    y = []  # (q, s) per column: y_j = q / s at the scale s of the step
+    s, start = 1, 0
     for col in columns:
         p = start
         while not col[p]:
             p += 1
         if any(r[start:p]):
             return None
-        c = r[p] / col[p]
-        if not unit(c.denominator):
-            return None
-        if c:
-            r[p:] = [a - c * b for a, b in zip(r[p:], col[p:])]
-        y.append(c)
+        q, c = r[p], col[p]
+        if q:
+            g = gcd(q, c) if c > 0 else -gcd(q, c)
+            f, q = c // g, q // g
+            if not unit(f):
+                return None
+            s *= f
+            r[p:] = [f * x - q * b for x, b in zip(r[p:], col[p:])]
+        y.append((q, s))
         start = p + 1
-    return None if any(r[start:]) else y
+    if any(r[start:]):
+        return None
+    return [q * (s // sq) for q, sq in y], s
+
+
+def _contains(ideal, den, num):
+    # is num / den in the ideal (num integers)?  The header's test: the odd
+    # part o of den divides d num, then the pass on d num / o
+    _check_same("vector length", ideal.dimension, len(num))
+    d, o = ideal.denominator, _odd_part(den)
+    if d * gcd(*num) % o:
+        return False
+    r = [d * x // o for x in num]
+    return _coordinates(ideal.columns, r,
+                        lambda f: f & (f - 1) == 0) is not None
 
 
 def contains_vector(ideal, vector):
     # is vector (Fractions) in the Z[1/2]-span?  True iff columns . y =
     # d*vector has a solution y over Q with power-of-two denominators
-    if len(vector) != ideal.dimension:
-        raise ValueError("vector of length %d in an ambient of dimension %d"
-                         % (len(vector), ideal.dimension))
-    r = [Fraction(x) * ideal.denominator for x in vector]
-    return _coordinates(ideal.columns, r, _is_power_of_two) is not None
+    den, (num,) = _clear_denominators([vector])
+    return _contains(ideal, den, num)
 
 
 def contains_element(ideal, group, x):
-    assert group_labels(group) == ideal.labels, "ambient mismatch"
+    _check_same("ambient", ideal.labels, group_labels(group))
+    _check_same("element's group", group, x.group)
     return contains_vector(ideal, element_vector(group, x))
 
 
 def compare(I, J):
     # "equal" | "subset" (I in J) | "superset" | "incomparable"
-    assert I.labels == J.labels, "ambient mismatch"
+    _check_same("ambient", I.labels, J.labels)
     if I == J:
         return "equal"
-    fwd = all(contains_vector(J, v) for v in I.vectors())
-    bwd = all(contains_vector(I, v) for v in J.vectors())
+    fwd = all(_contains(J, I.denominator, col) for col in I.columns)
+    bwd = all(_contains(I, J.denominator, col) for col in J.columns)
     if fwd and bwd:
         # same module must have identical canonical form
         raise AssertionError("canonical forms differ for equal modules")
@@ -234,42 +263,47 @@ def compare(I, J):
 
 
 def ideal_sum(I, J):
-    assert I.labels == J.labels, "ambient mismatch"
-    return canonicalize(I.labels, I.vectors() + J.vectors())
+    _check_same("ambient", I.labels, J.labels)
+    d = lcm(I.denominator, J.denominator)
+    return canonicalize(I.labels, d, [[d // K.denominator * x for x in col]
+                                      for K in (I, J) for col in K.columns])
 
 
 def ideal_product(I, J, group):
     # the module product: span of pairwise products of the generators,
     # closed under the group action (for commutative group rings this is
     # the full product module)
-    assert group_labels(group) == I.labels == J.labels, "ambient mismatch"
+    _check_same("ambient", I.labels, group_labels(group))
+    _check_same("ambient", I.labels, J.labels)
     gi = [element_from_vector(group, v) for v in I.vectors()]
     gj = [element_from_vector(group, v) for v in J.vectors()]
     return from_generators(group, [x * y for x in gi for y in gj])
 
 
 def multiplication_matrix(group, x):
-    # matrix of y -> x*y on Q[G] in the basis `group.elements`
-    cols = []
-    for g in group.elements:
-        xg = x * GroupRingElement.basis(group, g)
-        cols.append(element_vector(group, xg))
-    return [[cols[j][i] for j in range(len(cols))] for i in range(group.order)]
+    # matrix of y -> x*y on Q[G] in the basis `group.elements`: column g is
+    # x g, a permutation of x's coefficients
+    _check_same("element's group", group, x.group)
+    v = element_vector(group, x)
+    shifts = _translations(group, left=False)
+    return transpose([[v[k] for k in s] for s in shifts])
 
 
 def scale_by(ideal, group, x):
     # image of the ideal under multiplication by x in Q[G]
-    assert group_labels(group) == ideal.labels, "ambient mismatch"
+    _check_same("ambient", ideal.labels, group_labels(group))
     T = multiplication_matrix(group, x)
     return map_image(ideal, T, ideal.labels)
 
 
 def map_image(ideal, T, out_labels):
-    # lattice generated by T(generators), canonicalized in the codomain
+    # lattice generated by T(generators), canonicalized in the codomain:
+    # lcm*T on the integer columns, over d*lcm
     out_labels = tuple(out_labels)
     _check_shape(T, len(out_labels), ideal.dimension)
-    vecs = [mat_vec(T, v) for v in ideal.vectors()]
-    return canonicalize(out_labels, vecs)
+    den, Ti = _clear_denominators(T)
+    return canonicalize(out_labels, ideal.denominator * den,
+                        [mat_vec(Ti, col) for col in ideal.columns])
 
 
 def _check_shape(T, rows, cols):
@@ -282,13 +316,11 @@ def _check_shape(T, rows, cols):
 
 
 def _clear_denominators(T):
-    # (lcm, lcm*T) with lcm the common denominator of the entries
-    lcm = 1
-    for row in T:
-        for x in row:
-            f = Fraction(x)
-            lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    return lcm, [[int(Fraction(x) * lcm) for x in row] for row in T]
+    # (lcm, lcm*T) with lcm the common denominator of the entries, which
+    # are ints or Fractions
+    den = lcm(*(x.denominator for row in T for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row]
+                 for row in T]
 
 
 def map_preimage(ideal, T, in_labels):
@@ -296,53 +328,42 @@ def map_preimage(ideal, T, in_labels):
     # codomain = ideal's ambient).  Intersect the ideal with im(T) via the
     # left kernel, then pull back through T.  With Ti = lcm*T and
     # U Ti^t = H the row HNF of Ti^t, T is injective iff H has no zero row,
-    # and then T x = v iff x = U^t y for the y with H^t y = lcm*v.
+    # and then T x = v iff x = U^t y for the y with H^t y = lcm*v, here
+    # y = Y / (s d) for v = B c / d, with (Y, s) from the forward pass.
     in_labels = tuple(in_labels)
-    n_out, n_in = len(T), len(in_labels)
+    n_in = len(in_labels)
     _check_shape(T, ideal.dimension, n_in)
-    lcm, Ti = _clear_denominators(T)
+    den, Ti = _clear_denominators(T)
     H, U = hnf_rows([[row[j] for row in Ti] for j in range(n_in)])
     if not all(any(row) for row in H):
         raise ValueError("map is not injective; preimage is not a lattice")
     if ideal.is_zero():
         return zero_ideal(in_labels)
     K = row_kernel(Ti)  # rows u with u.T = 0, saturated
-    B = [[col[r] for col in ideal.columns] for r in range(n_out)]
-    if K:
-        M = [[sum(k[r] * B[r][j] for r in range(n_out))
-              for j in range(len(ideal.columns))] for k in K]
-        coeffs = column_kernel(M)
-    else:
-        # T surjective onto the ambient: the whole ideal is in the image
-        coeffs = [[1 if i == j else 0 for i in range(len(ideal.columns))]
-                  for j in range(len(ideal.columns))]
+    B = transpose(ideal.columns)
+    # with K empty T is onto the ambient: the whole ideal is in the image
+    coeffs = column_kernel(mat_mul(K, B)) if K else identity_matrix(ideal.rank)
     pre = []
-    d = ideal.denominator
     for c in coeffs:
-        rhs = [Fraction(lcm * sum(B[r][j] * c[j] for j in range(len(c))), d)
-               for r in range(n_out)]
-        y = _coordinates(H, rhs, lambda den: True)
-        assert y is not None, "intersection vector fell outside the image"
-        pre.append([sum(U[i][j] * y[i] for i in range(n_in))
-                    for j in range(n_in)])
-    return canonicalize(in_labels, pre)
+        found = _coordinates(H, [den * x for x in mat_vec(B, c)],
+                             lambda f: True)
+        assert found is not None, "intersection vector fell outside the image"
+        Y, s = found
+        pre.append((s, [sum(map(mul, col, Y)) for col in zip(*U)]))
+    s = lcm(*(s for s, _ in pre))
+    return canonicalize(in_labels, ideal.denominator * s,
+                        [[s // sv * x for x in v] for sv, v in pre])
 
 
 def intersect(I, J):
     # I cap J as Z[1/2]-modules: solve B1 a / d1 = B2 b / d2 on the
     # saturated integer kernel of [d2 B1 | -d1 B2]
-    assert I.labels == J.labels, "ambient mismatch"
+    _check_same("ambient", I.labels, J.labels)
     if I.is_zero() or J.is_zero():
         return zero_ideal(I.labels)
-    n = I.dimension
-    k1 = len(I.columns)
-    stacked = [[J.denominator * I.columns[j][r] for j in range(k1)]
-               + [-I.denominator * J.columns[j][r] for j in range(len(J.columns))]
-               for r in range(n)]
-    kernel = column_kernel(stacked)
-    vecs = []
-    for w in kernel:
-        a = w[:k1]
-        vecs.append([Fraction(sum(I.columns[j][r] * a[j] for j in range(k1)),
-                              I.denominator) for r in range(n)])
-    return canonicalize(I.labels, vecs)
+    B1 = transpose(I.columns)
+    stacked = [[J.denominator * x for x in row]
+               + [-I.denominator * col[r] for col in J.columns]
+               for r, row in enumerate(B1)]
+    return canonicalize(I.labels, I.denominator, [
+        mat_vec(B1, w[:I.rank]) for w in column_kernel(stacked)])

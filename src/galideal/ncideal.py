@@ -11,8 +11,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .groupring import GroupRingElement, map_elements
-from .lattice import (contains_element, from_generators, group_labels,
-                      map_image)
+from .lattice import (contains_element, contains_vector, from_generators,
+                      group_labels, map_image)
 from .padic import valuation
 
 
@@ -211,7 +211,6 @@ def quotient_check(G, Q, proj, data, data_small):
     image = map_image(I_big.lattice, M, group_labels(Q))
     contained = True
     for v in image.vectors():
-        from .lattice import contains_vector
         if not contains_vector(I_small.lattice, v):
             contained = False
             if not witness:

@@ -12,8 +12,9 @@ from math import gcd
 from typing import NamedTuple
 
 from .groupring import GroupRingElement
-from .lattice import from_generators
+from .lattice import element_from_vector, from_generators
 from .abelian import unit_group
+from .dirichlet import is_prime
 
 
 def valuation(x, ell):
@@ -153,11 +154,12 @@ def torsion_exponent(m, ell, r):
 
 def torsion_annihilator(m, ell, r):
     # ideal generated by ell^v and the twisted differences sigma_a - a^(1-r)
-    assert ell % 2 == 1 and r <= -1
-    mm = m
-    while mm % ell == 0:
-        mm //= ell
-    assert mm == 1 and m > 1, "modulus must be a power of ell"
+    # m > 1 is a power of the prime ell iff it divides ell^(bits of m)
+    if not (ell % 2 and is_prime(ell) and r <= -1 and m > 1
+            and ell ** m.bit_length() % m == 0):
+        raise ValueError("need an odd prime ell, a modulus m > 1 that is a "
+                         "power of it and r <= -1, got m = %d, ell = %d, "
+                         "r = %d" % (m, ell, r))
     group = unit_group(m)
     v = torsion_exponent(m, ell, r)
     one = GroupRingElement.one(group)
@@ -175,11 +177,8 @@ def annihilator_integrality(m, ell, r, theta):
     group = unit_group(m)
     worst = None
     witness = None
-    checks = list(ann.generators)
-    d = ann.ideal.denominator
-    for col in ann.ideal.columns:
-        coeffs = {a: Fraction(col[i], d) for i, a in enumerate(group.elements)}
-        checks.append(GroupRingElement(group, coeffs))
+    checks = list(ann.generators) + [element_from_vector(group, v)
+                                     for v in ann.ideal.vectors()]
     for k, gen in enumerate(checks):
         prod = gen * theta
         for c in prod.coeffs.values():

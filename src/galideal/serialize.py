@@ -97,8 +97,7 @@ def parse_lattice(payload, field="lattice"):
             if not _is_int(x):
                 raise FixtureError("field '%s.columns': column %d has entry "
                                    "%r, not an integer" % (field, j, x))
-        vectors.append([Fraction(x, den) for x in col])
-    return canonicalize(labels, vectors)
+    return canonicalize(labels, den, columns)
 
 
 def to_json(data):

@@ -249,7 +249,7 @@ def test_conjugation_consistency():
     comps = unit_components(bmap)
     assert conjugation_consistency(bmap, comps) == (True, ())
     # a component not fixed by the normalizer action is flagged
-    comps[4] = canonicalize(bmap.records[4].ab_labels(), [[1, 1, 0]])
+    comps[4] = canonicalize(bmap.records[4].ab_labels(), 1, [[1, 1, 0]])
     ok, witness = conjugation_consistency(bmap, comps)
     assert not ok and witness == (4, 4, "(23)")
 
@@ -259,14 +259,14 @@ def test_complete_components_transports_conjugates():
     rec1 = bmap.records[1]
     comps = {
         0: unit_ideal(bmap.records[0].ab),
-        1: canonicalize(rec1.ab_labels(), [[1, 1]]),
+        1: canonicalize(rec1.ab_labels(), 1, [[1, 1]]),
         4: unit_ideal(bmap.records[4].ab),
         5: unit_ideal(bmap.records[5].ab),
     }
     full = complete_components(bmap, comps)
     assert set(full) == set(range(6))
     for k in (2, 3):
-        assert full[k] == canonicalize(bmap.records[k].ab_labels(), [[1, 1]])
+        assert full[k] == canonicalize(bmap.records[k].ab_labels(), 1, [[1, 1]])
 
 
 def test_complete_components_requires_every_orbit():
@@ -280,7 +280,7 @@ def test_complete_components_requires_every_orbit():
 def test_nonabelian_J_with_unit_components():
     bmap = bgstar(symmetric3())
     J = nonabelian_J(bmap, unit_components(bmap))
-    assert J == canonicalize(bmap.space.labels,
+    assert J == canonicalize(bmap.space.labels, 1,
                              [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert contains_vector(J, [1, 0, 0])
 
@@ -292,7 +292,7 @@ def test_zeroed_component_cuts_the_preimage():
     comps[3] = zero_ideal(bmap.records[3].ab_labels())
     J_cut = nonabelian_J(bmap, comps)
     assert compare(J_cut, J_full) == "subset"
-    assert J_cut == canonicalize(bmap.space.labels, [[0, 0, 1]])
+    assert J_cut == canonicalize(bmap.space.labels, 1, [[0, 0, 1]])
 
 
 def test_component_images_round_trip_abelian():
@@ -314,11 +314,11 @@ def test_component_images_round_trip_s3():
     # the images back can genuinely enlarge the lattice; the containment
     # direction always holds
     bmap = bgstar(symmetric3())
-    J = canonicalize(bmap.space.labels, [[1, 1, 0], [0, 3, 1]])
+    J = canonicalize(bmap.space.labels, 1, [[1, 1, 0], [0, 3, 1]])
     comps = component_images(bmap, J)
     pre = nonabelian_J(bmap, comps)
     assert compare(J, pre) == "subset"
-    assert pre == canonicalize(bmap.space.labels,
+    assert pre == canonicalize(bmap.space.labels, 1,
                                [[1, 1, 0], [0, 3, 0], [0, 0, 1]])
 
 

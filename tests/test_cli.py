@@ -15,7 +15,8 @@ from galideal.brauer import (cyclic_group, product_cyclic, symmetric3,
                              to_cayley_text)
 from galideal.cli import main
 from galideal.serialize import lattice_payload, parse_lattice
-from galideal.suites import SUITE_ALIASES, SUITE_PARAMS, SUITES, run_suite
+from galideal.suites import (SUITE_ALIASES, SUITE_PARAMS, SUITES,
+                             integrality_suite, run_suite)
 
 COVARIANT_S3 = """{
   "schema-version": 1,
@@ -290,6 +291,16 @@ def test_oracles_to_modulus_60_finish(capsys):
                                      "--max-modulus", "60"])
     assert time.perf_counter() - started < 5.0
     assert code == 0 and report["passed"]
+
+
+def test_integrality_suite_finishes():
+    # the torsion annihilator at m = 49 closes 43 generators under 42
+    # translates; as Fraction vectors and group-ring products this took
+    # 1.2-1.4 s in-process
+    started = time.perf_counter()
+    results = integrality_suite()
+    assert time.perf_counter() - started < 1.0
+    assert all(r.passed for r in results)
 
 
 def test_brauer_map_builtin(capsys):

@@ -10,7 +10,6 @@ from galideal.groupring import (
     EmbeddingSignature,
     GroupRingElement,
     character_components,
-    det_leibniz,
     det_over_group_ring,
     invert_unit,
     lambda_assemble,
@@ -25,6 +24,22 @@ C4 = FiniteAbelianGroup((4,))
 
 def elem(group, *pairs):
     return GroupRingElement(group, dict(pairs))
+
+
+def det_leibniz(M):
+    # Laplace expansion along the first row inside the group ring: the
+    # reference that det_over_group_ring's character route is checked against
+    n = len(M)
+    if n == 1:
+        return M[0][0]
+    total = GroupRingElement.zero(M[0][0].group)
+    for j in range(n):
+        if M[0][j].is_zero():
+            continue
+        minor = [row[:j] + row[j + 1:] for row in M[1:]]
+        term = M[0][j] * det_leibniz(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
 
 
 def test_c2_zero_divisor():

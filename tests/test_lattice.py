@@ -1,13 +1,18 @@
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import galideal
 from galideal.abelian import FiniteAbelianGroup, unit_group
+from galideal.brauer import from_cayley_text, symmetric3
 from galideal.cycloideal import CyclotomicLevel, ideal_J_minus
 from galideal.groupring import GroupRingElement, invert_unit
 from galideal.intmat import hnf_columns
@@ -24,6 +29,7 @@ from galideal.lattice import (
     intersect,
     map_image,
     map_preimage,
+    multiplication_matrix,
     scale_by,
     unit_ideal,
     zero_ideal,
@@ -31,6 +37,8 @@ from galideal.lattice import (
 from galideal.stickelberger import stickelberger
 
 C2 = FiniteAbelianGroup((2,))
+D6 = from_cayley_text(
+    (Path(__file__).parent / "golden" / "d6.txt").read_text(encoding="utf-8"))
 
 
 def gre(group, pairs):
@@ -118,9 +126,9 @@ def test_map_image_examples():
 
 
 def test_map_preimage_examples():
-    one = canonicalize(("q",), [[1]])
+    one = canonicalize(("q",), 1, [[1]])
     assert map_preimage(one, [[1]], ("q",)) == one
-    amb2 = canonicalize(("x", "y"), [[1, 0], [0, 1]])
+    amb2 = canonicalize(("x", "y"), 1, [[1, 0], [0, 1]])
     first_axis = [[1], [0]]
     assert map_preimage(amb2, first_axis, ("q",)) == one
     doubled = [[1], [2]]
@@ -136,8 +144,8 @@ def test_shapes_checked_without_asserts():
     # a wrong shape raises ValueError, which python -O does not strip, so
     # no entry is ever dropped silently
     with pytest.raises(ValueError):
-        canonicalize(("a", "b"), [[1, 2, 3]])
-    I = canonicalize(("a", "b"), [[1, 0], [0, 1]])
+        canonicalize(("a", "b"), 1, [[1, 2, 3]])
+    I = canonicalize(("a", "b"), 1, [[1, 0], [0, 1]])
     assert I.rank == 2
     for T in ([[1, 0, 0], [0, 1, 0]], [[1, 0]], [[1, 0], [0, 1], [1, 1]]):
         with pytest.raises(ValueError):
@@ -166,7 +174,7 @@ def test_intersect():
     assert intersect(ep, em).is_zero()
     I = unit_ideal(C2)
     assert intersect(I, ep) == ep
-    third = canonicalize(group_labels(C2), [[Fraction(1, 3), 0], [0, Fraction(1, 3)]])
+    third = canonicalize(group_labels(C2), 3, [[1, 0], [0, 1]])
     assert intersect(I, third) == I
 
 
@@ -197,8 +205,8 @@ def test_canonicalize_against_sympy_hnf():
     S = hermite_normal_form(Matrix(A))
     B = [[int(S[r, j]) for j in range(S.cols)] for r in range(S.rows)]
     assert hnf_columns(B) == hnf_columns(A)
-    cols = [[Fraction(B[r][j], d0) for r in range(S.rows)] for j in range(S.cols)]
-    assert canonicalize(group_labels(group), cols) == ideal_J_minus(level)
+    cols = [[B[r][j] for r in range(S.rows)] for j in range(S.cols)]
+    assert canonicalize(group_labels(group), d0, cols) == ideal_J_minus(level)
 
 
 @settings(max_examples=60, deadline=None)
@@ -237,6 +245,11 @@ def test_generators_are_members_and_sum_monotone(data):
         assert contains_element(I, group, x)
     J = ideal_sum(I, unit_ideal(group))
     assert compare(I, J) in ("equal", "subset")
+
+
+def _over_common_denominator(vectors):
+    d = lcm(*(x.denominator for v in vectors for x in v))
+    return d, [[int(x * d) for x in v] for v in vectors]
 
 
 def _gauss_jordan_solve(A, b):
@@ -287,7 +300,7 @@ def test_membership_matches_rref_reference(data):
                       st.fractions(min_value=-4, max_value=4, max_denominator=6))
     gens = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                               max_size=4))
-    ideal = canonicalize(labels, gens)
+    ideal = canonicalize(labels, *_over_common_denominator(gens))
     if data.draw(st.booleans()):
         # trusted constructor: each column times a nonzero integer keeps the
         # echelon shape but not the reduction on pivot rows (like q*I)
@@ -326,3 +339,135 @@ def test_compare_rank_50_budget(ell, n):
     t0 = time.perf_counter()
     assert compare(tripled, I) == "subset"
     assert time.perf_counter() - t0 < 1.0
+
+
+def _reference_from_generators(group, gens):
+    # the translates g x as group-ring products, cleared as Fraction vectors
+    vecs = [element_vector(group, GroupRingElement.basis(group, g) * x)
+            for x in gens for g in group.elements]
+    return canonicalize(group_labels(group), *_over_common_denominator(vecs))
+
+
+def _reference_multiplication_matrix(group, x):
+    cols = [element_vector(group, x * GroupRingElement.basis(group, g))
+            for g in group.elements]
+    return [list(row) for row in zip(*cols)]
+
+
+def _sparse_elements(group):
+    # few terms, numerators over odd and even denominators
+    coeff = st.builds(Fraction, st.integers(-6, 6),
+                      st.sampled_from([1, 2, 3, 4, 5, 8, 9, 12, 15]))
+    return st.builds(lambda d: GroupRingElement(group, d),
+                     st.dictionaries(st.sampled_from(group.elements), coeff,
+                                     max_size=4))
+
+
+@pytest.mark.parametrize("kind", ["units", "S3", "D6"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_translates_match_group_ring_products(kind, data):
+    # left translates (the ideal) and right translates (the columns of the
+    # multiplication matrix) differ on the non-abelian S3 and D6
+    if kind == "units":
+        group = unit_group(data.draw(st.integers(1, 50)))
+    else:
+        group = symmetric3() if kind == "S3" else D6
+    gens = data.draw(st.lists(_sparse_elements(group), max_size=3))
+    assert from_generators(group, gens) == _reference_from_generators(group, gens)
+    x = data.draw(_sparse_elements(group))
+    assert multiplication_matrix(group, x) == \
+        _reference_multiplication_matrix(group, x)
+
+
+def test_membership_at_two_power_pivots():
+    # pivots 12 = 4*3, 8 and -6 = -2*3 over d = 3: a coordinate may carry a
+    # power of 2 in its denominator but no odd factor
+    cols = [[12, 5, 1], [0, 8, 3], [0, 0, -6]]
+    I = FractionalIdeal(("a", "b", "c"), 3, cols)
+
+    def combo(*ys):
+        return [sum(y * col[r] for y, col in zip(ys, cols)) / 3
+                for r in range(3)]
+
+    members = [combo(Fraction(1, 2), 0, 0), combo(Fraction(3, 4), 1, 0),
+               combo(1, Fraction(-5, 16), Fraction(7, 8)),
+               [0, 1, 0], [1, Fraction(5, 12), Fraction(1, 12)]]
+    outsiders = [combo(Fraction(1, 3), 0, 0), combo(1, 0, Fraction(1, 6)),
+                 combo(Fraction(1, 2), Fraction(5, 12), 0),
+                 [1, 0, 0], [Fraction(1, 9), 0, 0]]
+    for v in members + outsiders:
+        y = _reference_coordinates(I, v)
+        assert contains_vector(I, v) == (v in members)
+        assert (v in members) == all(
+            c.denominator & (c.denominator - 1) == 0 for c in y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_membership_with_two_power_pivots(data):
+    # echelon columns with pivots +-2^e o: coordinates are unique, so a
+    # combination is a member iff every coefficient is in Z[1/2]; a vector
+    # moved off the span at a non-pivot row never is
+    n = data.draw(st.integers(1, 5))
+    pivots = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    cols = []
+    for p in pivots:
+        pivot = (data.draw(st.sampled_from([1, -1]))
+                 * 2 ** data.draw(st.integers(0, 4))
+                 * data.draw(st.sampled_from([1, 3, 5])))
+        tail = data.draw(st.lists(st.integers(-9, 9), min_size=n - p - 1,
+                                  max_size=n - p - 1))
+        cols.append([0] * p + [pivot] + tail)
+    d = data.draw(st.sampled_from([1, 3, 5, 15]))
+    I = FractionalIdeal(tuple("x%d" % i for i in range(n)), d, cols)
+    ys = data.draw(st.lists(
+        st.builds(Fraction, st.integers(-7, 7),
+                  st.sampled_from([1, 2, 4, 8, 16, 3, 6, 12])),
+        min_size=len(cols), max_size=len(cols)))
+    v = [sum(y * col[r] for y, col in zip(ys, cols)) / d for r in range(n)]
+    assert contains_vector(I, v) == all(
+        y.denominator & (y.denominator - 1) == 0 for y in ys)
+    free = [r for r in range(n) if r not in pivots]
+    if free:
+        v[data.draw(st.sampled_from(free))] += Fraction(1, 2)
+        assert not contains_vector(I, v)
+
+
+def test_input_checks_survive_optimize_flag():
+    # python -O strips asserts; every mismatch must still raise ValueError
+    src = str(Path(galideal.__file__).resolve().parents[1])
+    script = """
+from galideal.abelian import FiniteAbelianGroup, unit_group
+from galideal.groupring import GroupRingElement
+from galideal.lattice import (FractionalIdeal, canonicalize, compare,
+    contains_element, from_generators, ideal_product, ideal_sum, intersect,
+    multiplication_matrix, scale_by)
+ab = FractionalIdeal(("a", "b"), 1, [[1, 0]])
+xy = FractionalIdeal(("x", "y"), 1, [[1, 0]])
+c2, g3 = FiniteAbelianGroup((2,)), unit_group(3)
+one3 = GroupRingElement.one(g3)
+calls = {
+    "ideal_sum": lambda: ideal_sum(ab, xy),
+    "compare": lambda: compare(ab, xy),
+    "intersect": lambda: intersect(ab, xy),
+    "ideal_product": lambda: ideal_product(ab, ab, c2),
+    "scale_by": lambda: scale_by(ab, c2, GroupRingElement.one(c2)),
+    "contains_element": lambda: contains_element(ab, c2, one3),
+    "from_generators": lambda: from_generators(c2, [one3]),
+    "multiplication_matrix": lambda: multiplication_matrix(c2, one3),
+    "even denominator": lambda: FractionalIdeal(("a",), 2, [[1]]),
+    "zero denominator": lambda: canonicalize(("a",), 0, [[1]]),
+}
+for name, call in calls.items():
+    try:
+        call()
+        print(name)
+    except ValueError:
+        pass
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""

@@ -1,7 +1,11 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import galideal
 from galideal.abelian import unit_group
 from galideal.cycloideal import CyclotomicLevel
 from galideal.cyclotomic import CyclotomicNumber
@@ -206,7 +210,28 @@ def test_annihilator_integrality_negative_control():
 
 
 def test_torsion_annihilator_rejects_bad_inputs():
-    with pytest.raises(AssertionError):
-        torsion_annihilator(12, 3, -1)
-    with pytest.raises(AssertionError):
-        torsion_annihilator(3, 3, 0)
+    for m, ell, r in ((12, 3, -1), (3, 3, 0), (9, 3, 1), (10, 5, -1),
+                      (1, 3, -1), (0, 3, -1), (-9, 3, -1), (8, 2, -1),
+                      (81, 9, -1), (1, 1, -1)):
+        with pytest.raises(ValueError):
+            torsion_annihilator(m, ell, r)
+
+
+def test_torsion_annihilator_checked_under_optimize_flag():
+    # python -O strips asserts: at r = 1 the exponent search never ended,
+    # and a modulus that is no power of ell gave a silent answer
+    src = str(Path(galideal.__file__).resolve().parents[1])
+    script = (
+        "from galideal.padic import torsion_annihilator\n"
+        "for args in ((9, 3, 1), (10, 5, -1)):\n"
+        "    try:\n"
+        "        torsion_annihilator(*args)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    need = "need an odd prime ell, a modulus m > 1 that is a power of it "
+    assert proc.stdout == (need + "and r <= -1, got m = 9, ell = 3, r = 1\n"
+                           + need + "and r <= -1, got m = 10, ell = 5, r = -1\n")

@@ -55,10 +55,7 @@ def test_parse_element_rejects_unknown_label():
 
 def test_lattice_round_trip():
     labels = ("e", "a", "b")
-    I = canonicalize(labels, [
-        [Fraction(1, 3), Fraction(0), Fraction(1)],
-        [Fraction(0), Fraction(5, 3), Fraction(0)],
-    ])
+    I = canonicalize(labels, 3, [[1, 0, 3], [0, 5, 0]])
     payload = lattice_payload(I)
     assert set(payload) == {"ambient", "denominator", "columns"}
     assert parse_lattice(payload) == I

@@ -1,7 +1,8 @@
 # Public-surface guard: every public module-level function or class in
 # src/galideal is referenced somewhere in src/galideal (by name, attribute
-# or import alias) beyond its own def.  A name only tests call is either
-# wired in, deleted, or listed below with the reason it stays.
+# or import alias) outside its own def, so a recursive call is no use.  A
+# name only tests call is either wired in, deleted, or listed below with
+# the reason it stays.
 
 import ast
 from pathlib import Path
@@ -28,16 +29,22 @@ def _surface():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defined[node.name] = path.stem
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.alias):
-                referenced.add(node.name)
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = node.name
+                if not own.startswith("_"):
+                    defined[own] = path.stem
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    name = sub.attr
+                elif isinstance(sub, ast.alias):
+                    name = sub.name
+                else:
+                    continue
+                if name != own:
+                    referenced.add(name)
     return defined, referenced
 
 
