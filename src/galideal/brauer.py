@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .abelian import AbelianCharacter, coordinates, left_cosets
 from .cyclotomic import root_sum
-from .groupring import GroupRingElement, psi_eval
+from .groupring import GroupRingElement, map_elements, psi_eval
 from .intmat import hnf_columns, mat_mul
 from .lattice import (canonicalize, contains_vector, map_image,
                       map_preimage)
@@ -340,11 +340,7 @@ class SubgroupRecord:
 
     def push(self, x):
         # Q[H] (supported inside the subgroup) -> Q[H^ab]
-        out = {}
-        for g, c in x.coeffs.items():
-            q = self.project[g]
-            out[q] = out.get(q, Fraction(0)) + c
-        return GroupRingElement(self.ab, out)
+        return map_elements(x, self.ab, self.project.__getitem__)
 
     def characters(self):
         # all characters of the abelianization, on its coset indices
@@ -424,10 +420,10 @@ class ClassSpace:
 
     def element_class_vector(self, x):
         # Q[G] -> Q{G}: sum the coefficients within each class
-        v = [Fraction(0)] * self.dimension
-        for g, c in x.coeffs.items():
-            v[self._class_of[g]] += c
-        return v
+        v = [0] * self.dimension
+        for g, a in zip(x.group.elements, x.nums):
+            v[self._class_of[g]] += a
+        return [Fraction(a, x.den) for a in v]
 
 
 class BrauerMap(NamedTuple):
@@ -454,9 +450,8 @@ class BrauerMap(NamedTuple):
         # the k-th subgroup's component of the given class, in Q[H^ab]
         rec = self.records[k]
         lo = self.offsets[k]
-        coeffs = {q: Fraction(self.matrix[lo + q][class_index])
-                  for q in rec.ab.elements}
-        return GroupRingElement(rec.ab, coeffs)
+        return GroupRingElement.from_numerators(
+            rec.ab, [self.matrix[lo + q][class_index] for q in rec.ab.elements])
 
     def long_labels(self):
         out = []

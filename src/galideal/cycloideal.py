@@ -14,7 +14,7 @@ from functools import lru_cache
 from .abelian import squares_subgroup, subgroup_of_units, unit_group
 from .dirichlet import PlaceSet
 from .groupring import GroupRingElement, map_elements
-from .lattice import (element_from_vector, from_generators, group_labels,
+from .lattice import (from_generators, group_labels, ideal_elements,
                       ideal_sum, map_image, scale_by, unit_ideal)
 from .stickelberger import (complex_conjugation, half_stickelberger,
                             require_imagquad_prime, stickelberger)
@@ -151,20 +151,19 @@ def inflate_plus(level, xbar):
     # e_plus times any preimage of xbar under G -> G/{+-1}; independent of
     # the preimage choice because e_plus absorbs conjugation.  Quotient
     # elements are residues below m/2, hence are their own preimages.
-    lift = GroupRingElement(level.group, dict(xbar.coeffs))
+    lift = map_elements(xbar, level.group, lambda a: a)
     return plus_idempotent(level) * lift
 
 
 def full_ideal_parts(level, units=None):
     # the two summands of the full ideal: (1/2) e_plus (inflated unit
-    # annihilator), and the Stickelberger span
+    # annihilator), and the Stickelberger span; ideal_elements raises
+    # ValueError, naming both label sets, on units over another ambient
     quot = plus_quotient(level.modulus)
     if units is None:
         units = unit_ideal(quot)
-    assert units.labels == group_labels(quot), "unit data on wrong ambient"
-    half = Fraction(1, 2)
-    plus_gens = [inflate_plus(level, element_from_vector(quot, v)).scale(half)
-                 for v in units.vectors()]
+    plus_gens = [inflate_plus(level, x).scale(Fraction(1, 2))
+                 for x in ideal_elements(units, quot)]
     plus_part = from_generators(level.group, plus_gens)
     minus_part = ideal_J_minus(level, 0)
     return plus_part, minus_part

@@ -9,66 +9,100 @@
 #   det_over_group_ring  determinant via character-wise evaluation
 #
 # psi_eval and lambda_assemble read a character through its exponents
-# (chi(g) = zeta_N^k): each sum is one integer accumulator reduced once
-# (cyclotomic.RootSums), never a chain of cyclotomic products.
+# (chi(g) = zeta_N^k): each sum is one integer accumulator reduced once,
+# never a chain of cyclotomic products.
 #
-# Coefficients are Fractions.  Cyclotomic values live only as character
-# components; a rational CyclotomicNumber given as a coefficient is stored as
-# its Fraction, and an irrational one is refused.
+# An element is `nums`, |G| integers indexed by group.index, over one
+# denominator den > 0 with gcd(den, nums) = 1.  Sums add numerators, tau
+# and map_elements permute them, and a product is an integer convolution:
+# each nonzero index i of the left factor reads the row index(op(g_i, h)),
+# built when first read and cached on the group, never as an eager table.
+# Fractions occur only at the edges: coefficients given to the constructor
+# or scale, coefficient(), augmentation() and repr.
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple
 
-from .cyclotomic import CyclotomicNumber, RootSums, root_sum
-
-_ZERO = Fraction(0)
+from .cyclotomic import CyclotomicNumber, RootSums, from_exponents
 
 
 def _coerce(value):
-    # a rational CyclotomicNumber becomes its Fraction; as_fraction raises
-    # ValueError on an irrational one
+    # a given coefficient or scalar as a Fraction; as_fraction raises
+    # ValueError on an irrational CyclotomicNumber
     if isinstance(value, CyclotomicNumber):
         return value.as_fraction()
     return Fraction(value)
 
 
+def _slot(group, g):
+    # group.index(g), checked: FiniteGroup.index returns its argument, so
+    # without the check -1 or group.order would land in a valid slot
+    try:
+        i = group.index(g)
+        if 0 <= i < group.order and group.elements[i] == g:
+            return i
+    except (KeyError, TypeError):
+        pass
+    raise ValueError("%r is not an element of %r" % (g, group))
+
+
+def _make(group, nums, den):
+    # the element nums/den (den > 0), reduced to gcd(den, nums) = 1
+    g = gcd(den, *nums)
+    if g != 1:
+        nums, den = [a // g for a in nums], den // g
+    x = object.__new__(GroupRingElement)
+    x.group, x.nums, x.den = group, tuple(nums), den
+    return x
+
+
 class GroupRingElement:
-    __slots__ = ("group", "coeffs")
+    __slots__ = ("group", "nums", "den")
 
     def __init__(self, group, coeffs):
-        clean = {}
-        for g, c in coeffs.items():
-            c = _coerce(c)
-            if c != 0:
-                clean[g] = c
-        self.group = group
-        self.coeffs = clean
+        # coeffs: element -> rational; a non-element key raises ValueError
+        pairs = [(_slot(group, g), _coerce(c)) for g, c in coeffs.items()]
+        den = lcm(*(c.denominator for _, c in pairs))
+        nums = [0] * group.order
+        for i, c in pairs:
+            nums[i] = c.numerator * (den // c.denominator)
+        x = _make(group, nums, den)
+        self.group, self.nums, self.den = group, x.nums, x.den
 
     # --- constructors ---
 
     @staticmethod
+    def from_numerators(group, nums, den=1):
+        # the element with coefficient nums[i] / den at group.elements[i]
+        nums = list(nums)
+        if len(nums) != group.order or den < 1:
+            raise ValueError("need %d numerators over a positive denominator,"
+                             " got %d over %r" % (group.order, len(nums), den))
+        return _make(group, nums, den)
+
+    @staticmethod
     def zero(group):
-        return GroupRingElement(group, {})
+        return _make(group, [0] * group.order, 1)
 
     @staticmethod
     def one(group):
-        return GroupRingElement(group, {group.identity: 1})
+        return GroupRingElement.basis(group, group.identity)
 
     @staticmethod
     def basis(group, g):
-        assert g in group._index if hasattr(group, "_index") else True
         return GroupRingElement(group, {g: 1})
 
     # --- basic access ---
 
     def coefficient(self, g):
-        return self.coeffs.get(g, _ZERO)
+        return Fraction(self.nums[_slot(self.group, g)], self.den)
 
     def is_zero(self):
-        return not self.coeffs
+        return not any(self.nums)
 
     def augmentation(self):
-        return sum(self.coeffs.values(), _ZERO)
+        return Fraction(sum(self.nums), self.den)
 
     def _check(self, other):
         if self.group != other.group:
@@ -78,40 +112,47 @@ class GroupRingElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = out[g] + c if g in out else c
-        return GroupRingElement(self.group, out)
+        den = lcm(self.den, other.den)
+        f, h = den // self.den, den // other.den
+        return _make(self.group, [a * f + b * h
+                                  for a, b in zip(self.nums, other.nums)], den)
 
     def __neg__(self):
-        return GroupRingElement(self.group, {g: -c for g, c in self.coeffs.items()})
+        return _make(self.group, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, scalar):
-        scalar = _coerce(scalar)
-        return GroupRingElement(
-            self.group, {g: scalar * c for g, c in self.coeffs.items()})
+        q = _coerce(scalar)
+        return _make(self.group, [q.numerator * a for a in self.nums],
+                     q.denominator * self.den)
 
     def __mul__(self, other):
         if not isinstance(other, GroupRingElement):
             return self.scale(other)
         self._check(other)
-        op = self.group.op
-        out = {}
-        for g, a in self.coeffs.items():
-            for h, b in other.coeffs.items():
-                k = op(g, h)
-                v = a * b
-                out[k] = out[k] + v if k in out else v
-        return GroupRingElement(self.group, out)
+        group = self.group
+        rows = getattr(group, "_product_rows", None)  # rows[i] or None
+        if rows is None:
+            rows = group._product_rows = [None] * group.order
+        right = [(j, b) for j, b in enumerate(other.nums) if b]
+        out = [0] * group.order
+        for i, a in enumerate(self.nums):
+            if a:
+                row = rows[i]
+                if row is None:
+                    g, op, index = group.elements[i], group.op, group.index
+                    row = rows[i] = [index(op(g, h)) for h in group.elements]
+                for j, b in right:
+                    out[row[j]] += a * b
+        return _make(group, out, self.den * other.den)
 
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
+    __rmul__ = scale
 
     def __pow__(self, e):
-        assert e >= 0
+        if e < 0:
+            raise ValueError("negative exponent %d; use invert_unit" % e)
         result = GroupRingElement.one(self.group)
         base = self
         while e:
@@ -123,32 +164,30 @@ class GroupRingElement:
 
     def tau(self):
         # the involution g -> g^-1, extended linearly
-        inv = self.group.inv
-        return GroupRingElement(
-            self.group, {inv(g): c for g, c in self.coeffs.items()})
+        return map_elements(self, self.group, self.group.inv)
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingElement):
             return NotImplemented
-        return self.group == other.group and self.coeffs == other.coeffs
+        return (self.group, self.nums, self.den) == (other.group, other.nums, other.den)
 
     def __hash__(self):
         raise TypeError("GroupRingElement is not hashable")
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
         label = self.group.label
-        parts = ["(%s)%s" % (c, label(g))
-                 for g, c in sorted(self.coeffs.items(), key=lambda t: self.group.index(t[0]))]
-        return " + ".join(parts)
+        return " + ".join("(%s)%s" % (Fraction(a, self.den), label(g)) for g, a
+                          in zip(self.group.elements, self.nums) if a) or "0"
 
 
 def psi_eval(x, chi):
-    # the chi-component: Sigma_g c_g chi(g), a cyclotomic number, as c_g
-    # rotated by the exponent of chi(g)
-    return root_sum(chi.root_order,
-                    [(chi.exponent(g), c) for g, c in x.coeffs.items()])
+    # the chi-component Sigma_g c_g chi(g): each numerator is added at the
+    # exponent of chi(g) in one accumulator, reduced once
+    acc = [0] * chi.root_order
+    for g, a in zip(x.group.elements, x.nums):
+        if a:
+            acc[chi.exponent(g)] += a
+    return from_exponents(chi.root_order, acc, x.den)
 
 
 def lambda_assemble(group, h):
@@ -157,14 +196,10 @@ def lambda_assemble(group, h):
     # them.  Raises ValueError when the assembled coefficients fail to be
     # rational, which is exactly failure of Galois equivariance of h.
     chars = group.characters()
-    if isinstance(h, dict):
-        values = [h[chi] for chi in chars]
-    else:
-        values = [h(chi) for chi in chars]
-    # every character of the group takes values in mu_N, N its exponent
+    values = [h[chi] if isinstance(h, dict) else h(chi) for chi in chars]
+    # chi takes values in mu_N; |G| x_g is the sum at g^-1, put over sums.den
     sums = RootSums(chars[0].root_order, values)
-    n = Fraction(1, group.order)
-    coeffs = {}
+    nums = []
     for g in group.elements:
         ginv = group.inv(g)
         total = sums([chi.exponent(ginv) for chi in chars])
@@ -172,8 +207,8 @@ def lambda_assemble(group, h):
             raise ValueError(
                 "character values are not Galois-equivariant: coefficient at %s "
                 "came out irrational" % group.label(g))
-        coeffs[g] = n * total.as_fraction()
-    return GroupRingElement(group, coeffs)
+        nums.append(total.nums[0] * (sums.den // total.den))
+    return _make(group, nums, sums.den * group.order)
 
 
 def character_components(x):
@@ -198,20 +233,18 @@ def _field_det(M):
     M = [row[:] for row in M]
     det = CyclotomicNumber.one()
     for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if not M[r][c].is_zero():
-                piv = r
-                break
+        piv = next((r for r in range(c, n) if not M[r][c].is_zero()), None)
         if piv is None:
             return CyclotomicNumber.zero()
         if piv != c:
             M[c], M[piv] = M[piv], M[c]
             det = -det
         det = det * M[c][c]
-        inv = M[c][c].inverse()
-        for r in range(c + 1, n):
-            if not M[r][c].is_zero():
+        # the inverse serves only rows below to clear (none at the last pivot)
+        below = [r for r in range(c + 1, n) if not M[r][c].is_zero()]
+        if below:
+            inv = M[c][c].inverse()
+            for r in below:
                 f = M[r][c] * inv
                 M[r] = [a - f * b for a, b in zip(M[r], M[c])]
     return det
@@ -220,25 +253,20 @@ def _field_det(M):
 def det_over_group_ring(M):
     # determinant of a square matrix over Q[G], computed one character at a
     # time and reassembled; exact, and multiplicative by construction
-    n = len(M)
-    for row in M:
-        if len(row) != n:
-            raise ValueError("non-square matrix")
-    group = M[0][0].group
-    values = {}
-    for chi in group.characters():
-        values[chi] = _field_det([[psi_eval(x, chi) for x in row] for row in M])
-    return lambda_assemble(group, values)
+    if any(len(row) != len(M) for row in M):
+        raise ValueError("non-square matrix")
+    return lambda_assemble(M[0][0].group, lambda chi: _field_det(
+        [[psi_eval(x, chi) for x in row] for row in M]))
 
 
 def map_elements(x, target_group, f):
     # push x forward along g -> f(g); a ring homomorphism of group rings
     # whenever f is one of groups
-    out = {}
-    for g, c in x.coeffs.items():
-        k = f(g)
-        out[k] = out[k] + c if k in out else c
-    return GroupRingElement(target_group, out)
+    out = [0] * target_group.order
+    for g, a in zip(x.group.elements, x.nums):
+        if a:
+            out[_slot(target_group, f(g))] += a
+    return _make(target_group, out, x.den)
 
 
 class EmbeddingSignature(NamedTuple):
@@ -250,7 +278,8 @@ class EmbeddingSignature(NamedTuple):
 def y_rank(sig):
     # rank of the twisted plus-part: r2 when the twist is odd, r1 + r2 when
     # even (r = 0 counts as even)
-    assert sig.r1 >= 0 and sig.r2 >= 0 and sig.r <= 0
+    if not (sig.r1 >= 0 and sig.r2 >= 0 and sig.r <= 0):
+        raise ValueError("need r1, r2 >= 0 and r <= 0, got %r" % (sig,))
     if sig.r % 2 != 0:
         return sig.r2
     return sig.r1 + sig.r2

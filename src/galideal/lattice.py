@@ -153,11 +153,15 @@ def group_labels(group):
 
 
 def element_vector(group, x):
-    return [x.coefficient(g) for g in group.elements]
+    return [Fraction(a, x.den) for a in x.nums]
 
 
-def element_from_vector(group, v):
-    return GroupRingElement(group, dict(zip(group.elements, map(Fraction, v))))
+def ideal_elements(ideal, group):
+    # the ideal's generators as elements of Q[group], read off its integer
+    # columns over its denominator
+    _check_same("ambient", group_labels(group), ideal.labels)
+    return [GroupRingElement.from_numerators(group, col, ideal.denominator)
+            for col in ideal.columns]
 
 
 def _check_same(what, expected, found):
@@ -179,7 +183,8 @@ def from_generators(group, gens):
     # generator list gives the zero module.
     for x in gens:
         _check_same("generator's group", group, x.group)
-    den, nums = _clear_denominators([element_vector(group, x) for x in gens])
+    den = lcm(*(x.den for x in gens))
+    nums = [[a * (den // x.den) for a in x.nums] for x in gens]
     shifts = _translations(group, left=True)
     return canonicalize(group_labels(group), den,
                         [[num[k] for k in s] for num in nums for s in shifts])
@@ -242,7 +247,7 @@ def contains_vector(ideal, vector):
 def contains_element(ideal, group, x):
     _check_same("ambient", ideal.labels, group_labels(group))
     _check_same("element's group", group, x.group)
-    return contains_vector(ideal, element_vector(group, x))
+    return _contains(ideal, x.den, x.nums)
 
 
 def compare(I, J):
@@ -273,10 +278,7 @@ def ideal_product(I, J, group):
     # the module product: span of pairwise products of the generators,
     # closed under the group action (for commutative group rings this is
     # the full product module)
-    _check_same("ambient", I.labels, group_labels(group))
-    _check_same("ambient", I.labels, J.labels)
-    gi = [element_from_vector(group, v) for v in I.vectors()]
-    gj = [element_from_vector(group, v) for v in J.vectors()]
+    gi, gj = ideal_elements(I, group), ideal_elements(J, group)
     return from_generators(group, [x * y for x in gi for y in gj])
 
 

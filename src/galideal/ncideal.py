@@ -7,7 +7,6 @@
 # two-sided, and pushing it through a quotient map of groups lands inside
 # the quotient-level ideal built from the pushed data.
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .groupring import GroupRingElement, map_elements
@@ -35,19 +34,24 @@ def subgroup_datum(record, alpha, beta, ell):
     return AnnihilatorDatum(record, record.push(alpha), record.push(beta), ell)
 
 
+def _valuations(x, ell):
+    # (label, ell-valuation) of each nonzero coefficient of x, in index order
+    vden = valuation(x.den, ell)
+    return [(x.group.label(g), valuation(a, ell) - vden)
+            for g, a in zip(x.group.elements, x.nums) if a]
+
+
 def datum_integrality(d):
     # (ok, worst valuation, witness label); the invariant under test is
     # that every coefficient of alpha*beta has non-negative ell-valuation
     assert d.ell % 2 == 1 and d.ell > 2
-    for q, c in d.beta.coeffs.items():
-        if valuation(c, d.ell) < 0:
-            return False, valuation(c, d.ell), d.record.ab.label(q)
-    product = d.alpha * d.beta
+    for label, v in _valuations(d.beta, d.ell):
+        if v < 0:
+            return False, v, label
     worst, witness = 0, ""
-    for q, c in product.coeffs.items():
-        v = valuation(c, d.ell)
+    for label, v in _valuations(d.alpha * d.beta, d.ell):
         if v < worst:
-            worst, witness = v, d.record.ab.label(q)
+            worst, witness = v, label
     return worst >= 0, worst, witness
 
 
@@ -66,12 +70,11 @@ def lift_z(d, chooser=None):
     if chooser is None:
         chooser = lambda coset: min(coset, key=G.label)
     product = d.alpha * d.beta
-    coeffs = {}
-    for q, c in product.coeffs.items():
+    def lift(q):
         rep = chooser(sorted(rec.cosets[q]))
         assert rep in rec.cosets[q]
-        coeffs[rep] = coeffs.get(rep, Fraction(0)) + c
-    z = GroupRingElement(G, coeffs)
+        return rep
+    z = map_elements(product, G, lift)
     assert rec.push(z) == product
     return z
 
@@ -79,7 +82,7 @@ def lift_z(d, chooser=None):
 def norm_element(record):
     # the sum over the commutator subgroup, inside the ambient algebra
     G = record.group
-    return GroupRingElement(G, {h: Fraction(1) for h in record.commutator})
+    return GroupRingElement(G, {h: 1 for h in record.commutator})
 
 
 def datum_generator(d, chooser=None):

@@ -12,7 +12,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .groupring import GroupRingElement
-from .lattice import element_from_vector, from_generators
+from .lattice import from_generators, ideal_elements
 from .abelian import unit_group
 from .dirichlet import is_prime
 
@@ -21,15 +21,11 @@ def valuation(x, ell):
     # v_ell of a nonzero Fraction (or int)
     x = Fraction(x)
     assert x != 0
-    v = 0
-    n = x.numerator
+    v, n, d = 0, x.numerator, x.denominator
     while n % ell == 0:
-        n //= ell
-        v += 1
-    d = x.denominator
+        n, v = n // ell, v + 1
     while d % ell == 0:
-        d //= ell
-        v -= 1
+        d, v = d // ell, v - 1
     return v
 
 
@@ -58,11 +54,7 @@ class EigenCoefficient(NamedTuple):
     def min_valuation(self):
         if self.numerator == 0:
             return self.precision - self.scale
-        v, n = 0, self.numerator
-        while n % self.ell == 0:
-            n //= self.ell
-            v += 1
-        return v - self.scale
+        return valuation(self.numerator, self.ell) - self.scale
 
     @property
     def sign_certified(self):
@@ -93,14 +85,14 @@ def eigen_projection(level, power, x, precision=20):
     # (1 - (1+ell) sigma^{-1}), sigma the wild generator 1+ell, which is
     # what makes the Stickelberger image land in the integers.
     ell, m = level.ell, level.modulus
-    assert x.group == level.group
-    assert precision >= 1
+    if x.group != level.group:
+        raise ValueError("element not over the level's %r" % (level.group,))
+    if precision < 1:
+        raise ValueError("precision %d is not positive" % precision)
     mod = ell ** precision
-    denom = 1
-    for c in x.coeffs.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
+    # x = nums / den with gcd(den, nums) = 1: den is the least denominator
     scale = 0
-    unit_part = denom
+    unit_part = x.den
     while unit_part % ell == 0:
         unit_part //= ell
         scale += 1
@@ -109,10 +101,9 @@ def eigen_projection(level, power, x, precision=20):
     for w in level.wild.elements:
         total = 0
         for t in level.tame.elements:
-            c = x.coeffs.get(t * w % m)
-            if c is not None:
-                total += int(c * denom) * pow(teichmuller(t, ell, precision),
-                                              power, mod)
+            a = x.nums[level.group.index(t * w % m)]
+            if a:
+                total += a * pow(teichmuller(t, ell, precision), power, mod)
         residues[w] = total * unit_inv % mod
     smoothed = power % (ell - 1) == 1 % (ell - 1)
     if smoothed:
@@ -172,18 +163,18 @@ def torsion_annihilator(m, ell, r):
 def annihilator_integrality(m, ell, r, theta):
     # do all products (annihilator generator) * theta have coefficients of
     # nonnegative ell-adic valuation?  Returns (verdict, worst valuation,
-    # witness generator index or None).
+    # witness generator index or None).  The worst valuation of nums / den
+    # is v(gcd(nums)) - v(den).
     ann = torsion_annihilator(m, ell, r)
-    group = unit_group(m)
     worst = None
     witness = None
-    checks = list(ann.generators) + [element_from_vector(group, v)
-                                     for v in ann.ideal.vectors()]
+    checks = list(ann.generators) + ideal_elements(ann.ideal, unit_group(m))
     for k, gen in enumerate(checks):
         prod = gen * theta
-        for c in prod.coeffs.values():
-            v = valuation(c, ell)
-            if worst is None or v < worst:
-                worst = v
-                witness = k if v < 0 else witness
+        if prod.is_zero():
+            continue
+        v = valuation(gcd(*prod.nums), ell) - valuation(prod.den, ell)
+        if worst is None or v < worst:
+            worst = v
+            witness = k if v < 0 else witness
     return (worst is None or worst >= 0), worst, witness

@@ -39,11 +39,8 @@ def parse_fraction(text, field="value"):
 
 def element_payload(x):
     # label -> fraction string, zero coefficients dropped
-    out = {}
-    for g, c in x.coeffs.items():
-        if c:
-            out[x.group.label(g)] = fraction_str(c)
-    return out
+    return {x.group.label(g): str(Fraction(a, x.den))
+            for g, a in zip(x.group.elements, x.nums) if a}
 
 
 def parse_element(group, payload, field="element"):

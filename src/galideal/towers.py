@@ -14,6 +14,7 @@
 from fractions import Fraction
 from typing import NamedTuple
 
+from .cyclotomic import CyclotomicNumber
 from .groupring import (
     GroupRingElement,
     det_over_group_ring,
@@ -23,6 +24,7 @@ from .groupring import (
 from .lattice import (
     compare,
     contains_vector,
+    element_vector,
     group_labels,
     map_image,
     scale_by,
@@ -67,11 +69,15 @@ def apply_quotient(tower, x):
 
 
 def quotient_matrix(tower):
-    G, Q = tower.big, tower.quotient
-    M = [[0] * G.order for _ in range(Q.order)]
-    for j, g in enumerate(G.elements):
-        M[Q.index(tower.project(g))][j] = 1
-    return M
+    return _matrix_of(lambda x: apply_quotient(tower, x),
+                      tower.big, tower.quotient)
+
+
+def _matrix_of(f, src, dst):
+    # matrix of a linear map f: Q[src] -> Q[dst] on the element bases
+    cols = [element_vector(dst, f(GroupRingElement.basis(src, g)))
+            for g in src.elements]
+    return [list(row) for row in zip(*cols)]
 
 
 # --- inclusion map phi ---
@@ -85,9 +91,7 @@ def induced_det_both_routes(subgroup, group, embed, M):
     # the left side goes through H-characters, the right through
     # G-characters, so agreement exercises restriction-compatibility of the
     # whole determinant machinery
-    n = len(M)
-    for row in M:
-        assert len(row) == n, "non-square matrix"
+    # det_over_group_ring raises ValueError on a non-square M
     lhs = apply_inclusion(det_over_group_ring(M), group, embed)
     induced = [[apply_inclusion(x, group, embed) for x in row] for row in M]
     rhs = det_over_group_ring(induced)
@@ -103,32 +107,21 @@ def kernel_idempotent(tower):
 
 
 def coset_section(tower):
-    # canonical section Q -> G: the preimage with the smallest index
-    sec = {}
-    for g in tower.big.elements:  # elements are in index order
-        q = tower.project(g)
-        if q not in sec:
-            sec[q] = g
-    return sec
+    # canonical section Q -> G: the preimage with the smallest index (the
+    # elements are in index order, so the first preimage written last wins)
+    return {tower.project(g): g for g in reversed(tower.big.elements)}
 
 
 def apply_fixed_point(tower, x):
     # lambda(sum a_q q) = (sum a_q)(1 - e) + (sum a_q z_q) e
     e = kernel_idempotent(tower)
-    one = GroupRingElement.one(tower.big)
-    sec = coset_section(tower)
-    aug = x.augmentation()
-    z = GroupRingElement(tower.big, {sec[q]: c for q, c in x.coeffs.items()})
-    return (one - e).scale(aug) + z * e
+    z = map_elements(x, tower.big, coset_section(tower).__getitem__)
+    return (GroupRingElement.one(tower.big) - e).scale(x.augmentation()) + z * e
 
 
 def fixed_point_matrix(tower):
-    G, Q = tower.big, tower.quotient
-    cols = []
-    for q in Q.elements:
-        y = apply_fixed_point(tower, GroupRingElement.basis(Q, q))
-        cols.append([y.coefficient(g) for g in G.elements])
-    return [[cols[j][i] for j in range(Q.order)] for i in range(G.order)]
+    return _matrix_of(lambda x: apply_fixed_point(tower, x),
+                      tower.quotient, tower.big)
 
 
 # --- corestriction iota ---
@@ -137,33 +130,24 @@ def apply_corestriction(x, subgroup, group, embed):
     # iota(g) = [G:H] g for g in H, 0 otherwise
     index = group.order // subgroup.order
     image = {embed(h): h for h in subgroup.elements}
-    out = {}
-    for g, c in x.coeffs.items():
-        if g in image:
-            out[image[g]] = index * c
-    return GroupRingElement(subgroup, out)
+    out = [0] * subgroup.order
+    for g, a in zip(x.group.elements, x.nums):
+        if a and g in image:
+            out[subgroup.index(image[g])] = index * a
+    return GroupRingElement.from_numerators(subgroup, out, x.den)
 
 
 def corestriction_matrix(subgroup, group, embed):
-    index = group.order // subgroup.order
-    image = {embed(h): h for h in subgroup.elements}
-    M = [[0] * group.order for _ in range(subgroup.order)]
-    for j, g in enumerate(group.elements):
-        if g in image:
-            M[subgroup.index(image[g])][j] = index
-    return M
+    return _matrix_of(lambda x: apply_corestriction(x, subgroup, group, embed),
+                      group, subgroup)
 
 
 def induced_character_sum(x, group, subgroup, embed, eta):
     # psi-evaluation of x at the induced character Ind eta: the sum of the
     # components of x at every chi restricting to eta on H
-    from .cyclotomic import CyclotomicNumber
-
-    total = CyclotomicNumber.zero()
-    for chi in group.characters():
-        if all(chi(embed(h)) == eta(h) for h in subgroup.elements):
-            total = total + psi_eval(x, chi)
-    return total
+    return sum((psi_eval(x, chi) for chi in group.characters()
+                if all(chi(embed(h)) == eta(h) for h in subgroup.elements)),
+               CyclotomicNumber.zero())
 
 
 # --- proposition checks ---

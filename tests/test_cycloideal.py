@@ -1,6 +1,11 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import galideal
 
 from galideal.abelian import squares_subgroup
 from galideal.cycloideal import (CyclotomicLevel, full_ideal_parts,
@@ -109,6 +114,28 @@ def test_plus_part_integral_under_unit_fixture():
         lev = CyclotomicLevel(ell, n)
         plus, _ = full_ideal_parts(lev)
         assert plus.denominator == 1
+
+
+def test_full_ideal_refuses_units_on_another_ambient():
+    # unit data over (Z/5)^* given for the level of conductor 7 must fail
+    # with both label sets named, also under python -O (no assert)
+    src = str(Path(galideal.__file__).resolve().parents[1])
+    script = """
+from galideal.abelian import unit_group
+from galideal.cycloideal import CyclotomicLevel, ideal_J_full
+from galideal.lattice import unit_ideal
+try:
+    ideal_J_full(CyclotomicLevel(7, 0), unit_ideal(unit_group(5)))
+    print("accepted")
+except ValueError as e:
+    print(e)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("ambient mismatch: ('s1', 's2', 's3', 's4'), "
+                           "expected ('s1+', 's2+', 's3+')\n")
 
 
 def test_inflate_plus_section_independent():

@@ -1,10 +1,16 @@
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import galideal
 from galideal.abelian import FiniteAbelianGroup, unit_group
+from galideal.brauer import from_cayley_text, symmetric3
 from galideal.cyclotomic import CyclotomicNumber
 from galideal.groupring import (
     EmbeddingSignature,
@@ -13,6 +19,7 @@ from galideal.groupring import (
     det_over_group_ring,
     invert_unit,
     lambda_assemble,
+    map_elements,
     psi_eval,
     y_rank,
 )
@@ -20,6 +27,8 @@ from galideal.groupring import (
 C2 = FiniteAbelianGroup((2,))
 C3 = FiniteAbelianGroup((3,))
 C4 = FiniteAbelianGroup((4,))
+D6 = from_cayley_text(
+    (Path(__file__).parent / "golden" / "d6.txt").read_text(encoding="utf-8"))
 
 
 def elem(group, *pairs):
@@ -203,3 +212,148 @@ def test_y_rank_table():
         for r in [0, -1, -2, -3]:
             got = y_rank(EmbeddingSignature(sig["r1"], sig["r2"], r))
             assert got == expect[(sig["r1"], sig["r2"])][r]
+
+
+# --- the integer layout against a dict-of-Fraction reference ---
+#
+# The reference is the representation the integer numerators replaced: a
+# dict from group elements to their nonzero Fraction coefficients.
+
+def _ref_clean(d):
+    return {g: c for g, c in d.items() if c}
+
+
+def _ref_add(x, y, sign=1):
+    out = dict(x)
+    for g, c in y.items():
+        out[g] = out.get(g, 0) + sign * c
+    return _ref_clean(out)
+
+
+def _ref_mul(group, x, y):
+    out = {}
+    for g, a in x.items():
+        for h, b in y.items():
+            k = group.op(g, h)
+            out[k] = out.get(k, 0) + a * b
+    return _ref_clean(out)
+
+
+def _ref_push(x, f):
+    out = {}
+    for g, c in x.items():
+        out[f(g)] = out.get(f(g), 0) + c
+    return _ref_clean(out)
+
+
+def _ref_psi(x, chi):
+    return sum((chi(g) * c for g, c in x.items()), CyclotomicNumber.zero())
+
+
+def _as_ref(x):
+    # the element read back through the public Fraction edge, after checking
+    # the layout invariants: |G| numerators over den > 0, gcd(den, nums) = 1
+    assert len(x.nums) == x.group.order and x.den > 0
+    assert gcd(x.den, *x.nums) == 1
+    return _ref_clean({g: x.coefficient(g) for g in x.group.elements})
+
+
+def _ref_elements(group):
+    # few terms, numerators over odd and even denominators, zeros included
+    coeff = st.builds(Fraction, st.integers(-6, 6),
+                      st.sampled_from([1, 2, 3, 4, 5, 8, 9, 12, 15]))
+    return st.dictionaries(st.sampled_from(list(group.elements)), coeff,
+                           max_size=6)
+
+
+@pytest.mark.parametrize("kind", ["units", "C2xC2", "S3", "D6"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_integer_layout_matches_fraction_reference(kind, data):
+    # S3 and D6 are non-abelian, so a product taken in the wrong order fails
+    if kind == "units":
+        group = unit_group(data.draw(st.integers(1, 60)))
+    else:
+        group = {"C2xC2": FiniteAbelianGroup((2, 2)), "S3": symmetric3(),
+                 "D6": D6}[kind]
+    rx, ry = data.draw(_ref_elements(group)), data.draw(_ref_elements(group))
+    x, y = GroupRingElement(group, rx), GroupRingElement(group, ry)
+    rx, ry = _ref_clean(rx), _ref_clean(ry)
+    q = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
+    assert _as_ref(x) == rx
+    assert _as_ref(x + y) == _ref_add(rx, ry)
+    assert _as_ref(x - y) == _ref_add(rx, ry, -1)
+    assert _as_ref(-x) == _ref_add({}, rx, -1)
+    assert _as_ref(x.scale(q)) == _ref_clean({g: q * c for g, c in rx.items()})
+    assert _as_ref(x * y) == _ref_mul(group, rx, ry)
+    assert _as_ref(y * x) == _ref_mul(group, ry, rx)
+    assert _as_ref(x.tau()) == {group.inv(g): c for g, c in rx.items()}
+    assert x.augmentation() == sum(rx.values(), Fraction(0))
+    assert x.is_zero() == (not rx)
+    square = lambda g: group.op(g, g)  # a set map that is not injective
+    assert _as_ref(map_elements(x, group, square)) == _ref_push(rx, square)
+    if kind in ("units", "C2xC2"):
+        comps = {chi: psi_eval(x, chi) for chi in group.characters()}
+        assert all(v == _ref_psi(rx, chi) for chi, v in comps.items())
+        assert lambda_assemble(group, comps) == x
+
+
+def test_det_of_1x1_inverts_nothing(monkeypatch):
+    # the last pivot's inverse is never used, so a 1 x 1 determinant (half
+    # of the induced-det suite's matrices) calls no inverse at all
+    calls = []
+    inverse = CyclotomicNumber.inverse
+    monkeypatch.setattr(CyclotomicNumber, "inverse",
+                        lambda self: calls.append(1) or inverse(self))
+    x = elem(C4, ((1,), 1), ((0,), 2))
+    assert det_over_group_ring([[x]]) == x
+    assert calls == []
+    one, g = GroupRingElement.one(C4), GroupRingElement.basis(C4, (1,))
+    assert det_over_group_ring([[one, g], [g, one]]) == one - g * g
+    assert len(calls) == C4.order  # one pivot inverse per character
+
+
+def test_input_checks_survive_optimize_flag():
+    # python -O strips asserts; each bad input must still raise ValueError.
+    # FiniteGroup.index returns its argument, so the keys -1 and 6 of S3
+    # would land in a valid slot without the membership check.
+    src = str(Path(galideal.__file__).resolve().parents[1])
+    script = """
+from galideal.abelian import FiniteAbelianGroup, unit_group
+from galideal.brauer import symmetric3
+from galideal.cycloideal import CyclotomicLevel
+from galideal.groupring import EmbeddingSignature, GroupRingElement, y_rank
+from galideal.padic import eigen_projection
+S3, c2, lev = symmetric3(), FiniteAbelianGroup((2,)), CyclotomicLevel(3, 1)
+x = GroupRingElement.one(S3)
+calls = {
+    "key -1": lambda: GroupRingElement(S3, {-1: 1}),
+    "key order": lambda: GroupRingElement(S3, {6: 1}),
+    "zero at a non-element": lambda: GroupRingElement(S3, {6: 0}),
+    "residue outside the units": lambda: GroupRingElement(unit_group(7), {7: 1}),
+    "tuple outside C2": lambda: GroupRingElement(c2, {(2,): 1}),
+    "basis -1": lambda: GroupRingElement.basis(S3, -1),
+    "basis order": lambda: GroupRingElement.basis(S3, 6),
+    "coefficient order": lambda: x.coefficient(6),
+    "numerator count": lambda: GroupRingElement.from_numerators(S3, [1]),
+    "zero denominator": lambda: GroupRingElement.from_numerators(c2, [1, 0], 0),
+    "negative power": lambda: x ** -1,
+    "y_rank positive twist": lambda: y_rank(EmbeddingSignature(0, 2, 1)),
+    "y_rank negative r1": lambda: y_rank(EmbeddingSignature(-1, 2, 0)),
+    "eigen_projection group": lambda: eigen_projection(
+        lev, 1, GroupRingElement.one(c2)),
+    "eigen_projection precision": lambda: eigen_projection(
+        lev, 1, GroupRingElement.one(lev.group), precision=0),
+}
+for name, call in calls.items():
+    try:
+        call()
+        print(name)
+    except ValueError:
+        pass
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""

@@ -104,7 +104,7 @@ def test_half_stickelberger_integrality():
     for m in [7, 11, 19, 23, 49]:
         ht = half_stickelberger(m)
         mu = roots_of_unity_count(m)
-        for c in ht.coeffs.values():
+        for c in map(ht.coefficient, ht.group.elements):
             assert (mu * c).denominator == 1, m
 
 

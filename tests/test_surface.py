@@ -14,8 +14,6 @@ KEPT_FOR_TESTS = {
     "intersect": "I cap J; tests check that the plus and minus parts meet in 0",
     "ideal_product": "I J; the nc-ideal tests check an annihilator identity",
     "minus_idempotent": "the minus projector; tests split ideals into parts",
-    "apply_quotient": "the quotient map on elements; tests check it is a ring "
-                      "map and carries theta down a level",
     "roots_of_unity_count": "w_m, the factor of the tests' half-Stickelberger "
                             "identity",
     "eigen_projection": "the p-adic eigenspace map; wiring it into a suite "
