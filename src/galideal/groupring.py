@@ -28,11 +28,11 @@ from .cyclotomic import CyclotomicNumber, RootSums, from_exponents
 
 
 def _coerce(value):
-    # a given coefficient or scalar as a Fraction; as_fraction raises
-    # ValueError on an irrational CyclotomicNumber
+    # a given coefficient or scalar as an int or Fraction; as_fraction
+    # raises ValueError on an irrational CyclotomicNumber
     if isinstance(value, CyclotomicNumber):
         return value.as_fraction()
-    return Fraction(value)
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
 
 
 def _slot(group, g):
