@@ -62,6 +62,21 @@ def _element_order(g, mul, identity):
     return n
 
 
+def _element_orders(elems, mul, identity):
+    # element -> order, with one walk per cyclic subgroup: a walk of g's
+    # powers g, g^2, ..., g^n = 1 gives g^k the order n / gcd(k, n)
+    orders = {}
+    for g in elems:
+        if g not in orders:
+            powers = [g]
+            while powers[-1] != identity:
+                powers.append(mul(powers[-1], g))
+            n = len(powers)
+            for k, x in enumerate(powers, 1):
+                orders[x] = n // gcd(k, n)
+    return orders
+
+
 def _power(g, e, mul, identity):
     x = identity
     for _ in range(e):
@@ -91,7 +106,7 @@ def decompose(elems, mul, identity):
     elems = list(elems)
     if len(elems) == 1:
         return (), []
-    orders = {g: _element_order(g, mul, identity) for g in elems}
+    orders = _element_orders(elems, mul, identity)
     exponent = 1
     for o in orders.values():
         exponent = exponent * o // gcd(exponent, o)

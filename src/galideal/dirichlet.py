@@ -9,8 +9,10 @@
 #     with the Euler factors at p | m, p does not divide f, reinstated
 #     explicitly: this is the imprimitive L-function, the convention used
 #     for all Stickelberger assembly downstream
-#   - partial zeta values have two independent routes (character sum vs
-#     Hurwitz/Bernoulli) and the test suite requires exact agreement
+#   - partial zeta values have two independent routes and the test suite
+#     requires exact agreement: (i) Hurwitz/Bernoulli, on integers, as one
+#     integer polynomial in the class over one denominator
+#     (hurwitz_polynomial); (ii) a character sum of L-values
 
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +24,8 @@ from .cyclotomic import from_exponents, root_sum
 
 @lru_cache(maxsize=None)
 def bernoulli_number(n):
-    assert n >= 0
+    if n < 0:
+        raise ValueError("Bernoulli number needs n >= 0, got %d" % n)
     if n == 0:
         return Fraction(1)
     total = Fraction(0)
@@ -31,14 +34,18 @@ def bernoulli_number(n):
     return -total / (n + 1)
 
 
-def bernoulli_polynomial(n, x):
-    x = Fraction(x)
-    return sum((comb(n, k) * bernoulli_number(k) * x ** (n - k)
-                for k in range(n + 1)), Fraction(0))
-
-
 def is_prime(n):
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _check_r(r):
+    if r > 0:
+        raise ValueError("need r <= 0, got r = %d" % r)
+
+
+def _check_class(a, m):
+    if gcd(a, m) != 1 and m != 1:
+        raise ValueError("class %d is not coprime to the modulus %d" % (a, m))
 
 
 class PlaceSet:
@@ -146,7 +153,7 @@ def l_value(r, chi, places):
     #                          of (1 - chi*(p) p^{-r})
     # Each Euler factor multiplies the exponent accumulator of B_{1-r,chi*}
     # by 1 - p^{-r} zeta_N^k, k the exponent of chi*(p); Phi_N reduces once.
-    assert r <= 0
+    _check_r(r)
     m = chi.modulus
     f, star = primitive_core(chi)
     n = 1 - r
@@ -172,9 +179,9 @@ def l_value(r, chi, places):
 
 
 def partial_zeta_characters(r, a, m, places):
-    # route (i): |G|^{-1} sum_chi conj(chi)(a) L_S(r, chi)
+    # route (ii): |G|^{-1} sum_chi conj(chi)(a) L_S(r, chi)
+    _check_class(a, m)
     group = unit_group(m)
-    assert gcd(a, m) == 1 or m == 1
     chars = group.characters()
     total = root_sum(chars[0].root_order,
                      [(chi.conjugate().exponent(a), l_value(r, chi, places))
@@ -184,23 +191,48 @@ def partial_zeta_characters(r, a, m, places):
     return value.as_fraction()
 
 
-def partial_zeta_hurwitz(r, a, m, places):
-    # route (ii), valid only when S is exactly {infty} u {p | m}:
-    # zeta(1-n, a/m) = -m^{n-1} B_n(a/m) / n  with n = 1 - r
-    assert places.is_exactly_ramified(m)
+def hurwitz_polynomial(r, m):
+    # (coeffs, den) with zeta(r, b/m) = Q(b) / den for 1 <= b <= m, Q the
+    # integer polynomial with coefficients coeffs, highest degree first.
+    # With n = 1 - r and L the lcm of the denominators of B_0 .. B_n,
+    #   -m^(n-1) B_n(b/m) / n = -Sigma_j C(n,j) L B_j b^(n-j) m^j / (m L n)
+    _check_r(r)
     n = 1 - r
-    a = a % m
-    if a == 0:
-        a = m  # only for m = 1
-    return -Fraction(m) ** (n - 1) * bernoulli_polynomial(n, Fraction(a, m)) / n
+    bs = [bernoulli_number(j) for j in range(n + 1)]
+    L = lcm(*(b.denominator for b in bs))
+    coeffs = [-comb(n, j) * b.numerator * (L // b.denominator) * m ** j
+              for j, b in enumerate(bs)]
+    return coeffs, m * L * n
+
+
+def horner(coeffs, x):
+    # the polynomial with coefficients coeffs (highest degree first) at x
+    value = 0
+    for c in coeffs:
+        value = value * x + c
+    return value
+
+
+def partial_zeta_hurwitz(r, a, m, places):
+    # route (i), valid only when S is exactly {infty} u {p | m}:
+    # zeta(r, b/m) = -m^{n-1} B_n(b/m) / n with n = 1 - r and b the
+    # representative of a in [1, m]
+    if not places.is_exactly_ramified(m):
+        raise ValueError("place set %r is not exactly the primes of %d"
+                         % (places, m))
+    _check_class(a, m)
+    coeffs, den = hurwitz_polynomial(r, m)
+    return Fraction(horner(coeffs, a % m or m), den)
 
 
 def partial_zeta(r, a, m, places):
     # S-modified partial zeta of the class of a mod m at s = r <= 0.
     # Requires S to contain every prime dividing m (plus infinity).
-    assert r <= 0
-    assert gcd(a, m) == 1 or m == 1, "class not coprime to modulus"
-    assert places.covers_modulus(m), "place set must cover the modulus"
+    _check_r(r)
+    _check_class(a, m)
+    if not places.covers_modulus(m):
+        raise ValueError("place set %r does not cover the modulus %d"
+                         % (places, m))
     if places.is_exactly_ramified(m):
         return partial_zeta_hurwitz(r, a, m, places)
     return partial_zeta_characters(r, a, m, places)

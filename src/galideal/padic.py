@@ -20,7 +20,8 @@ from .dirichlet import is_prime
 def valuation(x, ell):
     # v_ell of a nonzero Fraction (or int)
     x = Fraction(x)
-    assert x != 0
+    if x == 0:
+        raise ValueError("valuation of 0")
     v, n, d = 0, x.numerator, x.denominator
     while n % ell == 0:
         n, v = n // ell, v + 1
@@ -32,7 +33,8 @@ def valuation(x, ell):
 def teichmuller(a, ell, precision):
     # the (ell-1)-th root of unity in the ell-adics congruent to a mod ell,
     # as a residue mod ell^precision; (a^ell^k) stabilizes one digit per step
-    assert a % ell != 0
+    if a % ell == 0:
+        raise ValueError("no Teichmuller lift of %d: %d divides it" % (a, ell))
     return pow(a, ell ** (precision - 1), ell ** precision)
 
 

@@ -9,13 +9,15 @@
 # as separate code paths on purpose:
 #   (i)  Hurwitz/Bernoulli partial zetas over the ramified places, times the
 #        Euler factor (1 - p^{-r} sigma_p^{-1}) of each p in S not dividing
-#        m, removed in Q[G]: no character and no L-value is involved;
+#        m, removed in Q[G]: no character and no L-value is involved.  It
+#        runs on integers: one integer polynomial in the class gives every
+#        numerator over one denominator, and p^{-r} is an integer;
 #   (ii) lambda-assembly of chi -> L_S(r, conj(chi)) (characters).
 
 from typing import NamedTuple
 
 from .abelian import squares_subgroup, unit_group
-from .dirichlet import PlaceSet, is_prime, l_value, partial_zeta_hurwitz
+from .dirichlet import PlaceSet, horner, hurwitz_polynomial, is_prime, l_value
 from .groupring import GroupRingElement, lambda_assemble, map_elements
 
 
@@ -39,22 +41,26 @@ def stickelberger(m, places, r=0):
         raise ValueError("place set %r does not cover the modulus %d"
                          % (places, m))
     g = unit_group(m)
-    ramified = ramified_places(m)
-    # one Hurwitz value per pair {a, -a}: B_n(1 - x) = (-1)^n B_n(x) gives
-    # zeta(r, -b) = (-1)^(1-r) zeta(r, b), and each Euler factor below
-    # keeps that parity; for m <= 2 the pair is the one class a = -a
+    # zeta(r, b/m) = Q(b) / den over the ramified places; c holds the
+    # numerators.  One Hurwitz value per pair {a, -a}: B_n(1 - x) =
+    # (-1)^n B_n(x) gives zeta(r, -b) = (-1)^(1-r) zeta(r, b), and each
+    # Euler factor below keeps that parity; for m <= 2 the pair is the one
+    # class a = -a
+    coeffs, den = hurwitz_polynomial(r, m)
     sign = (-1) ** (1 - r)
-    half = {}
+    c = {}
     for a in g.elements:
-        if (-a) % m not in half:
-            half[a] = partial_zeta_hurwitz(r, g.inv(a), m, ramified)
-    c = {a: half[a] if a in half else sign * half[(-a) % m]
-         for a in g.elements}
+        if a not in c:
+            value = horner(coeffs, g.inv(a) or m)
+            c[(-a) % m] = sign * value
+            c[a] = value  # last, as -a is a for m <= 2
     for p in places.primes:
         if m % p:
             # zeta_{S u p}(r, b) = zeta_S(r, b) - p^{-r} zeta_S(r, b p^{-1})
             c = {a: c[a] - p ** -r * c[a * p % m] for a in g.elements}
-    return StickelbergerElement(GroupRingElement(g, c), m, places, r)
+    nums = [c[a] for a in g.elements]
+    return StickelbergerElement(GroupRingElement.from_numerators(g, nums, den),
+                                m, places, r)
 
 
 def stickelberger_by_characters(m, places, r=0):

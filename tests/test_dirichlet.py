@@ -1,15 +1,19 @@
+import subprocess
+import sys
 from fractions import Fraction
+from math import comb, gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import galideal
 from galideal.abelian import unit_group
 from galideal.cyclotomic import CyclotomicNumber
 from galideal.dirichlet import (
     PlaceSet,
     bernoulli_number,
-    bernoulli_polynomial,
     characters_mod,
     conductor,
     generalized_bernoulli,
@@ -19,6 +23,15 @@ from galideal.dirichlet import (
     partial_zeta_hurwitz,
     primitive_core,
 )
+from galideal.stickelberger import ramified_places, stickelberger
+
+
+def bernoulli_polynomial(n, x):
+    # B_n(x) = Sigma_k C(n,k) B_k x^(n-k) in Fractions: the reference that
+    # the package's integer Hurwitz route is checked against
+    x = Fraction(x)
+    return sum((comb(n, k) * bernoulli_number(k) * x ** (n - k)
+                for k in range(n + 1)), Fraction(0))
 
 
 def nontrivial_quadratic(m):
@@ -189,7 +202,87 @@ def test_partial_zeta_reflection():
 
 
 def test_partial_zeta_preconditions():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         partial_zeta(0, 2, 9, PlaceSet())  # S misses 3
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         partial_zeta(0, 3, 9, PlaceSet([3]))  # class not coprime
+
+
+def test_input_checks_survive_optimize_flag():
+    # python -O strips asserts; each bad input must still raise ValueError.
+    # Without the checks, a place set missing 3 or the class 3 mod 9 gave a
+    # silent answer, and r = 1 divided by zero.
+    src = str(Path(galideal.__file__).resolve().parents[1])
+    script = """
+from galideal.dirichlet import (PlaceSet, bernoulli_number, characters_mod,
+    l_value, partial_zeta, partial_zeta_characters, partial_zeta_hurwitz)
+s3 = PlaceSet([3])
+calls = {
+    "S misses 3": lambda: partial_zeta(0, 2, 9, PlaceSet()),
+    "class not coprime": lambda: partial_zeta(0, 3, 9, s3),
+    "partial_zeta r = 1": lambda: partial_zeta(1, 1, 3, s3),
+    "l_value r = 1": lambda: l_value(1, characters_mod(3)[0], s3),
+    "hurwitz S not ramified": lambda: partial_zeta_hurwitz(0, 1, 3, PlaceSet()),
+    "hurwitz class not coprime": lambda: partial_zeta_hurwitz(0, 3, 9, s3),
+    "hurwitz r = 1": lambda: partial_zeta_hurwitz(1, 1, 3, s3),
+    "characters class not coprime": lambda: partial_zeta_characters(
+        0, 3, 9, s3),
+    "characters r = 1": lambda: partial_zeta_characters(1, 1, 3, s3),
+    "bernoulli n = -1": lambda: bernoulli_number(-1),
+}
+for name, call in calls.items():
+    try:
+        call()
+        print(name)
+    except ValueError:
+        pass
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+
+
+def reference_theta(m, places, r):
+    # theta_S(r) as a dict residue -> Fraction: every class's Hurwitz value
+    # from bernoulli_polynomial, then one group-ring product per Euler
+    # factor (1 - p^{-r} sigma_p^{-1}); no parity shortcut
+    n = 1 - r
+    units = [a for a in range(m) if gcd(a, m) == 1]
+
+    def zeta(b):
+        b = b % m or m
+        return -Fraction(m) ** (n - 1) * bernoulli_polynomial(n, Fraction(b, m)) / n
+
+    theta = {a: zeta(pow(a, -1, m)) for a in units}
+    for p in places.primes:
+        if m % p:
+            factor = {1 % m: Fraction(1)}
+            inv = pow(p, -1, m)
+            factor[inv] = factor.get(inv, 0) - Fraction(p) ** -r
+            product = dict.fromkeys(units, Fraction(0))
+            for a, x in theta.items():
+                for b, y in factor.items():
+                    product[a * b % m] += x * y
+            theta = product
+    return theta
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 300), r=st.integers(-5, 0),
+       extra=st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29]),
+                      max_size=3))
+@example(m=1, r=0, extra=[])
+@example(m=2, r=-1, extra=[3])
+@example(m=7, r=0, extra=[])
+@example(m=7, r=-2, extra=[2])
+def test_hurwitz_route_matches_fraction_reference(m, r, extra):
+    ramified = ramified_places(m)
+    places = PlaceSet(ramified.primes + tuple(p for p in extra if m % p))
+    want = reference_theta(m, places, r)
+    got = stickelberger(m, places, r).element
+    assert {a: got.coefficient(a) for a in got.group.elements} == want
+    bare = reference_theta(m, ramified, r)
+    for a in unit_group(m).elements:
+        assert partial_zeta_hurwitz(r, pow(a, -1, m), m, ramified) == bare[a]

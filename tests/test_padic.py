@@ -236,3 +236,22 @@ def test_torsion_annihilator_checked_under_optimize_flag():
     need = "need an odd prime ell, a modulus m > 1 that is a power of it "
     assert proc.stdout == (need + "and r <= -1, got m = 9, ell = 3, r = 1\n"
                            + need + "and r <= -1, got m = 10, ell = 5, r = -1\n")
+
+
+def test_valuation_and_teichmuller_checked_under_optimize_flag():
+    # python -O strips asserts: valuation(0, ell) never returned, and a
+    # residue divisible by ell got the Teichmuller lift 0
+    src = str(Path(galideal.__file__).resolve().parents[1])
+    script = (
+        "from galideal.padic import teichmuller, valuation\n"
+        "for call in (lambda: valuation(0, 3), lambda: teichmuller(3, 3, 5)):\n"
+        "    try:\n"
+        "        print(call())\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("valuation of 0\n"
+                           "no Teichmuller lift of 3: 3 divides it\n")

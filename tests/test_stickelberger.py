@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from galideal.abelian import ResidueGroup, squares_subgroup, unit_group
-from galideal.dirichlet import PlaceSet, partial_zeta_hurwitz
+from galideal.dirichlet import PlaceSet, horner
 from galideal.groupring import GroupRingElement, invert_unit, psi_eval
 from galideal.stickelberger import (
     base_change_element,
@@ -56,16 +56,17 @@ def test_routes_agree():
 @pytest.mark.parametrize("r", [0, -1])
 def test_one_hurwitz_value_per_sign_pair(monkeypatch, m, r):
     # theta fills the class of -a from that of a by parity, so it takes
-    # ceil(phi(m)/2) Hurwitz values; for m <= 2 the only class is a = -a.
+    # ceil(phi(m)/2) Hurwitz values, each one evaluation of the integer
+    # Hurwitz polynomial; for m <= 2 the only class is a = -a.
     # The package exports a function named like the module, hence importlib.
     mod = importlib.import_module("galideal.stickelberger")
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return partial_zeta_hurwitz(*args)
+        return horner(*args)
 
-    monkeypatch.setattr(mod, "partial_zeta_hurwitz", counted)
+    monkeypatch.setattr(mod, "horner", counted)
     g = unit_group(m)
     s = PlaceSet(ramified_places(m).primes + ((5,) if m % 5 else ()))
     x = stickelberger(m, s, r).element
