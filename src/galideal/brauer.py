@@ -435,7 +435,7 @@ class BrauerMap(NamedTuple):
 
     @property
     def rank(self):
-        return len(hnf_columns(self.matrix)[0])
+        return len(hnf_columns(zip(*self.matrix), len(self.matrix)))
 
     @property
     def injective(self):

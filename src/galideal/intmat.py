@@ -1,24 +1,24 @@
-# Exact integer / rational linear algebra used by the lattice layer.
+# Exact integer linear algebra used by the lattice layer.
 #
 # Conventions:
-#   - matrices are lists of rows of integers (the HNFs reject a Fraction)
-#   - row HNF: pivot columns strictly increase, pivots positive, entries
-#     above a pivot reduced into [0, pivot), zero rows at the bottom
-#   - column HNF is the transpose of the row HNF of the transpose: columns
-#     ordered by the row of their first nonzero entry (the pivot), pivots
-#     positive, every other column reduced into [0, pivot) on pivot rows.
-#     It is unique for a lattice, so equal spans give equal matrices.
-#   - hnf_rows returns its unimodular transform (row_kernel reads the
-#     kernel off it); hnf_columns needs none and builds the basis
-#     incrementally instead: each generator is inserted into a basis kept
-#     in HNF, merging with the column on its pivot row by xgcd, and every
-#     change of the basis re-reduces the earlier columns.  Entries on pivot
-#     rows therefore stay below their pivots, which bounds their growth
-#     without reducing modulo a determinant (Cohen, A Course in
-#     Computational Algebraic Number Theory, sec. 2.4).
-#   - all elimination is integer HNF: rank, kernels, injectivity and
-#     solutions over Q are read off hnf_rows / hnf_columns (ibid., sec.
-#     2.4.3); there is no rational Gauss-Jordan.
+#   - the HNF routines take a matrix as its list of columns plus their
+#     length n, so an n x 0 or a 0 x k matrix keeps its shape; entries are
+#     ints (a Fraction is rejected).  mat_mul and mat_vec take lists of rows.
+#   - column HNF: columns ordered by the row of their first nonzero entry
+#     (the pivot), pivots positive, every other column reduced into
+#     [0, pivot) on pivot rows.  It is unique for a lattice, so equal spans
+#     give equal matrices.
+#   - hnf_columns is the one HNF routine.  It builds the basis
+#     incrementally: each generator is inserted into a basis kept in HNF,
+#     merging with the column on its pivot row by xgcd, and every change of
+#     the basis re-reduces the earlier columns.  Entries on pivot rows
+#     therefore stay below their pivots, which bounds their growth without
+#     reducing modulo a determinant (Cohen, A Course in Computational
+#     Algebraic Number Theory, sec. 2.4).
+#   - transforms and kernels are read off the column HNF of A stacked on
+#     the identity (hnf_transform; ibid., sec. 2.4.3), so rank, kernels,
+#     injectivity and solutions over Q all come from hnf_columns; there is
+#     no rational Gauss-Jordan.
 
 from operator import index, mul
 
@@ -36,10 +36,6 @@ def xgcd(a, b):
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def transpose(A):
@@ -60,65 +56,34 @@ def mat_vec(A, v):
     return [sum(map(mul, row, v)) for row in A]
 
 
-def hnf_rows(A):
-    # Returns (H, U) with U unimodular and U*A = H in canonical row HNF.
-    H = [list(map(index, row)) for row in A]
-    n = len(H)
-    m = len(H[0]) if H else 0
-    U = identity_matrix(n)
-    pivot_rows = []
-    r = 0
-    for c in range(m):
-        # find a row at index >= r with nonzero entry in column c
-        piv = None
-        for i in range(r, n):
-            if H[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            H[r], H[piv] = H[piv], H[r]
-            U[r], U[piv] = U[piv], U[r]
-        # clear below with gcd steps
-        for i in range(r + 1, n):
-            while H[i][c] != 0:
-                if abs(H[i][c]) < abs(H[r][c]):
-                    H[r], H[i] = H[i], H[r]
-                    U[r], U[i] = U[i], U[r]
-                q = H[i][c] // H[r][c]
-                for j in range(m):
-                    H[i][j] -= q * H[r][j]
-                for j in range(n):
-                    U[i][j] -= q * U[r][j]
-        if H[r][c] < 0:
-            H[r] = [-x for x in H[r]]
-            U[r] = [-x for x in U[r]]
-        pivot_rows.append((r, c))
-        r += 1
-        if r == n:
-            break
-    # reduce entries above each pivot
-    for (i, c) in pivot_rows:
-        for k in range(i):
-            q = H[k][c] // H[i][c]
-            if q != 0:
-                for j in range(m):
-                    H[k][j] -= q * H[i][j]
-                for j in range(n):
-                    U[k][j] -= q * U[i][j]
-    return H, U
-
-
-def hnf_columns(A):
-    # Canonical column HNF of the column span of A; zero columns dropped.
-    if not A:
-        return []
+def hnf_columns(columns, n):
+    # Canonical column HNF of the span of `columns`, integer vectors of
+    # length n, as a list of columns in pivot order; zero columns dropped.
     basis = {}
-    for col in zip(*A):
-        _insert(basis, list(map(index, col)))
-    cols = [basis[p] for p in sorted(basis)]
-    return transpose(cols) if cols else [[] for _ in A]
+    for col in columns:
+        v = list(map(index, col))
+        if len(v) != n:
+            raise ValueError("column of length %d, expected %d" % (len(v), n))
+        _insert(basis, v)
+    return [basis[p] for p in sorted(basis)]
+
+
+def hnf_transform(columns, n):
+    # (H, U, K) for the n x k matrix A with the given columns: H is its
+    # column HNF, U[j] satisfies A U[j] = H[j], and K is a saturated basis
+    # of {x : A x = 0}.  All three are read off the column HNF of A stacked
+    # on the k x k identity, whose columns are (h, u) with a pivot above
+    # row n, then (0, x); they form a basis of {(A x, x)}, so [U | K] is
+    # unimodular.
+    k = len(columns)
+    stacked = [list(col) + [0] * j + [1] + [0] * (k - 1 - j)
+               for j, col in enumerate(columns)]
+    basis = hnf_columns(stacked, n + k)
+    r = 0
+    while r < len(basis) and any(basis[r][:n]):
+        r += 1
+    return ([b[:n] for b in basis[:r]], [b[n:] for b in basis[:r]],
+            [b[n:] for b in basis[r:]])
 
 
 def _insert(basis, v):
@@ -171,16 +136,3 @@ def _reduce(v, basis, pivots):
         c = v[q] // b[q]
         if c:
             v[q:] = [x - c * y for x, y in zip(v[q:], b[q:])]
-
-
-def row_kernel(A):
-    # Basis (list of rows) of the left kernel {x : x*A = 0} over Z.
-    # Rows of U matching zero rows of the HNF form a saturated basis.
-    H, U = hnf_rows(A)
-    return [U[i] for i in range(len(H)) if all(x == 0 for x in H[i])]
-
-
-def column_kernel(A):
-    # Basis (list of vectors) of {v : A*v = 0} over Z, saturated.
-    return row_kernel(transpose(A))
-

@@ -29,7 +29,7 @@
 # above a pivot or after the last one.  The pass needs only the echelon
 # shape, so it also holds for trusted-constructor ideals whose columns are
 # echelon but not reduced; it serves map_preimage too, which solves T x = v
-# on the rows of the row HNF of T^t.
+# on the column HNF of T.
 # The zero module (no columns, d = 1) participates in everything.
 
 from fractions import Fraction
@@ -37,16 +37,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .groupring import GroupRingElement
-from .intmat import (
-    column_kernel,
-    hnf_columns,
-    hnf_rows,
-    identity_matrix,
-    mat_mul,
-    mat_vec,
-    row_kernel,
-    transpose,
-)
+from .intmat import hnf_columns, hnf_transform, mat_vec, transpose
 
 
 def _odd_part(x):
@@ -113,22 +104,22 @@ def canonicalize(labels, denominator, vectors):
             vs.append(v)
     if not vs:
         return FractionalIdeal(labels, 1, [])
-    H = hnf_columns(transpose(vs))
+    H = hnf_columns(vs, n)
     halves = _half_columns(H)
     while halves:
-        H = hnf_columns([row + [h[r] for h in halves] for r, row in enumerate(H)])
+        H = hnf_columns(H + halves, n)
         halves = _half_columns(H)
     d = _odd_part(denominator)
-    g = gcd(d, *(x for row in H for x in row))
-    columns = [[x // g for x in col] for col in zip(*H)]
+    g = gcd(d, *(x for col in H for x in col))
+    columns = [[x // g for x in col] for col in H]
     return FractionalIdeal(labels, d // g, columns)
 
 
-def _half_columns(H):
-    # (H c)/2 for a basis c of the F2-kernel {c : H c = 0 mod 2}, found by
-    # elimination on bitmasks of the columns mod 2; each dependent column
-    # gives one kernel vector, recorded as the set of columns it combines
-    cols = list(zip(*H))
+def _half_columns(cols):
+    # (H c)/2 for a basis c of the F2-kernel {c : H c = 0 mod 2}, H the
+    # matrix with columns `cols`, found by elimination on bitmasks of the
+    # columns mod 2; each dependent column gives one kernel vector, recorded
+    # as the set of columns it combines
     echelon = {}  # leading bit -> (column bitmask, combination bitmask)
     halves = []
     for j, col in enumerate(cols):
@@ -328,23 +319,26 @@ def _clear_denominators(T):
 def map_preimage(ideal, T, in_labels):
     # {x : T(x) in ideal} for an injective linear map T (matrix over Q,
     # codomain = ideal's ambient).  Intersect the ideal with im(T) via the
-    # left kernel, then pull back through T.  With Ti = lcm*T and
-    # U Ti^t = H the row HNF of Ti^t, T is injective iff H has no zero row,
-    # and then T x = v iff x = U^t y for the y with H^t y = lcm*v, here
+    # left kernel, then pull back through T.  With Ti = lcm*T, H its column
+    # HNF and Ti U[j] = H[j], T is injective iff H has a column per input,
+    # and then T x = v iff x = U y for the y with H y = lcm*v, here
     # y = Y / (s d) for v = B c / d, with (Y, s) from the forward pass.
     in_labels = tuple(in_labels)
     n_in = len(in_labels)
     _check_shape(T, ideal.dimension, n_in)
     den, Ti = _clear_denominators(T)
-    H, U = hnf_rows([[row[j] for row in Ti] for j in range(n_in)])
-    if not all(any(row) for row in H):
+    H, U, _ = hnf_transform([[row[j] for row in Ti] for j in range(n_in)],
+                            ideal.dimension)
+    if len(H) != n_in:
         raise ValueError("map is not injective; preimage is not a lattice")
     if ideal.is_zero():
         return zero_ideal(in_labels)
-    K = row_kernel(Ti)  # rows u with u.T = 0, saturated
+    K = hnf_transform(Ti, n_in)[2]  # rows u with u.T = 0, saturated
     B = transpose(ideal.columns)
-    # with K empty T is onto the ambient: the whole ideal is in the image
-    coeffs = column_kernel(mat_mul(K, B)) if K else identity_matrix(ideal.rank)
+    # the c with K B c = 0; with K empty T is onto the ambient, and every c
+    # qualifies
+    coeffs = hnf_transform([mat_vec(K, col) for col in ideal.columns],
+                           len(K))[2]
     pre = []
     for c in coeffs:
         found = _coordinates(H, [den * x for x in mat_vec(B, c)],
@@ -364,8 +358,8 @@ def intersect(I, J):
     if I.is_zero() or J.is_zero():
         return zero_ideal(I.labels)
     B1 = transpose(I.columns)
-    stacked = [[J.denominator * x for x in row]
-               + [-I.denominator * col[r] for col in J.columns]
-               for r, row in enumerate(B1)]
+    columns = ([[J.denominator * x for x in col] for col in I.columns]
+               + [[-I.denominator * x for x in col] for col in J.columns])
     return canonicalize(I.labels, I.denominator, [
-        mat_vec(B1, w[:I.rank]) for w in column_kernel(stacked)])
+        mat_vec(B1, w[:I.rank])
+        for w in hnf_transform(columns, I.dimension)[2]])

@@ -150,6 +150,11 @@ def test_check_rejects_wrong_parameter_for_suite(capsys):
     code, out, err = run(capsys, ["check", "--suite", "rank", "--ell", "3"])
     assert code == 2
     assert "does not accept" in err
+    assert err.startswith("error: --ell: ")
+    code, out, err = run(capsys, ["check", "--suite", "annihilator",
+                                  "--seed", "3"])
+    assert code == 2
+    assert err.startswith("error: --seed: ")
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -542,6 +547,10 @@ def test_usage_errors_exit_2(capsys):
     code, out, err = run(capsys, ["stickelberger", "--modulus", "7",
                                   "--r", "1"])
     assert code == 2 and "non-positive" in err
+    code, out, err = run(capsys, ["ideal", "--ell", "3", "--part", "minus",
+                                  "--r", "1"])
+    assert code == 2
+    assert err == "error: --r must be a non-positive integer\n"
     code, out, err = run(capsys, ["lvalue", "--modulus", "5", "--char", "7"])
     assert code == 2 and "--char" in err
     code, out, err = run(capsys, [])

@@ -1,17 +1,17 @@
 import random
+from fractions import Fraction
+from operator import index
 
+import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galideal.intmat import (
-    column_kernel,
     hnf_columns,
-    hnf_rows,
-    identity_matrix,
+    hnf_transform,
     mat_mul,
     mat_vec,
-    row_kernel,
     transpose,
     xgcd,
 )
@@ -42,14 +42,72 @@ def test_xgcd(a, b):
 def det_int(M):
     # Laplace expansion; only used on tiny unimodular matrices in tests
     n = len(M)
-    if n == 1:
-        return M[0][0]
+    if n == 0:
+        return 1
     total = 0
     for j in range(n):
         if M[0][j]:
             minor = [row[:j] + row[j + 1 :] for row in M[1:]]
             total += (-1) ** j * M[0][j] * det_int(minor)
     return total
+
+
+def identity_matrix(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def hnf_rows(A):
+    # Euclid-swap row HNF with its unimodular transform: the independent
+    # reference that hnf_columns and hnf_transform are checked against.
+    # Returns (H, U) with U unimodular and U*A = H in canonical row HNF:
+    # pivot columns strictly increase, pivots positive, entries above a
+    # pivot reduced into [0, pivot), zero rows at the bottom.
+    H = [list(map(index, row)) for row in A]
+    n = len(H)
+    m = len(H[0]) if H else 0
+    U = identity_matrix(n)
+    pivot_rows = []
+    r = 0
+    for c in range(m):
+        # find a row at index >= r with nonzero entry in column c
+        piv = None
+        for i in range(r, n):
+            if H[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            H[r], H[piv] = H[piv], H[r]
+            U[r], U[piv] = U[piv], U[r]
+        # clear below with gcd steps
+        for i in range(r + 1, n):
+            while H[i][c] != 0:
+                if abs(H[i][c]) < abs(H[r][c]):
+                    H[r], H[i] = H[i], H[r]
+                    U[r], U[i] = U[i], U[r]
+                q = H[i][c] // H[r][c]
+                for j in range(m):
+                    H[i][j] -= q * H[r][j]
+                for j in range(n):
+                    U[i][j] -= q * U[r][j]
+        if H[r][c] < 0:
+            H[r] = [-x for x in H[r]]
+            U[r] = [-x for x in U[r]]
+        pivot_rows.append((r, c))
+        r += 1
+        if r == n:
+            break
+    # reduce entries above each pivot
+    for (i, c) in pivot_rows:
+        for k in range(i):
+            q = H[k][c] // H[i][c]
+            if q != 0:
+                for j in range(m):
+                    H[k][j] -= q * H[i][j]
+                for j in range(n):
+                    U[k][j] -= q * U[i][j]
+    return H, U
 
 
 @settings(max_examples=150)
@@ -92,16 +150,45 @@ def test_hnf_rows_is_invariant_of_row_span(A):
 @settings(max_examples=200)
 @given(matrices(max_dim=6))
 def test_hnf_columns_matches_row_hnf_of_transpose(A):
-    # the incremental column HNF against the reference row HNF
+    # the incremental column HNF against the reference row HNF: the columns
+    # of A are the rows of its transpose
     rows = [r for r in hnf_rows(transpose(A))[0] if any(r)]
-    expect = transpose(rows) if rows else [[] for _ in A]
-    assert hnf_columns(A) == expect
+    assert hnf_columns(transpose(A), len(A)) == rows
 
 
-@settings(max_examples=100)
+def column_lists(max_dim=4):
+    # (columns, n): k columns of length n, either dimension possibly 0
+    return st.integers(0, max_dim).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(small_int, min_size=n, max_size=n),
+                     max_size=max_dim),
+            st.just(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_lists())
+@example(([], 0))
+@example(([], 3))
+@example(([[], [], []], 0))
+@example(([[0, 0], [0, 0], [0, 0]], 2))
+def test_hnf_transform(case):
+    columns, n = case
+    k = len(columns)
+    H, U, K = hnf_transform(columns, n)
+    A = transpose(columns) if columns else [[] for _ in range(n)]
+    assert [mat_vec(A, u) for u in U] == H
+    assert [r for r in hnf_rows(columns)[0] if any(r)] == H
+    assert all(not any(mat_vec(A, x)) for x in K)
+    assert len(K) == k - sympy.Matrix(n, k, [x for row in A for x in row]).rank()
+    assert det_int(U + K) in (1, -1)
+
+
+@settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_row_kernel(A):
-    K = row_kernel(A)
+    # the left kernel {x : x A = 0}: the kernel of the matrix whose columns
+    # are the rows of A
+    K = hnf_transform(A, len(A[0]))[2]
     for k in K:
         assert all(v == 0 for v in mat_vec(transpose(A), k))
     assert len(K) == len(A) - sympy.Matrix(A).rank()
@@ -110,12 +197,18 @@ def test_row_kernel(A):
 @settings(max_examples=100)
 @given(matrices())
 def test_column_kernel(A):
-    K = column_kernel(A)
+    K = hnf_transform(transpose(A), len(A))[2]
     for k in K:
         assert all(v == 0 for v in mat_vec(A, k))
 
 
 def test_hnf_columns_drops_zero_columns():
-    A = [[2, 0, 4], [0, 0, 0]]
-    H = hnf_columns(A)
-    assert H == [[2], [0]]
+    H = hnf_columns([[2, 0], [0, 0], [4, 0]], 2)
+    assert H == [[2, 0]]
+
+
+def test_hnf_columns_rejects_bad_columns():
+    with pytest.raises(ValueError, match="column of length 1, expected 2"):
+        hnf_columns([[1, 0], [1]], 2)
+    with pytest.raises(TypeError):
+        hnf_columns([[Fraction(1, 2)]], 1)

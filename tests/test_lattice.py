@@ -140,6 +140,18 @@ def test_map_preimage_examples():
         map_preimage(zero_ideal(()), [], ("q",))
 
 
+def test_map_preimage_from_the_zero_space():
+    # no columns: the map from Q^0 is injective, and the preimage of a
+    # nonzero ideal is the zero module of dimension 0
+    I = unit_ideal(C2)
+    pre = map_preimage(I, [[] for _ in I.labels], ())
+    assert pre == zero_ideal(())
+    assert pre.dimension == 0 and pre.is_zero()
+    # no rows for a nonzero ambient is a shape error
+    with pytest.raises(ValueError):
+        map_preimage(I, [], ())
+
+
 def test_shapes_checked_without_asserts():
     # a wrong shape raises ValueError, which python -O does not strip, so
     # no entry is ever dropped silently
@@ -201,11 +213,10 @@ def test_canonicalize_against_sympy_hnf():
     vecs = [element_vector(group, GroupRingElement.basis(group, g) * theta)
             for g in group.elements]
     d0 = lcm(*(x.denominator for v in vecs for x in v))
-    A = [[int(v[r] * d0) for v in vecs] for r in range(group.order)]
-    S = hermite_normal_form(Matrix(A))
-    B = [[int(S[r, j]) for j in range(S.cols)] for r in range(S.rows)]
-    assert hnf_columns(B) == hnf_columns(A)
-    cols = [[B[r][j] for r in range(S.rows)] for j in range(S.cols)]
+    A = [[int(x * d0) for x in v] for v in vecs]
+    S = hermite_normal_form(Matrix(A).T)
+    cols = [[int(S[r, j]) for r in range(S.rows)] for j in range(S.cols)]
+    assert hnf_columns(cols, group.order) == hnf_columns(A, group.order)
     assert canonicalize(group_labels(group), d0, cols) == ideal_J_minus(level)
 
 
