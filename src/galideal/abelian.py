@@ -163,12 +163,16 @@ def coordinates(elems, mul, identity):
     # generators and from_tuple its inverse.
     invariants, gens = decompose(elems, mul, identity)
     A = FiniteAbelianGroup(invariants)
-    from_tuple = {}
-    for e in A.elements:
-        g = identity
-        for gi, ei in zip(gens, e):
-            g = mul(g, _power(gi, ei, mul, identity))
-        from_tuple[e] = g
+    # extend by one generator at a time, in the order of A.elements: the
+    # powers of each g_i, then one product per element of each prefix
+    table = [((), identity)]
+    for gi, d in zip(gens, invariants):
+        powers = [identity]
+        for _ in range(d - 1):
+            powers.append(mul(powers[-1], gi))
+        table = [(e + (k,), mul(g, p))
+                 for e, g in table for k, p in enumerate(powers)]
+    from_tuple = dict(table)
     assert len(set(from_tuple.values())) == len(elems)
     to_tuple = {g: e for e, g in from_tuple.items()}
     return A, to_tuple, from_tuple
@@ -180,9 +184,13 @@ class FiniteAbelianGroup:
 
     def __init__(self, invariants):
         invariants = tuple(int(d) for d in invariants)
-        assert all(d > 1 for d in invariants)
+        if not all(d > 1 for d in invariants):
+            raise ValueError("invariants %r must all exceed 1"
+                             % (invariants,))
         for a, b in zip(invariants, invariants[1:]):
-            assert b % a == 0
+            if b % a:
+                raise ValueError("invariants %r are not a divisor chain"
+                                 % (invariants,))
         self.invariants = invariants
         self.exponent = invariants[-1] if invariants else 1
         self.elements = list(product(*[range(d) for d in invariants]))
@@ -305,14 +313,19 @@ class ResidueGroup:
 
     def __init__(self, modulus, residues):
         self.modulus = modulus
+        if modulus < 1:
+            raise ValueError("modulus %d is not positive" % modulus)
         self.elements = sorted(int(a) % modulus for a in residues)
-        assert len(set(self.elements)) == len(self.elements)
         self.order = len(self.elements)
         self.identity = 1 % modulus
-        assert self.identity in self.elements
         self._index = {a: i for i, a in enumerate(self.elements)}
+        if len(self._index) < self.order:
+            raise ValueError("repeated residue mod %d" % modulus)
+        if self.identity not in self._index:
+            raise ValueError("residues mod %d miss 1" % modulus)
         for a in self.elements:
-            assert gcd(a, modulus) == 1 or modulus == 1
+            if gcd(a, modulus) != 1 and modulus != 1:
+                raise ValueError("%d is not a unit mod %d" % (a, modulus))
         self._coords = None
 
     def op(self, a, b):
@@ -369,7 +382,7 @@ class ResidueGroup:
 
 @lru_cache(maxsize=None)
 def unit_group(m):
-    assert m >= 1
+    # m < 1 is refused by ResidueGroup
     return ResidueGroup(m, [a for a in range(m) if gcd(a, m) == 1])
 
 

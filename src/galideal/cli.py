@@ -4,8 +4,9 @@
 # check failed, 2 = usage error or malformed input (the diagnostic names
 # the offending flag/field).
 
-import argparse
+import re
 import sys
+from types import SimpleNamespace
 
 from .abelian import unit_group
 from .brauer import (BUILTIN_GROUPS, bgstar, check_order_budget,
@@ -56,20 +57,92 @@ def _dest(key):
     return key.replace("-", "_")
 
 
-def build_parser():
-    top = argparse.ArgumentParser(
-        prog="galideal",
-        description="exact fractional Galois ideal computations")
-    subs = top.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    for name, flags in _FLAGS.items():
-        sub = subs.add_parser(name, help=_HELP[name])
-        for key, kind in flags.items():
+_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def _read(token, names):
+    # How argparse reads one token against the flag names `names` (help
+    # among them): None for a value, else (name, the text after "=" or
+    # None), with name None for an unknown flag.  A unique prefix names its
+    # flag; "-h" may repeat ("-hh"); a negative number is a value.
+    if token[:1] != "-" or token == "-":
+        return None
+    if token.startswith("--"):
+        head, eq, tail = token[2:].partition("=")
+        hits = [head] if head in names else [n for n in names
+                                              if n.startswith(head)]
+        if len(hits) > 1:
+            raise UsageError("ambiguous flag %s: could be --%s"
+                             % (token, ", --".join(hits)))
+        if hits:
+            return hits[0], tail if eq else None
+    elif token[1] == "h":
+        tail = token[3:] if token[2:3] == "=" else token[2:] or None
+        return "help", None if tail and not tail.strip("h") else tail
+    if _NUMBER.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _help(command=None):
+    if command is None:
+        rows = ["  %-14s %s" % (name, _HELP[name]) for name in _FLAGS]
+        return ("usage: galideal SUBCOMMAND [--flag VALUE | --flag=VALUE] ..."
+                " [--help]\n\n" + "\n".join(rows) + "\n")
+    flags = " ".join("[--%s]" % key if kind is bool else "[--%s %s]"
+                     % (key, kind.__name__.upper())
+                     for key, kind in _FLAGS[command].items())
+    return "usage: galideal %s %s [--help]\n\n%s\n" % (command, flags,
+                                                      _HELP[command])
+
+
+def parse_argv(argv):
+    # argv -> a namespace of `subcommand` and each of its flags (None when
+    # not given; a repeated flag keeps its last value), or the help text.
+    # Reads what argparse read: "--flag VALUE", "--flag=VALUE" and unique
+    # prefixes.  An ambiguous flag is refused before anything is read; an
+    # unknown flag or stray token only at the end, so a later --help wins.
+    args, flags, names, stray = None, {}, ["help"], []
+    cut = argv.index("--") if "--" in argv else len(argv)
+    i = 0
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        read = _read(token, names) if i <= cut else False
+        if read is None and args is None:
+            if token not in _FLAGS:
+                raise UsageError(stray[0] if stray else "unknown subcommand "
+                                 "%r (have: %s)" % (token, ", ".join(_FLAGS)))
+            flags, names = _FLAGS[token], [*_FLAGS[token], "help"]
+            args = SimpleNamespace(subcommand=token,
+                                   **{_dest(key): None for key in flags})
+            for later in argv[i:cut]:
+                _read(later, names)
+        elif not read:
+            stray.append("stray token %r" % token)
+        elif read[0] is None:
+            stray.append("%s is not a flag of %s" % (
+                token, args.subcommand if args else "galideal"))
+        else:
+            name, value = read
+            kind = flags.get(name, bool)
+            if kind is bool and value is not None:
+                raise UsageError("--%s takes no value, got %r" % (name, value))
+            if name == "help":
+                return _help(args and args.subcommand)
             if kind is bool:
-                sub.add_argument("--" + key, action="store_true",
-                                 default=None)
-            else:
-                sub.add_argument("--" + key, type=kind, default=None)
-    return top
+                value = True
+            elif value is None:
+                if i == cut or _read(argv[i], names) is not None:
+                    raise UsageError("--%s needs a value" % name)
+                value, i = argv[i], i + 1
+            try:
+                setattr(args, _dest(name), kind(value))
+            except ValueError:
+                raise UsageError("--%s: %r is not an integer" % (name, value))
+    if stray or args is None:
+        raise UsageError(stray[0] if stray else "no subcommand given "
+                         "(have: %s)" % ", ".join(_FLAGS))
+    return args
 
 
 def read_text(path, what):
@@ -198,7 +271,7 @@ def cmd_ideal(args):
         raise UsageError("--level must be a non-negative integer")
     try:
         lev = CyclotomicLevel(args.ell, level_n)
-    except (ValueError, AssertionError) as e:
+    except ValueError as e:
         raise UsageError("--ell: %s" % e)
     r = 0 if args.r is None else args.r
     if part != "minus" and args.r is not None:
@@ -228,7 +301,7 @@ def cmd_ideal(args):
             ideal = ideal_J_imagquad(lev, units)
         else:
             ideal = ideal_J_full(lev, units)
-    except (ValueError, AssertionError) as e:
+    except ValueError as e:
         raise UsageError(str(e))
     inputs = {"family": "cyclotomic", "ell": args.ell, "level": level_n,
               "part": part}
@@ -392,12 +465,11 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.subcommand is None:
-        parser.print_usage(sys.stderr)
-        return 2
     try:
+        args = parse_argv(sys.argv[1:] if argv is None else list(argv))
+        if isinstance(args, str):
+            sys.stdout.write(args)
+            return 0
         report, code = _COMMANDS[args.subcommand](args)
     except (UsageError, FixtureError) as e:
         print("error: %s" % e, file=sys.stderr)

@@ -39,7 +39,8 @@ class CyclotomicLevel:
     # (order ell^n, the residues = 1 mod ell).
 
     def __init__(self, ell, n):
-        assert n >= 0
+        if n < 0:
+            raise ValueError("level %d is negative" % n)
         if ell % 2 == 0:
             raise ValueError("%d is not an odd prime" % ell)
         g = smallest_primitive_root(ell)

@@ -1,12 +1,17 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import galideal
 from galideal.abelian import (
     FiniteAbelianGroup,
     ResidueGroup,
+    _power,
     coordinates,
     decompose,
     squares_subgroup,
@@ -50,6 +55,70 @@ def test_coordinates_bijective():
                 lhs = to_tuple[g.op(a, b)]
                 rhs = A.op(to_tuple[a], to_tuple[b])
                 assert lhs == rhs
+
+
+def reference_from_tuple(elems, mul, identity):
+    # the coordinate table element by element, one _power per coordinate:
+    # O(|G| * sum d_i) products
+    invariants, gens = decompose(elems, mul, identity)
+    from_tuple = {}
+    for e in FiniteAbelianGroup(invariants).elements:
+        g = identity
+        for gi, ei in zip(gens, e):
+            g = mul(g, _power(gi, ei, mul, identity))
+        from_tuple[e] = g
+    return from_tuple
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 125, 840, 1000, 1155])
+def test_coordinates_match_power_reference(m):
+    # same dict in the same key order, from about 2|G| products
+    g = unit_group(m)
+    calls = []
+
+    def mul(a, b):
+        calls.append(None)
+        return g.op(a, b)
+
+    A, to_tuple, from_tuple = coordinates(g.elements, mul, g.identity)
+    table_calls = len(calls)
+    calls.clear()
+    decompose(g.elements, mul, g.identity)
+    expected = reference_from_tuple(g.elements, g.op, g.identity)
+    assert list(from_tuple.items()) == list(expected.items())
+    assert to_tuple == {x: e for e, x in expected.items()}
+    assert table_calls - len(calls) <= 2 * g.order
+
+
+def test_input_checks_survive_optimize_flag():
+    # python -O strips asserts; each bad input must still raise ValueError.
+    # With asserts, (Z/10) with 5 was a 3-element "group", unit_group(0)
+    # divided by zero and level -1 gave a TypeError.
+    src = str(Path(galideal.__file__).resolve().parents[1])
+    script = """
+from galideal.abelian import FiniteAbelianGroup, ResidueGroup, unit_group
+from galideal.cycloideal import CyclotomicLevel
+calls = {
+    "non-unit residue": lambda: ResidueGroup(10, [1, 3, 5]),
+    "repeated residue": lambda: ResidueGroup(10, [1, 3, 13]),
+    "no identity": lambda: ResidueGroup(10, [3, 7]),
+    "unit_group(0)": lambda: unit_group(0),
+    "invariant 1": lambda: FiniteAbelianGroup((1, 2)),
+    "not a divisor chain": lambda: FiniteAbelianGroup((2, 3)),
+    "level -1": lambda: CyclotomicLevel(7, -1),
+}
+for name, call in calls.items():
+    try:
+        call()
+        print(name)
+    except ValueError:
+        pass
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
 
 
 def test_unit_group_cached_identity():

@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import inspect
+import io
 import json
 import re
 import subprocess
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 import galideal
 from galideal.brauer import (cyclic_group, product_cyclic, symmetric3,
                              to_cayley_text)
-from galideal.cli import main
+from galideal.cli import _FLAGS, _HELP, main, parse_argv
 from galideal.serialize import lattice_payload, parse_lattice
 from galideal.suites import (SUITE_ALIASES, SUITE_PARAMS, SUITES,
                              integrality_suite, run_suite)
@@ -558,10 +561,154 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_unknown_flag_exits_2(capsys):
-    # neither --family nor --config is a flag: argparse refuses both
-    for argv in (["stickelberger", "--modulus", "7", "--frobnicate"],
-                 ["ideal", "--family", "cyclotomic", "--ell", "3"],
-                 ["--config", "f", "check"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2, argv
+    # neither --family nor --config is a flag: one error line naming it,
+    # exit 2, never a SystemExit
+    for argv, flag in ((["stickelberger", "--modulus", "7", "--frobnicate"],
+                        "--frobnicate"),
+                       (["ideal", "--family", "cyclotomic", "--ell", "3"],
+                        "--family"),
+                       (["--config", "f", "check"], "--config")):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and flag in err, argv
+        assert err.count("\n") == 1, argv
+
+
+def build_parser():
+    # the argparse parser `main` used before it read argv against the flag
+    # table itself; kept as the reference the differential test compares
+    # parse_argv with
+    top = argparse.ArgumentParser(
+        prog="galideal",
+        description="exact fractional Galois ideal computations")
+    subs = top.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
+    for name, flags in _FLAGS.items():
+        sub = subs.add_parser(name, help=_HELP[name])
+        for key, kind in flags.items():
+            if kind is bool:
+                sub.add_argument("--" + key, action="store_true",
+                                 default=None)
+            else:
+                sub.add_argument("--" + key, type=kind, default=None)
+    return top
+
+
+def reference_parse(argv):
+    # (exit code, vars) of the argparse reference: code None when it parsed
+    # a subcommand; 2 also when it parsed none, which `main` refused
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = vars(build_parser().parse_args(argv))
+        except SystemExit as e:
+            return e.code, None
+    return (None, args) if args["subcommand"] is not None else (2, None)
+
+
+_NAMES = sorted({key for flags in _FLAGS.values() for key in flags} | {"help"})
+_VALUES = st.one_of(st.integers(-20, 20).map(str), st.sampled_from(
+    ["-1.5", "infty,7", "infty", "x", "S3", "rank", "", " 5", "+2"]))
+_NOISE = st.one_of(_VALUES, st.sampled_from(
+    list(_FLAGS) + ["nosuch", "stick", "-h", "--help", "--", "-", "-x", "",
+                    "-hh", "--=1", "-1, 2", "word"]))
+
+
+@st.composite
+def _flag(draw, names):
+    # a flag of `names` or a prefix of one, alone, with a value, or "=value"
+    name = draw(st.sampled_from(names))
+    flag = "--" + name[:draw(st.integers(1, len(name)))]
+    value = draw(_VALUES)
+    return draw(st.sampled_from([[flag], [flag, value],
+                                 ["%s=%s" % (flag, value)]]))
+
+
+@st.composite
+def argvs(draw):
+    # mostly a subcommand and its own flags, with flags of other
+    # subcommands and noise tokens (help, "--", stray words) mixed in
+    command = draw(st.sampled_from(list(_FLAGS)))
+    own = sorted(_FLAGS[command]) + ["help"]
+    parts = draw(st.lists(st.one_of(_flag(own), _flag(own), _flag(_NAMES),
+                                    _NOISE.map(lambda t: [t])), max_size=5))
+    head = draw(st.sampled_from([[command], [command], [], [draw(_NOISE)]]))
+    return head + [token for part in parts for token in part]
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argvs())
+def test_parse_matches_argparse_reference(capsys, argv):
+    # where argparse parsed, the same namespace; where it exited 2, one
+    # error line and exit 2; where it printed help, exit 0
+    code, expected = reference_parse(argv)
+    if code is None:
+        assert vars(parse_argv(argv)) == expected
+        return
+    got = main(argv)
+    out, err = capsys.readouterr()
+    assert got == code, (argv, out, err)
+    if code == 2:
+        assert out == "" and err.startswith("error: "), (argv, err)
+    else:
+        assert out.startswith("usage: galideal") and err == "", argv
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["stickelberger", "--mod", "7", "--r", "-1"],
+     {"modulus": 7, "s": None, "r": -1}),
+    (["stickelberger", "--modulus=7", "--s=infty,7", "--modulus", "9"],
+     {"modulus": 9, "s": "infty,7", "r": None}),
+    (["brauer-map", "--cert", "--group", "S3"],
+     {"group": "S3", "cayley": None, "certify": True}),
+    (["check", "--max", "-1", "--su", "oracles"],
+     {"suite": "oracles", "ell": None, "levels": None, "r": None,
+      "seed": None, "count": None, "max_modulus": -1}),
+])
+def test_flag_grammar(argv, expected):
+    # --flag VALUE, --flag=VALUE, unique prefixes, the last of a repeated
+    # flag and negative numbers as values
+    assert vars(parse_argv(argv)) == dict(expected, subcommand=argv[0])
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "error: no subcommand given"),
+    (["theta"], "error: unknown subcommand 'theta'"),
+    (["check", "--s", "rank"], "error: ambiguous flag --s: could be "
+                               "--suite, --seed"),
+    (["stickelberger", "--modulus"], "error: --modulus needs a value"),
+    (["stickelberger", "--modulus", "--r", "0"],
+     "error: --modulus needs a value"),
+    (["stickelberger", "--modulus", "7", "12"], "error: stray token '12'"),
+    (["stickelberger", "--modulus", "--", "7"],
+     "error: --modulus needs a value"),
+    (["lvalue", "--char", "1/2"], "error: --char: '1/2' is not an integer"),
+    (["brauer-map", "--certify=yes"],
+     "error: --certify takes no value, got 'yes'"),
+])
+def test_usage_error_names_the_token(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["-h"], None), (["--he"], None), (["check", "-h"], "check"),
+    (["-x", "lvalue", "--help", "--frob"], "lvalue")])
+def test_help_prints_to_stdout_and_exits_0(capsys, argv, command):
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: galideal")
+    for name in _FLAGS[command] if command else _FLAGS:
+        assert name in out
+
+
+def test_cli_import_loads_no_argparse():
+    # building argparse's parser tree cost 3-4 ms of every CLI call; the
+    # package must not pull it (or gettext, its locale lookup) back in
+    src = str(Path(galideal.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, galideal.cli; "
+         "print(sorted({'argparse', 'gettext'} & set(sys.modules)))"],
+        capture_output=True, text=True, env={"PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
