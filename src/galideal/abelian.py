@@ -351,6 +351,10 @@ class ResidueGroup:
         return self._coords
 
     def characters(self):
+        return [self.character(i) for i in range(self.order)]
+
+    def character(self, index):
+        # the character with tuple A.elements[index], built alone
         A, to_tuple, _ = self.abelian_coordinates()
         m = self.modulus
 
@@ -363,10 +367,7 @@ class ResidueGroup:
                                % (a, m))
             return x
 
-        return [AbelianCharacter(self, A, t, lookup) for t in A.elements]
-
-    def character(self, index):
-        return self.characters()[index]
+        return AbelianCharacter(self, A, A.elements[index], lookup)
 
     def __eq__(self, other):
         return (isinstance(other, ResidueGroup)

@@ -77,7 +77,8 @@ class PlusQuotientGroup:
     # member, so elements are the coprime residues below m/2.
 
     def __init__(self, modulus):
-        assert modulus > 2
+        if modulus <= 2:
+            raise ValueError("modulus %d has no plus quotient" % modulus)
         self.modulus = modulus
         big = unit_group(modulus)
         self.elements = [a for a in big.elements if a < modulus - a]
@@ -120,8 +121,9 @@ def plus_tower(modulus):
 
 
 def level_tower(level_big, level_small):
-    assert level_big.ell == level_small.ell
-    assert level_big.level > level_small.level
+    if (level_big.ell != level_small.ell
+            or level_big.level <= level_small.level):
+        raise ValueError("%r is not above %r" % (level_big, level_small))
     return cyclotomic_tower(level_big.modulus, level_small.modulus)
 
 

@@ -20,7 +20,7 @@ from .dirichlet import (PlaceSet, generalized_bernoulli, is_prime, l_value,
                         partial_zeta)
 from .groupring import (EmbeddingSignature, GroupRingElement, invert_unit,
                         map_elements, psi_eval, y_rank)
-from .lattice import unit_ideal
+from .lattice import ideal_elements, unit_ideal
 from .ncideal import (covariant_data, nc_ideal, quotient_check,
                       quotient_data, subgroup_datum, two_sided_check)
 from .padic import annihilator_integrality, torsion_annihilator
@@ -115,9 +115,9 @@ def functoriality_suite(ells=(3, 5), levels=(1,), rs=(0, -1, -2)):
             tow = level_tower(up, down)
             places = up.places()
             for r in rs:
+                theta_big = stickelberger(up.modulus, places, r).element
                 rep = check_quotient_containment(
-                    tow, ideal_J_minus(up, r, places),
-                    ideal_J_minus(down, r, places))
+                    tow, [theta_big], ideal_J_minus(down, r, places))
                 out.append(CheckResult(
                     "functoriality",
                     "pi-minus:ell=%d,level=%d->%d,r=%d" % (ell, n, n - 1, r),
@@ -238,8 +238,10 @@ def fixed_point_suite(seed=2026):
     # quadratic base) on the cyclotomic ideals
     for ell in (3, 5, 7):
         lev = CyclotomicLevel(ell, 0)
+        tow = plus_tower(ell)
         rep = check_fixed_point_containment(
-            plus_tower(ell), ideal_J_real(lev), ideal_J_full(lev))
+            tow, ideal_elements(ideal_J_real(lev), tow.quotient),
+            ideal_J_full(lev))
         out.append(CheckResult("fixed-point",
                                "lambda-containment:ell=%d" % ell,
                                rep.passed,
@@ -249,7 +251,8 @@ def fixed_point_suite(seed=2026):
         lev = CyclotomicLevel(ell, 0)
         rep = check_corestriction_containment(
             squares_subgroup(ell), unit_group(ell), lambda a: a,
-            ideal_J_full(lev), ideal_J_imagquad(lev))
+            ideal_elements(ideal_J_full(lev), lev.group),
+            ideal_J_imagquad(lev))
         out.append(CheckResult("fixed-point",
                                "iota-containment:ell=%d" % ell,
                                rep.passed,

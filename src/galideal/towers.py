@@ -1,7 +1,7 @@
 # The four natural maps between group rings of a tower of abelian groups
-# (quotient, inclusion, fixed-point, corestriction), their matrices on the
-# standard bases, the induced-matrix determinant identity, and executable
-# containment checks for the three functoriality propositions.
+# (quotient, inclusion, fixed-point, corestriction), the induced-matrix
+# determinant identity, and executable containment checks for the three
+# functoriality propositions.
 #
 # A TowerDatum holds G = Gal(L/F), the quotient Q = Gal(K/F) and the
 # projection on elements; the kernel N = Gal(L/K) is recovered from it.
@@ -10,10 +10,19 @@
 # with e the averaging idempotent of N.  It is a unital ring homomorphism
 # (cross terms vanish because e is central), and the result is independent
 # of the section because z e only depends on the coset zN.
+#
+# The containment checks map Z[1/2]-module generators x of the source ideal
+# and test each image against the target, a module, which is exact:
+#   - pi is a surjective ring map: pi(J) is generated by the pi(x);
+#   - e lambda(q) = z_q e for q in Q: e lambda(J) is generated by the
+#     e lambda(x), and e J' is a G-module;
+#   - iota is only Z[H]-linear: iota(J) is generated over H by the iota(t x),
+#     t over coset representatives of G/H.
 
 from fractions import Fraction
 from typing import NamedTuple
 
+from .abelian import left_cosets, unit_group
 from .cyclotomic import CyclotomicNumber
 from .groupring import (
     GroupRingElement,
@@ -21,14 +30,7 @@ from .groupring import (
     map_elements,
     psi_eval,
 )
-from .lattice import (
-    compare,
-    contains_vector,
-    element_vector,
-    group_labels,
-    map_image,
-    scale_by,
-)
+from .lattice import contains_element, element_vector, scale_by
 
 
 class TowerDatum(NamedTuple):
@@ -43,21 +45,24 @@ class TowerDatum(NamedTuple):
 
     def validate(self):
         G, Q, p = self.big, self.quotient, self.project
-        assert G.order % Q.order == 0
-        images = {p(g) for g in G.elements}
-        assert len(images) == Q.order, "projection not surjective"
-        for a in G.elements[: min(8, G.order)]:
-            for b in G.elements[: min(8, G.order)]:
-                assert p(G.op(a, b)) == Q.op(p(a), p(b)), "not a homomorphism"
-        assert len(self.kernel) * Q.order == G.order
+        if G.order % Q.order:
+            raise ValueError("order %d does not divide %d"
+                             % (Q.order, G.order))
+        if len({p(g) for g in G.elements}) != Q.order:
+            raise ValueError("projection not surjective")
+        few = G.elements[:8]
+        if any(p(G.op(a, b)) != Q.op(p(a), p(b)) for a in few for b in few):
+            raise ValueError("projection not a homomorphism")
+        if len(self.kernel) * Q.order != G.order:
+            raise ValueError("kernel of order %d, not %d"
+                             % (len(self.kernel), G.order // Q.order))
         return self
 
 
 def cyclotomic_tower(m_big, m_small):
     # (Z/m_big)^* -> (Z/m_small)^* by reduction; m_small | m_big
-    from .abelian import unit_group
-
-    assert m_big % m_small == 0
+    if m_big % m_small:
+        raise ValueError("modulus %d does not divide %d" % (m_small, m_big))
     return TowerDatum(unit_group(m_big), unit_group(m_small),
                       lambda a: a % m_small).validate()
 
@@ -66,18 +71,6 @@ def cyclotomic_tower(m_big, m_small):
 
 def apply_quotient(tower, x):
     return map_elements(x, tower.quotient, tower.project)
-
-
-def quotient_matrix(tower):
-    return _matrix_of(lambda x: apply_quotient(tower, x),
-                      tower.big, tower.quotient)
-
-
-def _matrix_of(f, src, dst):
-    # matrix of a linear map f: Q[src] -> Q[dst] on the element bases
-    cols = [element_vector(dst, f(GroupRingElement.basis(src, g)))
-            for g in src.elements]
-    return [list(row) for row in zip(*cols)]
 
 
 # --- inclusion map phi ---
@@ -119,11 +112,6 @@ def apply_fixed_point(tower, x):
     return (GroupRingElement.one(tower.big) - e).scale(x.augmentation()) + z * e
 
 
-def fixed_point_matrix(tower):
-    return _matrix_of(lambda x: apply_fixed_point(tower, x),
-                      tower.quotient, tower.big)
-
-
 # --- corestriction iota ---
 
 def apply_corestriction(x, subgroup, group, embed):
@@ -135,11 +123,6 @@ def apply_corestriction(x, subgroup, group, embed):
         if a and g in image:
             out[subgroup.index(image[g])] = index * a
     return GroupRingElement.from_numerators(subgroup, out, x.den)
-
-
-def corestriction_matrix(subgroup, group, embed):
-    return _matrix_of(lambda x: apply_corestriction(x, subgroup, group, embed),
-                      group, subgroup)
 
 
 def induced_character_sum(x, group, subgroup, embed, eta):
@@ -158,35 +141,36 @@ class ContainmentReport(NamedTuple):
     witness: object   # violating generator vector, or None
 
 
-def _containment(name, image_ideal, target_ideal):
-    verdict = compare(image_ideal, target_ideal)
-    if verdict in ("equal", "subset"):
-        return ContainmentReport(name, True, None)
-    witness = next(v for v in image_ideal.vectors()
-                   if not contains_vector(target_ideal, v))
-    return ContainmentReport(name, False, witness)
+def _containment(name, images, target):
+    # the first image outside the target ideal is the witness
+    for y in images:
+        if not contains_element(target, y.group, y):
+            return ContainmentReport(name, False, element_vector(y.group, y))
+    return ContainmentReport(name, True, None)
 
 
-def check_quotient_containment(tower, ideal_big, ideal_small):
-    # pi(J_L) is contained in J_K
-    img = map_image(ideal_big, quotient_matrix(tower),
-                    group_labels(tower.quotient))
-    return _containment("quotient:pi(J) in J'", img, ideal_small)
+def check_quotient_containment(tower, gens_big, ideal_small):
+    # pi(J_L) is contained in J_K; gens_big generate J_L
+    return _containment("quotient:pi(J) in J'",
+                        (apply_quotient(tower, x) for x in gens_big),
+                        ideal_small)
 
 
-def check_fixed_point_containment(tower, ideal_small, ideal_big):
+def check_fixed_point_containment(tower, gens_small, ideal_big):
     # lambda(J_K) lands in (1-e)Q[G] + e J_L; since the first summand is a
-    # full subspace, this is equivalent to e * lambda(J_K) inside e * J_L
+    # full subspace, this is equivalent to e * lambda(J_K) inside e * J_L;
+    # gens_small generate J_K
     e = kernel_idempotent(tower)
-    lam = map_image(ideal_small, fixed_point_matrix(tower),
-                    group_labels(tower.big))
-    lhs = scale_by(lam, tower.big, e)
-    rhs = scale_by(ideal_big, tower.big, e)
-    return _containment("fixed-point:e lambda(J) in e J'", lhs, rhs)
+    return _containment("fixed-point:e lambda(J) in e J'",
+                        (e * apply_fixed_point(tower, x) for x in gens_small),
+                        scale_by(ideal_big, tower.big, e))
 
 
-def check_corestriction_containment(subgroup, group, embed, ideal_big, ideal_sub):
-    # iota(J over G) is contained in J over H
-    img = map_image(ideal_big, corestriction_matrix(subgroup, group, embed),
-                    group_labels(subgroup))
-    return _containment("corestriction:iota(J) in J'", img, ideal_sub)
+def check_corestriction_containment(subgroup, group, embed, gens, ideal_sub):
+    # iota(J over G) is contained in J over H; gens generate J over G
+    sub = [embed(h) for h in subgroup.elements]
+    reps = left_cosets(group.elements, group.op, sub)[0]
+    return _containment("corestriction:iota(J) in J'", (
+        apply_corestriction(GroupRingElement.basis(group, t) * x,
+                            subgroup, group, embed)
+        for x in gens for t in reps), ideal_sub)

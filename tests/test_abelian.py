@@ -168,6 +168,18 @@ def test_character_exponents():
                 assert chi.exponent(g.op(a, b)) == (k + chi.exponent(b)) % N
 
 
+@pytest.mark.parametrize("m", [1, 8, 15, 1000])
+def test_character_by_index_matches_the_list(m):
+    g = unit_group(m)
+    chars = g.characters()
+    for i, chi in enumerate(chars):
+        alone = g.character(i)
+        assert alone == chi
+        # the same values, non-units included (the Dirichlet convention)
+        assert [alone.exponent(a) for a in range(min(m, 40))] == \
+            [chi.exponent(a) for a in range(min(m, 40))]
+
+
 def test_dirichlet_convention():
     chi = unit_group(6).characters()[1]
     assert chi(3).is_zero()

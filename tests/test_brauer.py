@@ -23,7 +23,7 @@ from galideal.groupring import GroupRingElement
 from galideal.lattice import (canonicalize, compare, contains_vector,
                               group_labels, map_image, unit_ideal,
                               zero_ideal)
-from galideal.towers import corestriction_matrix
+from test_towers import corestriction_matrix, quotient_matrix
 
 F = Fraction
 
@@ -374,7 +374,6 @@ def test_quotient_naturality_abelian_tower():
     assert rep.passed
 
     from galideal.cycloideal import plus_tower
-    from galideal.towers import quotient_matrix
     Q, proj = quotient_group(G, normal)
     clsmat = class_quotient_matrix(ClassSpace(G), ClassSpace(Q), proj)
     tower = plus_tower(5)

@@ -17,8 +17,8 @@ from galideal.cycloideal import (CyclotomicLevel, full_ideal_parts,
 from galideal.dirichlet import PlaceSet
 from galideal.groupring import GroupRingElement, invert_unit
 from galideal.lattice import (contains_element, contains_vector,
-                              from_generators, group_labels, intersect,
-                              map_image, scale_by, unit_ideal)
+                              from_generators, group_labels, ideal_elements,
+                              intersect, map_image, scale_by, unit_ideal)
 from galideal.stickelberger import (base_change_element, half_stickelberger,
                                     roots_of_unity_count, stickelberger)
 from galideal.towers import check_quotient_containment
@@ -138,6 +138,39 @@ except ValueError as e:
                            "expected ('s1+', 's2+', 's3+')\n")
 
 
+def test_tower_input_checks_survive_optimize_flag():
+    # each tower input check raises ValueError under python -O, which
+    # strips asserts
+    src = str(Path(galideal.__file__).resolve().parents[1])
+    script = """
+from galideal.abelian import FiniteAbelianGroup
+from galideal.cycloideal import CyclotomicLevel, PlusQuotientGroup, level_tower
+from galideal.towers import TowerDatum, cyclotomic_tower
+C2, C4 = FiniteAbelianGroup((2,)), FiniteAbelianGroup((4,))
+for make in [lambda: TowerDatum(C4, C2, lambda e: (0,)).validate(),
+             lambda: cyclotomic_tower(9, 2),
+             lambda: PlusQuotientGroup(1),
+             lambda: level_tower(CyclotomicLevel(3, 1), CyclotomicLevel(5, 0)),
+             lambda: level_tower(CyclotomicLevel(3, 0), CyclotomicLevel(3, 0))]:
+    try:
+        make()
+        print("accepted")
+    except ValueError as e:
+        print(e)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "projection not surjective",
+        "modulus 2 does not divide 9",
+        "modulus 1 has no plus quotient",
+        "CyclotomicLevel(ell=3, n=1) is not above CyclotomicLevel(ell=5, n=0)",
+        "CyclotomicLevel(ell=3, n=0) is not above CyclotomicLevel(ell=3, n=0)",
+    ]
+
+
 def test_inflate_plus_section_independent():
     lev = CyclotomicLevel(5, 0)
     q = plus_quotient(5)
@@ -157,8 +190,9 @@ def test_real_ideal_trivial_after_saturation():
 def test_full_to_real_quotient():
     for ell, n in ((3, 0), (5, 0), (7, 0), (3, 1), (5, 1), (7, 1)):
         lev = CyclotomicLevel(ell, n)
-        rep = check_quotient_containment(plus_tower(lev.modulus),
-                                         ideal_J_full(lev), ideal_J_real(lev))
+        rep = check_quotient_containment(
+            plus_tower(lev.modulus),
+            ideal_elements(ideal_J_full(lev), lev.group), ideal_J_real(lev))
         assert rep.passed, (ell, n, rep.witness)
 
 
@@ -166,9 +200,10 @@ def test_full_to_real_negative_control():
     lev = CyclotomicLevel(3, 0)
     q = plus_quotient(3)
     shrunk = from_generators(q, [GroupRingElement.one(q).scale(3)])
-    rep = check_quotient_containment(plus_tower(3), ideal_J_full(lev),
-                                     scale_by(shrunk, q,
-                                              GroupRingElement.one(q).scale(Fraction(1, 2))))
+    half = GroupRingElement.one(q).scale(Fraction(1, 2))
+    rep = check_quotient_containment(
+        plus_tower(3), ideal_elements(ideal_J_full(lev), lev.group),
+        scale_by(shrunk, q, half))
     assert not rep.passed
     assert rep.witness is not None
 
@@ -177,12 +212,12 @@ def test_level_drop_containments():
     for ell in (3, 5, 7):
         up, down = CyclotomicLevel(ell, 1), CyclotomicLevel(ell, 0)
         tow = level_tower(up, down)
-        rep = check_quotient_containment(tow, ideal_J_full(up),
-                                         ideal_J_full(down))
+        rep = check_quotient_containment(
+            tow, ideal_elements(ideal_J_full(up), up.group), ideal_J_full(down))
         assert rep.passed, (ell, rep.witness)
-        repr_ = check_quotient_containment(plus_tower(down.modulus),
-                                           ideal_J_full(down),
-                                           ideal_J_real(down))
+        repr_ = check_quotient_containment(
+            plus_tower(down.modulus),
+            ideal_elements(ideal_J_full(down), down.group), ideal_J_real(down))
         assert repr_.passed
 
 
@@ -193,7 +228,7 @@ def test_minus_ideal_level_drop():
         places = up.places()
         for r in (0, -1, -2):
             rep = check_quotient_containment(
-                tow, ideal_J_minus(up, r, places),
+                tow, ideal_elements(ideal_J_minus(up, r, places), up.group),
                 ideal_J_minus(down, r, places))
             assert rep.passed, (ell, r, rep.witness)
 

@@ -1,31 +1,63 @@
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from galideal.abelian import FiniteAbelianGroup, squares_subgroup, unit_group
+from galideal.abelian import (FiniteAbelianGroup, squares_subgroup,
+                              subgroup_of_units, unit_group)
+from galideal.cycloideal import plus_tower
 from galideal.dirichlet import PlaceSet
-from galideal.groupring import (
-    GroupRingElement,
-    map_elements,
-    psi_eval,
-)
-from galideal.lattice import from_generators, group_labels, map_image, unit_ideal
+from galideal.groupring import GroupRingElement, psi_eval
+from galideal.lattice import (compare, contains_vector, element_vector,
+                              from_generators, group_labels, map_image,
+                              scale_by, unit_ideal)
 from galideal.stickelberger import stickelberger
 from galideal.towers import (
     TowerDatum,
     apply_corestriction,
     apply_fixed_point,
     apply_quotient,
+    check_corestriction_containment,
+    check_fixed_point_containment,
     check_quotient_containment,
     coset_section,
     cyclotomic_tower,
-    fixed_point_matrix,
     induced_character_sum,
     induced_det_both_routes,
     kernel_idempotent,
-    quotient_matrix,
 )
+
+
+# The dense route the containment checks replaced, kept as their reference:
+# the matrix of each map on the element bases, the image of the whole
+# source lattice, and a comparison of canonical lattices.
+
+def _matrix_of(f, src, dst):
+    # matrix of a linear map f: Q[src] -> Q[dst] on the element bases
+    cols = [element_vector(dst, f(GroupRingElement.basis(src, g)))
+            for g in src.elements]
+    return [list(row) for row in zip(*cols)]
+
+
+def quotient_matrix(tower):
+    return _matrix_of(lambda x: apply_quotient(tower, x),
+                      tower.big, tower.quotient)
+
+
+def fixed_point_matrix(tower):
+    return _matrix_of(lambda x: apply_fixed_point(tower, x),
+                      tower.quotient, tower.big)
+
+
+def corestriction_matrix(subgroup, group, embed):
+    return _matrix_of(lambda x: apply_corestriction(x, subgroup, group, embed),
+                      group, subgroup)
+
+
+def _contained(image, target):
+    return compare(image, target) in ("equal", "subset")
+
 
 C2 = FiniteAbelianGroup((2,))
 C4 = FiniteAbelianGroup((4,))
@@ -50,16 +82,16 @@ def test_quotient_map_c4():
 
 
 def test_quotient_carries_stickelberger_down():
-    # with S fixed at the top level, pi(theta_9) = theta_3 exactly
-    s = PlaceSet([3])
-    t = cyclotomic_tower(9, 3)
-    top = stickelberger(9, s, 0).element
-    down = apply_quotient(t, top)
-    assert down == stickelberger(3, s, 0).element
-    # and at r = -1, - 2
-    for r in [-1, -2]:
-        assert apply_quotient(t, stickelberger(9, s, r).element) == \
-            stickelberger(3, s, r).element
+    # the distribution relation: with S = {ell} at both levels,
+    # pi(theta_big) = theta_small exactly, for levels 1-3 and r = 0, -1, -2
+    for ell in [3, 5, 7]:
+        s = PlaceSet([ell])
+        for level in [1, 2, 3]:
+            big, small = ell ** (level + 1), ell ** level
+            t = cyclotomic_tower(big, small)
+            for r in [0, -1, -2]:
+                assert apply_quotient(t, stickelberger(big, s, r).element) \
+                    == stickelberger(small, s, r).element, (ell, level, r)
 
 
 def test_quotient_of_unit_ideal():
@@ -221,13 +253,29 @@ def test_negative_control_corrupted_target():
     s = PlaceSet([3])
     t = cyclotomic_tower(9, 3)
     g3 = unit_group(3)
-    top = from_generators(unit_group(9), [stickelberger(9, s, 0).element])
+    top = [stickelberger(9, s, 0).element]
     good = from_generators(g3, [stickelberger(3, s, 0).element])
     bad = from_generators(g3, [stickelberger(3, s, 0).element.scale(3)])
     ok = check_quotient_containment(t, top, good)
     assert ok.passed and ok.witness is None
     broken = check_quotient_containment(t, top, bad)
-    assert not broken.passed and broken.witness is not None
+    assert not broken.passed
+    # the witness is the image of the failing generator
+    assert broken.witness == element_vector(g3, apply_quotient(t, top[0]))
+
+
+@pytest.mark.parametrize("big, quotient, project, message", [
+    (C4, C3, lambda e: (e[0] % 3,), "order 3 does not divide 4"),
+    (C4, C2, lambda e: (0,), "projection not surjective"),
+    (C4, C2, lambda e: (int(e == (1,)),), "projection not a homomorphism"),
+    # a homomorphism on the eight elements the check multiplies, but not on
+    # 15, so only the kernel's order gives it away
+    (FiniteAbelianGroup((16,)), C2, lambda e: (e[0] % 2 if e[0] < 15 else 0,),
+     "kernel of order 9, not 8"),
+])
+def test_tower_datum_refuses_a_non_quotient(big, quotient, project, message):
+    with pytest.raises(ValueError, match=message):
+        TowerDatum(big, quotient, project).validate()
 
 
 def test_identity_tower_trivial():
@@ -236,3 +284,97 @@ def test_identity_tower_trivial():
     assert apply_quotient(t, x) == x
     assert apply_fixed_point(t, x) == x
     assert apply_corestriction(x, C4, C4, lambda e: e) == x
+
+
+# --- the generator checks against the dense reference ---
+
+def _small_towers():
+    # (name, tower, kernel as a group, its embedding into the top group)
+    C4_C2 = TowerDatum(C4, C2, lambda e: (e[0] % 2,)).validate()
+    C6_C3 = TowerDatum(C6, C3, lambda e: (e[0] % 3,)).validate()
+    return [
+        ("C4/C2", C4_C2, C2, lambda h: (2 * h[0] % 4,)),
+        ("C6/C3", C6_C3, C2, lambda h: (3 * h[0] % 6,)),
+        ("plus 5", plus_tower(5), subgroup_of_units(5, [4]), lambda a: a),
+        ("plus 7", plus_tower(7), subgroup_of_units(7, [6]), lambda a: a),
+        ("9->3", cyclotomic_tower(9, 3), subgroup_of_units(9, [4]),
+         lambda a: a),
+        ("25->5", cyclotomic_tower(25, 5), subgroup_of_units(25, [6]),
+         lambda a: a),
+    ]
+
+
+TOWERS = _small_towers()
+
+
+def _draw_elements(data, group):
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return [GroupRingElement(group, {g: data.draw(coeff)
+                                     for g in group.elements})
+            for _ in range(data.draw(st.integers(1, 2)))]
+
+
+def _draw_target(data, group, images):
+    # the module generated by the images, or perturbed: every image scaled
+    # by 3, or one image dropped
+    how = data.draw(st.sampled_from(["same", "scaled", "dropped"]))
+    if how == "scaled":
+        images = [y.scale(3) for y in images]
+    elif how == "dropped":
+        images = list(images)
+        del images[data.draw(st.integers(0, len(images) - 1))]
+    return from_generators(group, images)
+
+
+def _agrees(report, reference, image, target):
+    event("contained" if reference else "not contained")
+    assert report.passed == reference
+    if report.passed:
+        assert report.witness is None
+    else:
+        # a failure carries an image vector outside the target
+        assert contains_vector(image, report.witness)
+        assert not contains_vector(target, report.witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_quotient_check_matches_matrix_route(data):
+    _, t, _, _ = data.draw(st.sampled_from(TOWERS))
+    gens = _draw_elements(data, t.big)
+    image = map_image(from_generators(t.big, gens), quotient_matrix(t),
+                      group_labels(t.quotient))
+    target = _draw_target(data, t.quotient,
+                          [apply_quotient(t, x) for x in gens])
+    _agrees(check_quotient_containment(t, gens, target),
+            _contained(image, target), image, target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fixed_point_check_matches_matrix_route(data):
+    _, t, _, _ = data.draw(st.sampled_from(TOWERS))
+    e = kernel_idempotent(t)
+    gens = _draw_elements(data, t.quotient)
+    lam = map_image(from_generators(t.quotient, gens), fixed_point_matrix(t),
+                    group_labels(t.big))
+    target = _draw_target(data, t.big,
+                          [apply_fixed_point(t, x) for x in gens])
+    image, e_target = scale_by(lam, t.big, e), scale_by(target, t.big, e)
+    _agrees(check_fixed_point_containment(t, gens, target),
+            _contained(image, e_target), image, e_target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_corestriction_check_matches_matrix_route(data):
+    _, t, H, embed = data.draw(st.sampled_from(TOWERS))
+    G = t.big
+    gens = _draw_elements(data, G)
+    image = map_image(from_generators(G, gens),
+                      corestriction_matrix(H, G, embed), group_labels(H))
+    target = _draw_target(data, H, [
+        apply_corestriction(GroupRingElement.basis(G, g) * x, H, G, embed)
+        for x in gens for g in G.elements])
+    _agrees(check_corestriction_containment(H, G, embed, gens, target),
+            _contained(image, target), image, target)
