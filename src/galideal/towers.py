@@ -138,7 +138,7 @@ def induced_character_sum(x, group, subgroup, embed, eta):
 class ContainmentReport(NamedTuple):
     name: str
     passed: bool
-    witness: object   # violating generator vector, or None
+    witness: object   # image vector of the first failing generator, or None
 
 
 def _containment(name, images, target):
