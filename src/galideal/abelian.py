@@ -22,7 +22,11 @@
 # from elements to coordinate tuples (the identity for FiniteAbelianGroup,
 # the decomposition map for the others).  Characters report values as
 # exponents: chi.exponent(g) is the k with chi(g) = zeta_N^k and
-# chi.root_order is N; calling chi builds the CyclotomicNumber.  The
+# chi.root_order is N; calling chi builds the CyclotomicNumber.  chi.row
+# lists the exponents at group.elements, in order: it is built on first
+# read, once per character, from the weights over the coordinates in their
+# lexicographic order and one permutation into the group's order, kept on
+# the group.  characters() is kept per group, so its rows are reused.  The
 # Dirichlet convention lives only in ResidueGroup's lookup: an integer is
 # reduced mod m, a non-unit has no coordinates (exponent None, value 0),
 # and a unit outside the subgroup raises KeyError.
@@ -197,6 +201,7 @@ class FiniteAbelianGroup:
         self.order = len(self.elements)
         self.identity = tuple(0 for _ in invariants)
         self._index = {e: i for i, e in enumerate(self.elements)}
+        self._characters = None
 
     def op(self, a, b):
         return tuple((x + y) % d for x, y, d in zip(a, b, self.invariants))
@@ -211,7 +216,10 @@ class FiniteAbelianGroup:
         return "a" + "_".join(str(x) for x in a) if a else "e"
 
     def characters(self):
-        return [AbelianCharacter(self, self, t, _same) for t in self.elements]
+        if self._characters is None:
+            self._characters = tuple(AbelianCharacter(self, self, t, _same)
+                                     for t in self.elements)
+        return self._characters
 
     def __eq__(self, other):
         return isinstance(other, FiniteAbelianGroup) and self.invariants == other.invariants
@@ -223,6 +231,17 @@ class FiniteAbelianGroup:
         return "FiniteAbelianGroup%r" % (self.invariants,)
 
 
+def _positions(chi):
+    # coords.index(lookup(g)) for g in group.elements: one list per group,
+    # kept on it with the coordinates it was read in
+    group, coords = chi.group, chi.coords
+    kept = getattr(group, "_positions", None)
+    if kept is None or kept[0] is not coords:
+        kept = group._positions = (coords, [
+            coords.index(chi._lookup(g)) for g in group.elements])
+    return kept[1]
+
+
 class AbelianCharacter:
     # The character with tuple t of a group whose elements have coordinates
     # in A = Z/d_1 x ... x Z/d_k (`coords`): for x = lookup(g),
@@ -230,7 +249,7 @@ class AbelianCharacter:
     # and chi(g) = 0 where lookup(g) is None.
 
     __slots__ = ("group", "coords", "tuple", "root_order", "_lookup",
-                 "_weights")
+                 "_weights", "_row")
 
     def __init__(self, group, coords, t, lookup):
         self.group = group
@@ -240,6 +259,18 @@ class AbelianCharacter:
         self._lookup = lookup
         self._weights = tuple(ti * (N // d)
                               for ti, d in zip(self.tuple, coords.invariants))
+        self._row = None
+
+    @property
+    def row(self):
+        # [exponent(g) for g in group.elements], built on first read
+        if self._row is None:
+            exps = [0]  # at coords.elements, which are lexicographic
+            for w, d in zip(self._weights, self.coords.invariants):
+                exps = [e + w * x for e in exps for x in range(d)]
+            N = self.root_order
+            self._row = [exps[i] % N for i in _positions(self)]
+        return self._row
 
     @property
     def index(self):
@@ -327,6 +358,7 @@ class ResidueGroup:
             if gcd(a, modulus) != 1 and modulus != 1:
                 raise ValueError("%d is not a unit mod %d" % (a, modulus))
         self._coords = None
+        self._characters = None
 
     def op(self, a, b):
         return (a * b) % self.modulus
@@ -351,7 +383,10 @@ class ResidueGroup:
         return self._coords
 
     def characters(self):
-        return [self.character(i) for i in range(self.order)]
+        if self._characters is None:
+            self._characters = tuple(self.character(i)
+                                     for i in range(self.order))
+        return self._characters
 
     def character(self, index):
         # the character with tuple A.elements[index], built alone

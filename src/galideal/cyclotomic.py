@@ -29,7 +29,8 @@ from math import gcd, lcm
 
 @lru_cache(maxsize=None)
 def euler_phi(n):
-    assert n >= 1
+    if n < 1:
+        raise ValueError("euler_phi needs n >= 1, got %d" % n)
     result = n
     d = 2
     m = n
@@ -71,7 +72,8 @@ def _poly_divmod_int(p, q):
 def cyclotomic_polynomial(n):
     # Coefficients of Phi_n, constant term first.  Computed by dividing
     # x^n - 1 by the Phi_d for proper divisors d; all divisions are exact.
-    assert n >= 1
+    if n < 1:
+        raise ValueError("cyclotomic polynomial needs n >= 1, got %d" % n)
     if n == 1:
         return (-1, 1)
     p = [0] * (n + 1)
@@ -149,7 +151,9 @@ class CyclotomicNumber:
     def __init__(self, order, coeffs):
         # coeffs: phi(order) rationals, the coordinates in the power basis
         coeffs = [Fraction(c) for c in coeffs]
-        assert len(coeffs) == euler_phi(order)
+        if len(coeffs) != euler_phi(order):
+            raise ValueError("order %d needs %d coefficients, got %d"
+                             % (order, euler_phi(order), len(coeffs)))
         den = lcm(*(c.denominator for c in coeffs))
         x = _make(order, [c.numerator * (den // c.denominator)
                           for c in coeffs], den)
@@ -198,7 +202,9 @@ class CyclotomicNumber:
 
     def lift(self, m):
         # view in Q(zeta_m), self.order | m
-        assert m % self.order == 0
+        if m < 1 or m % self.order:
+            raise ValueError("cannot lift order %d to %d, which it does not"
+                             " divide" % (self.order, m))
         if m == self.order:
             return self
         return _make(m, self._at(m), self.den)
@@ -317,7 +323,9 @@ class CyclotomicNumber:
         if n == 1:
             return self
         t %= n
-        assert gcd(t, n) == 1
+        if gcd(t, n) != 1:
+            raise ValueError("zeta -> zeta^%d is not an automorphism of"
+                             " Q(zeta_%d)" % (t, n))
         acc = [0] * n
         for i, a in enumerate(self.nums):
             if a:

@@ -9,6 +9,11 @@
 #     with the Euler factors at p | m, p does not divide f, reinstated
 #     explicitly: this is the imprimitive L-function, the convention used
 #     for all Stickelberger assembly downstream
+#   - chi* is read off chi at one unit lift of each invariant-factor
+#     generator of (Z/f)^*, never found by comparing characters mod f
+#   - L_S(r, chi^a) = sigma_a L_S(r, chi) for a prime to the root order N
+#     (Washington, ch. 4), so a family of values over all characters takes
+#     one L-value per Galois orbit and the rest by galois (orbit_values)
 #   - partial zeta values have two independent routes and the test suite
 #     requires exact agreement: (i) Hurwitz/Bernoulli, on integers, as one
 #     integer polynomial in the class over one denominator
@@ -83,10 +88,6 @@ class PlaceSet:
         return "PlaceSet{infty%s}" % ("".join(",%d" % p for p in self.primes))
 
 
-def characters_mod(m):
-    return unit_group(m).characters()
-
-
 def conductor(chi):
     # minimal f | m with chi trivial on residues = 1 mod f
     m = chi.modulus
@@ -100,20 +101,23 @@ def conductor(chi):
 
 @lru_cache(maxsize=None)
 def primitive_core(chi):
-    # (f, chi*) with chi* primitive mod f and chi* = chi on units mod m
+    # (f, chi*) with chi* primitive mod f and chi* = chi on units mod m.
+    # chi is trivial on units = 1 mod f, so chi*(g_i) = chi(a_i) for a_i a
+    # unit lift mod m of the generator g_i of order d_i of (Z/f)^*; that
+    # value is zeta_N^k = zeta_{d_i}^(k d_i / N), so chi*'s tuple entry is
+    # t_i = k d_i / N (an integer, as g_i^d_i = 1 mod f)
     f = conductor(chi)
-    m = chi.modulus
-    src = unit_group(m)
-    chars = characters_mod(f)
-    # exponents compared at the common root order L
-    L = lcm(chi.root_order, chars[0].root_order)
-    up, up_f = L // chi.root_order, L // chars[0].root_order
-    want = [chi.exponent(a) * up for a in src.elements]
-    candidates = [psi for psi in chars
-                  if all(psi.exponent(a) * up_f == k
-                         for a, k in zip(src.elements, want))]
-    assert len(candidates) == 1, "primitive core not unique for %r" % (chi,)
-    return f, candidates[0]
+    m, N = chi.modulus, chi.root_order
+    target = unit_group(f)
+    A, _, from_tuple = target.abelian_coordinates()
+    t = []
+    for i, d in enumerate(A.invariants):
+        g = from_tuple[tuple(int(j == i) for j in range(len(A.invariants)))]
+        a = next(a for a in range(g, m, f) if gcd(a, m) == 1)
+        k = chi.exponent(a)
+        assert k * d % N == 0, "chi is not trivial on 1 mod %d" % f
+        t.append(k * d // N)
+    return f, target.character(A.index(tuple(t)))
 
 
 def _bernoulli_sum(n, f, star):
@@ -178,14 +182,35 @@ def l_value(r, chi, places):
     return from_exponents(N, [-x for x in acc], den * n)
 
 
+def orbit_values(group, value):
+    # [value(chi) for chi in group.characters()] for a Galois-equivariant
+    # value, value(chi^a) = sigma_a value(chi) for a prime to the root order
+    # N: one call per orbit, the rest by galois.  Each value must lie in
+    # Q(zeta_n) for some n | N, as L-values through primitive cores do
+    chars = group.characters()
+    N = chars[0].root_order
+    units = [a for a in range(1, N + 1) if gcd(a, N) == 1]
+    invariants = chars[0].coords.invariants
+    found = {}
+    for chi in chars:
+        if chi.tuple not in found:
+            v = value(chi)
+            for a in units:
+                t = tuple(x * a % d for x, d in zip(chi.tuple, invariants))
+                if t not in found:
+                    found[t] = v.galois(a)
+    return [found[chi.tuple] for chi in chars]
+
+
 def partial_zeta_characters(r, a, m, places):
     # route (ii): |G|^{-1} sum_chi conj(chi)(a) L_S(r, chi)
     _check_class(a, m)
     group = unit_group(m)
     chars = group.characters()
+    values = orbit_values(group, lambda chi: l_value(r, chi, places))
     total = root_sum(chars[0].root_order,
-                     [(chi.conjugate().exponent(a), l_value(r, chi, places))
-                      for chi in chars])
+                     [(chi.conjugate().exponent(a), v)
+                      for chi, v in zip(chars, values)])
     value = total * Fraction(1, group.order)
     assert value.is_rational(), "partial zeta came out irrational"
     return value.as_fraction()

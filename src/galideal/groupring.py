@@ -6,11 +6,14 @@
 #                        the unique element with those components; raises if
 #                        the values are not Galois-equivariant (detected as
 #                        non-rational assembled coefficients)
-#   det_over_group_ring  determinant via character-wise evaluation
+#   det_over_group_ring  determinant via character-wise evaluation, each one
+#                        fraction-free (Bareiss)
 #
-# psi_eval and lambda_assemble read a character through its exponents
-# (chi(g) = zeta_N^k): each sum is one integer accumulator reduced once,
-# never a chain of cyclotomic products.
+# psi_eval and lambda_assemble read a character through its exponent row
+# (chi.row[i] = k with chi(group.elements[i]) = zeta_N^k, built once per
+# character and kept with the group's cached characters): each sum is one
+# integer accumulator reduced once, never a chain of cyclotomic products,
+# and no exponent is recomputed per element.
 #
 # An element is `nums`, |G| integers indexed by group.index, over one
 # denominator den > 0 with gcd(den, nums) = 1.  Sums add numerators, tau
@@ -183,10 +186,13 @@ class GroupRingElement:
 def psi_eval(x, chi):
     # the chi-component Sigma_g c_g chi(g): each numerator is added at the
     # exponent of chi(g) in one accumulator, reduced once
+    if chi.group != x.group:
+        raise ValueError("character of %r on an element of %r"
+                         % (chi.group, x.group))
     acc = [0] * chi.root_order
-    for g, a in zip(x.group.elements, x.nums):
+    for k, a in zip(chi.row, x.nums):
         if a:
-            acc[chi.exponent(g)] += a
+            acc[k] += a
     return from_exponents(chi.root_order, acc, x.den)
 
 
@@ -199,10 +205,10 @@ def lambda_assemble(group, h):
     values = [h[chi] if isinstance(h, dict) else h(chi) for chi in chars]
     # chi takes values in mu_N; |G| x_g is the sum at g^-1, put over sums.den
     sums = RootSums(chars[0].root_order, values)
+    columns = list(zip(*(chi.row for chi in chars)))  # exponents per element
     nums = []
     for g in group.elements:
-        ginv = group.inv(g)
-        total = sums([chi.exponent(ginv) for chi in chars])
+        total = sums(columns[group.index(group.inv(g))])
         if not total.is_rational():
             raise ValueError(
                 "character values are not Galois-equivariant: coefficient at %s "
@@ -228,26 +234,28 @@ def invert_unit(x):
 
 
 def _field_det(M):
-    # determinant of a square matrix of CyclotomicNumbers, Gaussian elimination
+    # determinant of a square matrix of CyclotomicNumbers, fraction-free
+    # (Bareiss): after step c the entries below and right of the pivot are
+    # 2 x 2 minors divided exactly by the previous pivot, so the last entry
+    # is the determinant and only steps past the first invert a pivot
     n = len(M)
     M = [row[:] for row in M]
-    det = CyclotomicNumber.one()
-    for c in range(n):
+    sign, prev = 1, None
+    for c in range(n - 1):
         piv = next((r for r in range(c, n) if not M[r][c].is_zero()), None)
         if piv is None:
             return CyclotomicNumber.zero()
         if piv != c:
             M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det = det * M[c][c]
-        # the inverse serves only rows below to clear (none at the last pivot)
-        below = [r for r in range(c + 1, n) if not M[r][c].is_zero()]
-        if below:
-            inv = M[c][c].inverse()
-            for r in below:
-                f = M[r][c] * inv
-                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
-    return det
+            sign = -sign
+        p = M[c][c]
+        inv = None if prev is None else prev.inverse()
+        for r in range(c + 1, n):
+            f = M[r][c]
+            row = [p * a - f * b for a, b in zip(M[r][c + 1:], M[c][c + 1:])]
+            M[r][c + 1:] = row if inv is None else [a * inv for a in row]
+        prev = p
+    return M[n - 1][n - 1] if sign > 0 else -M[n - 1][n - 1]
 
 
 def det_over_group_ring(M):

@@ -17,7 +17,8 @@
 from typing import NamedTuple
 
 from .abelian import squares_subgroup, unit_group
-from .dirichlet import PlaceSet, horner, hurwitz_polynomial, is_prime, l_value
+from .dirichlet import (PlaceSet, horner, hurwitz_polynomial, is_prime,
+                        l_value, orbit_values)
 from .groupring import GroupRingElement, lambda_assemble, map_elements
 
 
@@ -64,9 +65,11 @@ def stickelberger(m, places, r=0):
 
 
 def stickelberger_by_characters(m, places, r=0):
-    # independent route: the element whose chi-component is L_S(r, conj(chi))
+    # independent route: the element whose chi-component is L_S(r, conj(chi)),
+    # one L-value per Galois orbit of characters
     g = unit_group(m)
-    return lambda_assemble(g, lambda chi: l_value(r, chi.conjugate(), places))
+    values = orbit_values(g, lambda chi: l_value(r, chi.conjugate(), places))
+    return lambda_assemble(g, lambda chi: values[chi.index])
 
 
 def complex_conjugation(m):

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from galideal.abelian import (
     subgroup_of_units,
     unit_group,
 )
+from galideal.brauer import subgroup_lattice, symmetric3
 from galideal.cyclotomic import CyclotomicNumber
 
 
@@ -178,6 +180,28 @@ def test_character_by_index_matches_the_list(m):
         # the same values, non-units included (the Dirichlet convention)
         assert [alone.exponent(a) for a in range(min(m, 40))] == \
             [chi.exponent(a) for a in range(min(m, 40))]
+
+
+def test_rows_are_the_exponents_and_built_on_first_read():
+    # chi.row[i] = chi.exponent(group.elements[i]), for unit groups, a
+    # proper subgroup of units, abstract groups and an abelianization; the
+    # list of characters is kept per group, each row built once when read
+    s3 = [r for r in subgroup_lattice(symmetric3()) if r.order == 6][0]
+    cases = [(g, g.characters) for g in [
+        ResidueGroup(m, [a for a in range(m) if gcd(a, m) == 1])
+        for m in (1, 8, 15, 91)] + [
+        squares_subgroup(29), FiniteAbelianGroup(()),
+        FiniteAbelianGroup((2, 6)), FiniteAbelianGroup((2, 2, 4))]]
+    for group, characters in cases + [(s3.ab, s3.characters)]:
+        chars = characters()
+        assert characters() is chars
+        for chi in chars:
+            assert chi._row is None
+            assert chi.row == [chi.exponent(g) for g in group.elements]
+            assert chi.row is chi.row
+        psi = chars[-1]
+        assert (psi ** 5).row == [psi.exponent(g) * 5 % psi.root_order
+                                  for g in group.elements]
 
 
 def test_dirichlet_convention():

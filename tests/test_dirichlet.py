@@ -1,7 +1,8 @@
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, gcd
+from functools import lru_cache
+from math import comb, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -14,16 +15,38 @@ from galideal.cyclotomic import CyclotomicNumber
 from galideal.dirichlet import (
     PlaceSet,
     bernoulli_number,
-    characters_mod,
     conductor,
     generalized_bernoulli,
     l_value,
+    orbit_values,
     partial_zeta,
     partial_zeta_characters,
     partial_zeta_hurwitz,
     primitive_core,
 )
 from galideal.stickelberger import ramified_places, stickelberger
+
+
+def characters_mod(m):
+    return unit_group(m).characters()
+
+
+@lru_cache(maxsize=None)
+def primitive_core_by_search(chi):
+    # the reference: (f, chi*) with chi* the one character mod f that agrees
+    # with chi on every unit mod m, found by comparing all of them
+    f = conductor(chi)
+    src = unit_group(chi.modulus)
+    chars = characters_mod(f)
+    # exponents compared at the common root order L
+    L = lcm(chi.root_order, chars[0].root_order)
+    up, up_f = L // chi.root_order, L // chars[0].root_order
+    want = [chi.exponent(a) * up for a in src.elements]
+    candidates = [psi for psi in chars
+                  if all(psi.exponent(a) * up_f == k
+                         for a, k in zip(src.elements, want))]
+    assert len(candidates) == 1, "primitive core not unique for %r" % (chi,)
+    return f, candidates[0]
 
 
 def bernoulli_polynomial(n, x):
@@ -146,27 +169,57 @@ def test_l_values_frozen():
     assert l_value(0, triv3, s3).is_zero()
 
 
-def test_l_value_galois_equivariance():
-    # L(r, chi^t) = sigma_t(L(r, chi)) for t coprime to the character order
-    s = PlaceSet([7])
-    for chi in characters_mod(7):
-        n = chi.order()
-        for t in range(1, n + 1):
-            from math import gcd
+def test_primitive_core_matches_search():
+    # the core read off the generators of (Z/f)^* is the character mod f
+    # that a search over all of them finds, for every character mod m <= 120
+    for m in range(1, 121):
+        for chi in characters_mod(m):
+            f, star = primitive_core(chi)
+            want_f, want = primitive_core_by_search(chi)
+            assert (f, star) == (want_f, want), (m, chi.tuple)
+            assert star.row == want.row
 
-            if gcd(t, n) != 1:
-                continue
-            for r in [0, -1, -2]:
-                lhs = l_value(r, chi ** t, s)
-                rhs = l_value(r, chi, s)
-                if rhs.order > 1:
-                    # the value may be stored in a larger cyclotomic field
-                    # than Q(zeta_n); lift t to something coprime to it
-                    tt = t
-                    while gcd(tt, rhs.order) != 1:
-                        tt += n
-                    rhs = rhs.galois(tt % rhs.order)
-                assert lhs == rhs
+
+def test_l_value_galois_equivariance():
+    # L_S(r, chi^a) = sigma_a L_S(r, chi), both sides computed from scratch,
+    # for every character mod m <= 40, every a prime to the root order, and
+    # an S with one prime outside m: the identity the orbit fill rests on
+    for m in range(1, 41):
+        extra = next(p for p in (2, 3, 5, 7) if m % p)
+        places = PlaceSet(ramified_places(m).primes + (extra,))
+        chars = characters_mod(m)
+        N = chars[0].root_order
+        for chi in chars:
+            powers = {}
+            for a in range(1, N + 1):
+                if gcd(a, N) == 1:
+                    powers.setdefault((chi ** a).tuple, a)
+            for r in (0, -1, -2):
+                value = l_value(r, chi, places)
+                for a in powers.values():
+                    assert l_value(r, chi ** a, places) == value.galois(a), \
+                        (m, chi.tuple, a, r)
+
+
+def test_orbit_values_match_every_l_value():
+    # one L-value per orbit, filled by galois, gives every L-value byte for
+    # byte: same order, numerators and denominator
+    for m in (1, 12, 15, 16, 21, 35, 63):
+        places = ramified_places(m)
+        calls = []
+
+        def value(chi):
+            calls.append(chi)
+            return l_value(-1, chi, places)
+
+        got = orbit_values(unit_group(m), value)
+        want = [l_value(-1, chi, places) for chi in characters_mod(m)]
+        assert [(v.order, v.nums, v.den) for v in got] == \
+            [(v.order, v.nums, v.den) for v in want]
+        # one call per orbit, i.e. per cyclic subgroup of the characters
+        cyclic = {frozenset((chi ** k).tuple for k in range(chi.order()))
+                  for chi in characters_mod(m)}
+        assert len(calls) == len(cyclic)
 
 
 def test_partial_zeta_frozen():
@@ -211,17 +264,22 @@ def test_partial_zeta_preconditions():
 def test_input_checks_survive_optimize_flag():
     # python -O strips asserts; each bad input must still raise ValueError.
     # Without the checks, a place set missing 3 or the class 3 mod 9 gave a
-    # silent answer, and r = 1 divided by zero.
+    # silent answer, r = 1 divided by zero, and galois at t = 3 on zeta_6
+    # (which the orbit fill of L-values calls) gave a non-automorphism.
     src = str(Path(galideal.__file__).resolve().parents[1])
     script = """
-from galideal.dirichlet import (PlaceSet, bernoulli_number, characters_mod,
-    l_value, partial_zeta, partial_zeta_characters, partial_zeta_hurwitz)
+from galideal.abelian import unit_group
+from galideal.cyclotomic import (CyclotomicNumber, cyclotomic_polynomial,
+    euler_phi)
+from galideal.dirichlet import (PlaceSet, bernoulli_number, l_value,
+    partial_zeta, partial_zeta_characters, partial_zeta_hurwitz)
 s3 = PlaceSet([3])
+z6 = CyclotomicNumber.zeta(6)
 calls = {
     "S misses 3": lambda: partial_zeta(0, 2, 9, PlaceSet()),
     "class not coprime": lambda: partial_zeta(0, 3, 9, s3),
     "partial_zeta r = 1": lambda: partial_zeta(1, 1, 3, s3),
-    "l_value r = 1": lambda: l_value(1, characters_mod(3)[0], s3),
+    "l_value r = 1": lambda: l_value(1, unit_group(3).characters()[0], s3),
     "hurwitz S not ramified": lambda: partial_zeta_hurwitz(0, 1, 3, PlaceSet()),
     "hurwitz class not coprime": lambda: partial_zeta_hurwitz(0, 3, 9, s3),
     "hurwitz r = 1": lambda: partial_zeta_hurwitz(1, 1, 3, s3),
@@ -229,6 +287,12 @@ calls = {
         0, 3, 9, s3),
     "characters r = 1": lambda: partial_zeta_characters(1, 1, 3, s3),
     "bernoulli n = -1": lambda: bernoulli_number(-1),
+    "galois t not prime to the order": lambda: z6.galois(3),
+    "galois t = 0": lambda: z6.galois(0),
+    "lift to a non-multiple": lambda: z6.lift(9),
+    "coefficient count": lambda: CyclotomicNumber(5, [1, 2]),
+    "euler_phi 0": lambda: euler_phi(0),
+    "cyclotomic_polynomial -1": lambda: cyclotomic_polynomial(-1),
 }
 for name, call in calls.items():
     try:

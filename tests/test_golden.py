@@ -5,10 +5,13 @@
 # fixture paths given on the command line are echoed into the report.
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import galideal
 from galideal.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -23,3 +26,34 @@ def test_golden(case, capsys, monkeypatch):
     assert captured.err == ""
     assert code == case["exit"]
     assert captured.out.encode() == (GOLDEN / (case["name"] + ".out")).read_bytes()
+
+
+def test_check_and_lvalue_cases_without_asserts():
+    # python -O strips asserts: every check and lvalue case prints the same
+    # bytes in one -O process, so none of their work happens in an assert
+    cases = [c for c in CASES if c["argv"][0] in ("check", "lvalue")]
+    script = """
+import contextlib, io, json, sys
+from galideal.cli import main
+if __debug__:
+    sys.exit("asserts are on")
+out = []
+for argv in json.loads(sys.stdin.read()):
+    buf, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out.append([code, buf.getvalue(), err.getvalue()])
+sys.stdout.write(json.dumps(out))
+"""
+    src = str(Path(galideal.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          input=json.dumps([c["argv"] for c in cases]),
+                          capture_output=True, text=True, timeout=300,
+                          cwd=GOLDEN, env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert len(results) == len(cases) > 20
+    for case, (code, out, err) in zip(cases, results):
+        assert (code, err) == (case["exit"], ""), case["name"]
+        assert out.encode() == (GOLDEN / (case["name"] + ".out")).read_bytes(), \
+            case["name"]

@@ -1,7 +1,8 @@
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from itertools import permutations
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from galideal.cyclotomic import CyclotomicNumber
 from galideal.groupring import (
     EmbeddingSignature,
     GroupRingElement,
+    _field_det,
     character_components,
     det_over_group_ring,
     invert_unit,
@@ -27,6 +29,8 @@ from galideal.groupring import (
 C2 = FiniteAbelianGroup((2,))
 C3 = FiniteAbelianGroup((3,))
 C4 = FiniteAbelianGroup((4,))
+C6 = FiniteAbelianGroup((6,))
+C2xC4 = FiniteAbelianGroup((2, 4))
 D6 = from_cayley_text(
     (Path(__file__).parent / "golden" / "d6.txt").read_text(encoding="utf-8"))
 
@@ -84,6 +88,9 @@ def test_coefficients_must_be_rational():
 def test_group_mismatch():
     with pytest.raises(ValueError):
         GroupRingElement.one(C2) + GroupRingElement.one(C3)
+    # a character is read through its row over its own group's elements
+    with pytest.raises(ValueError, match="character of"):
+        psi_eval(GroupRingElement.one(C2), C4.characters()[1])
 
 
 def test_lambda_assemble_c2():
@@ -199,6 +206,42 @@ def test_det_multiplicative_and_matches_leibniz(data):
     assert dA == det_leibniz(A)
 
 
+def _field_leibniz(A):
+    # Sigma over permutations p of sign(p) Prod_i A[i][p(i)], in the field
+    n = len(A)
+    total = CyclotomicNumber.zero()
+    for p in permutations(range(n)):
+        sign = (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        total = total + sign * prod((A[i][p[i]] for i in range(n)),
+                                    start=CyclotomicNumber.one())
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bareiss_matches_leibniz(data):
+    # sparse entries make zero pivots, a zero corner forces a row swap at
+    # the first step, and a last row that is a Q[G]-combination of the
+    # others makes the matrix singular at every character
+    group = data.draw(st.sampled_from([C6, C2xC4]))
+    n = data.draw(st.integers(1, 4))
+    frac = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    entry = st.dictionaries(st.sampled_from(group.elements), frac,
+                            max_size=2).map(lambda d: GroupRingElement(group, d))
+    zero = GroupRingElement.zero(group)
+    M = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    if n > 1 and data.draw(st.booleans()):
+        c = [data.draw(entry) for _ in range(n - 1)]
+        M[-1] = [sum((c[i] * M[i][j] for i in range(n - 1)), zero)
+                 for j in range(n)]
+    if data.draw(st.booleans()):
+        M[0][0] = zero
+    assert det_over_group_ring(M) == det_leibniz(M)
+    for chi in group.characters():
+        A = [[psi_eval(x, chi) for x in row] for row in M]
+        assert _field_det(A) == _field_leibniz(A)
+
+
 def test_y_rank_table():
     q_zeta5 = dict(r1=0, r2=2)
     q_zeta7 = dict(r1=0, r2=3)
@@ -299,8 +342,9 @@ def test_integer_layout_matches_fraction_reference(kind, data):
 
 
 def test_det_of_1x1_inverts_nothing(monkeypatch):
-    # the last pivot's inverse is never used, so a 1 x 1 determinant (half
-    # of the induced-det suite's matrices) calls no inverse at all
+    # Bareiss divides step c by the pivot of step c - 1, so the 1 x 1 and
+    # 2 x 2 determinants of the induced-det suite invert nothing, and a
+    # 3 x 3 one inverts one pivot per character
     calls = []
     inverse = CyclotomicNumber.inverse
     monkeypatch.setattr(CyclotomicNumber, "inverse",
@@ -309,8 +353,13 @@ def test_det_of_1x1_inverts_nothing(monkeypatch):
     assert det_over_group_ring([[x]]) == x
     assert calls == []
     one, g = GroupRingElement.one(C4), GroupRingElement.basis(C4, (1,))
+    zero = GroupRingElement.zero(C4)
     assert det_over_group_ring([[one, g], [g, one]]) == one - g * g
-    assert len(calls) == C4.order  # one pivot inverse per character
+    assert calls == []
+    # the second pivot 1 - chi(g)^2 vanishes at chi(g) = +-1: a row swap
+    M = [[one, g, zero], [g, one, g], [zero, g, one]]
+    assert det_over_group_ring(M) == one - (g * g).scale(2)
+    assert len(calls) == C4.order
 
 
 def test_input_checks_survive_optimize_flag():
