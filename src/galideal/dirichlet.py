@@ -190,13 +190,12 @@ def orbit_values(group, value):
     chars = group.characters()
     N = chars[0].root_order
     units = [a for a in range(1, N + 1) if gcd(a, N) == 1]
-    invariants = chars[0].coords.invariants
     found = {}
     for chi in chars:
         if chi.tuple not in found:
             v = value(chi)
             for a in units:
-                t = tuple(x * a % d for x, d in zip(chi.tuple, invariants))
+                t = (chi ** a).tuple
                 if t not in found:
                     found[t] = v.galois(a)
     return [found[chi.tuple] for chi in chars]
