@@ -18,8 +18,9 @@ from typing import NamedTuple
 
 from .abelian import AbelianCharacter, coordinates, left_cosets
 from .cyclotomic import root_sum
-from .groupring import GroupRingElement, map_elements, psi_eval
-from .intmat import hnf_columns, mat_mul
+from .groupring import (GroupRingElement, generating_set, map_elements,
+                        psi_eval)
+from .intmat import hnf_columns, mat_mul, mat_vec
 from .lattice import (canonicalize, contains_vector, map_image,
                       map_preimage)
 
@@ -489,16 +490,6 @@ def bgstar(G, records=None):
 # ---------------------------------------------------------------------------
 # certification of the component map against induced characters
 
-def _generating_set(G):
-    gens = []
-    cur = frozenset([G.identity])
-    for g in G.elements:
-        if g not in cur:
-            gens.append(g)
-            cur = closure(G, cur | {g})
-    return gens
-
-
 def _induced(G, rec, chi, g, cosets):
     # g on the cosets xH twisted by chi, as a monomial matrix: column j has
     # one entry, zeta_N^exps[j], in row i = perm[j], where g x_j = x_i h with
@@ -525,7 +516,7 @@ def duality_certificate(bmap):
     # set and all x; with M(e) = 1 it extends by induction on word length to
     # all g, since every element of a finite group is a word in generators.
     G = bmap.group
-    gens = _generating_set(G)
+    gens = generating_set(G)
     checked = 0
     for k, rec in enumerate(bmap.records):
         cosets = left_cosets(G.elements, G.op, rec.elements)
@@ -643,7 +634,9 @@ def nonabelian_J(bmap, components):
 def component_images(bmap, ideal):
     # synthetic per-subgroup data: the images of one class-space lattice
     # under each component block
-    assert ideal.labels == bmap.space.labels, "ambient mismatch"
+    if ideal.labels != bmap.space.labels:
+        raise ValueError("ambient mismatch: %r, expected the class space %r"
+                         % (ideal.labels, bmap.space.labels))
     return {k: map_image(ideal, bmap.block(k), rec.ab_labels())
             for k, rec in enumerate(bmap.records)}
 
@@ -654,10 +647,12 @@ def component_images(bmap, ideal):
 def quotient_group(G, normal_elements):
     # (Q, proj) with proj a list sending each element to its coset's index
     nset = frozenset(normal_elements)
-    assert G.identity in nset
+    if G.identity not in nset:
+        raise ValueError("normal subgroup lacks the identity")
     for h in nset:
-        assert all(G.op(G.op(a, h), G.inv(a)) in nset for a in G.elements), \
-            "subgroup is not normal"
+        if not all(G.op(G.op(a, h), G.inv(a)) in nset for a in G.elements):
+            raise ValueError("subgroup is not normal: a conjugate of %s "
+                             "falls outside it" % G.label(h))
     # elements ascend, so each representative is its coset's minimum
     reps, coset_of = left_cosets(G.elements, G.op, nset)
     proj = [coset_of[g] for g in G.elements]
@@ -712,7 +707,10 @@ class NaturalityReport(NamedTuple):
 def quotient_naturality(G, normal_elements, components, components_small=None):
     # 1) the matrix identity: pushing components forward after the big
     #    component map equals the small component map after the class
-    #    quotient; 2) the preimage ideal maps into the quotient's.
+    #    quotient; 2) the preimage ideal maps into the quotient's: the class
+    #    quotient is linear and J_small a Z[1/2]-module, so 2) holds iff the
+    #    image of each column of J_big is in J_small; the witness is the
+    #    first failing column's image.
     Q, proj = quotient_group(G, normal_elements)
     bmap_big = bgstar(G)
     bmap_small = bgstar(Q)
@@ -732,8 +730,8 @@ def quotient_naturality(G, normal_elements, components, components_small=None):
                 rec_q.ab_labels())
     J_big = nonabelian_J(bmap_big, full_big)
     J_small = nonabelian_J(bmap_small, components_small)
-    image = map_image(J_big, clsmat, bmap_small.space.labels)
-    for v in image.vectors():
+    for col in J_big.columns:
+        v = [Fraction(x, J_big.denominator) for x in mat_vec(clsmat, col)]
         if not contains_vector(J_small, v):
             return NaturalityReport(True, False, (tuple(v),))
     return NaturalityReport(True, True, ())

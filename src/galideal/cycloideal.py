@@ -189,8 +189,9 @@ def ideal_J_real(level, units=None):
 
 def half_subgroup(level):
     h = squares_subgroup(level.modulus)
-    assert level.conjugation not in h, (
-        "conjugation is a square; need ell = 3 mod 4")
+    if level.conjugation in h:
+        raise ValueError("conjugation is a square mod %d; need ell = 3 mod 4"
+                         % level.modulus)
     return h
 
 

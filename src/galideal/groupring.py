@@ -267,6 +267,28 @@ def det_over_group_ring(M):
         [[psi_eval(x, chi) for x in row] for row in M]))
 
 
+def generating_set(group):
+    # greedy in element order: each element outside the subgroup generated
+    # by the ones before it is kept; that subgroup is closed by multiplying
+    # its elements by the kept generators, never by each other
+    gens, sub = [], {group.identity}
+    for g in group.elements:
+        if g in sub:
+            continue
+        gens.append(g)
+        frontier = list(sub)
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for s in gens:
+                    c = group.op(a, s)
+                    if c not in sub:
+                        sub.add(c)
+                        nxt.append(c)
+            frontier = nxt
+    return gens
+
+
 def map_elements(x, target_group, f):
     # push x forward along g -> f(g); a ring homomorphism of group rings
     # whenever f is one of groups

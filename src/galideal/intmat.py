@@ -15,11 +15,21 @@
 #     therefore stay below their pivots, which bounds their growth without
 #     reducing modulo a determinant (Cohen, A Course in Computational
 #     Algebraic Number Theory, sec. 2.4).
+#   - hnf_columns also closes under coordinate permutations: given perms,
+#     it returns the HNF of the smallest lattice holding the columns and
+#     stable under each permutation, by the MeatAxe's spinning (Holt, Eick
+#     and O'Brien, Handbook of Computational Group Theory): one FIFO queue
+#     of the inputs, then the images of each vector that enlarged it.
+#     A vector already in the lattice is a combination of earlier vectors,
+#     so its images are combinations of their images, already queued.
+#     Without perms the queue is the inputs in order, so this is still the
+#     only HNF, not a second path.
 #   - transforms and kernels are read off the column HNF of A stacked on
-#     the identity (hnf_transform; ibid., sec. 2.4.3), so rank, kernels,
+#     the identity (hnf_transform; Cohen, sec. 2.4.3), so rank, kernels,
 #     injectivity and solutions over Q all come from hnf_columns; there is
 #     no rational Gauss-Jordan.
 
+from collections import deque
 from operator import index, mul
 
 
@@ -56,15 +66,19 @@ def mat_vec(A, v):
     return [sum(map(mul, row, v)) for row in A]
 
 
-def hnf_columns(columns, n):
-    # Canonical column HNF of the span of `columns`, integer vectors of
-    # length n, as a list of columns in pivot order; zero columns dropped.
+def hnf_columns(columns, n, perms=()):
+    # Canonical column HNF of the smallest lattice that contains `columns`,
+    # integer vectors of length n, and is stable under each permutation in
+    # `perms` (v -> [v[k] for k in perm]), as a list of columns in pivot
+    # order; zero columns dropped.
     basis = {}
-    for col in columns:
-        v = list(map(index, col))
+    queue = deque(columns)
+    while queue:
+        v = list(map(index, queue.popleft()))
         if len(v) != n:
             raise ValueError("column of length %d, expected %d" % (len(v), n))
-        _insert(basis, v)
+        if _insert(basis, v[:]):
+            queue.extend([v[k] for k in perm] for perm in perms)
     return [basis[p] for p in sorted(basis)]
 
 
@@ -87,19 +101,21 @@ def hnf_transform(columns, n):
 
 
 def _insert(basis, v):
-    # Adds the vector v to the lattice spanned by `basis`, a dict from pivot
-    # row to the basis column whose first nonzero entry sits on that row.
+    # Adds the vector v (consumed) to the lattice spanned by `basis`, a dict
+    # from pivot row to the basis column whose first nonzero entry sits on
+    # that row; returns whether the lattice grew, by a new pivot or a merge.
     n = len(v)
     p = 0
+    grew = False
     while True:
         while p < n and v[p] == 0:
             p += 1
         if p == n:
-            return
+            return grew
         b = basis.get(p)
         if b is None:
             _place(basis, p, v if v[p] > 0 else [-x for x in v])
-            return
+            return True
         q = v[p] // b[p]
         if q:
             v = [x - q * y for x, y in zip(v, b)]
@@ -111,6 +127,7 @@ def _insert(basis, v):
             merged = [x * bi + y * vi for bi, vi in zip(b, v)]
             v = [s * vi - t * bi for bi, vi in zip(b, v)]
             _place(basis, p, merged)
+            grew = True
 
 
 def _place(basis, p, v):

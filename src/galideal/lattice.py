@@ -13,12 +13,16 @@
 # denominators presenting M over an integer lattice — so equal modules get
 # identical fields.
 # Canonicalization takes integer vectors over one denominator (keeping its
-# odd part), column-HNFs them, then saturates at 2: for a basis c of the
-# F2-kernel {c : H c = 0 mod 2} adjoin (H c)/2 and re-HNF, until the
-# kernel is empty.  Last, divide d and the columns by g = gcd(d, content),
-# which leaves gcd(d, content) = 1; g is odd, so the divided lattice is
-# still 2-saturated and still in column HNF.  Fractions occur only at the
-# API's edges; a translate g x or x g permutes x's integer numerators.
+# odd part) and coordinate permutations, column-HNFs the smallest lattice
+# holding the vectors and stable under the permutations (hnf_columns'
+# closure), then saturates at 2: for a basis c of the F2-kernel
+# {c : H c = 0 mod 2} adjoin (H c)/2 and re-HNF, until the kernel is empty.
+# A permutation maps the 2-saturation of a stable lattice onto itself, so
+# the saturation needs no closure.  Last, divide d and the columns by
+# g = gcd(d, content), which leaves gcd(d, content) = 1; g is odd, so the
+# divided lattice is still 2-saturated and still in column HNF.  Fractions
+# occur only at the API's edges; a translate g x or x g permutes x's
+# integer numerators.
 #
 # Membership: unless d*v is integral up to a power of 2, v is no member.
 # Else one integer forward pass over the columns in pivot order keeps r
@@ -36,7 +40,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .groupring import GroupRingElement
+from .groupring import GroupRingElement, generating_set
 from .intmat import hnf_columns, hnf_transform, mat_vec, transpose
 
 
@@ -89,8 +93,9 @@ class FractionalIdeal:
             self.dimension, self.rank, self.denominator)
 
 
-def canonicalize(labels, denominator, vectors):
-    # the Z[1/2]-span of {v / denominator}: v integer sequences of the
+def canonicalize(labels, denominator, vectors, perms=()):
+    # the smallest Z[1/2]-module holding {v / denominator} and stable under
+    # the coordinate permutations perms: v integer sequences of the
     # ambient's length, denominator a nonzero integer (0 fails as the
     # FractionalIdeal's denominator)
     labels = tuple(labels)
@@ -104,7 +109,7 @@ def canonicalize(labels, denominator, vectors):
             vs.append(v)
     if not vs:
         return FractionalIdeal(labels, 1, [])
-    H = hnf_columns(vs, n)
+    H = hnf_columns(vs, n, perms)
     halves = _half_columns(H)
     while halves:
         H = hnf_columns(H + halves, n)
@@ -160,25 +165,21 @@ def _check_same(what, expected, found):
         raise ValueError("%s mismatch: %r, expected %r" % (what, found, expected))
 
 
-def _translations(group, left):
-    # per g in group.elements, the k with (g x)[t] = x[k[t]] (left) or
-    # (x g)[t] = x[k[t]] (right), x a coefficient vector
-    els, index, op, inv = group.elements, group.index, group.op, group.inv
-    return [[index(op(inv(g), t) if left else op(t, inv(g))) for t in els]
-            for g in els]
-
-
 def from_generators(group, gens):
-    # Z[1/2][G]-module generated by gens: each translate g x permutes x's
-    # numerators over the common denominator; then canonicalize.  Empty
-    # generator list gives the zero module.
+    # Z[1/2][G]-module generated by gens: the generators' numerators over
+    # their common denominator, closed under the left translation by each
+    # g in generating_set(group), the permutation (g x)[t] = x[g^-1 t] of
+    # the numerators.  Closing under generators of G closes under G, and
+    # only translates that enlarge the lattice reach the HNF; then
+    # canonicalize.  Empty generator list gives the zero module.
     for x in gens:
         _check_same("generator's group", group, x.group)
     den = lcm(*(x.den for x in gens))
     nums = [[a * (den // x.den) for a in x.nums] for x in gens]
-    shifts = _translations(group, left=True)
-    return canonicalize(group_labels(group), den,
-                        [[num[k] for k in s] for num in nums for s in shifts])
+    els, index, op, inv = group.elements, group.index, group.op, group.inv
+    perms = [[index(op(inv(g), t)) for t in els]
+             for g in generating_set(group)]
+    return canonicalize(group_labels(group), den, nums, perms)
 
 
 def unit_ideal(group):
@@ -275,11 +276,11 @@ def ideal_product(I, J, group):
 
 def multiplication_matrix(group, x):
     # matrix of y -> x*y on Q[G] in the basis `group.elements`: column g is
-    # x g, a permutation of x's coefficients
+    # x g, the permutation (x g)[t] = x[t g^-1] of x's coefficients
     _check_same("element's group", group, x.group)
     v = element_vector(group, x)
-    shifts = _translations(group, left=False)
-    return transpose([[v[k] for k in s] for s in shifts])
+    els, index, op, inv = group.elements, group.index, group.op, group.inv
+    return transpose([[v[index(op(t, inv(g)))] for t in els] for g in els])
 
 
 def scale_by(ideal, group, x):

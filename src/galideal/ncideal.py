@@ -10,8 +10,8 @@
 from typing import NamedTuple
 
 from .groupring import GroupRingElement, map_elements
-from .lattice import (contains_element, contains_vector, from_generators,
-                      group_labels, map_image)
+from .lattice import (contains_element, element_vector, from_generators,
+                      ideal_elements)
 from .padic import valuation
 
 
@@ -44,7 +44,8 @@ def _valuations(x, ell):
 def datum_integrality(d):
     # (ok, worst valuation, witness label); the invariant under test is
     # that every coefficient of alpha*beta has non-negative ell-valuation
-    assert d.ell % 2 == 1 and d.ell > 2
+    if not (d.ell % 2 == 1 and d.ell > 2):
+        raise ValueError("datum ell %r is not odd and above 2" % (d.ell,))
     for label, v in _valuations(d.beta, d.ell):
         if v < 0:
             return False, v, label
@@ -97,9 +98,11 @@ class NCIdeal(NamedTuple):
 
 def nc_ideal(G, data, chooser=None):
     # the left ideal generated by norm-times-lift for each datum
-    gens = tuple(datum_generator(d, chooser) for d in data)
     for d in data:
-        assert d.record.group is G, "datum lives over a different group"
+        if d.record.group is not G:
+            raise ValueError("datum lives over a different group: %r, "
+                             "not %r" % (d.record.group, G))
+    gens = tuple(datum_generator(d, chooser) for d in data)
     return NCIdeal(G, gens, from_generators(G, gens))
 
 
@@ -187,7 +190,10 @@ class QuotientReport(NamedTuple):
 def quotient_check(G, Q, proj, data, data_small):
     # 1) every datum's pushforward must appear (as an exact product match)
     #    in the quotient-level data; 2) the image of the ideal must land
-    #    inside the quotient-level ideal
+    #    inside the quotient-level ideal.  proj is a ring map and the small
+    #    ideal a Z[1/2]-module, so 2) holds iff the image of each column of
+    #    the big ideal's lattice is in it; the witness is the first failing
+    #    column's image
     compatible = True
     witness = ()
     for t, d in enumerate(data):
@@ -208,15 +214,13 @@ def quotient_check(G, Q, proj, data, data_small):
             break
     I_big = nc_ideal(G, data)
     I_small = nc_ideal(Q, data_small)
-    M = [[0] * G.order for _ in range(Q.order)]
-    for g in G.elements:
-        M[proj[g]][g] = 1
-    image = map_image(I_big.lattice, M, group_labels(Q))
     contained = True
-    for v in image.vectors():
-        if not contains_vector(I_small.lattice, v):
+    for x in ideal_elements(I_big.lattice, G):
+        y = map_elements(x, Q, proj.__getitem__)
+        if not contains_element(I_small.lattice, Q, y):
             contained = False
             if not witness:
-                witness = ("image vector escapes", tuple(v))
+                witness = ("image vector escapes",
+                           tuple(element_vector(Q, y)))
             break
     return QuotientReport(compatible, contained, witness)

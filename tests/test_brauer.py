@@ -327,7 +327,7 @@ def test_quotient_group_s3_mod_a3():
     Q, proj = quotient_group(G, [0, 3, 4])
     assert Q.order == 2 and Q.labels == ("e", "(23)")
     assert proj == [0, 1, 1, 0, 0, 1]
-    with pytest.raises(AssertionError, match="normal"):
+    with pytest.raises(ValueError, match="normal"):
         quotient_group(G, [0, 1])
 
 

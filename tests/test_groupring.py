@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import galideal
 from galideal.abelian import FiniteAbelianGroup, unit_group
-from galideal.brauer import from_cayley_text, symmetric3
+from galideal.brauer import (alternating4, closure, dihedral4,
+                             from_cayley_text, quaternion8, symmetric3)
 from galideal.cyclotomic import CyclotomicNumber
 from galideal.groupring import (
     EmbeddingSignature,
@@ -19,6 +20,7 @@ from galideal.groupring import (
     _field_det,
     character_components,
     det_over_group_ring,
+    generating_set,
     invert_unit,
     lambda_assemble,
     map_elements,
@@ -365,16 +367,21 @@ def test_det_of_1x1_inverts_nothing(monkeypatch):
 def test_input_checks_survive_optimize_flag():
     # python -O strips asserts; each bad input must still raise ValueError.
     # FiniteGroup.index returns its argument, so the keys -1 and 6 of S3
-    # would land in a valid slot without the membership check.
+    # would land in a valid slot without the membership check.  The last
+    # group covers the cycloideal, brauer and ncideal input checks.
     src = str(Path(galideal.__file__).resolve().parents[1])
     script = """
 from galideal.abelian import FiniteAbelianGroup, unit_group
-from galideal.brauer import symmetric3
-from galideal.cycloideal import CyclotomicLevel
+from galideal.brauer import (bgstar, component_images, quotient_group,
+                             subgroup_lattice, symmetric3)
+from galideal.cycloideal import CyclotomicLevel, half_subgroup
 from galideal.groupring import EmbeddingSignature, GroupRingElement, y_rank
+from galideal.lattice import unit_ideal
+from galideal.ncideal import datum_integrality, nc_ideal, subgroup_datum
 from galideal.padic import eigen_projection
 S3, c2, lev = symmetric3(), FiniteAbelianGroup((2,)), CyclotomicLevel(3, 1)
 x = GroupRingElement.one(S3)
+top = subgroup_lattice(S3)[-1]
 calls = {
     "key -1": lambda: GroupRingElement(S3, {-1: 1}),
     "key order": lambda: GroupRingElement(S3, {6: 1}),
@@ -393,6 +400,15 @@ calls = {
         lev, 1, GroupRingElement.one(c2)),
     "eigen_projection precision": lambda: eigen_projection(
         lev, 1, GroupRingElement.one(lev.group), precision=0),
+    "half_subgroup at ell = 1 mod 4": lambda: half_subgroup(
+        CyclotomicLevel(5, 0)),
+    "quotient without the identity": lambda: quotient_group(S3, [3, 4]),
+    "quotient by a non-normal subgroup": lambda: quotient_group(S3, [0, 1]),
+    "component_images ambient": lambda: component_images(
+        bgstar(S3), unit_ideal(S3)),
+    "datum ell 2": lambda: datum_integrality(subgroup_datum(top, x, x, 2)),
+    "datum over another group": lambda: nc_ideal(
+        symmetric3(), [subgroup_datum(top, x, x, 3)]),
 }
 for name, call in calls.items():
     try:
@@ -406,3 +422,27 @@ for name, call in calls.items():
                           env={"PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
+
+
+def _generating_set_by_closure(G):
+    # the reference: greedy in element order, each subgroup closed by
+    # brauer.closure, which multiplies every pair of the growing set
+    gens = []
+    cur = frozenset([G.identity])
+    for g in G.elements:
+        if g not in cur:
+            gens.append(g)
+            cur = closure(G, cur | {g})
+    return gens
+
+
+def test_generating_set_matches_the_closure_reference():
+    golden = Path(__file__).parent / "golden"
+    S4 = from_cayley_text((golden / "s4.txt").read_text(encoding="utf-8"))
+    groups = [symmetric3(), dihedral4(), quaternion8(), alternating4(), S4,
+              D6] + [unit_group(m) for m in range(1, 61)]
+    for G in groups:
+        gens = generating_set(G)
+        assert gens == _generating_set_by_closure(G), G
+        assert closure(G, gens) == frozenset(G.elements), G
+    assert generating_set(unit_group(2)) == []

@@ -4,7 +4,7 @@ from operator import index
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from galideal.intmat import (
@@ -200,6 +200,54 @@ def test_column_kernel(A):
     K = hnf_transform(transpose(A), len(A))[2]
     for k in K:
         assert all(v == 0 for v in mat_vec(A, k))
+
+
+def _permutation_group(perms, n):
+    # every composite of the permutations, closed by breadth-first search
+    # from the identity
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for p in perms:
+                h = tuple(g[k] for k in p)
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return seen
+
+
+@st.composite
+def permuted_columns(draw):
+    # (columns, n, perms): 1-3 permutations of n <= 8 points, the identity
+    # and repeats among them as often as hypothesis likes
+    n = draw(st.integers(1, 8))
+    perm = st.one_of(st.just(list(range(n))), st.permutations(range(n)))
+    perms = draw(st.lists(perm, min_size=1, max_size=2))
+    if draw(st.booleans()):
+        perms.append(perms[0])
+    columns = draw(st.lists(st.lists(small_int, min_size=n, max_size=n),
+                            max_size=3))
+    return columns, n, perms
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_columns())
+@example(([[1, 2, 0]], 3, [[0, 1, 2]]))
+@example(([[1, 2, 0], [0, 0, 0]], 3, [[1, 2, 0], [1, 2, 0]]))
+@example(([[2, 4, 6, 8]], 4, [[1, 0, 2, 3], [1, 2, 3, 0], [1, 0, 2, 3]]))
+@example(([], 2, [[1, 0]]))
+def test_hnf_columns_closes_under_permutations(case):
+    # the closure under the generators against the span of every image under
+    # the group they generate; the symmetric and alternating groups on 8
+    # points (up to 120,960 images) are left out to keep the reference quick
+    columns, n, perms = case
+    group = _permutation_group(perms, n)
+    assume(len(group) <= 5040)
+    images = [[v[k] for k in g] for v in columns for g in sorted(group)]
+    assert hnf_columns(columns, n, perms) == hnf_columns(images, n)
 
 
 def test_hnf_columns_drops_zero_columns():

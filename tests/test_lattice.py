@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import galideal
 from galideal.abelian import FiniteAbelianGroup, unit_group
-from galideal.brauer import from_cayley_text, symmetric3
+from galideal.brauer import (alternating4, from_cayley_text, quaternion8,
+                             symmetric3)
 from galideal.cycloideal import CyclotomicLevel, ideal_J_minus
 from galideal.groupring import GroupRingElement, invert_unit
 from galideal.intmat import hnf_columns
@@ -374,17 +375,30 @@ def _sparse_elements(group):
                                      max_size=4))
 
 
-@pytest.mark.parametrize("kind", ["units", "S3", "D6"])
+TRANSLATE_GROUPS = {
+    "S3": symmetric3(),
+    "D6": D6,
+    "C2xC4": FiniteAbelianGroup((2, 4)),
+    "C2xC2xC2": FiniteAbelianGroup((2, 2, 2)),
+    "Q8": quaternion8(),
+    "A4": alternating4(),
+}
+
+
+@pytest.mark.parametrize("kind", ["units"] + list(TRANSLATE_GROUPS))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_translates_match_group_ring_products(kind, data):
-    # left translates (the ideal) and right translates (the columns of the
-    # multiplication matrix) differ on the non-abelian S3 and D6
+    # from_generators closes under the translates by a generating set only;
+    # the reference takes every translate.  Left translates (the ideal) and
+    # right translates (the columns of the multiplication matrix) differ on
+    # the non-abelian S3, D6, Q8 and A4; C2xC4 and C2^3 need two and three
+    # generators
     if kind == "units":
         group = unit_group(data.draw(st.integers(1, 50)))
     else:
-        group = symmetric3() if kind == "S3" else D6
-    gens = data.draw(st.lists(_sparse_elements(group), max_size=3))
+        group = TRANSLATE_GROUPS[kind]
+    gens = data.draw(st.lists(_sparse_elements(group), max_size=6))
     assert from_generators(group, gens) == _reference_from_generators(group, gens)
     x = data.draw(_sparse_elements(group))
     assert multiplication_matrix(group, x) == \

@@ -12,7 +12,8 @@ from galideal.brauer import (cyclic_group, from_group, quotient_group,
                              subgroup_lattice, symmetric3)
 from galideal.cycloideal import CyclotomicLevel, ideal_J_minus
 from galideal.groupring import GroupRingElement, map_elements
-from galideal.lattice import (contains_element, group_labels, ideal_product)
+from galideal.lattice import (compare, contains_element, group_labels,
+                              ideal_product, map_image)
 from galideal.ncideal import (AnnihilatorDatum, IntegralityError,
                               covariant_data, datum_generator,
                               datum_integrality, lift_z, nc_ideal,
@@ -147,7 +148,7 @@ def test_nc_ideal_is_left_closed():
 def test_nc_ideal_rejects_foreign_data():
     G, records, d = s3_transposition_datum()
     other = symmetric3()
-    with pytest.raises(AssertionError, match="different group"):
+    with pytest.raises(ValueError, match="different group"):
         nc_ideal(other, [d])
 
 
@@ -243,6 +244,26 @@ def test_quotient_check_flags_incompatible_data():
     assert not report.compatible
     assert report.witness == ("incompatible datum", 0)
     assert not report.passed
+
+
+def test_quotient_check_flags_an_escaping_image():
+    # the image of the big ideal is 3 times the quotient ideal (the A3 norm
+    # maps to 3); scaling the quotient datum by 5 shrinks the quotient ideal
+    # to 5 times itself (5 is odd), so the image escapes it.  The verdict
+    # agrees with the image lattice built by map_image
+    G = symmetric3()
+    rec = subgroup_lattice(G)[-1]
+    alpha = GroupRingElement(G, {0: F(1), 1: F(2)})
+    d = subgroup_datum(rec, alpha, GroupRingElement.one(G), 3)
+    Q, proj = quotient_group(G, [0, 3, 4])
+    small = quotient_data([d], Q, proj)
+    scaled = [small[0]._replace(alpha=small[0].alpha.scale(5))]
+    report = quotient_check(G, Q, proj, [d], scaled)
+    assert not report.compatible and not report.contained
+    M = [[int(proj[g] == q) for g in G.elements] for q in Q.elements]
+    image = map_image(nc_ideal(G, [d]).lattice, M, group_labels(Q))
+    assert compare(image, nc_ideal(Q, scaled).lattice) == "incomparable"
+    assert compare(image, nc_ideal(Q, small).lattice) in ("equal", "subset")
 
 
 @settings(max_examples=40, deadline=None)
