@@ -188,9 +188,9 @@ def places_text(places):
 
 def cyclotomic_payload(v):
     if v.is_rational():
-        return fraction_str(v.as_fraction())
+        return fraction_str(v.nums[0], v.den)
     return {"root-of-unity-order": v.order,
-            "coordinates": [fraction_str(c) for c in v.coeffs]}
+            "coordinates": [fraction_str(a, v.den) for a in v.nums]}
 
 
 def load_group(args):
@@ -347,7 +347,11 @@ def _parse_data_fixture(G, fixture):
     if "ell" not in fixture:
         raise FixtureError("fixture is missing the 'ell' field")
     ell = fixture["ell"]
-    if type(ell) is not int or ell == 2 or not is_prime(ell):
+    try:
+        prime = type(ell) is int and ell != 2 and is_prime(ell)
+    except ValueError as e:
+        raise FixtureError("field 'ell': %s" % e)
+    if not prime:
         raise FixtureError("field 'ell' must be an odd prime, got %r"
                            % (ell,))
     entries = fixture.get("data")
@@ -366,7 +370,7 @@ def _parse_data_fixture(G, fixture):
                                "element labels" % field)
         members = []
         for lab in labels:
-            if lab not in by_label:
+            if type(lab) is not str or lab not in by_label:
                 raise FixtureError("field '%s.subgroup': unknown element "
                                    "label %r" % (field, lab))
             members.append(by_label[lab])

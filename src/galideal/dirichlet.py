@@ -21,7 +21,7 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, lcm
 
 from .abelian import unit_group
 from .cyclotomic import from_exponents, root_sum
@@ -39,8 +39,37 @@ def bernoulli_number(n):
     return -total / (n + 1)
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin to the prime bases up to 41 decides every n below this bound
+# (Sorenson and Webster); above it primality is refused, not guessed
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def is_prime(n):
-    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+    # trial division by the witnesses, then deterministic Miller-Rabin
+    if n < 2:
+        return False
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError("cannot decide whether %d is prime: the test is "
+                         "exact only below %d" % (n, PRIME_TEST_BOUND))
+    s = ((n - 1) & (1 - n)).bit_length() - 1   # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _check_r(r):

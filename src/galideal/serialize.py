@@ -1,14 +1,20 @@
-# Canonical JSON for reports and fixtures.  All numbers cross the
-# boundary as exact fraction strings; identical inputs must produce
-# byte-identical output, so keys are sorted and floats never appear.
+# Canonical JSON for reports and fixtures.  `to_json` is the one report
+# writer: the bytes of json.dumps(sort_keys=True, indent=2) and a newline,
+# for dicts with str keys, lists, tuples, str, int, bool and None only, so a
+# float never reaches the output.  Rationals are written by `fraction_str`
+# from an integer numerator and a denominator.
 
 import json
+import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 
 from .groupring import GroupRingElement
 from .lattice import canonicalize
 
 SCHEMA_VERSION = 1
+_FRACTION = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
 
 
 class FixtureError(ValueError):
@@ -16,8 +22,13 @@ class FixtureError(ValueError):
     pass
 
 
-def fraction_str(x):
-    return str(Fraction(x))
+def fraction_str(a, den):
+    # the rational a/den (den > 0) as "n" or "n/d" in lowest terms with the
+    # sign on n, the text of str(Fraction(a, den))
+    g = gcd(a, den)
+    if g == den:
+        return f"{a // g}"
+    return f"{a // g}/{den // g}"
 
 
 def _is_int(x):
@@ -26,11 +37,15 @@ def _is_int(x):
 
 
 def parse_fraction(text, field="value"):
-    # a fraction string or a JSON integer; a float is refused, not rounded
+    # a fraction string "n" or "n/d", or a JSON integer; a float is refused,
+    # not rounded, and so is a decimal string, whose exponent ("1e999999999")
+    # could ask for a number of any size
     if not (isinstance(text, str) or _is_int(text)):
         raise FixtureError("field %r must be a fraction string or an "
                            "integer, got %r" % (field, text))
     try:
+        if isinstance(text, str) and not _FRACTION.fullmatch(text):
+            raise ValueError(text)
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError):
         raise FixtureError("field %r is not an exact fraction: %r"
@@ -39,7 +54,8 @@ def parse_fraction(text, field="value"):
 
 def element_payload(x):
     # label -> fraction string, zero coefficients dropped
-    return {x.group.label(g): str(Fraction(a, x.den))
+    den, label = x.den, x.group.label
+    return {label(g): fraction_str(a, den)
             for g, a in zip(x.group.elements, x.nums) if a}
 
 
@@ -97,15 +113,61 @@ def parse_lattice(payload, field="lattice"):
     return canonicalize(labels, den, columns)
 
 
+def _values(xs, inner):
+    # the texts of the values xs, each one indented by `inner`; a list of
+    # ints or of strings is mapped in one pass, with no call per value
+    kinds = set(map(type, xs))
+    if kinds == {int}:
+        return map(int.__repr__, xs)
+    if kinds == {str}:
+        return map(_quote, xs)
+    return [_text(v, inner) for v in xs]
+
+
+def _text(x, nl):
+    # the JSON text of x, whose closing bracket goes after `nl` (a newline
+    # and the indent of x itself)
+    t = type(x)
+    if t is str:
+        return _quote(x)
+    if t is int:
+        return int.__repr__(x)
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join(_values(x, inner)) + nl + "]"
+    if t is dict:
+        if not x:
+            return "{}"
+        if set(map(type, x)) != {str}:
+            raise TypeError("to_json: dict key %r is not a str"
+                            % next(k for k in x if type(k) is not str))
+        inner = nl + "  "
+        keys = sorted(x)
+        values = _values(list(map(x.__getitem__, keys)), inner)
+        items = map(": ".join, zip(map(_quote, keys), values))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if x is None:
+        return "null"
+    raise TypeError("to_json: cannot write %r of type %s"
+                    % (x, t.__name__))
+
+
 def to_json(data):
-    return json.dumps(data, sort_keys=True, indent=2,
-                      separators=(",", ": ")) + "\n"
+    return _text(data, "\n") + "\n"
 
 
 def load_fixture(text, kind=None):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # a JSONDecodeError, an integer past the interpreter's digit limit,
+        # or nesting past the recursion limit
         raise FixtureError("fixture is not valid JSON: %s" % e)
     if not isinstance(data, dict):
         raise FixtureError("fixture must be a JSON object")

@@ -526,7 +526,11 @@ def check_params(name, **params):
     for key, value in kwargs.items():
         ok, want = rules[key]
         for v in value if isinstance(value, tuple) else (value,):
-            if not ok(v):
+            try:
+                good = ok(v)
+            except ValueError as e:
+                raise ValueError("%s: %s" % (PARAM_FLAGS[key], e))
+            if not good:
                 raise ValueError("%s: suite %r needs %s, got %d"
                                  % (PARAM_FLAGS[key], canonical, want, v))
     return canonical, kwargs

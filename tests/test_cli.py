@@ -4,13 +4,14 @@ import inspect
 import io
 import json
 import re
+import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import galideal
@@ -536,6 +537,110 @@ def test_nc_ideal_rejects_non_integral_datum(capsys, tmp_path):
                                   "--data", str(path)])
     assert code == 2
     assert "not 3-integral" in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+_FIXTURE_COMMANDS = {
+    "annihilator-s3.json": ["nc-ideal", "--group", "S3", "--data"],
+    "units-49.json": ["ideal", "--ell", "7", "--level", "1", "--part",
+                      "plus", "--units"],
+}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30)
+    | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["e", "(12)", "(123)", "s1+", "1/3", "-2", "1/0",
+                       "units", "annihilator-data", 0, 1, 2, 3,
+                       1000000000000000003, 2 ** 89 - 1]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _nodes(tree, path=()):
+    # (path, node) for every node of a parsed JSON tree, the root first
+    yield path, tree
+    items = (tree.items() if isinstance(tree, dict)
+             else enumerate(tree) if isinstance(tree, list) else ())
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+@st.composite
+def malformed_fixtures(draw):
+    # (fixture name, text): a golden fixture with one node replaced by a
+    # random JSON value, or one key dropped from or added to an object
+    name = draw(st.sampled_from(sorted(_FIXTURE_COMMANDS)))
+    tree = json.loads((GOLDEN / name).read_text())
+    nodes = list(_nodes(tree))
+    objects = [node for _, node in nodes if isinstance(node, dict)]
+    action = draw(st.sampled_from(["replace", "drop", "add"]))
+    if action == "replace":
+        path, _ = draw(st.sampled_from(nodes))
+        value = draw(_JSON_VALUES)
+        if not path:
+            tree = value
+        else:
+            parent = tree
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+    else:
+        node = draw(st.sampled_from(objects))
+        if action == "drop":
+            del node[draw(st.sampled_from(sorted(node)))]
+        else:
+            key = draw(st.text(max_size=8) | st.sampled_from(
+                ["ell", "kind", "lattice", "data", "subgroup", "alpha",
+                 "columns", "denominator", "ambient"]))
+            node[key] = draw(_JSON_VALUES)
+    return name, json.dumps(tree)
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("the command ran past 10 s")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=malformed_fixtures())
+@example(case=("annihilator-s3.json", COVARIANT_S3.replace(
+    '["e", "(12)"]', '[["e"]]')))
+@example(case=("annihilator-s3.json", COVARIANT_S3.replace(
+    '"ell": 3', '"ell": 1000000000000000003')))
+def test_malformed_fixture_fuzz(capsys, tmp_path, case):
+    # any fixture one mutation away from a good one: exit 0 or 1 with a
+    # JSON report, or exit 2 with one error line; never a traceback, and
+    # never an open-ended run
+    name, text = case
+    path = tmp_path / name
+    path.write_text(text)
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(10)
+    try:
+        code, out, err = run(capsys, _FIXTURE_COMMANDS[name] + [str(path)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert re.fullmatch(r"error: \S[^\n]*\n", err)
+    else:
+        assert err == ""
+        json.loads(out)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["stickelberger", "--modulus", "7", "--s", "infty,7,%d" % (2 ** 89 - 1)],
+     "--s"),
+    (["check", "--suite", "functoriality", "--ell", str(2 ** 89 - 1)],
+     "--ell"),
+])
+def test_prime_past_the_test_bound_is_refused(capsys, argv, flag):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s: cannot decide" % flag)
+    assert "3317044064679887385961981" in err
 
 
 def test_usage_errors_exit_2(capsys):

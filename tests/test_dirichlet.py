@@ -6,6 +6,7 @@ from math import comb, gcd, lcm
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,10 +14,12 @@ import galideal
 from galideal.abelian import unit_group
 from galideal.cyclotomic import CyclotomicNumber
 from galideal.dirichlet import (
+    PRIME_TEST_BOUND,
     PlaceSet,
     bernoulli_number,
     conductor,
     generalized_bernoulli,
+    is_prime,
     l_value,
     orbit_values,
     partial_zeta,
@@ -350,3 +353,48 @@ def test_hurwitz_route_matches_fraction_reference(m, r, extra):
     bare = reference_theta(m, ramified, r)
     for a in unit_group(m).elements:
         assert partial_zeta_hurwitz(r, pow(a, -1, m), m, ramified) == bare[a]
+
+
+def test_is_prime_matches_sympy_below_1e5():
+    assert [n for n in range(-3, 10 ** 5) if is_prime(n)] == \
+        list(sympy.primerange(2, 10 ** 5))
+
+
+@pytest.mark.parametrize("n", [
+    # Carmichael numbers
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+    # strong pseudoprimes to base 2
+    2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633,
+    # strong pseudoprimes to every prime base up to 23, and up to 37
+    3825123056546413051, 318665857834031151167461,
+    # squares of primes just above the trial divisors
+    43 ** 2, 47 ** 2, 1000003 ** 2,
+])
+def test_is_prime_refuses_pseudoprimes(n):
+    assert not sympy.isprime(n)
+    assert not is_prime(n)
+
+
+def test_is_prime_on_large_primes():
+    p = 10 ** 18
+    for _ in range(5):
+        p = sympy.nextprime(p)
+        # p * 1000003 < PRIME_TEST_BOUND has no factor up to 41
+        assert is_prime(p) and not is_prime(p * 1000003)
+    for p in (1000000000000000003, 2 ** 61 - 1, PRIME_TEST_BOUND - 2 ** 20):
+        assert is_prime(p) == sympy.isprime(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(10 ** 5, PRIME_TEST_BOUND - 1))
+def test_is_prime_matches_sympy_below_the_bound(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_refuses_to_guess_above_the_bound():
+    # a small factor still decides; anything else is a stated refusal
+    assert not is_prime(2 ** 100) and not is_prime(PRIME_TEST_BOUND * 41)
+    for n in (PRIME_TEST_BOUND, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="exact only below %d"
+                           % PRIME_TEST_BOUND):
+            is_prime(n)
