@@ -36,16 +36,18 @@
 # order N, split off <x>, recurse on the quotient, and lift quotient
 # generators y with y^d = x^s to honest order-d elements y * x^(-s/d).
 #
-# left_cosets() is the one coset partition of the package: the quotient
-# here, the abelianizations and quotient groups of brauer.py and the coset
+# closure() is the one subgroup closure of the package: the subgroups of
+# (Z/m)^* here, the subgroup lattices and commutator subgroups of brauer.py
+# and the greedy generating sets of groupring.py all come from it.
+# left_cosets() is the one coset partition: the quotient here, the
+# abelianizations and quotient groups of brauer.py and the coset
 # representatives of its component map all come from it.
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
 
-from .cyclotomic import CyclotomicNumber, euler_phi
+from .cyclotomic import CyclotomicNumber, prime_divisors
 
 
 @lru_cache(maxsize=None)
@@ -88,6 +90,23 @@ def _power(g, e, mul, identity):
     return x
 
 
+def closure(group, gens):
+    # The subgroup generated by `gens`, as a frozenset: the identity closed
+    # under right multiplication by each generator.  In a finite group that
+    # is <gens>, as every inverse is a positive power.
+    gens = tuple(gens)
+    sub = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        a = frontier.pop()
+        for s in gens:
+            c = group.op(a, s)
+            if c not in sub:
+                sub.add(c)
+                frontier.append(c)
+    return frozenset(sub)
+
+
 def left_cosets(elems, mul, sub):
     # The left cosets x*sub of a subgroup `sub` among `elems` (a union of
     # them): (reps, coset_of), with cosets numbered in order of first
@@ -116,18 +135,13 @@ def decompose(elems, mul, identity):
         exponent = exponent * o // gcd(exponent, o)
     # build x of order == exponent from prime-power pieces
     x = identity
-    n = exponent
-    p = 2
-    while n > 1:
-        if n % p == 0:
-            pa = 1
-            while n % p == 0:
-                n //= p
-                pa *= p
-            carrier = next(g for g in elems if orders[g] % pa == 0)
-            piece = _power(carrier, orders[carrier] // pa, mul, identity)
-            x = mul(x, piece)
-        p += 1 if p == 2 else 2
+    for p in prime_divisors(exponent):
+        pa = p
+        while exponent % (pa * p) == 0:
+            pa *= p
+        carrier = next(g for g in elems if orders[g] % pa == 0)
+        piece = _power(carrier, orders[carrier] // pa, mul, identity)
+        x = mul(x, piece)
     assert _element_order(x, mul, identity) == exponent
 
     # quotient G / <x>, on coset indices
@@ -300,7 +314,9 @@ class AbelianCharacter:
         return all(t == 0 for t in self.tuple)
 
     def __mul__(self, other):
-        assert self.group == other.group
+        if self.group != other.group:
+            raise ValueError("character of %r times one of %r"
+                             % (self.group, other.group))
         return self._with(self.coords.op(self.tuple, other.tuple))
 
     def inverse(self):
@@ -424,16 +440,7 @@ def unit_group(m):
 
 def subgroup_of_units(m, gens):
     # subgroup of (Z/m)^* generated by the given residues
-    seen = {1 % m}
-    frontier = [1 % m]
-    while frontier:
-        a = frontier.pop()
-        for g in gens:
-            b = (a * g) % m
-            if b not in seen:
-                seen.add(b)
-                frontier.append(b)
-    return ResidueGroup(m, sorted(seen))
+    return ResidueGroup(m, closure(unit_group(m), gens))
 
 
 def squares_subgroup(m):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .abelian import AbelianCharacter, coordinates, left_cosets
+from .abelian import AbelianCharacter, closure, coordinates, left_cosets
 from .cyclotomic import root_sum
 from .groupring import (GroupRingElement, generating_set, map_elements,
                         psi_eval)
@@ -284,22 +284,6 @@ BUILTIN_GROUPS = {
 
 # ---------------------------------------------------------------------------
 # subgroups
-
-def closure(G, seed):
-    # smallest subgroup containing the seed elements
-    cur = {G.identity} | set(seed)
-    frontier = list(cur)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(cur):
-                for c in (G.op(a, b), G.op(b, a)):
-                    if c not in cur:
-                        cur.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return frozenset(cur)
-
 
 class SubgroupRecord:
     # A subgroup by its element set, with its commutator subgroup, the

@@ -28,20 +28,30 @@ from functools import lru_cache
 from math import gcd, lcm
 
 @lru_cache(maxsize=None)
+def prime_divisors(n):
+    # the primes dividing n >= 1, ascending, by trial division
+    if n < 1:
+        raise ValueError("prime_divisors needs n >= 1, got %d" % n)
+    primes = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        primes.append(n)
+    return tuple(primes)
+
+
+@lru_cache(maxsize=None)
 def euler_phi(n):
     if n < 1:
         raise ValueError("euler_phi needs n >= 1, got %d" % n)
     result = n
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            result -= result // d
-        d += 1
-    if m > 1:
-        result -= result // m
+    for p in prime_divisors(n):
+        result -= result // p
     return result
 
 

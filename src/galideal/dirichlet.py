@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 
 from .abelian import unit_group
-from .cyclotomic import from_exponents, root_sum
+from .cyclotomic import from_exponents, prime_divisors, root_sum
 
 
 @lru_cache(maxsize=None)
@@ -191,16 +191,7 @@ def l_value(r, chi, places):
     f, star = primitive_core(chi)
     n = 1 - r
     N, acc, den = _bernoulli_sum(n, f, star)
-    removed = set()
-    p = 2
-    mm = m
-    while mm > 1:
-        if mm % p == 0:
-            while mm % p == 0:
-                mm //= p
-            if f % p != 0:
-                removed.add(p)
-        p += 1
+    removed = {p for p in prime_divisors(m) if f % p != 0}
     for p in places.primes:
         if m % p != 0:
             removed.add(p)

@@ -27,6 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
+from .abelian import closure
 from .cyclotomic import CyclotomicNumber, RootSums, from_exponents
 
 
@@ -269,23 +270,12 @@ def det_over_group_ring(M):
 
 def generating_set(group):
     # greedy in element order: each element outside the subgroup generated
-    # by the ones before it is kept; that subgroup is closed by multiplying
-    # its elements by the kept generators, never by each other
+    # by the ones before it is kept
     gens, sub = [], {group.identity}
     for g in group.elements:
-        if g in sub:
-            continue
-        gens.append(g)
-        frontier = list(sub)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for s in gens:
-                    c = group.op(a, s)
-                    if c not in sub:
-                        sub.add(c)
-                        nxt.append(c)
-            frontier = nxt
+        if g not in sub:
+            gens.append(g)
+            sub = closure(group, gens)
     return gens
 
 

@@ -93,11 +93,8 @@ def eigen_projection(level, power, x, precision=20):
         raise ValueError("precision %d is not positive" % precision)
     mod = ell ** precision
     # x = nums / den with gcd(den, nums) = 1: den is the least denominator
-    scale = 0
-    unit_part = x.den
-    while unit_part % ell == 0:
-        unit_part //= ell
-        scale += 1
+    scale = valuation(x.den, ell)
+    unit_part = x.den // ell ** scale
     unit_inv = pow(unit_part, -1, mod)
     residues = {}
     for w in level.wild.elements:
@@ -128,11 +125,7 @@ class TorsionAnnihilator(NamedTuple):
 def torsion_exponent(m, ell, r):
     # largest k such that a^(1-r) = 1 mod ell^k whenever a = 1 mod
     # ell^min(k, v_ell(m)); the order of the twisted cyclotomic torsion
-    vm = 0
-    mm = m
-    while mm % ell == 0:
-        mm //= ell
-        vm += 1
+    vm = valuation(m, ell)
 
     def holds(k):
         step = ell ** min(k, vm)

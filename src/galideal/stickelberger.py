@@ -17,6 +17,7 @@
 from typing import NamedTuple
 
 from .abelian import squares_subgroup, unit_group
+from .cyclotomic import prime_divisors
 from .dirichlet import (PlaceSet, horner, hurwitz_polynomial, is_prime,
                         l_value, orbit_values)
 from .groupring import GroupRingElement, lambda_assemble, map_elements
@@ -30,7 +31,7 @@ class StickelbergerElement(NamedTuple):
 
 
 def ramified_places(m):
-    return PlaceSet([p for p in range(2, m + 1) if m % p == 0 and is_prime(p)])
+    return PlaceSet(prime_divisors(m))
 
 
 def stickelberger(m, places, r=0):

@@ -108,6 +108,8 @@ calls = {
     "invariant 1": lambda: FiniteAbelianGroup((1, 2)),
     "not a divisor chain": lambda: FiniteAbelianGroup((2, 3)),
     "level -1": lambda: CyclotomicLevel(7, -1),
+    "characters of two groups": lambda: (unit_group(7).characters()[1]
+                                         * unit_group(9).characters()[1]),
 }
 for name, call in calls.items():
     try:

@@ -3,12 +3,13 @@
 # and naturality under quotient maps.
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from galideal import brauer
 from galideal.brauer import (BUILTIN_GROUPS, BrauerMap, ClassSpace,
-                             FiniteGroup, alternating4, bgstar, closure,
+                             FiniteGroup, alternating4, bgstar,
                              complete_components, component_images,
                              conjugation_consistency, cyclic_group,
                              dihedral4, duality_certificate,
@@ -90,6 +91,10 @@ def test_subgroup_lattice_counts():
         (alternating4, [1, 2, 2, 2, 3, 3, 3, 3, 4, 12]),
     ]:
         assert [r.order for r in subgroup_lattice(make())] == orders
+    for name, count in [("s4.txt", 30), ("d6.txt", 16)]:
+        text = (Path(__file__).parent / "golden" / name).read_text(
+            encoding="utf-8")
+        assert len(subgroup_lattice(from_cayley_text(text))) == count, name
 
 
 def test_subgroup_lattice_budget():

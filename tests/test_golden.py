@@ -32,6 +32,19 @@ def test_check_and_lvalue_cases_without_asserts():
     # python -O strips asserts: every check and lvalue case prints the same
     # bytes in one -O process, so none of their work happens in an assert
     cases = [c for c in CASES if c["argv"][0] in ("check", "lvalue")]
+    assert len(cases) > 20
+    _run_without_asserts(cases)
+
+
+def test_brauer_map_cases_without_asserts():
+    # the same for brauer-map, whose subgroup lattices and commutator
+    # subgroups carry asserts on internal invariants
+    cases = [c for c in CASES if c["argv"][0] == "brauer-map"]
+    assert len(cases) >= 8
+    _run_without_asserts(cases)
+
+
+def _run_without_asserts(cases):
     script = """
 import contextlib, io, json, sys
 from galideal.cli import main
@@ -52,7 +65,7 @@ sys.stdout.write(json.dumps(out))
                           cwd=GOLDEN, env={"PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)
-    assert len(results) == len(cases) > 20
+    assert len(results) == len(cases)
     for case, (code, out, err) in zip(cases, results):
         assert (code, err) == (case["exit"], ""), case["name"]
         assert out.encode() == (GOLDEN / (case["name"] + ".out")).read_bytes(), \

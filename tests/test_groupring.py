@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import galideal
-from galideal.abelian import FiniteAbelianGroup, unit_group
-from galideal.brauer import (alternating4, closure, dihedral4,
-                             from_cayley_text, quaternion8, symmetric3)
+from galideal.abelian import FiniteAbelianGroup, closure, unit_group
+from galideal.brauer import BUILTIN_GROUPS, from_cayley_text, symmetric3
 from galideal.cyclotomic import CyclotomicNumber
 from galideal.groupring import (
     EmbeddingSignature,
@@ -424,25 +424,55 @@ for name, call in calls.items():
     assert proc.stdout == ""
 
 
+def _pairwise_closure(G, seed):
+    # the reference subgroup closure: the seed and the identity, closed by
+    # multiplying every pair of the growing set in both orders
+    cur = {G.identity} | set(seed)
+    frontier = list(cur)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(cur):
+                for c in (G.op(a, b), G.op(b, a)):
+                    if c not in cur:
+                        cur.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return frozenset(cur)
+
+
 def _generating_set_by_closure(G):
-    # the reference: greedy in element order, each subgroup closed by
-    # brauer.closure, which multiplies every pair of the growing set
+    # the reference: greedy in element order, each subgroup closed pairwise
     gens = []
     cur = frozenset([G.identity])
     for g in G.elements:
         if g not in cur:
             gens.append(g)
-            cur = closure(G, cur | {g})
+            cur = _pairwise_closure(G, cur | {g})
     return gens
 
 
+def _closure_test_groups():
+    S4 = from_cayley_text(
+        (Path(__file__).parent / "golden" / "s4.txt").read_text(encoding="utf-8"))
+    return ([make() for make in BUILTIN_GROUPS.values()] + [S4, D6, C2xC4]
+            + [unit_group(m) for m in range(1, 61)])
+
+
 def test_generating_set_matches_the_closure_reference():
-    golden = Path(__file__).parent / "golden"
-    S4 = from_cayley_text((golden / "s4.txt").read_text(encoding="utf-8"))
-    groups = [symmetric3(), dihedral4(), quaternion8(), alternating4(), S4,
-              D6] + [unit_group(m) for m in range(1, 61)]
-    for G in groups:
+    for G in _closure_test_groups():
         gens = generating_set(G)
         assert gens == _generating_set_by_closure(G), G
-        assert closure(G, gens) == frozenset(G.elements), G
+        assert _pairwise_closure(G, gens) == frozenset(G.elements), G
     assert generating_set(unit_group(2)) == []
+
+
+def test_closure_matches_the_pairwise_reference():
+    # seeds: nothing, every element alone, and random sets of two to four
+    rng = random.Random(21)
+    for G in _closure_test_groups():
+        elems = list(G.elements)
+        seeds = [[]] + [[g] for g in elems] + [
+            rng.sample(elems, min(k, len(elems))) for k in (2, 3, 4) * 8]
+        for seed in seeds:
+            assert closure(G, seed) == _pairwise_closure(G, seed), (G, seed)
