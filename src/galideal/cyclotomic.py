@@ -12,7 +12,8 @@
 # orders would not, and nothing here uses them as dict keys.  The Fraction
 # coordinates (`coeffs`) are computed on demand and not stored.
 #
-# Phi_N is monic, so reduction mod Phi_N stays in the integers: for
+# Phi_N is built from binomials x^d - 1 and feeds one table of rows.  It is
+# monic, so reduction mod Phi_N stays in the integers: for
 # phi(N) <= k < N the coordinates of zeta_N^k form an integer row, and every
 # other power folds onto [0, N) by zeta_N^N = 1.
 #
@@ -25,7 +26,7 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 @lru_cache(maxsize=None)
 def prime_divisors(n):
@@ -55,44 +56,34 @@ def euler_phi(n):
     return result
 
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod_int(p, q):
-    # exact-integer polynomial division; q monic up to sign
-    p = list(p)
-    out = [0] * max(0, len(p) - len(q) + 1)
-    lead = q[-1]
-    for i in range(len(p) - len(q), -1, -1):
-        c = p[i + len(q) - 1]
-        if c % lead != 0:
-            raise ArithmeticError("non-exact integer polynomial division")
-        f = c // lead
-        out[i] = f
-        if f:
-            for j, b in enumerate(q):
-                p[i + j] -= f * b
-    return out, _poly_trim(p)
-
-
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
-    # Coefficients of Phi_n, constant term first.  Computed by dividing
-    # x^n - 1 by the Phi_d for proper divisors d; all divisions are exact.
+    # Coefficients of Phi_n, constant term first, from binomials (Arnold
+    # and Monagan, Math. Comp. 80, 2011).  With r the radical of n,
+    # Phi_n(x) = Phi_r(x^(n/r)), and for r > 1 Phi_r is the product of
+    # (1 - x^d)^mu(r/d) over the divisors d of r.  That product is taken as
+    # a power series mod x^(phi(r)+1), one pass per binomial.
     if n < 1:
         raise ValueError("cyclotomic polynomial needs n >= 1, got %d" % n)
     if n == 1:
         return (-1, 1)
-    p = [0] * (n + 1)
-    p[0], p[n] = -1, 1
-    for d in range(1, n):
-        if n % d == 0:
-            p, rem = _poly_divmod_int(p, list(cyclotomic_polynomial(d)))
-            assert not rem
-    return tuple(p)
+    primes = prime_divisors(n)
+    r = prod(primes)
+    phi = euler_phi(r)
+    divisors = [(1, (-1) ** len(primes))]  # (d, mu(r/d))
+    for p in primes:
+        divisors += [(d * p, -mu) for d, mu in divisors]
+    series = [1] + [0] * phi
+    for d, mu in divisors:
+        if mu > 0:  # times 1 - x^d
+            for i in range(phi, d - 1, -1):
+                series[i] -= series[i - d]
+        else:  # times 1 / (1 - x^d) = 1 + x^d + x^2d + ...
+            for i in range(d, phi + 1):
+                series[i] += series[i - d]
+    step = n // r
+    coeffs = [0] * (phi * step + 1)
+    coeffs[::step] = series
+    return tuple(coeffs)
 
 
 @lru_cache(maxsize=None)

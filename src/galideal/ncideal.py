@@ -9,6 +9,7 @@
 
 from typing import NamedTuple
 
+from .brauer import SubgroupRecord, conjugate_set, record_index
 from .groupring import GroupRingElement, map_elements
 from .lattice import (contains_element, element_vector, from_generators,
                       ideal_elements)
@@ -147,11 +148,11 @@ def covariant_data(records, base_data):
         G = d.record.group
         seen = set()
         for w in G.elements:
-            moved = frozenset(G.conjugate(w, h) for h in d.record.elements)
+            moved = conjugate_set(G, d.record.elements, w)
             if moved in seen:
                 continue
             seen.add(moved)
-            target = next(r for r in records if frozenset(r.elements) == moved)
+            target = records[record_index(records, moved)]
             out.append(conjugate_datum(d, target, w))
     return out
 
@@ -166,7 +167,6 @@ def push_datum(d, record_small, proj):
 def quotient_data(data, Q, proj):
     # the pushed-forward data over the quotient group, one datum per
     # original datum, over the image subgroup
-    from .brauer import SubgroupRecord
     out = []
     cache = {}
     for d in data:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -9,6 +10,7 @@ from galideal.cyclotomic import (
     CyclotomicNumber,
     cyclotomic_polynomial,
     euler_phi,
+    from_exponents,
 )
 
 zeta = CyclotomicNumber.zeta
@@ -18,10 +20,29 @@ def test_cyclotomic_polynomial_against_sympy():
     from sympy import Poly, cyclotomic_poly, symbols
 
     x = symbols("x")
-    for n in range(1, 60):
+    # 1458 = 2 * 3^6 gives Phi_6(x^243); 2310 = 2 * 3 * 5 * 7 * 11 has five
+    # primes, and 9240 gives Phi_2310(x^4)
+    for n in [*range(1, 301), 1000, 1458, 2310, 9240]:
         ours = cyclotomic_polynomial(n)
         theirs = Poly(cyclotomic_poly(n, x), x).all_coeffs()[::-1]
         assert list(ours) == [int(c) for c in theirs], n
+
+
+def test_from_exponents_against_sympy_rem():
+    # an accumulator of length 2n reduces to its remainder mod Phi_n
+    from sympy import Poly, cyclotomic_poly, symbols
+
+    x = symbols("x")
+    rng = random.Random(1)
+    for n in (210, 1458):
+        acc = [rng.randint(-50, 50) for _ in range(2 * n)]
+        ours = from_exponents(n, acc).lift(n).coeffs
+        phi_n = Poly(cyclotomic_poly(n, x), x)
+        # auto=False divides over ZZ (Phi_n is monic), not over QQ
+        rem = Poly(acc[::-1], x).rem(phi_n, auto=False)
+        theirs = [int(c) for c in rem.all_coeffs()[::-1]]
+        theirs += [0] * (euler_phi(n) - len(theirs))
+        assert list(ours) == theirs, n
 
 
 def test_euler_phi():
