@@ -274,3 +274,43 @@ def test_imagquad_base_change_consistency():
 def test_imagquad_requires_3_mod_4():
     with pytest.raises(ValueError, match="3 \\(mod 4\\)"):
         ideal_J_imagquad(CyclotomicLevel(5, 0))
+
+
+def _odd(x):
+    x = abs(x)
+    return x // (x & -x)
+
+
+RESULTANT_CASES = ([(3, n) for n in range(5)] + [(5, n) for n in range(3)]
+                   + [(7, 0), (7, 1), (11, 0), (23, 0), (37, 0)])
+
+
+@pytest.mark.parametrize("r", [0, -1, -2])
+@pytest.mark.parametrize("ell,n", RESULTANT_CASES)
+def test_minus_index_is_a_resultant(ell, n, r):
+    # theta(r) spans a principal ideal of Z[t]/(t^k - eps) in the half
+    # coordinates g^0 .. g^(k-1), k = phi(m)/2, g a primitive root and
+    # eps = (-1)^(1-r), so its index is |Res(theta-bar, t^k - eps)|; the
+    # index of J's numerator lattice is prod pivots * (den theta / den J)^k,
+    # and 2-saturation leaves the odd parts equal.  sympy is the reference
+    # for both the primitive root and the resultant.
+    from sympy import Poly, primitive_root, resultant, symbols
+
+    level = CyclotomicLevel(ell, n)
+    m, group = level.modulus, level.group
+    th = stickelberger(m, level.places(), r).element
+    k = group.order // 2
+    g = primitive_root(m)
+    t = symbols("t")
+    bar = Poly([th.nums[group.index(pow(g, i, m))] for i in reversed(range(k))],
+               t)
+    eps = (-1) ** (1 - r)
+    res = resultant(bar, Poly(t ** k - eps, t))
+    J = ideal_J_minus(level, r)
+    assert J.rank == k
+    pivots = 1
+    for col in J.columns:
+        pivots *= next(x for x in col if x)
+    index = pivots * (th.den // J.denominator) ** k
+    assert th.den % J.denominator == 0
+    assert _odd(int(res)) == _odd(index)
