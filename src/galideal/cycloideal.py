@@ -10,12 +10,14 @@
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .abelian import squares_subgroup, subgroup_of_units, unit_group
 from .dirichlet import PlaceSet
 from .groupring import GroupRingElement, map_elements
-from .lattice import (from_generators, group_labels, ideal_elements,
-                      ideal_sum, map_image, scale_by, unit_ideal)
+from .lattice import (FractionalIdeal, group_labels, ideal_elements,
+                      ideal_sum, map_image, saturated_columns, scale_by,
+                      unit_ideal)
 from .stickelberger import (complex_conjugation, half_stickelberger,
                             require_imagquad_prime, stickelberger)
 from .towers import TowerDatum, cyclotomic_tower
@@ -36,7 +38,8 @@ class CyclotomicLevel:
     # The layer of conductor m = ell^(n+1): its Galois group with the
     # distinguished conjugation, split internally into the tame subgroup
     # (order ell-1, isomorphic image of (Z/ell)^*) and the wild subgroup
-    # (order ell^n, the residues = 1 mod ell).
+    # (order ell^n, the residues = 1 mod ell).  The product of their
+    # generators has order (ell-1) ell^n, so it generates the whole group.
 
     def __init__(self, ell, n):
         if n < 0:
@@ -49,10 +52,10 @@ class CyclotomicLevel:
         self.modulus = ell ** (n + 1)
         self.group = unit_group(self.modulus)
         self.conjugation = complex_conjugation(self.modulus)
-        self.tame = subgroup_of_units(self.modulus,
-                                      [pow(g, ell ** n, self.modulus)])
-        self.wild = subgroup_of_units(self.modulus,
-                                      [(1 + ell) % self.modulus])
+        tame, wild = pow(g, ell ** n, self.modulus), (1 + ell) % self.modulus
+        self.tame = subgroup_of_units(self.modulus, [tame])
+        self.wild = subgroup_of_units(self.modulus, [wild])
+        self.generator = tame * wild % self.modulus
         assert self.tame.order == ell - 1
         assert self.wild.order == ell ** n
         # exponent that kills the wild part and fixes the tame part
@@ -142,12 +145,45 @@ def minus_idempotent(level, r=0):
     return (one + c.scale(sign)).scale(Fraction(1, 2))
 
 
+def eigenspace_ideal(level, gens, eps):
+    # Z[1/2][G]-module generated by gens, which must lie in the eps-eigenspace
+    # of conjugation: x[m-a] = eps x[a].  The residues are labelled in
+    # increasing order, so a < m/2 fills the first half of the coordinates
+    # and m-a the mirrored index.  Restricted to that half the eigenspace is
+    # Z^k (k = phi(m)/2) and level.generator acts by a signed permutation;
+    # the HNF's pivot rows are the half's rows, and restriction commutes
+    # with 2-saturation, so the canonical columns are those of the half,
+    # lifted by x[m-a] = eps x[a].
+    group, m = level.group, level.modulus
+    k = group.order // 2
+    den = lcm(*(x.den for x in gens))
+    half = []
+    for x in gens:
+        if x.group != group or any(
+                x.nums[-1 - i] != eps * x.nums[i] for i in range(k)):
+            raise ValueError("generator outside the %+d eigenspace of "
+                             "conjugation mod %d" % (eps, m))
+        half.append([a * (den // x.den) for a in x.nums[:k]])
+    # (g x)[a] = x[g^-1 a], read back into the half by x[m-b] = eps x[b]
+    g_inv = pow(level.generator, -1, m)
+    perm = []
+    for a in group.elements[:k]:
+        b = g_inv * a % m
+        perm.append((group.index(b), 1) if b < m - b
+                    else (group.index(m - b), eps))
+    d, columns = saturated_columns(den, half, k, [perm])
+    return FractionalIdeal(group_labels(group), d,
+                           [c + [eps * x for x in reversed(c)]
+                            for c in columns])
+
+
 def ideal_J_minus(level, r=0, places=None):
-    # the r-twisted Stickelberger span Z[1/2][G] theta(r)
+    # the r-twisted Stickelberger span Z[1/2][G] theta(r), in the
+    # (-1)^(1-r) eigenspace of conjugation
     if places is None:
         places = level.places()
     theta = stickelberger(level.modulus, places, r).element
-    return from_generators(level.group, [theta])
+    return eigenspace_ideal(level, [theta], (-1) ** (1 - r))
 
 
 def inflate_plus(level, xbar):
@@ -167,7 +203,7 @@ def full_ideal_parts(level, units=None):
         units = unit_ideal(quot)
     plus_gens = [inflate_plus(level, x).scale(Fraction(1, 2))
                  for x in ideal_elements(units, quot)]
-    plus_part = from_generators(level.group, plus_gens)
+    plus_part = eigenspace_ideal(level, plus_gens, 1)
     minus_part = ideal_J_minus(level, 0)
     return plus_part, minus_part
 

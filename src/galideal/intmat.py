@@ -15,9 +15,9 @@
 #     therefore stay below their pivots, which bounds their growth without
 #     reducing modulo a determinant (Cohen, A Course in Computational
 #     Algebraic Number Theory, sec. 2.4).
-#   - hnf_columns also closes under coordinate permutations: given perms,
-#     it returns the HNF of the smallest lattice holding the columns and
-#     stable under each permutation, by the MeatAxe's spinning (Holt, Eick
+#   - hnf_columns also closes under signed coordinate permutations: given
+#     perms, it returns the HNF of the smallest lattice holding the columns
+#     and stable under each of them, by the MeatAxe's spinning (Holt, Eick
 #     and O'Brien, Handbook of Computational Group Theory): one FIFO queue
 #     of the inputs, then the images of each vector that enlarged it.
 #     A vector already in the lattice is a combination of earlier vectors,
@@ -68,8 +68,9 @@ def mat_vec(A, v):
 
 def hnf_columns(columns, n, perms=()):
     # Canonical column HNF of the smallest lattice that contains `columns`,
-    # integer vectors of length n, and is stable under each permutation in
-    # `perms` (v -> [v[k] for k in perm]), as a list of columns in pivot
+    # integer vectors of length n, and is stable under each signed
+    # permutation in `perms`, a list of pairs (k, s) with s = +-1
+    # (v -> [s * v[k] for k, s in perm]), as a list of columns in pivot
     # order; zero columns dropped.
     basis = {}
     queue = deque(columns)
@@ -78,7 +79,7 @@ def hnf_columns(columns, n, perms=()):
         if len(v) != n:
             raise ValueError("column of length %d, expected %d" % (len(v), n))
         if _insert(basis, v[:]):
-            queue.extend([v[k] for k in perm] for perm in perms)
+            queue.extend([s * v[k] for k, s in perm] for perm in perms)
     return [basis[p] for p in sorted(basis)]
 
 
@@ -116,16 +117,18 @@ def _insert(basis, v):
         if b is None:
             _place(basis, p, v if v[p] > 0 else [-x for x in v])
             return True
+        # v and b vanish above row p, so only rows >= p change
         q = v[p] // b[p]
         if q:
-            v = [x - q * y for x, y in zip(v, b)]
+            v[p:] = [x - q * y for x, y in zip(v[p:], b[p:])]
         if v[p]:
             # 0 < v[p] < b[p]: replace b by the gcd combination of b and v
             # and go on inserting the remainder, which vanishes on row p
             g, x, y = xgcd(b[p], v[p])
             s, t = b[p] // g, v[p] // g
-            merged = [x * bi + y * vi for bi, vi in zip(b, v)]
-            v = [s * vi - t * bi for bi, vi in zip(b, v)]
+            bp, vp = b[p:], v[p:]
+            merged = v[:p] + [x * bi + y * vi for bi, vi in zip(bp, vp)]
+            v[p:] = [s * vi - t * bi for bi, vi in zip(bp, vp)]
             _place(basis, p, merged)
             grew = True
 

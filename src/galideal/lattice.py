@@ -12,15 +12,16 @@
 # {x in Z^n : 2^k x in Lambda} likewise, and d is minimal among odd
 # denominators presenting M over an integer lattice — so equal modules get
 # identical fields.
-# Canonicalization takes integer vectors over one denominator (keeping its
-# odd part) and coordinate permutations, column-HNFs the smallest lattice
-# holding the vectors and stable under the permutations (hnf_columns'
-# closure), then saturates at 2: for a basis c of the F2-kernel
-# {c : H c = 0 mod 2} adjoin (H c)/2 and re-HNF, until the kernel is empty.
-# A permutation maps the 2-saturation of a stable lattice onto itself, so
-# the saturation needs no closure.  Last, divide d and the columns by
-# g = gcd(d, content), which leaves gcd(d, content) = 1; g is odd, so the
-# divided lattice is still 2-saturated and still in column HNF.  Fractions
+# Canonicalization (saturated_columns, at any dimension) takes integer
+# vectors over one denominator (keeping its odd part) and signed coordinate
+# permutations, column-HNFs the smallest lattice holding the vectors and
+# stable under the permutations (hnf_columns' closure), then saturates at 2:
+# for a basis c of the F2-kernel {c : H c = 0 mod 2} adjoin (H c)/2 and
+# re-HNF, until the kernel is empty.  A signed permutation maps the
+# 2-saturation of a stable lattice onto itself, so the saturation needs no
+# closure.  Last, divide d and the columns by g = gcd(d, content), which
+# leaves gcd(d, content) = 1; g is odd, so the divided lattice is still
+# 2-saturated and still in column HNF.  Fractions
 # occur only at the API's edges; a translate g x or x g permutes x's
 # integer numerators.
 #
@@ -95,20 +96,25 @@ class FractionalIdeal:
 
 def canonicalize(labels, denominator, vectors, perms=()):
     # the smallest Z[1/2]-module holding {v / denominator} and stable under
-    # the coordinate permutations perms: v integer sequences of the
+    # the signed coordinate permutations perms: v integer sequences of the
     # ambient's length, denominator a nonzero integer (0 fails as the
     # FractionalIdeal's denominator)
     labels = tuple(labels)
     n = len(labels)
-    vs = []
     for v in vectors:
         if len(v) != n:
             raise ValueError("vector of length %d in an ambient of dimension %d"
                              % (len(v), n))
-        if any(v):
-            vs.append(v)
+    return FractionalIdeal(labels,
+                           *saturated_columns(denominator, vectors, n, perms))
+
+
+def saturated_columns(denominator, vectors, n, perms=()):
+    # (d, columns) of the canonical form of the header for integer vectors
+    # of length n, without labels
+    vs = [v for v in vectors if any(v)]
     if not vs:
-        return FractionalIdeal(labels, 1, [])
+        return 1, []
     H = hnf_columns(vs, n, perms)
     halves = _half_columns(H)
     while halves:
@@ -116,8 +122,7 @@ def canonicalize(labels, denominator, vectors, perms=()):
         halves = _half_columns(H)
     d = _odd_part(denominator)
     g = gcd(d, *(x for col in H for x in col))
-    columns = [[x // g for x in col] for col in H]
-    return FractionalIdeal(labels, d // g, columns)
+    return d // g, [[x // g for x in col] for col in H]
 
 
 def _half_columns(cols):
@@ -169,15 +174,15 @@ def from_generators(group, gens):
     # Z[1/2][G]-module generated by gens: the generators' numerators over
     # their common denominator, closed under the left translation by each
     # g in generating_set(group), the permutation (g x)[t] = x[g^-1 t] of
-    # the numerators.  Closing under generators of G closes under G, and
-    # only translates that enlarge the lattice reach the HNF; then
-    # canonicalize.  Empty generator list gives the zero module.
+    # the numerators, with every sign +1.  Closing under generators of G
+    # closes under G, and only translates that enlarge the lattice reach the
+    # HNF; then canonicalize.  Empty generator list gives the zero module.
     for x in gens:
         _check_same("generator's group", group, x.group)
     den = lcm(*(x.den for x in gens))
     nums = [[a * (den // x.den) for a in x.nums] for x in gens]
     els, index, op, inv = group.elements, group.index, group.op, group.inv
-    perms = [[index(op(inv(g), t)) for t in els]
+    perms = [[(index(op(inv(g), t)), 1) for t in els]
              for g in generating_set(group)]
     return canonicalize(group_labels(group), den, nums, perms)
 

@@ -8,7 +8,8 @@ import pytest
 import galideal
 
 from galideal.abelian import squares_subgroup
-from galideal.cycloideal import (CyclotomicLevel, full_ideal_parts,
+from galideal.cycloideal import (CyclotomicLevel, eigenspace_ideal,
+                                 full_ideal_parts,
                                  ideal_J_full, ideal_J_imagquad, ideal_J_minus,
                                  ideal_J_real, inflate_plus, level_tower,
                                  minus_idempotent, phi_pull_matrix, phi_push,
@@ -51,6 +52,43 @@ def test_level_structure():
     assert lev5.tame.order == 4 and lev5.wild.order == 1
     with pytest.raises(ValueError):
         CyclotomicLevel(9, 0)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+                                 43, 47, 53, 59, 61])
+def test_level_generator_generates(ell):
+    # the tame generator times 1 + ell has order phi(m): no Wieferich
+    # exception, as the two orders are coprime
+    from sympy import n_order, totient
+
+    for n in range(3 if ell <= 7 else 2):
+        level = CyclotomicLevel(ell, n)
+        m = level.modulus
+        assert n_order(level.generator, m) == totient(m) == level.group.order
+
+
+@pytest.mark.parametrize("ell,n,r", [(3, 0, 0), (3, 2, -1), (5, 1, 0),
+                                     (7, 1, -2), (13, 0, -1)])
+def test_eigenspace_ideal_matches_full_closure(ell, n, r):
+    # the half-dimension route against the full-dimension closure under the
+    # greedy generating set, with and without an extra place
+    level = CyclotomicLevel(ell, n)
+    for places in (level.places(), PlaceSet([ell, 2])):
+        th = stickelberger(level.modulus, places, r).element
+        assert (ideal_J_minus(level, r, places)
+                == from_generators(level.group, [th]))
+
+
+def test_eigenspace_ideal_rejects_generators_off_the_eigenspace():
+    level = CyclotomicLevel(5, 1)
+    th = theta(25, 0)
+    one = GroupRingElement.one(level.group)
+    assert eigenspace_ideal(level, [th], -1) == ideal_J_minus(level, 0)
+    for gens, eps in (([th], 1), ([th, one], -1), ([one], -1)):
+        with pytest.raises(ValueError, match="eigenspace of conjugation"):
+            eigenspace_ideal(level, gens, eps)
+    with pytest.raises(ValueError, match="eigenspace of conjugation"):
+        eigenspace_ideal(level, [theta(5, 0)], -1)
 
 
 def test_plus_quotient_group():
@@ -302,8 +340,8 @@ def test_minus_index_is_a_resultant(ell, n, r):
     k = group.order // 2
     g = primitive_root(m)
     t = symbols("t")
-    bar = Poly([th.nums[group.index(pow(g, i, m))] for i in reversed(range(k))],
-               t)
+    coeffs = [th.nums[group.index(pow(g, i, m))] for i in range(k)]
+    bar = Poly(coeffs[::-1], t)
     eps = (-1) ** (1 - r)
     res = resultant(bar, Poly(t ** k - eps, t))
     J = ideal_J_minus(level, r)

@@ -202,30 +202,38 @@ def test_column_kernel(A):
         assert all(v == 0 for v in mat_vec(A, k))
 
 
-def _permutation_group(perms, n):
-    # every composite of the permutations, closed by breadth-first search
-    # from the identity
-    seen = {tuple(range(n))}
+def _signed_permutation_group(perms, n, limit):
+    # every composite of the signed permutations (lists of pairs (k, s),
+    # v -> [s * v[k] for k, s in perm]), closed by breadth-first search from
+    # the identity; None once it passes limit elements
+    seen = {tuple((k, 1) for k in range(n))}
     frontier = list(seen)
     while frontier:
         nxt = []
         for g in frontier:
             for p in perms:
-                h = tuple(g[k] for k in p)
+                h = tuple((g[k][0], s * g[k][1]) for k, s in p)
                 if h not in seen:
                     seen.add(h)
                     nxt.append(h)
+        if len(seen) > limit:
+            return None
         frontier = nxt
     return seen
 
 
 @st.composite
 def permuted_columns(draw):
-    # (columns, n, perms): 1-3 permutations of n <= 8 points, the identity
-    # and repeats among them as often as hypothesis likes
+    # (columns, n, perms): 1-3 signed permutations of n <= 8 points, the
+    # identity, all signs +1 and repeats among them as often as hypothesis
+    # likes
     n = draw(st.integers(1, 8))
     perm = st.one_of(st.just(list(range(n))), st.permutations(range(n)))
-    perms = draw(st.lists(perm, min_size=1, max_size=2))
+    signs = st.one_of(st.just([1] * n),
+                      st.lists(st.sampled_from([1, -1]), min_size=n,
+                               max_size=n))
+    signed = st.tuples(perm, signs).map(lambda ks: list(zip(*ks)))
+    perms = draw(st.lists(signed, min_size=1, max_size=2))
     if draw(st.booleans()):
         perms.append(perms[0])
     columns = draw(st.lists(st.lists(small_int, min_size=n, max_size=n),
@@ -235,18 +243,24 @@ def permuted_columns(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(permuted_columns())
-@example(([[1, 2, 0]], 3, [[0, 1, 2]]))
-@example(([[1, 2, 0], [0, 0, 0]], 3, [[1, 2, 0], [1, 2, 0]]))
-@example(([[2, 4, 6, 8]], 4, [[1, 0, 2, 3], [1, 2, 3, 0], [1, 0, 2, 3]]))
-@example(([], 2, [[1, 0]]))
+@example(([[1, 2, 0]], 3, [[(0, 1), (1, 1), (2, 1)]]))
+@example(([[1, 2, 0], [0, 0, 0]], 3,
+          [[(1, 1), (2, 1), (0, 1)], [(1, 1), (2, 1), (0, 1)]]))
+@example(([[2, 4, 6, 8]], 4, [[(1, 1), (0, 1), (2, 1), (3, 1)],
+                              [(1, 1), (2, 1), (3, 1), (0, 1)],
+                              [(1, 1), (0, 1), (2, 1), (3, 1)]]))
+@example(([], 2, [[(1, 1), (0, 1)]]))
+@example(([[1, 1]], 2, [[(1, -1), (0, 1)]]))
+@example(([[3, 0, 0]], 3, [[(0, -1), (1, 1), (2, 1)]]))
 def test_hnf_columns_closes_under_permutations(case):
-    # the closure under the generators against the span of every image under
-    # the group they generate; the symmetric and alternating groups on 8
-    # points (up to 120,960 images) are left out to keep the reference quick
+    # the closure under the generators against the span of every signed
+    # image under the group they generate; groups past 5040 elements (the
+    # symmetric and alternating groups on 7 or 8 points, with or without
+    # signs) are left out to keep the reference quick
     columns, n, perms = case
-    group = _permutation_group(perms, n)
-    assume(len(group) <= 5040)
-    images = [[v[k] for k in g] for v in columns for g in sorted(group)]
+    group = _signed_permutation_group(perms, n, 5040)
+    assume(group is not None)
+    images = [[s * v[k] for k, s in g] for v in columns for g in sorted(group)]
     assert hnf_columns(columns, n, perms) == hnf_columns(images, n)
 
 
