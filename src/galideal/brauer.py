@@ -10,14 +10,15 @@
 # component lattices back through it.  A quotient map of groups induces
 # compatible maps on both sides, and the resulting square is checked as an
 # exact matrix identity.  The duality certificate checks the map against
-# traces of induced representations, kept as monomial (perm, exps) pairs.
+# traces of induced representations, read off one monomial table per subgroup.
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from typing import NamedTuple
 
 from .abelian import AbelianCharacter, closure, coordinates, left_cosets
-from .cyclotomic import root_sum
+from .cyclotomic import from_exponents
 from .groupring import (GroupRingElement, generating_set, map_elements,
                         psi_eval)
 from .intmat import hnf_columns, mat_mul, mat_vec
@@ -474,15 +475,18 @@ def bgstar(G, records=None):
 # ---------------------------------------------------------------------------
 # certification of the component map against induced characters
 
-def _induced(G, rec, chi, g, cosets):
-    # g on the cosets xH twisted by chi, as a monomial matrix: column j has
-    # one entry, zeta_N^exps[j], in row i = perm[j], where g x_j = x_i h with
-    # h in H and chi(h) = zeta_N^exps[j]
-    reps, coset_of = cosets
-    perm = [coset_of[G.op(g, x)] for x in reps]
-    exps = [chi.exponent(rec.project[G.op(G.inv(reps[i]), G.op(g, x))])
-            for i, x in zip(perm, reps)]
-    return perm, exps
+def _monomial_table(G, rec):
+    # each g in G on the cosets xH as a monomial matrix over H^ab: column j
+    # has one entry, hs[j], in row i = perm[j], where g x_j = x_i h and h in
+    # H projects to hs[j]; a character chi twists it into Ind chi (g)
+    reps, coset_of = left_cosets(G.elements, G.op, rec.elements)
+    table = []
+    for g in G.elements:
+        gx = [G.op(g, x) for x in reps]
+        perm = [coset_of[y] for y in gx]
+        table.append((perm, [rec.project[G.op(G.inv(reps[i]), y)]
+                             for i, y in zip(perm, gx)]))
+    return table
 
 
 class DualityReport(NamedTuple):
@@ -494,38 +498,41 @@ class DualityReport(NamedTuple):
 def duality_certificate(bmap):
     # Certify every component against the trace of the induced twisted
     # permutation representation, computed independently from the Cayley
-    # table.  Its matrices are monomial, one root of unity zeta_N^k per
-    # column, kept as (perm, exps): a product, the identity test and a trace
-    # each cost O([G:H]).  M(g)M(x) = M(gx) is checked for g in a generating
-    # set and all x; with M(e) = 1 it extends by induction on word length to
-    # all g, since every element of a finite group is a word in generators.
+    # table: each subgroup's monomial table twisted by chi.  M(e) = 1 and
+    # M(g)M(x) = M(gx) for g in a generating set and all x extend by
+    # induction on word length to all g.  A test's permutation half is the
+    # same for every chi; its exponent equations a + b = c on H^ab are kept
+    # once, keyed to their first test, up to the first permutation failure.
     G = bmap.group
     gens = generating_set(G)
     checked = 0
     for k, rec in enumerate(bmap.records):
-        cosets = left_cosets(G.elements, G.op, rec.elements)
+        mats = _monomial_table(G, rec)
+        perm, hs = mats[G.identity]
+        if perm != list(range(len(perm))):
+            return DualityReport(False, checked, (k, 0, "identity"))
+        eqs, fail = {(h, h, h): "identity" for h in hs}, None  # chi(h) = 1
+        for g, x in product(gens, G.elements):
+            (pg, hg), (px, hx), (pgx, hgx) = mats[g], mats[x], mats[G.op(g, x)]
+            at = "hom@%s,%s" % (G.label(g), G.label(x))
+            # column j of M(g)M(x) is chi(hg[i]) chi(hx[j]) in row pg[i]
+            for j, i in enumerate(px):
+                eqs.setdefault((hg[i], hx[j], hgx[j]), at)
+            if [pg[i] for i in px] != pgx:
+                fail = at
+                break
         for ci, chi in enumerate(rec.characters()):
             N = chi.root_order
-            mats = {g: _induced(G, rec, chi, g, cosets) for g in G.elements}
-            perm, exps = mats[G.identity]
-            if any(i != j or e % N for j, (i, e) in enumerate(zip(perm, exps))):
-                return DualityReport(False, checked, (k, ci, "identity"))
-            for g in gens:
-                pg, kg = mats[g]
-                for x in G.elements:
-                    px, kx = mats[x]
-                    pgx, kgx = mats[G.op(g, x)]
-                    # column j of M(g)M(x) is zeta_N^(kg[i] + kx[j]) in row pg[i]
-                    if any(pg[i] != pgx[j] or (kg[i] + kx[j] - kgx[j]) % N
-                           for j, i in enumerate(px)):
-                        return DualityReport(False, checked,
-                                             (k, ci, "hom@%s,%s" % (G.label(g), G.label(x))))
-            for c in range(bmap.space.dimension):
-                lhs = psi_eval(bmap.component(c, k), chi)
-                perm, exps = mats[min(bmap.space.classes[c])]
-                tr = root_sum(N, [(e, 1) for j, (i, e)
-                                  in enumerate(zip(perm, exps)) if i == j])
-                if lhs != tr:
+            row = [chi.exponent(q) % N for q in rec.ab.elements]
+            bad = next((at for (a, b, c), at in eqs.items()
+                        if (row[a] + row[b] - row[c]) % N), fail)
+            if bad:
+                return DualityReport(False, checked, (k, ci, bad))
+            for c, cls in enumerate(bmap.space.classes):
+                acc = [0] * N
+                for j, (i, h) in enumerate(zip(*mats[min(cls)])):
+                    acc[row[h]] += i == j
+                if psi_eval(bmap.component(c, k), chi) != from_exponents(N, acc):
                     return DualityReport(False, checked,
                                          (k, ci, bmap.space.labels[c]))
                 checked += 1
@@ -544,7 +551,9 @@ def transport_matrix(records, i, j, w):
     # H^ab of record i -> H^ab of record j along h -> w h w^-1
     src, dst = records[i], records[j]
     G = src.group
-    assert conjugate_set(G, src.elements, w) == frozenset(dst.elements)
+    if conjugate_set(G, src.elements, w) != frozenset(dst.elements):
+        raise ValueError("%s does not conjugate record %d onto record %d"
+                         % (G.label(w), i, j))
     return _map_matrix(src.induced(dst, lambda h: G.conjugate(w, h)),
                        dst.ab.order)
 

@@ -22,7 +22,7 @@
 # zeta_N^k rotates exponents, so Sigma_i v_i zeta_N^(k_i) adds each v_i's
 # numerators, shifted by k_i, into one integer accumulator indexed by
 # exponent mod M (M the lcm of N and the orders of the v_i) and reduces mod
-# Phi_M once (`RootSums`, `root_sum`, `from_exponents`).
+# Phi_M once (`RootSums`, `from_exponents`).
 
 from fractions import Fraction
 from functools import lru_cache
@@ -399,11 +399,3 @@ class RootSums:
                 for pos, a in terms:
                     acc[pos + s] += a
         return _make(M, _reduce(M, acc), self.den)
-
-
-def root_sum(n, terms):
-    # Sigma c zeta_n^k over the pairs (k, c) of terms, c rational or
-    # cyclotomic; k None drops the pair
-    terms = list(terms)
-    return RootSums(n, [c for _, c in terms])([k for k, _ in terms])
-

@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 
 from .abelian import unit_group
-from .cyclotomic import from_exponents, prime_divisors, root_sum
+from .cyclotomic import RootSums, from_exponents, prime_divisors
 
 
 @lru_cache(maxsize=None)
@@ -227,9 +227,8 @@ def partial_zeta_characters(r, a, m, places):
     group = unit_group(m)
     chars = group.characters()
     values = orbit_values(group, lambda chi: l_value(r, chi, places))
-    total = root_sum(chars[0].root_order,
-                     [(chi.conjugate().exponent(a), v)
-                      for chi, v in zip(chars, values)])
+    total = RootSums(chars[0].root_order, values)(
+        [chi.conjugate().exponent(a) for chi in chars])
     value = total * Fraction(1, group.order)
     assert value.is_rational(), "partial zeta came out irrational"
     return value.as_fraction()

@@ -2,12 +2,16 @@
 # out of the class space, its certification against induced characters,
 # and naturality under quotient maps.
 
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import galideal
 from galideal import brauer
+from galideal.abelian import left_cosets
 from galideal.brauer import (BUILTIN_GROUPS, BrauerMap, ClassSpace,
                              FiniteGroup, alternating4, bgstar,
                              complete_components, component_images,
@@ -224,18 +228,70 @@ def test_duality_detects_corrupted_permutation(monkeypatch, make):
     G = make()
     bmap = bgstar(G)
     g = next(g for g in G.elements if g != G.identity)
-    induced = brauer._induced
+    table = brauer._monomial_table
 
-    def corrupted(G, rec, chi, h, cosets):
-        perm, exps = induced(G, rec, chi, h, cosets)
-        if rec is bmap.records[0] and h == g:
+    def corrupted(G, rec):
+        mats = table(G, rec)
+        if rec is bmap.records[0]:
+            perm = mats[g][0]
             perm[0], perm[1] = perm[1], perm[0]
-        return perm, exps
+        return mats
 
-    monkeypatch.setattr(brauer, "_induced", corrupted)
+    monkeypatch.setattr(brauer, "_monomial_table", corrupted)
     report = duality_certificate(bmap)
     assert not report.passed and report.witness[:2] == (0, 0)
     assert report.witness[2].startswith("hom@")
+
+
+def _induced(G, rec, chi, g, cosets):
+    # the reference, built per character: g on the cosets xH twisted by chi,
+    # as a monomial matrix: column j has one entry, zeta_N^exps[j], in row
+    # i = perm[j], where g x_j = x_i h with h in H and chi(h) = zeta_N^exps[j]
+    reps, coset_of = cosets
+    perm = [coset_of[G.op(g, x)] for x in reps]
+    exps = [chi.exponent(rec.project[G.op(G.inv(reps[i]), G.op(g, x))])
+            for i, x in zip(perm, reps)]
+    return perm, exps
+
+
+def _golden_group(name):
+    path = Path(__file__).parent / "golden" / name
+    return lambda: from_cayley_text(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("make", [
+    symmetric3, dihedral4, quaternion8, alternating4,
+    _golden_group("d6.txt"), _golden_group("s4.txt")],
+    ids=["S3", "D4", "Q8", "A4", "D6", "S4"])
+def test_monomial_table_twisted_by_each_character_is_induced(make):
+    G = make()
+    for rec in subgroup_lattice(G):
+        cosets = left_cosets(G.elements, G.op, rec.elements)
+        mats = brauer._monomial_table(G, rec)
+        assert len(mats) == G.order
+        for chi in rec.characters():
+            for g in G.elements:
+                perm, hs = mats[g]
+                twisted = (perm, [chi.exponent(h) for h in hs])
+                assert twisted == _induced(G, rec, chi, g, cosets)
+
+
+def test_monomial_table_is_built_once_per_subgroup(monkeypatch):
+    # one table per subgroup, one entry per element, however many
+    # characters the subgroup's abelianization has (A4 has up to 4)
+    bmap = bgstar(alternating4())
+    built = []
+    table = brauer._monomial_table
+
+    def counted(G, rec):
+        mats = table(G, rec)
+        built.extend((rec, g) for g in range(len(mats)))
+        return mats
+
+    monkeypatch.setattr(brauer, "_monomial_table", counted)
+    assert duality_certificate(bmap).checked == 104
+    assert max(len(rec.characters()) for rec in bmap.records) == 4
+    assert len(built) == len(set(built)) == len(bmap.records) * 12
 
 
 def test_transport_depends_on_conjugator():
@@ -247,6 +303,30 @@ def test_transport_depends_on_conjugator():
         [1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert transport_matrix(records, 4, 4, 1) == [
         [1, 0, 0], [0, 0, 1], [0, 1, 0]]
+
+
+def test_transport_rejects_a_non_conjugator():
+    # python -O strips asserts; a w that does not conjugate record i onto
+    # record j must still raise ValueError.  The trivial subgroup sent into
+    # A3 (records 0 and 4 of S3) would otherwise give a matrix silently.
+    with pytest.raises(ValueError, match="does not conjugate record 0 onto"):
+        transport_matrix(subgroup_lattice(symmetric3()), 0, 4, 0)
+    script = """
+from galideal.brauer import subgroup_lattice, symmetric3, transport_matrix
+records = subgroup_lattice(symmetric3())
+for i, j, w in [(0, 4, 0), (1, 2, 0), (4, 5, 1)]:
+    try:
+        transport_matrix(records, i, j, w)
+        print(i, j, w)
+    except ValueError:
+        pass
+"""
+    src = str(Path(galideal.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
 
 
 def test_conjugation_consistency():
