@@ -579,8 +579,10 @@ def complete_components(bmap, components):
     full = dict(components)
     for i, rec in enumerate(records):
         if i in full:
-            assert full[i].labels == rec.ab_labels(), \
-                "component %d lives over the wrong ambient" % i
+            if full[i].labels != rec.ab_labels():
+                raise ValueError(
+                    "component %d for %r lives over %r, expected %r"
+                    % (i, rec, full[i].labels, rec.ab_labels()))
             continue
         for j in components:
             w = _conjugating_element(G, records, j, i)

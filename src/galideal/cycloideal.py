@@ -16,8 +16,7 @@ from .abelian import squares_subgroup, subgroup_of_units, unit_group
 from .dirichlet import PlaceSet
 from .groupring import GroupRingElement, map_elements
 from .lattice import (FractionalIdeal, group_labels, ideal_elements,
-                      ideal_sum, map_image, saturated_columns, scale_by,
-                      unit_ideal)
+                      ideal_sum, saturated_columns, scale_by, unit_ideal)
 from .stickelberger import (complex_conjugation, half_stickelberger,
                             require_imagquad_prime, stickelberger)
 from .towers import TowerDatum, cyclotomic_tower
@@ -214,13 +213,15 @@ def ideal_J_full(level, units=None):
 
 
 def ideal_J_real(level, units=None):
-    # (1/2) times the unit annihilator, over the plus quotient; the halving
-    # dissolves under 2-saturation but is kept for shape
+    # the unit annihilator over the plus quotient; the paper's factor 1/2 is
+    # a unit of Z[1/2], so the module is the annihilator itself
     quot = plus_quotient(level.modulus)
     if units is None:
-        units = unit_ideal(quot)
-    half_one = GroupRingElement.one(quot).scale(Fraction(1, 2))
-    return scale_by(units, quot, half_one)
+        return unit_ideal(quot)
+    if units.labels != group_labels(quot):
+        raise ValueError("ambient mismatch: %r, expected %r"
+                         % (units.labels, group_labels(quot)))
+    return units
 
 
 def half_subgroup(level):
@@ -231,34 +232,18 @@ def half_subgroup(level):
     return h
 
 
-def phi_push(level, x):
-    # the isomorphism Q[H] -> Q[G+] induced by a -> {a, m-a} on the index-2
-    # subgroup H avoiding conjugation
-    quot = plus_quotient(level.modulus)
-    return map_elements(x, quot, quot.normalize)
-
-
-def phi_pull_matrix(level):
-    # inverse of phi as a permutation matrix (plus-quotient coordinates to
-    # H coordinates)
-    h = half_subgroup(level)
-    quot = plus_quotient(level.modulus)
-    back = {quot.normalize(a): a for a in h.elements}
-    assert len(back) == quot.order
-    T = [[0] * quot.order for _ in range(h.order)]
-    for j, q in enumerate(quot.elements):
-        T[h.index(back[q])][j] = 1
-    return T
-
-
 def ideal_J_imagquad(level, units=None):
-    # ideal over H (the imaginary-quadratic base): transport the real
-    # ideal through phi, scale by twice the half-Stickelberger element,
-    # and pull back
+    # ideal over H (the imaginary-quadratic base): pull the real ideal's
+    # generators back along the isomorphism H -> G+, a -> {a, m-a}, which
+    # holds because conjugation avoids H, and scale them by twice the
+    # half-Stickelberger element in Q[H].  The pulled columns generate the
+    # module but are not in canonical form; scale_by reads only generators.
     require_imagquad_prime(level.ell)
     h = half_subgroup(level)
     quot = plus_quotient(level.modulus)
     real = ideal_J_real(level, units)
+    src = [quot.index(quot.normalize(a)) for a in h.elements]
+    pulled = FractionalIdeal(group_labels(h), real.denominator,
+                             [[col[j] for j in src] for col in real.columns])
     ttilde = half_stickelberger(level.modulus, h, level.places())
-    scaled = scale_by(real, quot, phi_push(level, ttilde).scale(2))
-    return map_image(scaled, phi_pull_matrix(level), group_labels(h))
+    return scale_by(pulled, h, ttilde.scale(2))

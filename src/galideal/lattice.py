@@ -179,12 +179,16 @@ def from_generators(group, gens):
     # HNF; then canonicalize.  Empty generator list gives the zero module.
     for x in gens:
         _check_same("generator's group", group, x.group)
-    den = lcm(*(x.den for x in gens))
-    nums = [[a * (den // x.den) for a in x.nums] for x in gens]
     els, index, op, inv = group.elements, group.index, group.op, group.inv
     perms = [[(index(op(inv(g), t)), 1) for t in els]
              for g in generating_set(group)]
-    return canonicalize(group_labels(group), den, nums, perms)
+    return canonicalize(group_labels(group), *_numerators(gens), perms)
+
+
+def _numerators(elements):
+    # (den, nums): the elements' numerators over their common denominator
+    den = lcm(*(x.den for x in elements))
+    return den, [[a * (den // x.den) for a in x.nums] for x in elements]
 
 
 def unit_ideal(group):
@@ -279,20 +283,13 @@ def ideal_product(I, J, group):
     return from_generators(group, [x * y for x in gi for y in gj])
 
 
-def multiplication_matrix(group, x):
-    # matrix of y -> x*y on Q[G] in the basis `group.elements`: column g is
-    # x g, the permutation (x g)[t] = x[t g^-1] of x's coefficients
-    _check_same("element's group", group, x.group)
-    v = element_vector(group, x)
-    els, index, op, inv = group.elements, group.index, group.op, group.inv
-    return transpose([[v[index(op(t, inv(g)))] for t in els] for g in els])
-
-
 def scale_by(ideal, group, x):
-    # image of the ideal under multiplication by x in Q[G]
-    _check_same("ambient", ideal.labels, group_labels(group))
-    T = multiplication_matrix(group, x)
-    return map_image(ideal, T, ideal.labels)
+    # image of the ideal under multiplication by x in Q[G]: the span of the
+    # products x y over its generators y.  A zero ideal runs no product, so
+    # x's group is checked here.
+    ys = ideal_elements(ideal, group)
+    _check_same("element's group", group, x.group)
+    return canonicalize(ideal.labels, *_numerators([x * y for y in ys]))
 
 
 def map_image(ideal, T, out_labels):

@@ -60,8 +60,8 @@ def datum_integrality(d):
 def lift_z(d, chooser=None):
     # any preimage in the subgroup's algebra of alpha*beta under the
     # abelianization; the default places each coefficient on the
-    # smallest-label element of its coset.  Exactness of the re-projection
-    # is asserted; non-integral products are surfaced as errors.
+    # smallest-label element of its coset.  A chooser that leaves the coset
+    # and non-integral products are surfaced as errors.
     ok, worst, witness = datum_integrality(d)
     if not ok:
         raise IntegralityError(
@@ -73,12 +73,13 @@ def lift_z(d, chooser=None):
         chooser = lambda coset: min(coset, key=G.label)
     product = d.alpha * d.beta
     def lift(q):
-        rep = chooser(sorted(rec.cosets[q]))
-        assert rep in rec.cosets[q]
+        coset = sorted(rec.cosets[q])
+        rep = chooser(coset)
+        if rep not in rec.cosets[q]:
+            raise ValueError("chooser picked %r, outside coset %d = %r"
+                             % (rep, q, coset))
         return rep
-    z = map_elements(product, G, lift)
-    assert rec.push(z) == product
-    return z
+    return map_elements(product, G, lift)
 
 
 def norm_element(record):

@@ -2,6 +2,7 @@
 # out of the class space, its certification against induced characters,
 # and naturality under quotient maps.
 
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -360,6 +361,38 @@ def test_complete_components_requires_every_orbit():
                5: unit_ideal(bmap.records[5].ab)}
     with pytest.raises(ValueError, match="no component datum"):
         complete_components(bmap, partial)
+
+
+def test_components_over_the_wrong_ambient_are_rejected():
+    # python -O strips asserts; a given component over another ambient must
+    # still raise ValueError, naming the record and both label tuples.  It
+    # would otherwise be read in the wrong coordinates: nonabelian_J gave a
+    # rank-3 lattice from a 3-label component for record 1 of S3.
+    bmap = bgstar(symmetric3())
+    comps = unit_components(bmap)
+    comps[1] = unit_ideal(cyclic_group(3))
+    with pytest.raises(ValueError, match=re.escape(
+            "component 1 for SubgroupRecord(order 2: e,(12)) lives over "
+            "('e', 't1', 't2'), expected ('e', '(12)')")):
+        complete_components(bmap, comps)
+    script = """
+from galideal.brauer import bgstar, cyclic_group, nonabelian_J, symmetric3
+from galideal.lattice import unit_ideal
+bmap = bgstar(symmetric3())
+for k in (1, 5):
+    comps = {i: unit_ideal(rec.ab) for i, rec in enumerate(bmap.records)}
+    comps[k] = unit_ideal(cyclic_group(3 if k == 1 else 2))
+    try:
+        print(nonabelian_J(bmap, comps))
+    except ValueError:
+        pass
+"""
+    src = str(Path(galideal.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
 
 
 def test_nonabelian_J_with_unit_components():

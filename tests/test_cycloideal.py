@@ -12,7 +12,7 @@ from galideal.cycloideal import (CyclotomicLevel, eigenspace_ideal,
                                  full_ideal_parts,
                                  ideal_J_full, ideal_J_imagquad, ideal_J_minus,
                                  ideal_J_real, inflate_plus, level_tower,
-                                 minus_idempotent, phi_pull_matrix, phi_push,
+                                 half_subgroup, minus_idempotent,
                                  plus_idempotent, plus_quotient, plus_tower,
                                  smallest_primitive_root)
 from galideal.dirichlet import PlaceSet
@@ -176,6 +176,30 @@ except ValueError as e:
                            "expected ('s1+', 's2+', 's3+')\n")
 
 
+def test_real_and_imagquad_refuse_units_on_another_ambient():
+    # the same for the parts built from the real half alone: ideal_J_real
+    # returns the unit lattice itself, so it checks the ambient with a raise
+    src = str(Path(galideal.__file__).resolve().parents[1])
+    script = """
+from galideal.abelian import unit_group
+from galideal.cycloideal import CyclotomicLevel, ideal_J_imagquad, ideal_J_real
+from galideal.lattice import unit_ideal
+for build in (ideal_J_real, ideal_J_imagquad):
+    try:
+        build(CyclotomicLevel(7, 0), unit_ideal(unit_group(5)))
+        print("accepted")
+    except ValueError as e:
+        print(e)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == 2 * [
+        "ambient mismatch: ('s1', 's2', 's3', 's4'), "
+        "expected ('s1+', 's2+', 's3+')"]
+
+
 def test_tower_input_checks_survive_optimize_flag():
     # each tower input check raises ValueError under python -O, which
     # strips asserts
@@ -271,23 +295,6 @@ def test_minus_ideal_level_drop():
             assert rep.passed, (ell, r, rep.witness)
 
 
-def test_phi_is_an_isomorphism():
-    lev = CyclotomicLevel(7, 0)
-    h = squares_subgroup(7)
-    q = plus_quotient(7)
-    # push then pull is the identity on Q[H]
-    x = GroupRingElement(h, {1: Fraction(2), 2: Fraction(-1, 3), 4: Fraction(5)})
-    pushed = phi_push(lev, x)
-    T = phi_pull_matrix(lev)
-    vec = [pushed.coefficient(a) for a in q.elements]
-    back = [sum(Fraction(T[i][j]) * vec[j] for j in range(q.order))
-            for i in range(h.order)]
-    assert back == [x.coefficient(a) for a in h.elements]
-    # and phi respects products
-    y = GroupRingElement(h, {2: Fraction(1), 4: Fraction(7, 2)})
-    assert phi_push(lev, x * y) == phi_push(lev, x) * phi_push(lev, y)
-
-
 def test_imagquad_examples():
     lev = CyclotomicLevel(7, 0)
     h = squares_subgroup(7)
@@ -298,12 +305,26 @@ def test_imagquad_examples():
     assert contains_element(JQ, h, ttilde.scale(mu))
 
 
+def _phi_pull_matrix(level):
+    # the isomorphism Q[G+] -> Q[H] inverse to a -> {a, m-a} on the index-2
+    # subgroup H avoiding conjugation, as a permutation matrix (plus-quotient
+    # coordinates to H coordinates)
+    h = half_subgroup(level)
+    quot = plus_quotient(level.modulus)
+    back = {quot.normalize(a): a for a in h.elements}
+    assert len(back) == quot.order
+    T = [[0] * quot.order for _ in range(h.order)]
+    for j, q in enumerate(quot.elements):
+        T[h.index(back[q])][j] = 1
+    return T
+
+
 def test_imagquad_base_change_consistency():
     for ell in (7, 11):
         lev = CyclotomicLevel(ell, 0)
         h = squares_subgroup(ell)
         JQ = ideal_J_imagquad(lev)
-        real_h = map_image(ideal_J_real(lev), phi_pull_matrix(lev),
+        real_h = map_image(ideal_J_real(lev), _phi_pull_matrix(lev),
                            group_labels(h))
         B = base_change_element(ell)
         assert scale_by(real_h, h, invert_unit(B.tau())) == JQ
@@ -352,3 +373,60 @@ def test_minus_index_is_a_resultant(ell, n, r):
     index = pivots * (th.den // J.denominator) ** k
     assert th.den % J.denominator == 0
     assert _odd(int(res)) == _odd(index)
+
+
+# h^-_m of Q(zeta_m) at m = ell^(n+1), keyed by (ell, n), typed from the
+# table of relative class numbers in Washington, Introduction to Cyclotomic
+# Fields
+RELATIVE_CLASS_NUMBERS = {
+    (3, 0): 1, (5, 0): 1, (7, 0): 1, (11, 0): 1, (13, 0): 1, (17, 0): 1,
+    (19, 0): 1, (23, 0): 3, (29, 0): 8, (31, 0): 9, (37, 0): 37,
+    (41, 0): 121, (43, 0): 211, (47, 0): 695, (53, 0): 4889,
+    (59, 0): 41241, (61, 0): 76301,
+    (3, 1): 1, (5, 1): 1, (3, 2): 1, (7, 1): 43, (3, 3): 2593,
+}
+
+
+def _minus_index(level):
+    # cov(J) / cov(R) for J the Stickelberger span at r = 0 and R the span
+    # of the minus idempotent, cov(L) = prod pivots / den^rank the
+    # covolume of L in its Q-span
+    def cov(L):
+        pivots = 1
+        for col in L.columns:
+            pivots *= next(x for x in col if x)
+        return Fraction(abs(pivots), L.denominator ** L.rank)
+    J = ideal_J_minus(level, 0)
+    R = from_generators(level.group, [minus_idempotent(level, 0)])
+    assert J.rank == R.rank == level.group.order // 2
+    return cov(J) / cov(R)
+
+
+def _v(p, x):
+    # p-adic valuation of a nonzero integer
+    v = 0
+    while x % p == 0:
+        x, v = x // p, v + 1
+    return v
+
+
+@pytest.mark.parametrize("ell,n", sorted(RELATIVE_CLASS_NUMBERS))
+def test_minus_index_is_the_relative_class_number(ell, n):
+    # Iwasawa's index theorem with the analytic class number formula: the
+    # Stickelberger span has index h^-_m / m in the minus part, up to a
+    # power of 2 (which the Z[1/2]-modules cannot see)
+    index = _minus_index(CyclotomicLevel(ell, n))
+    h = RELATIVE_CLASS_NUMBERS[ell, n]
+    m = ell ** (n + 1)
+    assert Fraction(_odd(index.numerator), _odd(index.denominator)) == \
+        Fraction(_odd(h), m)
+
+
+@pytest.mark.parametrize("ell,n,v", [(3, n, 0) for n in range(5)]
+                         + [(37, 0, 1)])
+def test_minus_index_sees_regularity(ell, n, v):
+    # 3 is regular, so 3 never divides h^-_m at m = 3^(n+1); 37 is
+    # irregular and divides h^-_37 exactly once
+    index = _minus_index(CyclotomicLevel(ell, n)) * ell ** (n + 1)
+    assert index.denominator & (index.denominator - 1) == 0
+    assert _v(ell, index.numerator) == v

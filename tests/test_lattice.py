@@ -30,7 +30,6 @@ from galideal.lattice import (
     intersect,
     map_image,
     map_preimage,
-    multiplication_matrix,
     scale_by,
     unit_ideal,
     zero_ideal,
@@ -399,10 +398,11 @@ def test_translates_match_group_ring_products(kind, data):
     else:
         group = TRANSLATE_GROUPS[kind]
     gens = data.draw(st.lists(_sparse_elements(group), max_size=6))
-    assert from_generators(group, gens) == _reference_from_generators(group, gens)
+    I = from_generators(group, gens)
+    assert I == _reference_from_generators(group, gens)
     x = data.draw(_sparse_elements(group))
-    assert multiplication_matrix(group, x) == \
-        _reference_multiplication_matrix(group, x)
+    assert scale_by(I, group, x) == map_image(
+        I, _reference_multiplication_matrix(group, x), I.labels)
 
 
 def test_membership_at_two_power_pivots():
@@ -466,8 +466,8 @@ def test_input_checks_survive_optimize_flag():
 from galideal.abelian import FiniteAbelianGroup, unit_group
 from galideal.groupring import GroupRingElement
 from galideal.lattice import (FractionalIdeal, canonicalize, compare,
-    contains_element, from_generators, ideal_product, ideal_sum, intersect,
-    multiplication_matrix, scale_by)
+    contains_element, from_generators, group_labels, ideal_product, ideal_sum,
+    intersect, scale_by, unit_ideal, zero_ideal)
 ab = FractionalIdeal(("a", "b"), 1, [[1, 0]])
 xy = FractionalIdeal(("x", "y"), 1, [[1, 0]])
 c2, g3 = FiniteAbelianGroup((2,)), unit_group(3)
@@ -480,7 +480,9 @@ calls = {
     "scale_by": lambda: scale_by(ab, c2, GroupRingElement.one(c2)),
     "contains_element": lambda: contains_element(ab, c2, one3),
     "from_generators": lambda: from_generators(c2, [one3]),
-    "multiplication_matrix": lambda: multiplication_matrix(c2, one3),
+    "scale_by element": lambda: scale_by(unit_ideal(c2), c2, one3),
+    "scale_by zero ideal": lambda: scale_by(zero_ideal(group_labels(c2)), c2,
+                                            one3),
     "even denominator": lambda: FractionalIdeal(("a",), 2, [[1]]),
     "zero denominator": lambda: canonicalize(("a",), 0, [[1]]),
 }

@@ -2,12 +2,16 @@
 # conjugation covariance vs two-sidedness, and behaviour under quotients.
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import galideal
 from galideal.brauer import (cyclic_group, from_group, quotient_group,
                              subgroup_lattice, symmetric3)
 from galideal.cycloideal import CyclotomicLevel, ideal_J_minus
@@ -96,6 +100,34 @@ def test_lift_z_rejects_non_integral_products():
     d = subgroup_datum(rec, one, one.scale(F(1, 3)), 3)
     with pytest.raises(IntegralityError, match="not 3-integral"):
         lift_z(d)
+
+
+CHOOSER_OUTSIDE_THE_COSET = """
+from galideal.brauer import subgroup_lattice, symmetric3
+from galideal.groupring import GroupRingElement
+from galideal.ncideal import nc_ideal, subgroup_datum
+G = symmetric3()
+alpha = GroupRingElement(G, {g: 1 for g in G.elements})
+d = subgroup_datum(subgroup_lattice(G)[-1], alpha, GroupRingElement.one(G), 3)
+try:
+    print(nc_ideal(G, [d], chooser=lambda coset: G.identity).lattice)
+except ValueError as e:
+    print(e)
+"""
+
+
+def test_lift_z_rejects_a_chooser_outside_the_coset():
+    # python -O strips asserts; a chooser that returns the identity for the
+    # odd coset of S3 must still raise ValueError naming the coset and the
+    # element chosen, not move the odd coefficients onto the identity
+    src = str(Path(galideal.__file__).resolve().parents[1])
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c",
+                               CHOOSER_OUTSIDE_THE_COSET],
+                              capture_output=True, text=True, timeout=60,
+                              env={"PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "chooser picked 0, outside coset 1 = [1, 2, 5]\n"
 
 
 def test_norm_element_sums_the_commutator_subgroup():

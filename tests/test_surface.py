@@ -54,3 +54,17 @@ def test_every_public_name_is_used_in_the_package():
     # an exception that is wired in, or deleted, leaves the list
     assert sorted(n for n in KEPT_FOR_TESTS
                   if n not in defined or n in referenced) == []
+
+
+# assert statements left in src/galideal.  python -O strips them, so none
+# may guard a caller's input; each one removed lowers the pin, and no change
+# may raise it
+ASSERT_PIN = 15
+
+
+def test_assert_count_only_falls():
+    count = sum(isinstance(node, ast.Assert)
+                for path in sorted(SRC.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    assert count <= ASSERT_PIN, "%d asserts, above the pin" % count
+    assert count == ASSERT_PIN, "lower ASSERT_PIN to %d" % count
