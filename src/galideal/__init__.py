@@ -16,7 +16,7 @@ from .cycloideal import (CyclotomicLevel, ideal_J_full, ideal_J_imagquad,
 from .cyclotomic import CyclotomicNumber
 from .dirichlet import PlaceSet, generalized_bernoulli, l_value
 from .groupring import GroupRingElement
-from .lattice import FractionalIdeal, canonicalize, compare
+from .lattice import FractionalIdeal, canonicalize
 from .ncideal import nc_ideal, subgroup_datum, two_sided_check
 from .padic import torsion_annihilator
 from .stickelberger import (base_change_element, half_stickelberger,
@@ -36,7 +36,6 @@ __all__ = [
     "base_change_element",
     "bgstar",
     "canonicalize",
-    "compare",
     "component_images",
     "duality_certificate",
     "from_cayley_text",

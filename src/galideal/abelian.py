@@ -336,10 +336,6 @@ class AbelianCharacter:
             n += 1
         return n
 
-    def is_odd(self):
-        # value at -1 is -1 (only meaningful when -1 lies in the group)
-        return self(-1) == CyclotomicNumber.from_rational(-1)
-
     def is_even(self):
         return self(-1) == CyclotomicNumber.one()
 

@@ -31,7 +31,7 @@ SUBGROUP_ORDER_BUDGET = 32
 class FiniteGroup:
     # Elements are the integers 0..order-1; table[a][b] is the index of the
     # product.  Construction finds the identity, builds the inverse table,
-    # and (for order <= 32) checks associativity exhaustively.
+    # and checks associativity on a generating set.
 
     def __init__(self, table, labels=None):
         table = [tuple(row) for row in table]
@@ -70,14 +70,15 @@ class FiniteGroup:
                 raise ValueError("element %d has no two-sided inverse" % a)
             invs.append(js[0])
         self.inverses = tuple(invs)
-        if n <= SUBGROUP_ORDER_BUDGET:
-            for a in range(n):
-                for b in range(n):
-                    ab = table[a][b]
-                    for c in range(n):
-                        if table[ab][c] != table[a][table[b][c]]:
-                            raise ValueError(
-                                "table is not associative at (%d, %d, %d)" % (a, b, c))
+        # Light's test: the s with (a s) c = a (s c) for all a, c are closed
+        # under products, so checking the generators suffices
+        for s in generating_set(self):
+            for a, row in enumerate(table):
+                left = table[row[s]]
+                for c, sc in enumerate(table[s]):
+                    if left[c] != row[sc]:
+                        raise ValueError("table is not associative at "
+                                         "(%d, %d, %d)" % (a, s, c))
         self._classes = None
         self._center = None
 
@@ -118,9 +119,6 @@ class FiniteGroup:
                 z for z in self.elements
                 if all(self.table[z][g] == self.table[g][z] for g in self.elements))
         return self._center
-
-    def is_abelian(self):
-        return len(self.center) == self.order
 
     def __repr__(self):
         return "FiniteGroup(order %d)" % self.order
@@ -403,13 +401,6 @@ class ClassSpace:
 
     def class_of(self, g):
         return self._class_of[g]
-
-    def element_class_vector(self, x):
-        # Q[G] -> Q{G}: sum the coefficients within each class
-        v = [0] * self.dimension
-        for g, a in zip(x.group.elements, x.nums):
-            v[self._class_of[g]] += a
-        return [Fraction(a, x.den) for a in v]
 
 
 class BrauerMap(NamedTuple):

@@ -13,7 +13,8 @@ from functools import lru_cache
 from math import lcm
 
 from .abelian import squares_subgroup, subgroup_of_units, unit_group
-from .dirichlet import PlaceSet
+from .cyclotomic import prime_divisors
+from .dirichlet import PlaceSet, is_prime
 from .groupring import GroupRingElement, map_elements
 from .lattice import (FractionalIdeal, group_labels, ideal_elements,
                       ideal_sum, saturated_columns, scale_by, unit_ideal)
@@ -23,14 +24,13 @@ from .towers import TowerDatum, cyclotomic_tower
 
 
 def smallest_primitive_root(ell):
-    for g in range(2, ell):
-        e, x = 1, g
-        while x != 1 and e < ell:
-            x = x * g % ell
-            e += 1
-        if x == 1 and e == ell - 1:
-            return g
-    raise ValueError("%d is not an odd prime" % ell)
+    # g generates (Z/ell)^* when no g^((ell-1)/q), q a prime factor of
+    # ell - 1, is 1
+    if ell < 3 or not is_prime(ell):
+        raise ValueError("%d is not an odd prime" % ell)
+    qs = prime_divisors(ell - 1)
+    return next(g for g in range(2, ell)
+                if all(pow(g, (ell - 1) // q, ell) != 1 for q in qs))
 
 
 class CyclotomicLevel:
@@ -43,8 +43,6 @@ class CyclotomicLevel:
     def __init__(self, ell, n):
         if n < 0:
             raise ValueError("level %d is negative" % n)
-        if ell % 2 == 0:
-            raise ValueError("%d is not an odd prime" % ell)
         g = smallest_primitive_root(ell)
         self.ell = ell
         self.level = n
@@ -57,18 +55,9 @@ class CyclotomicLevel:
         self.generator = tame * wild % self.modulus
         assert self.tame.order == ell - 1
         assert self.wild.order == ell ** n
-        # exponent that kills the wild part and fixes the tame part
-        self._tame_exp = ell ** n * pow(ell ** n, -1, ell - 1)
 
     def places(self):
         return PlaceSet([self.ell])
-
-    def split(self, a):
-        # the unique factorization a = t * w with t tame and w wild
-        t = pow(a, self._tame_exp, self.modulus)
-        w = a * pow(t, -1, self.modulus) % self.modulus
-        assert t in self.tame and w in self.wild
-        return t, w
 
     def __repr__(self):
         return "CyclotomicLevel(ell=%d, n=%d)" % (self.ell, self.level)

@@ -259,9 +259,6 @@ class CyclotomicNumber:
             other = CyclotomicNumber.from_rational(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, CyclotomicNumber):
             other = CyclotomicNumber.from_rational(other)
@@ -286,23 +283,6 @@ class CyclotomicNumber:
         return _make(n, _reduce(n, prod), den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, CyclotomicNumber):
-            return self * (1 / Fraction(other))
-        return self * other.inverse()
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = CyclotomicNumber.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def inverse(self):
         # a^-1 = c / (a c), c the product of the other Galois conjugates of

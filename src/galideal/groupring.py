@@ -154,18 +154,6 @@ class GroupRingElement:
 
     __rmul__ = scale
 
-    def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative exponent %d; use invert_unit" % e)
-        result = GroupRingElement.one(self.group)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def tau(self):
         # the involution g -> g^-1, extended linearly
         return map_elements(self, self.group, self.group.inv)

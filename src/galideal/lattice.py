@@ -74,11 +74,6 @@ class FractionalIdeal:
     def is_zero(self):
         return not self.columns
 
-    def vectors(self):
-        # generators as Fraction vectors
-        d = self.denominator
-        return [[Fraction(x, d) for x in col] for col in self.columns]
-
     def __eq__(self, other):
         if not isinstance(other, FractionalIdeal):
             return NotImplemented

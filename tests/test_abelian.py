@@ -216,7 +216,7 @@ def test_dirichlet_convention():
 def test_parity():
     g = unit_group(5)
     chars = g.characters()
-    odd = [c for c in chars if c.is_odd()]
+    odd = [c for c in chars if c(-1) == -1]
     even = [c for c in chars if c.is_even()]
     assert len(odd) == 2 and len(even) == 2
     assert all(c(-1) == c(4) for c in chars)
@@ -278,4 +278,4 @@ def test_character_group_structure(m, data):
     a = data.draw(st.sampled_from(g.elements))
     assert (c1 * c2)(a) == c1(a) * c2(a)
     assert c1.inverse()(a) == c1(a).conjugate()
-    assert (c1 ** 3)(a) == c1(a) ** 3
+    assert (c1 ** 3)(a) == c1(a) * c1(a) * c1(a)

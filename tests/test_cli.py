@@ -15,9 +15,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import galideal
+from galideal import suites
 from galideal.brauer import (cyclic_group, product_cyclic, symmetric3,
                              to_cayley_text)
 from galideal.cli import _FLAGS, _HELP, main, parse_argv
+from galideal.groupring import GroupRingElement
 from galideal.serialize import lattice_payload, parse_lattice
 from galideal.suites import (SUITE_ALIASES, SUITE_PARAMS, SUITES,
                              integrality_suite, run_suite)
@@ -198,6 +200,49 @@ def test_check_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+# Negative controls: one input perturbed through a function the suite
+# already calls, so the suite must report FAIL with its witness, and
+# `check --suite` must exit 1.
+
+def _check_fails(capsys, suite, name, detail):
+    result = {r.name: r for r in run_suite(suite)}[name]
+    assert (result.passed, result.detail) == (False, detail)
+    code, out, err = run(capsys, ["check", "--suite", suite])
+    report = json.loads(out)
+    assert (code, err) == (1, "")
+    assert (report["passed"], report["failures"]) == (False, 1)
+    assert {"suite": suite, "name": name, "passed": False,
+            "detail": detail} in report["results"]
+
+
+def test_oracles_suite_reports_a_shifted_coefficient(capsys, monkeypatch):
+    real = suites.stickelberger_by_characters
+
+    def shifted(m, places, r=0):
+        x = real(m, places, r)
+        if (m, r) == (7, -1):
+            x = x + GroupRingElement.basis(x.group, 3)
+        return x
+
+    monkeypatch.setattr(suites, "stickelberger_by_characters", shifted)
+    _check_fails(capsys, "oracles", "theta-dual-routes:m<=30",
+                 "mismatch at (7, -1)")
+
+
+def test_induced_det_suite_reports_unequal_sides(capsys, monkeypatch):
+    real = suites.induced_det_both_routes
+
+    def lopsided(subgroup, group, embed, M):
+        lhs, rhs = real(subgroup, group, embed, M)
+        if group.order == 6 and len(M) == 2:
+            rhs = rhs + GroupRingElement.one(group)
+        return lhs, rhs
+
+    monkeypatch.setattr(suites, "induced_det_both_routes", lopsided)
+    # matrix 0 of the C3 < C6 case is 1 x 1, matrix 1 the first 2 x 2
+    _check_fails(capsys, "induced-det", "det:C3<C6", "mismatch at matrix 1")
+
+
 def test_ideal_minus_lattice(capsys):
     code, report = run_json(
         capsys, ["ideal", "--ell", "3", "--part", "minus", "--r", "-1"])
@@ -219,6 +264,19 @@ def test_ideal_part_flag_validation(capsys):
     code, out, err = run(capsys, ["ideal", "--ell", "5", "--part", "imagquad"])
     assert code == 2 and out == ""
     assert err.startswith("error: --ell: ") and "3 (mod 4)" in err
+
+
+def test_composite_ell_is_refused_at_once(capsys):
+    # primality is decided before any search for a primitive root
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(10)
+    try:
+        code, out, err = run(capsys, ["ideal", "--ell", "1000001"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (2, "")
+    assert err == "error: --ell: 1000001 is not an odd prime\n"
 
 
 def test_ideal_units_fixture(capsys, tmp_path):

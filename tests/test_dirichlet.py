@@ -111,7 +111,7 @@ def test_characters_mod_counts():
     assert len(characters_mod(3)) == 2
     cs = characters_mod(7)
     assert len(cs) == 6
-    assert sum(1 for c in cs if c.is_odd()) == 3
+    assert sum(1 for c in cs if c(-1) == -1) == 3
     assert sum(1 for c in cs if c.is_even()) == 3
 
 

@@ -393,7 +393,6 @@ calls = {
     "coefficient order": lambda: x.coefficient(6),
     "numerator count": lambda: GroupRingElement.from_numerators(S3, [1]),
     "zero denominator": lambda: GroupRingElement.from_numerators(c2, [1, 0], 0),
-    "negative power": lambda: x ** -1,
     "y_rank positive twist": lambda: y_rank(EmbeddingSignature(0, 2, 1)),
     "y_rank negative r1": lambda: y_rank(EmbeddingSignature(-1, 2, 0)),
     "eigen_projection group": lambda: eigen_projection(

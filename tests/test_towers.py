@@ -268,10 +268,13 @@ def test_negative_control_corrupted_target():
     (C4, C3, lambda e: (e[0] % 3,), "order 3 does not divide 4"),
     (C4, C2, lambda e: (0,), "projection not surjective"),
     (C4, C2, lambda e: (int(e == (1,)),), "projection not a homomorphism"),
-    # a homomorphism on the eight elements the check multiplies, but not on
-    # 15, so only the kernel's order gives it away
+    # a homomorphism on the first eight elements, but not at 15
     (FiniteAbelianGroup((16,)), C2, lambda e: (e[0] % 2 if e[0] < 15 else 0,),
-     "kernel of order 9, not 8"),
+     "projection not a homomorphism"),
+    # the right kernel, but p(15 + 1) = 0 while p(15) + p(1) = 2
+    (FiniteAbelianGroup((16,)), C4,
+     lambda e: (1,) if e == (15,) else (e[0] % 4,),
+     "projection not a homomorphism"),
 ])
 def test_tower_datum_refuses_a_non_quotient(big, quotient, project, message):
     with pytest.raises(ValueError, match=message):
