@@ -310,10 +310,6 @@ class SubgroupRecord:
         self.ab = FiniteGroup(table, [G.label(r) for r in reps])
         self._characters = None
 
-    @property
-    def order(self):
-        return len(self.elements)
-
     def ab_labels(self):
         return self.ab.labels
 
@@ -338,7 +334,8 @@ class SubgroupRecord:
 
     def __repr__(self):
         return "SubgroupRecord(order %d: %s)" % (
-            self.order, ",".join(self.group.label(h) for h in self.elements))
+            len(self.elements),
+            ",".join(self.group.label(h) for h in self.elements))
 
 
 def check_order_budget(G):

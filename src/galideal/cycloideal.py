@@ -93,9 +93,6 @@ class PlusQuotientGroup:
     def label(self, a):
         return "s%d+" % a
 
-    def __contains__(self, a):
-        return self.normalize(a) in self._index
-
     def __repr__(self):
         return "PlusQuotientGroup(%d, order %d)" % (self.modulus, self.order)
 

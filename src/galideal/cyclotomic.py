@@ -313,9 +313,6 @@ class CyclotomicNumber:
                 acc[(i * t) % n] += a
         return _make(n, _reduce(n, acc), self.den)
 
-    def conjugate(self):
-        return self.galois(self.order - 1) if self.order > 2 else self
-
     # --- comparisons ---
 
     def __eq__(self, other):

@@ -104,9 +104,6 @@ class PlaceSet:
         # S == {infty} union {p | m}
         return self.covers_modulus(m) and all(m % p == 0 for p in self.primes)
 
-    def __contains__(self, p):
-        return p in self.primes
-
     def __eq__(self, other):
         return isinstance(other, PlaceSet) and self.primes == other.primes
 

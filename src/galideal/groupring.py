@@ -86,10 +86,6 @@ class GroupRingElement:
         return _make(group, nums, den)
 
     @staticmethod
-    def zero(group):
-        return _make(group, [0] * group.order, 1)
-
-    @staticmethod
     def one(group):
         return GroupRingElement.basis(group, group.identity)
 

@@ -31,10 +31,12 @@
 # g = gcd(r[p], c) and f = c/g, y_j = (r[p]/g) / (s f), r <- f r - (r[p]/g)
 # col and s <- s f.  So y_j is in Z[1/2] iff f is a power of 2 (for
 # c = 2^e o: iff o divides r[p]); v is outside the Q-span if r is nonzero
-# above a pivot or after the last one.  The pass needs only the echelon
-# shape, so it also holds for trusted-constructor ideals whose columns are
-# echelon but not reduced; it serves map_preimage too, which solves T x = v
-# on the column HNF of T.
+# above a pivot or after the last one.  The step computes exactly that r
+# and s, sparsely: r is scaled only when f != 1, and col is subtracted only
+# on its nonzero rows, which in a canonical column are few.  The pass
+# needs only the echelon shape, so it also holds for trusted-constructor
+# ideals whose columns are echelon but not reduced; it serves map_preimage
+# too, which solves T x = v on the column HNF of T.
 # The zero module (no columns, d = 1) participates in everything.
 
 from fractions import Fraction
@@ -212,8 +214,12 @@ def _coordinates(columns, r, unit):
             f, q = c // g, q // g
             if not unit(f):
                 return None
-            s *= f
-            r[p:] = [f * x - q * b for x, b in zip(r[p:], col[p:])]
+            if f != 1:
+                s *= f
+                r[p:] = [f * x for x in r[p:]]
+            for i in range(p, len(col)):
+                if col[i]:
+                    r[i] -= q * col[i]
         y.append((q, s))
         start = p + 1
     if any(r[start:]):

@@ -136,7 +136,8 @@ def character_table_orthogonality(group):
         for c2 in chars:
             s = CyclotomicNumber.zero()
             for g in group.elements:
-                s = s + c1(g) * c2(g).conjugate()
+                v = c2(g)
+                s = s + c1(g) * v.galois(v.order - 1)
             if c1 == c2:
                 assert s == CyclotomicNumber.from_rational(n)
             else:
@@ -188,7 +189,7 @@ def test_rows_are_the_exponents_and_built_on_first_read():
     # chi.row[i] = chi.exponent(group.elements[i]), for unit groups, a
     # proper subgroup of units, abstract groups and an abelianization; the
     # list of characters is kept per group, each row built once when read
-    s3 = [r for r in subgroup_lattice(symmetric3()) if r.order == 6][0]
+    s3 = [r for r in subgroup_lattice(symmetric3()) if len(r.elements) == 6][0]
     cases = [(g, g.characters) for g in [
         ResidueGroup(m, [a for a in range(m) if gcd(a, m) == 1])
         for m in (1, 8, 15, 91)] + [
@@ -277,5 +278,6 @@ def test_character_group_structure(m, data):
     c2 = data.draw(st.sampled_from(chars))
     a = data.draw(st.sampled_from(g.elements))
     assert (c1 * c2)(a) == c1(a) * c2(a)
-    assert c1.inverse()(a) == c1(a).conjugate()
+    v = c1(a)
+    assert c1.inverse()(a) == v.galois(v.order - 1)
     assert (c1 ** 3)(a) == c1(a) * c1(a) * c1(a)

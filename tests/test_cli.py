@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import galideal
 from galideal import suites
+from galideal.abelian import squares_subgroup, unit_group
 from galideal.brauer import (cyclic_group, product_cyclic, symmetric3,
                              to_cayley_text)
 from galideal.cli import _FLAGS, _HELP, main, parse_argv
@@ -241,6 +242,46 @@ def test_induced_det_suite_reports_unequal_sides(capsys, monkeypatch):
     monkeypatch.setattr(suites, "induced_det_both_routes", lopsided)
     # matrix 0 of the C3 < C6 case is 1 x 1, matrix 1 the first 2 x 2
     _check_fails(capsys, "induced-det", "det:C3<C6", "mismatch at matrix 1")
+
+
+def test_lvalue_identity_suite_reports_a_shifted_value(capsys, monkeypatch):
+    real = suites.l_value
+    g, h = unit_group(7), squares_subgroup(7)
+    # rho psi for the even psi extending character 1 of the squares mod 7
+    eta = h.characters()[1]
+    target = (suites.quadratic_character(g)
+              * suites.even_extension(g, h, eta)).tuple
+
+    def shifted(r, chi, places):
+        x = real(r, chi, places)
+        if chi.modulus == 7 and chi.tuple == target:
+            x = x + 1
+        return x
+
+    monkeypatch.setattr(suites, "l_value", shifted)
+    _check_fails(capsys, "lvalue-identity", "pairing:ell=7",
+                 "mismatch at character %d" % eta.index)
+
+
+def test_fixed_point_suite_reports_a_broken_product(capsys, monkeypatch):
+    real = suites.apply_fixed_point
+    previous = [None]
+
+    def perturbed(tower, x):
+        y = real(tower, x)
+        if tower.big.order == 4:  # only C4/C2
+            # each run maps 1 and then x y of the first random pair; the
+            # character check maps 1 and then a basis element, kept as is
+            if (previous[0] == GroupRingElement.one(tower.quotient)
+                    and sum(1 for a in x.nums if a) > 1):
+                y = y + GroupRingElement.one(tower.big)
+            previous[0] = x
+        return y
+
+    monkeypatch.setattr(suites, "apply_fixed_point", perturbed)
+    # the check carries no witness, only its fixed detail
+    _check_fails(capsys, "fixed-point", "lambda-ring-hom:C4/C2",
+                 "25 random pairs")
 
 
 def test_ideal_minus_lattice(capsys):

@@ -419,11 +419,12 @@ def test_minus_index_is_the_relative_class_number(ell, n):
         Fraction(_odd(h), m)
 
 
-@pytest.mark.parametrize("ell,n,v", [(3, n, 0) for n in range(5)]
+@pytest.mark.parametrize("ell,n,v", [(3, n, 0) for n in range(6)]
                          + [(37, 0, 1)])
 def test_minus_index_sees_regularity(ell, n, v):
-    # 3 is regular, so 3 never divides h^-_m at m = 3^(n+1); 37 is
-    # irregular and divides h^-_37 exactly once
+    # 3 is regular, so 3 never divides h^-_m at m = 3^(n+1): its Iwasawa
+    # invariants are lambda = mu = 0 (Washington, ch. 13); 37 is irregular
+    # and divides h^-_37 exactly once
     index = _minus_index(CyclotomicLevel(ell, n)) * ell ** (n + 1)
     assert index.denominator & (index.denominator - 1) == 0
     assert _v(ell, index.numerator) == v

@@ -97,7 +97,7 @@ def test_bernoulli_polynomial():
 def test_place_set():
     s = PlaceSet([7, 3])
     assert s.primes == (3, 7)
-    assert 3 in s and 5 not in s
+    assert 3 in s.primes and 5 not in s.primes
     assert s.covers_modulus(63)
     assert not s.covers_modulus(10)
     assert PlaceSet([3]).is_exactly_ramified(9)

@@ -19,6 +19,7 @@ from galideal.groupring import GroupRingElement, invert_unit
 from galideal.intmat import hnf_columns
 from galideal.lattice import (
     FractionalIdeal,
+    _coordinates,
     canonicalize,
     compare,
     contains_element,
@@ -433,17 +434,24 @@ def test_membership_at_two_power_pivots():
 def test_membership_with_two_power_pivots(data):
     # echelon columns with pivots +-2^e o: coordinates are unique, so a
     # combination is a member iff every coefficient is in Z[1/2]; a vector
-    # moved off the span at a non-pivot row never is
-    n = data.draw(st.integers(1, 5))
-    pivots = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    # moved off the span at a non-pivot row never is.  Below the pivot a
+    # column is mostly zero, as canonical columns are, so the forward pass
+    # skips rows, and it rescales r wherever a pivot fails to divide it.
+    n = data.draw(st.integers(1, 40))
+    pivots = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                      max_size=12)))
     cols = []
     for p in pivots:
-        pivot = (data.draw(st.sampled_from([1, -1]))
-                 * 2 ** data.draw(st.integers(0, 4))
-                 * data.draw(st.sampled_from([1, 3, 5])))
-        tail = data.draw(st.lists(st.integers(-9, 9), min_size=n - p - 1,
-                                  max_size=n - p - 1))
-        cols.append([0] * p + [pivot] + tail)
+        col = [0] * n
+        col[p] = (data.draw(st.sampled_from([1, -1]))
+                  * 2 ** data.draw(st.integers(0, 4))
+                  * data.draw(st.sampled_from([1, 3, 5])))
+        if p < n - 1:
+            tail = data.draw(st.dictionaries(st.integers(p + 1, n - 1),
+                                             st.integers(-9, 9), max_size=4))
+            for i, x in tail.items():
+                col[i] = x
+        cols.append(col)
     d = data.draw(st.sampled_from([1, 3, 5, 15]))
     I = FractionalIdeal(tuple("x%d" % i for i in range(n)), d, cols)
     ys = data.draw(st.lists(
@@ -453,6 +461,14 @@ def test_membership_with_two_power_pivots(data):
     v = [sum(y * col[r] for y, col in zip(ys, cols)) / d for r in range(n)]
     assert contains_vector(I, v) == all(
         y.denominator & (y.denominator - 1) == 0 for y in ys)
+    # over Q the pass solves for the coordinates of w = L d v exactly:
+    # sum_j (Y_j / s) col_j = w, with Y_j / s = L y_j
+    L = lcm(*(x.denominator for x in v))
+    w = [int(L * d * x) for x in v]
+    Y, s = _coordinates(I.columns, list(w), lambda f: True)
+    assert [sum(Fraction(Yj, s) * col[i] for Yj, col in zip(Y, cols))
+            for i in range(n)] == w
+    assert [Fraction(Yj, s) for Yj in Y] == [L * y for y in ys]
     free = [r for r in range(n) if r not in pivots]
     if free:
         v[data.draw(st.sampled_from(free))] += Fraction(1, 2)
