@@ -434,13 +434,12 @@ class BrauerMap(NamedTuple):
         return tuple(out)
 
 
-def bgstar(G, records=None):
+def bgstar(G):
     # For each class (by its smallest representative) and each subgroup H:
     # sum over cosets xH with x^-1 g x in H of the image of x^-1 g x in
     # H^ab.  The value is independent of the representative g and of the
     # coset representatives x.
-    if records is None:
-        records = subgroup_lattice(G)
+    records = subgroup_lattice(G)
     space = ClassSpace(G)
     offsets = []
     total = 0

@@ -21,8 +21,7 @@ from .serialize import (FixtureError, element_payload, fraction_str,
                         lattice_payload, load_fixture, parse_element,
                         parse_lattice, to_json)
 from .stickelberger import ramified_places, stickelberger
-from .suites import (PARAM_FLAGS, SUITE_ALIASES, SUITE_PARAMS, SUITES,
-                     check_params, run_all)
+from .suites import SUITE_ALIASES, SUITES, check_params, run_all
 
 
 class UsageError(Exception):
@@ -429,11 +428,6 @@ def cmd_check(args):
             raise UsageError("suite narrowing flags need a specific --suite")
         results = run_all()
     else:
-        rules = SUITE_PARAMS[SUITE_ALIASES.get(suite, suite)]
-        for key, value in params.items():
-            if value is not None and key not in rules:
-                raise UsageError("%s: suite %r does not accept this flag"
-                                 % (PARAM_FLAGS[key], suite))
         try:
             name, kwargs = check_params(suite, **params)
         except ValueError as e:

@@ -121,15 +121,6 @@ def plus_idempotent(level):
     return (one + c).scale(Fraction(1, 2))
 
 
-def minus_idempotent(level, r=0):
-    # projector onto the conjugation eigenspace holding theta(r), where
-    # conjugation acts by (-1)^(1-r)
-    one = GroupRingElement.one(level.group)
-    c = GroupRingElement.basis(level.group, level.conjugation)
-    sign = -1 if r % 2 == 0 else 1
-    return (one + c.scale(sign)).scale(Fraction(1, 2))
-
-
 def eigenspace_ideal(level, gens, eps):
     # Z[1/2][G]-module generated by gens, which must lie in the eps-eigenspace
     # of conjugation: x[m-a] = eps x[a].  The residues are labelled in

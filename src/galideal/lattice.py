@@ -31,9 +31,10 @@
 # g = gcd(r[p], c) and f = c/g, y_j = (r[p]/g) / (s f), r <- f r - (r[p]/g)
 # col and s <- s f.  So y_j is in Z[1/2] iff f is a power of 2 (for
 # c = 2^e o: iff o divides r[p]); v is outside the Q-span if r is nonzero
-# above a pivot or after the last one.  The step computes exactly that r
-# and s, sparsely: r is scaled only when f != 1, and col is subtracted only
-# on its nonzero rows, which in a canonical column are few.  The pass
+# above a pivot or after the last one.  The step computes exactly that s,
+# and that r below p, sparsely: nothing reads r[p] again, r is scaled only
+# when f != 1, and col is subtracted only on its nonzero rows, which in a
+# canonical column are few.  The pass
 # needs only the echelon shape, so it also holds for trusted-constructor
 # ideals whose columns are echelon but not reduced; it serves map_preimage
 # too, which solves T x = v on the column HNF of T.
@@ -216,8 +217,8 @@ def _coordinates(columns, r, unit):
                 return None
             if f != 1:
                 s *= f
-                r[p:] = [f * x for x in r[p:]]
-            for i in range(p, len(col)):
+                r[p + 1:] = [f * x for x in r[p + 1:]]
+            for i in range(p + 1, len(col)):
                 if col[i]:
                     r[i] -= q * col[i]
         y.append((q, s))
@@ -274,14 +275,6 @@ def ideal_sum(I, J):
     d = lcm(I.denominator, J.denominator)
     return canonicalize(I.labels, d, [[d // K.denominator * x for x in col]
                                       for K in (I, J) for col in K.columns])
-
-
-def ideal_product(I, J, group):
-    # the module product: span of pairwise products of the generators,
-    # closed under the group action (for commutative group rings this is
-    # the full product module)
-    gi, gj = ideal_elements(I, group), ideal_elements(J, group)
-    return from_generators(group, [x * y for x in gi for y in gj])
 
 
 def scale_by(ideal, group, x):

@@ -77,11 +77,6 @@ def complex_conjugation(m):
     return (-1) % m
 
 
-def roots_of_unity_count(m):
-    # number of roots of unity in the m-th cyclotomic field
-    return m if m % 2 == 0 else 2 * m
-
-
 def half_stickelberger(m, subgroup=None, places=None):
     # theta-tilde = sum over sigma in H of zeta_S(0, sigma^{-1}) sigma,
     # an element of Q[H]; H must have index 2 and omit complex conjugation

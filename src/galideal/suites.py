@@ -511,18 +511,19 @@ PARAM_FLAGS = {"ells": "--ell", "levels": "--levels", "rs": "--r",
 def check_params(name, **params):
     # the canonical suite name and its parameters from `params` (None means
     # not given); raises ValueError, before any of the suite's work starts,
-    # on parameters the suite does not take and on the first value it
-    # cannot take, naming that value's flag
+    # on the first parameter in the order given that the suite does not
+    # take, naming the suite as given, and then on the first value it
+    # cannot take, each time naming the parameter's flag
     canonical = SUITE_ALIASES.get(name, name)
     if canonical not in SUITES:
         raise KeyError("unknown suite %r; available: %s"
                        % (canonical, ", ".join(sorted(SUITES))))
     rules = SUITE_PARAMS[canonical]
     kwargs = {k: v for k, v in params.items() if v is not None}
-    extras = set(kwargs) - set(rules)
-    if extras:
-        raise ValueError("suite %r does not accept: %s"
-                         % (name, ", ".join(sorted(extras))))
+    for key in kwargs:
+        if key not in rules:
+            raise ValueError("%s: suite %r does not accept this flag"
+                             % (PARAM_FLAGS.get(key, key), name))
     for key, value in kwargs.items():
         ok, want = rules[key]
         for v in value if isinstance(value, tuple) else (value,):

@@ -26,6 +26,7 @@ from galideal.brauer import (BUILTIN_GROUPS, BrauerMap, ClassSpace,
 from galideal.cycloideal import CyclotomicLevel, ideal_J_full
 from galideal.cyclotomic import CyclotomicNumber
 from galideal.groupring import GroupRingElement
+from galideal.intmat import mat_mul
 from galideal.lattice import (canonicalize, compare, contains_vector,
                               group_labels, map_image, unit_ideal,
                               zero_ideal)
@@ -513,3 +514,67 @@ def test_naturality_detects_wrong_small_components():
     rep = quotient_naturality(G, [0, 3, 4], unit_components(bmap), small)
     assert rep.square_commutes and not rep.contained
     assert rep.witness != ()
+
+
+# Naturality under restriction to a subgroup H of a non-abelian G: for
+# every K <= H, block_K(bmap_G) = block_K(bmap_H) Res, where Res sends the
+# class of g to the sum of class_H(x^-1 g x) over left coset
+# representatives x of H with x^-1 g x in H.  Summing over x in G/H and
+# then y in H/K is summing over xy in G/K.
+
+def _subgroup_as_group(G, elements):
+    # H with its own table: element i is the i-th smallest of `elements`,
+    # labelled as in G, so H's coset minima carry G's labels
+    els = sorted(elements)
+    pos = {g: i for i, g in enumerate(els)}
+    table = [[pos[G.op(a, b)] for b in els] for a in els]
+    return FiniteGroup(table, [G.label(g) for g in els]), els
+
+
+def _restriction_matrix(G, els, space_h):
+    pos = {g: i for i, g in enumerate(els)}
+    reps = left_cosets(G.elements, G.op, els)[0]
+    res = [[0] * len(G.conjugacy_classes) for _ in range(space_h.dimension)]
+    for c, cls in enumerate(G.conjugacy_classes):
+        g = min(cls)
+        for x in reps:
+            y = G.conjugate(G.inv(x), g)
+            if y in pos:
+                res[space_h.class_of(pos[y])][c] += 1
+    return res
+
+
+def _restriction_failures(bmap_g, bmap_h, els, res):
+    # the subgroups K <= H whose two sides differ; K's abelianization
+    # indices are matched through its coset representatives' labels
+    bad = []
+    for kh, rec_h in enumerate(bmap_h.records):
+        kg = record_index(bmap_g.records, [els[h] for h in rec_h.elements])
+        rhs = mat_mul(bmap_h.block(kh), res)
+        rows = [rhs[rec_h.ab_labels().index(lab)]
+                for lab in bmap_g.records[kg].ab_labels()]
+        if bmap_g.block(kg) != rows:
+            bad.append(kh)
+    return bad
+
+
+@pytest.mark.parametrize("order, classes", [(12, 4), (8, 5)],
+                         ids=["A4", "D4"])
+def test_restriction_square_into_s4(order, classes):
+    G = _golden_group("s4.txt")()
+    bmap_g = bgstar(G)
+    # S4 has one subgroup of order 12 (A4) and three of order 8 (D4)
+    H, els = _subgroup_as_group(G, next(
+        rec.elements for rec in bmap_g.records if len(rec.elements) == order))
+    assert len(H.conjugacy_classes) == classes  # non-abelian
+    bmap_h = bgstar(H)
+    assert len(bmap_h.records) == 10 and bmap_h.injective
+    res = _restriction_matrix(G, els, bmap_h.space)
+    assert _restriction_failures(bmap_g, bmap_h, els, res) == []
+    # negative control: one unit of Res moved to another row of its column;
+    # bmap_H is injective, so some K must see it
+    c, a = max((c, a) for a, row in enumerate(res)
+               for c, v in enumerate(row) if v)
+    res[a][c] -= 1
+    res[(a + 1) % len(res)][c] += 1
+    assert _restriction_failures(bmap_g, bmap_h, els, res) != []

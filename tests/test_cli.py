@@ -188,11 +188,16 @@ def test_suite_params_match_signatures(name):
 
 
 def test_run_suite_rejects_parameter_the_suite_does_not_take():
-    # the one validation serves the library as well as the command line,
-    # and names the suite as it was given
-    with pytest.raises(ValueError, match="suite 'annihilator' does not "
-                                         "accept: count, ells"):
+    # the one validation serves the library as well as the command line:
+    # it names the first parameter given that the suite does not take, by
+    # its flag, and the suite as it was given
+    with pytest.raises(ValueError, match="^--ell: suite 'annihilator' does "
+                                         "not accept this flag$"):
         run_suite("annihilator", ells=(3,), count=2, seed=None)
+    # a keyword that is no flag at all is named as given
+    with pytest.raises(ValueError, match="^foo: suite 'rank' does not "
+                                         "accept this flag$"):
+        run_suite("rank", foo=1)
 
 
 def test_check_unknown_suite(capsys):
@@ -282,6 +287,24 @@ def test_fixed_point_suite_reports_a_broken_product(capsys, monkeypatch):
     # the check carries no witness, only its fixed detail
     _check_fails(capsys, "fixed-point", "lambda-ring-hom:C4/C2",
                  "25 random pairs")
+
+
+def test_fixed_point_suite_reports_a_wrong_character_value(capsys,
+                                                          monkeypatch):
+    real = suites.psi_eval
+
+    def shifted(x, chi):
+        v = real(x, chi)
+        # only C4/C2, one character at the image of 1; the iota-duality
+        # checks evaluate on groups of order 2 and 3
+        if (x.group.order == 4 and chi.index == 1
+                and x == GroupRingElement.one(x.group)):
+            v = v + 1
+        return v
+
+    monkeypatch.setattr(suites, "psi_eval", shifted)
+    _check_fails(capsys, "fixed-point", "lambda-character-description:C4/C2",
+                 "")
 
 
 def test_ideal_minus_lattice(capsys):

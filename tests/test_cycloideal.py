@@ -12,8 +12,8 @@ from galideal.cycloideal import (CyclotomicLevel, eigenspace_ideal,
                                  full_ideal_parts,
                                  ideal_J_full, ideal_J_imagquad, ideal_J_minus,
                                  ideal_J_real, inflate_plus, level_tower,
-                                 half_subgroup, minus_idempotent,
-                                 plus_idempotent, plus_quotient, plus_tower,
+                                 half_subgroup, plus_idempotent,
+                                 plus_quotient, plus_tower,
                                  smallest_primitive_root)
 from galideal.dirichlet import PlaceSet
 from galideal.groupring import GroupRingElement, invert_unit
@@ -21,7 +21,7 @@ from galideal.lattice import (contains_element, contains_vector,
                               from_generators, group_labels, ideal_elements,
                               intersect, map_image, scale_by, unit_ideal)
 from galideal.stickelberger import (base_change_element, half_stickelberger,
-                                    roots_of_unity_count, stickelberger)
+                                    stickelberger)
 from galideal.towers import check_quotient_containment
 
 
@@ -104,7 +104,7 @@ def test_idempotent_split():
     lev = CyclotomicLevel(5, 0)
     ep = plus_idempotent(lev)
     for r in (0, -1, -2, -3):
-        em = minus_idempotent(lev, r)
+        em = _minus_idempotent(lev, r)
         assert em * em == em
         if r % 2 == 0:
             assert ep + em == GroupRingElement.one(lev.group)
@@ -138,7 +138,7 @@ def test_full_ideal_projections():
         lev = CyclotomicLevel(ell, n)
         J = ideal_J_full(lev)
         plus, minus = full_ideal_parts(lev)
-        assert scale_by(J, lev.group, minus_idempotent(lev)) == minus
+        assert scale_by(J, lev.group, _minus_idempotent(lev)) == minus
         assert scale_by(J, lev.group, plus_idempotent(lev)) == plus
         assert minus == from_generators(lev.group, [theta(lev.modulus)])
 
@@ -298,8 +298,8 @@ def test_imagquad_examples():
     JQ = ideal_J_imagquad(lev)
     ttilde = half_stickelberger(7)
     assert JQ == from_generators(h, [ttilde.scale(2)])
-    mu = roots_of_unity_count(7)
-    assert contains_element(JQ, h, ttilde.scale(mu))
+    # w_7 = 14 roots of unity in Q(zeta_7)
+    assert contains_element(JQ, h, ttilde.scale(14))
 
 
 def _phi_pull_matrix(level):
@@ -384,6 +384,15 @@ RELATIVE_CLASS_NUMBERS = {
 }
 
 
+def _minus_idempotent(level, r=0):
+    # (1 -+ c)/2, the projector onto the conjugation eigenspace holding
+    # theta(r), where conjugation acts by (-1)^(1-r)
+    one = GroupRingElement.one(level.group)
+    c = GroupRingElement.basis(level.group, level.conjugation)
+    sign = -1 if r % 2 == 0 else 1
+    return (one + c.scale(sign)).scale(Fraction(1, 2))
+
+
 def _minus_index(level):
     # cov(J) / cov(R) for J the Stickelberger span at r = 0 and R the span
     # of the minus idempotent, cov(L) = prod pivots / den^rank the
@@ -394,7 +403,7 @@ def _minus_index(level):
             pivots *= next(x for x in col if x)
         return Fraction(abs(pivots), L.denominator ** L.rank)
     J = ideal_J_minus(level, 0)
-    R = from_generators(level.group, [minus_idempotent(level, 0)])
+    R = from_generators(level.group, [_minus_idempotent(level, 0)])
     assert J.rank == R.rank == level.group.order // 2
     return cov(J) / cov(R)
 

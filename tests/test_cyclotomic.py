@@ -3,6 +3,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,6 +115,11 @@ def test_ring_axioms(triple):
 def test_inverse(a):
     if not a.is_zero():
         assert a * a.inverse() == CyclotomicNumber.one()
+
+
+def test_inverse_of_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        CyclotomicNumber.zero().inverse()
 
 
 @settings(max_examples=60)

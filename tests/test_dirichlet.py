@@ -273,7 +273,7 @@ def test_input_checks_survive_optimize_flag():
     script = """
 from galideal.abelian import unit_group
 from galideal.cyclotomic import (CyclotomicNumber, cyclotomic_polynomial,
-    euler_phi)
+    euler_phi, prime_divisors)
 from galideal.dirichlet import (PlaceSet, bernoulli_number, l_value,
     partial_zeta, partial_zeta_characters, partial_zeta_hurwitz)
 s3 = PlaceSet([3])
@@ -293,9 +293,11 @@ calls = {
     "galois t not prime to the order": lambda: z6.galois(3),
     "galois t = 0": lambda: z6.galois(0),
     "lift to a non-multiple": lambda: z6.lift(9),
+    "lift zeta_3 to order 4": lambda: CyclotomicNumber.zeta(3, 1).lift(4),
     "coefficient count": lambda: CyclotomicNumber(5, [1, 2]),
     "euler_phi 0": lambda: euler_phi(0),
     "cyclotomic_polynomial -1": lambda: cyclotomic_polynomial(-1),
+    "prime_divisors 0": lambda: prime_divisors(0),
 }
 for name, call in calls.items():
     try:

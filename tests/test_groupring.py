@@ -379,7 +379,8 @@ from galideal.abelian import FiniteAbelianGroup, unit_group
 from galideal.brauer import (bgstar, component_images, quotient_group,
                              subgroup_lattice, symmetric3)
 from galideal.cycloideal import CyclotomicLevel, half_subgroup
-from galideal.groupring import EmbeddingSignature, GroupRingElement, y_rank
+from galideal.groupring import (EmbeddingSignature, GroupRingElement,
+                                det_over_group_ring, y_rank)
 from galideal.lattice import unit_ideal
 from galideal.ncideal import datum_integrality, nc_ideal, subgroup_datum
 from galideal.padic import eigen_projection
@@ -396,6 +397,7 @@ calls = {
     "basis order": lambda: GroupRingElement.basis(S3, 6),
     "coefficient order": lambda: x.coefficient(6),
     "numerator count": lambda: GroupRingElement.from_numerators(S3, [1]),
+    "det of a non-square matrix": lambda: det_over_group_ring([[x, x]]),
     "zero denominator": lambda: GroupRingElement.from_numerators(c2, [1, 0], 0),
     "y_rank positive twist": lambda: y_rank(EmbeddingSignature(0, 2, 1)),
     "y_rank negative r1": lambda: y_rank(EmbeddingSignature(-1, 2, 0)),

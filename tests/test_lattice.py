@@ -482,8 +482,8 @@ def test_input_checks_survive_optimize_flag():
 from galideal.abelian import FiniteAbelianGroup, unit_group
 from galideal.groupring import GroupRingElement
 from galideal.lattice import (FractionalIdeal, canonicalize, compare,
-    contains_element, from_generators, group_labels, ideal_product, ideal_sum,
-    intersect, scale_by, unit_ideal, zero_ideal)
+    contains_element, from_generators, group_labels, ideal_sum, intersect,
+    scale_by, unit_ideal, zero_ideal)
 ab = FractionalIdeal(("a", "b"), 1, [[1, 0]])
 xy = FractionalIdeal(("x", "y"), 1, [[1, 0]])
 c2, g3 = FiniteAbelianGroup((2,)), unit_group(3)
@@ -492,7 +492,6 @@ calls = {
     "ideal_sum": lambda: ideal_sum(ab, xy),
     "compare": lambda: compare(ab, xy),
     "intersect": lambda: intersect(ab, xy),
-    "ideal_product": lambda: ideal_product(ab, ab, c2),
     "scale_by": lambda: scale_by(ab, c2, GroupRingElement.one(c2)),
     "contains_element": lambda: contains_element(ab, c2, one3),
     "from_generators": lambda: from_generators(c2, [one3]),

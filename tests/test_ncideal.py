@@ -16,8 +16,8 @@ from galideal.brauer import (cyclic_group, from_group, quotient_group,
                              subgroup_lattice, symmetric3)
 from galideal.cycloideal import CyclotomicLevel, ideal_J_minus
 from galideal.groupring import GroupRingElement, map_elements
-from galideal.lattice import (compare, contains_element, group_labels,
-                              ideal_product, map_image)
+from galideal.lattice import (compare, contains_element, from_generators,
+                              group_labels, ideal_elements, map_image)
 from galideal.ncideal import (AnnihilatorDatum, IntegralityError,
                               covariant_data, datum_generator,
                               datum_integrality, lift_z, nc_ideal,
@@ -202,7 +202,10 @@ def test_abelian_case_recovers_the_ideal_times_annihilator():
             for b in ann.generators]
     I = nc_ideal(G, data)
     assert two_sided_check(I).passed
-    prod = ideal_product(ideal_J_minus(lev, -1), ann.ideal, lev.group)
+    # the module product: the span of the pairwise products of generators
+    prod = from_generators(lev.group, [
+        x * y for x in ideal_elements(ideal_J_minus(lev, -1), lev.group)
+        for y in ideal_elements(ann.ideal, lev.group)])
     assert I.lattice.columns == prod.columns
     assert I.lattice.denominator == prod.denominator
 
