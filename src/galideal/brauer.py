@@ -320,6 +320,10 @@ class SubgroupRecord:
 
     def push(self, x):
         # Q[H] (supported inside the subgroup) -> Q[H^ab]
+        for g, a in zip(x.group.elements, x.nums):
+            if a and g not in self.project:
+                raise ValueError("element %s lies outside the subgroup"
+                                 % self.group.label(g))
         return map_elements(x, self.ab, self.project.__getitem__)
 
     def characters(self):

@@ -15,7 +15,7 @@ from .brauer import (BUILTIN_GROUPS, bgstar, check_order_budget,
 from .cycloideal import (CyclotomicLevel, ideal_J_full, ideal_J_imagquad,
                          ideal_J_minus, ideal_J_real, plus_quotient)
 from .dirichlet import PlaceSet, is_prime, l_value
-from .ncideal import (IntegralityError, nc_ideal, subgroup_datum,
+from .ncideal import (AnnihilatorDatum, IntegralityError, nc_ideal,
                       two_sided_check)
 from .serialize import (FixtureError, element_payload, fraction_str,
                         lattice_payload, load_fixture, parse_element,
@@ -227,11 +227,10 @@ def cmd_stickelberger(args):
         raise UsageError("--r must be a non-positive integer")
     if not places.covers_modulus(m):
         raise UsageError("--s must contain every prime dividing the modulus")
-    st = stickelberger(m, places, r)
     report = {
         "command": "stickelberger",
         "inputs": {"modulus": m, "places": places_text(places), "r": r},
-        "element": element_payload(st.element),
+        "element": element_payload(stickelberger(m, places, r)),
     }
     return report, 0
 
@@ -380,9 +379,15 @@ def _parse_data_fixture(G, fixture):
                                "given group" % field)
         if "alpha" not in entry or "beta" not in entry:
             raise FixtureError("field %r needs 'alpha' and 'beta'" % field)
-        alpha = parse_element(G, entry["alpha"], field + ".alpha")
-        beta = parse_element(G, entry["beta"], field + ".beta")
-        data.append(subgroup_datum(rec, alpha, beta, ell))
+        pushed = []
+        for part in ("alpha", "beta"):
+            name = "%s.%s" % (field, part)
+            x = parse_element(G, entry[part], name)
+            try:
+                pushed.append(rec.push(x))
+            except ValueError as e:
+                raise FixtureError("field '%s': %s" % (name, e))
+        data.append(AnnihilatorDatum(rec, *pushed, ell))
     return ell, data
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .abelian import squares_subgroup, subgroup_of_units, unit_group
+from .abelian import subgroup_of_units, unit_group
 from .cyclotomic import prime_divisors
 from .dirichlet import PlaceSet, is_prime
 from .groupring import GroupRingElement, map_elements
@@ -158,7 +158,7 @@ def ideal_J_minus(level, r=0, places=None):
     # (-1)^(1-r) eigenspace of conjugation
     if places is None:
         places = level.places()
-    theta = stickelberger(level.modulus, places, r).element
+    theta = stickelberger(level.modulus, places, r)
     return eigenspace_ideal(level, [theta], (-1) ** (1 - r))
 
 
@@ -201,14 +201,6 @@ def ideal_J_real(level, units=None):
     return units
 
 
-def half_subgroup(level):
-    h = squares_subgroup(level.modulus)
-    if level.conjugation in h:
-        raise ValueError("conjugation is a square mod %d; need ell = 3 mod 4"
-                         % level.modulus)
-    return h
-
-
 def ideal_J_imagquad(level, units=None):
     # ideal over H (the imaginary-quadratic base): pull the real ideal's
     # generators back along the isomorphism H -> G+, a -> {a, m-a}, which
@@ -216,11 +208,11 @@ def ideal_J_imagquad(level, units=None):
     # half-Stickelberger element in Q[H].  The pulled columns generate the
     # module but are not in canonical form; scale_by reads only generators.
     require_imagquad_prime(level.ell)
-    h = half_subgroup(level)
+    ttilde = half_stickelberger(level.modulus)
+    h = ttilde.group
     quot = plus_quotient(level.modulus)
     real = ideal_J_real(level, units)
     src = [quot.index(quot.normalize(a)) for a in h.elements]
     pulled = FractionalIdeal(group_labels(h), real.denominator,
                              [[col[j] for j in src] for col in real.columns])
-    ttilde = half_stickelberger(level.modulus, h, level.places())
     return scale_by(pulled, h, ttilde.scale(2))

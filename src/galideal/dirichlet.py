@@ -14,17 +14,13 @@
 #   - L_S(r, chi^a) = sigma_a L_S(r, chi) for a prime to the root order N
 #     (Washington, ch. 4), so a family of values over all characters takes
 #     one L-value per Galois orbit and the rest by galois (orbit_values)
-#   - partial zeta values have two independent routes and the test suite
-#     requires exact agreement: (i) Hurwitz/Bernoulli, on integers, as one
-#     integer polynomial in the class over one denominator
-#     (hurwitz_polynomial); (ii) a character sum of L-values
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
 from .abelian import unit_group
-from .cyclotomic import RootSums, from_exponents, prime_divisors
+from .cyclotomic import from_exponents, prime_divisors
 
 
 @lru_cache(maxsize=None)
@@ -77,11 +73,6 @@ def _check_r(r):
         raise ValueError("need r <= 0, got r = %d" % r)
 
 
-def _check_class(a, m):
-    if gcd(a, m) != 1 and m != 1:
-        raise ValueError("class %d is not coprime to the modulus %d" % (a, m))
-
-
 class PlaceSet:
     # finite set of rational primes, with the archimedean place always in
     __slots__ = ("primes",)
@@ -99,10 +90,6 @@ class PlaceSet:
             while m % p == 0:
                 m //= p
         return m == 1
-
-    def is_exactly_ramified(self, m):
-        # S == {infty} union {p | m}
-        return self.covers_modulus(m) and all(m % p == 0 for p in self.primes)
 
     def __eq__(self, other):
         return isinstance(other, PlaceSet) and self.primes == other.primes
@@ -218,19 +205,6 @@ def orbit_values(group, value):
     return [found[chi.tuple] for chi in chars]
 
 
-def partial_zeta_characters(r, a, m, places):
-    # route (ii): |G|^{-1} sum_chi conj(chi)(a) L_S(r, chi)
-    _check_class(a, m)
-    group = unit_group(m)
-    chars = group.characters()
-    values = orbit_values(group, lambda chi: l_value(r, chi, places))
-    total = RootSums(chars[0].root_order, values)(
-        [chi.conjugate().exponent(a) for chi in chars])
-    value = total * Fraction(1, group.order)
-    assert value.is_rational(), "partial zeta came out irrational"
-    return value.as_fraction()
-
-
 def hurwitz_polynomial(r, m):
     # (coeffs, den) with zeta(r, b/m) = Q(b) / den for 1 <= b <= m, Q the
     # integer polynomial with coefficients coeffs, highest degree first.
@@ -252,27 +226,3 @@ def horner(coeffs, x):
         value = value * x + c
     return value
 
-
-def partial_zeta_hurwitz(r, a, m, places):
-    # route (i), valid only when S is exactly {infty} u {p | m}:
-    # zeta(r, b/m) = -m^{n-1} B_n(b/m) / n with n = 1 - r and b the
-    # representative of a in [1, m]
-    if not places.is_exactly_ramified(m):
-        raise ValueError("place set %r is not exactly the primes of %d"
-                         % (places, m))
-    _check_class(a, m)
-    coeffs, den = hurwitz_polynomial(r, m)
-    return Fraction(horner(coeffs, a % m or m), den)
-
-
-def partial_zeta(r, a, m, places):
-    # S-modified partial zeta of the class of a mod m at s = r <= 0.
-    # Requires S to contain every prime dividing m (plus infinity).
-    _check_r(r)
-    _check_class(a, m)
-    if not places.covers_modulus(m):
-        raise ValueError("place set %r does not cover the modulus %d"
-                         % (places, m))
-    if places.is_exactly_ramified(m):
-        return partial_zeta_hurwitz(r, a, m, places)
-    return partial_zeta_characters(r, a, m, places)

@@ -11,23 +11,15 @@
 #        Euler factor (1 - p^{-r} sigma_p^{-1}) of each p in S not dividing
 #        m, removed in Q[G]: no character and no L-value is involved.  It
 #        runs on integers: one integer polynomial in the class gives every
-#        numerator over one denominator, and p^{-r} is an integer;
+#        numerator over one denominator, and p^{-r} is an integer.  This is
+#        the package's one Hurwitz evaluation of partial zeta values;
 #   (ii) lambda-assembly of chi -> L_S(r, conj(chi)) (characters).
-
-from typing import NamedTuple
 
 from .abelian import squares_subgroup, unit_group
 from .cyclotomic import prime_divisors
 from .dirichlet import (PlaceSet, horner, hurwitz_polynomial, is_prime,
                         l_value, orbit_values)
 from .groupring import GroupRingElement, lambda_assemble, map_elements
-
-
-class StickelbergerElement(NamedTuple):
-    element: GroupRingElement  # over (Z/m)^*
-    modulus: int
-    places: PlaceSet
-    r: int
 
 
 def ramified_places(m):
@@ -61,8 +53,7 @@ def stickelberger(m, places, r=0):
             # zeta_{S u p}(r, b) = zeta_S(r, b) - p^{-r} zeta_S(r, b p^{-1})
             c = {a: c[a] - p ** -r * c[a * p % m] for a in g.elements}
     nums = [c[a] for a in g.elements]
-    return StickelbergerElement(GroupRingElement.from_numerators(g, nums, den),
-                                m, places, r)
+    return GroupRingElement.from_numerators(g, nums, den)
 
 
 def stickelberger_by_characters(m, places, r=0):
@@ -77,20 +68,20 @@ def complex_conjugation(m):
     return (-1) % m
 
 
-def half_stickelberger(m, subgroup=None, places=None):
+def half_stickelberger(m, places=None):
     # theta-tilde = sum over sigma in H of zeta_S(0, sigma^{-1}) sigma,
-    # an element of Q[H]; H must have index 2 and omit complex conjugation
-    if subgroup is None:
-        subgroup = squares_subgroup(m)
+    # an element of Q[H] for H the squares in (Z/m)^*; H must have index 2
+    # and omit complex conjugation
+    subgroup = squares_subgroup(m)
     if places is None:
         places = ramified_places(m)
     g = unit_group(m)
     if 2 * subgroup.order != g.order:
-        raise ValueError("subgroup index is %d, need 2" %
-                         (g.order // max(subgroup.order, 1)))
+        raise ValueError("subgroup index is %d, need 2"
+                         % (g.order // subgroup.order))
     if complex_conjugation(m) in subgroup:
         raise ValueError("complex conjugation lies in the subgroup")
-    theta = stickelberger(m, places, 0).element
+    theta = stickelberger(m, places, 0)
     return GroupRingElement(subgroup, {a: theta.coefficient(a)
                                        for a in subgroup.elements})
 

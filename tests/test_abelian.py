@@ -1,14 +1,10 @@
-import subprocess
-import sys
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import galideal
 from galideal.abelian import (
     FiniteAbelianGroup,
     ResidueGroup,
@@ -21,6 +17,8 @@ from galideal.abelian import (
 )
 from galideal.brauer import subgroup_lattice, symmetric3
 from galideal.cyclotomic import CyclotomicNumber
+
+from conftest import run_python
 
 
 def test_decompose_cyclic():
@@ -96,7 +94,6 @@ def test_input_checks_survive_optimize_flag():
     # python -O strips asserts; each bad input must still raise ValueError.
     # With asserts, (Z/10) with 5 was a 3-element "group", unit_group(0)
     # divided by zero and level -1 gave a TypeError.
-    src = str(Path(galideal.__file__).resolve().parents[1])
     script = """
 from galideal.abelian import FiniteAbelianGroup, ResidueGroup, unit_group
 from galideal.cycloideal import CyclotomicLevel
@@ -118,9 +115,7 @@ for name, call in calls.items():
     except ValueError:
         pass
 """
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=60,
-                          env={"PYTHONPATH": src})
+    proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
 

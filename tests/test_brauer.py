@@ -3,14 +3,11 @@
 # and naturality under quotient maps.
 
 import re
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-import galideal
 from galideal import brauer
 from galideal.abelian import left_cosets
 from galideal.brauer import (BUILTIN_GROUPS, BrauerMap, ClassSpace,
@@ -31,6 +28,8 @@ from galideal.lattice import (canonicalize, compare, contains_vector,
                               group_labels, map_image, unit_ideal,
                               zero_ideal)
 from test_towers import corestriction_matrix, quotient_matrix
+
+from conftest import run_python
 
 F = Fraction
 
@@ -323,10 +322,7 @@ for i, j, w in [(0, 4, 0), (1, 2, 0), (4, 5, 1)]:
     except ValueError:
         pass
 """
-    src = str(Path(galideal.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=60,
-                          env={"PYTHONPATH": src})
+    proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
 
@@ -388,10 +384,7 @@ for k in (1, 5):
     except ValueError:
         pass
 """
-    src = str(Path(galideal.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=60,
-                          env={"PYTHONPATH": src})
+    proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
 

@@ -5,8 +5,6 @@ import io
 import json
 import re
 import signal
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -14,7 +12,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import galideal
 from galideal import suites
 from galideal.abelian import squares_subgroup, unit_group
 from galideal.brauer import (cyclic_group, product_cyclic, symmetric3,
@@ -24,6 +21,8 @@ from galideal.groupring import GroupRingElement
 from galideal.serialize import lattice_payload, parse_lattice
 from galideal.suites import (SUITE_ALIASES, SUITE_PARAMS, SUITES,
                              integrality_suite, run_suite)
+
+from conftest import run_python
 
 COVARIANT_S3 = """{
   "schema-version": 1,
@@ -93,11 +92,8 @@ def test_stickelberger_extra_places_budget(capsys):
 
 def test_places_checked_under_optimize_flag():
     # the prime check must not be an assert, which python -O strips
-    src = str(Path(galideal.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "galideal.cli", "stickelberger",
-         "--modulus", "7", "--s", "infty,7,9"],
-        capture_output=True, text=True, env={"PYTHONPATH": src})
+    proc = run_python("-O", "-m", "galideal.cli", "stickelberger", "--modulus",
+                      "7", "--s", "infty,7,9")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: --s: not a prime: 9\n"
@@ -478,11 +474,8 @@ def test_malformed_cayley_table(capsys, tmp_path, text, message):
     path.write_text(text)
     expected = (2, "", "error: --cayley: %s\n" % message)
     assert run(capsys, ["brauer-map", "--cayley", str(path)]) == expected
-    src = str(Path(galideal.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "galideal.cli", "brauer-map",
-         "--cayley", str(path)],
-        capture_output=True, text=True, env={"PYTHONPATH": src})
+    proc = run_python("-O", "-m", "galideal.cli", "brauer-map", "--cayley",
+                      str(path))
     assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
@@ -497,11 +490,8 @@ def test_cayley_order_budget(capsys, tmp_path):
     assert run(capsys, ["brauer-map", "--cayley", str(path)]) == expected
     assert run(capsys, ["nc-ideal", "--cayley", str(path),
                         "--data", str(data)]) == expected
-    src = str(Path(galideal.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "galideal.cli", "brauer-map",
-         "--cayley", str(path)],
-        capture_output=True, text=True, env={"PYTHONPATH": src})
+    proc = run_python("-O", "-m", "galideal.cli", "brauer-map", "--cayley",
+                      str(path))
     assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
@@ -629,6 +619,14 @@ def test_nc_ideal_fixture_diagnostics(capsys, tmp_path):
         ('{"schema-version": 1, "kind": "annihilator-data", "ell": 3, '
          '"data": [{"subgroup": ["e", "(12)"], "alpha": {"zz": "1"}, '
          '"beta": {"e": "1"}}]}', "data[0].alpha"),
+        ('{"schema-version": 1, "kind": "annihilator-data", "ell": 3, '
+         '"data": [{"subgroup": ["e", "(12)"], "alpha": {"(123)": "1"}, '
+         '"beta": {"e": "1"}}]}',
+         "error: field 'data[0].alpha': element (123) lies outside the "
+         "subgroup"),
+        ('{"schema-version": 1, "kind": "annihilator-data", "ell": 3, '
+         '"data": [{"subgroup": ["e", "(12)"], "alpha": {"e": "1"}, '
+         '"beta": {"(13)": "1"}}]}', "field 'data[0].beta'"),
         ('{"schema-version": 1, "kind": "annihilator-data", "ell": 3, '
          '"data": []}', "'data'"),
         ('{"schema-version": 1, "kind": "annihilator-data", '
@@ -933,9 +931,7 @@ def test_help_prints_to_stdout_and_exits_0(capsys, argv, command):
 def test_cli_import_loads_no_argparse():
     # building argparse's parser tree cost 3-4 ms of every CLI call; the
     # package must not pull it (or gettext, its locale lookup) back in
-    src = str(Path(galideal.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, galideal.cli; "
-         "print(sorted({'argparse', 'gettext'} & set(sys.modules)))"],
-        capture_output=True, text=True, env={"PYTHONPATH": src})
+    proc = run_python(
+        "-c", "import sys, galideal.cli; "
+        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -1,18 +1,13 @@
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
-
-import galideal
 
 from galideal.abelian import squares_subgroup
 from galideal.cycloideal import (CyclotomicLevel, eigenspace_ideal,
                                  full_ideal_parts,
                                  ideal_J_full, ideal_J_imagquad, ideal_J_minus,
                                  ideal_J_real, inflate_plus, level_tower,
-                                 half_subgroup, plus_idempotent,
+                                 plus_idempotent,
                                  plus_quotient, plus_tower,
                                  smallest_primitive_root)
 from galideal.dirichlet import PlaceSet
@@ -24,10 +19,12 @@ from galideal.stickelberger import (base_change_element, half_stickelberger,
                                     stickelberger)
 from galideal.towers import check_quotient_containment
 
+from conftest import run_python
+
 
 def theta(m, r=0):
     ell = min(p for p in range(2, m + 1) if m % p == 0)
-    return stickelberger(m, PlaceSet([ell]), r).element
+    return stickelberger(m, PlaceSet([ell]), r)
 
 
 def test_primitive_roots():
@@ -71,7 +68,7 @@ def test_eigenspace_ideal_matches_full_closure(ell, n, r):
     # greedy generating set, with and without an extra place
     level = CyclotomicLevel(ell, n)
     for places in (level.places(), PlaceSet([ell, 2])):
-        th = stickelberger(level.modulus, places, r).element
+        th = stickelberger(level.modulus, places, r)
         assert (ideal_J_minus(level, r, places)
                 == from_generators(level.group, [th]))
 
@@ -154,7 +151,6 @@ def test_plus_part_integral_under_unit_fixture():
 def test_full_ideal_refuses_units_on_another_ambient():
     # unit data over (Z/5)^* given for the level of conductor 7 must fail
     # with both label sets named, also under python -O (no assert)
-    src = str(Path(galideal.__file__).resolve().parents[1])
     script = """
 from galideal.abelian import unit_group
 from galideal.cycloideal import CyclotomicLevel, ideal_J_full
@@ -165,9 +161,7 @@ try:
 except ValueError as e:
     print(e)
 """
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=60,
-                          env={"PYTHONPATH": src})
+    proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("ambient mismatch: ('s1', 's2', 's3', 's4'), "
                            "expected ('s1+', 's2+', 's3+')\n")
@@ -176,7 +170,6 @@ except ValueError as e:
 def test_real_and_imagquad_refuse_units_on_another_ambient():
     # the same for the parts built from the real half alone: ideal_J_real
     # returns the unit lattice itself, so it checks the ambient with a raise
-    src = str(Path(galideal.__file__).resolve().parents[1])
     script = """
 from galideal.abelian import unit_group
 from galideal.cycloideal import CyclotomicLevel, ideal_J_imagquad, ideal_J_real
@@ -188,9 +181,7 @@ for build in (ideal_J_real, ideal_J_imagquad):
     except ValueError as e:
         print(e)
 """
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=60,
-                          env={"PYTHONPATH": src})
+    proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == 2 * [
         "ambient mismatch: ('s1', 's2', 's3', 's4'), "
@@ -200,7 +191,6 @@ for build in (ideal_J_real, ideal_J_imagquad):
 def test_tower_input_checks_survive_optimize_flag():
     # each tower input check raises ValueError under python -O, which
     # strips asserts
-    src = str(Path(galideal.__file__).resolve().parents[1])
     script = """
 from galideal.abelian import FiniteAbelianGroup
 from galideal.cycloideal import CyclotomicLevel, PlusQuotientGroup, level_tower
@@ -217,9 +207,7 @@ for make in [lambda: TowerDatum(C4, C2, lambda e: (0,)).validate(),
     except ValueError as e:
         print(e)
 """
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=60,
-                          env={"PYTHONPATH": src})
+    proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "projection not surjective",
@@ -306,7 +294,7 @@ def _phi_pull_matrix(level):
     # the isomorphism Q[G+] -> Q[H] inverse to a -> {a, m-a} on the index-2
     # subgroup H avoiding conjugation, as a permutation matrix (plus-quotient
     # coordinates to H coordinates)
-    h = half_subgroup(level)
+    h = squares_subgroup(level.modulus)
     quot = plus_quotient(level.modulus)
     back = {quot.normalize(a): a for a in h.elements}
     assert len(back) == quot.order
@@ -354,7 +342,7 @@ def test_minus_index_is_a_resultant(ell, n, r):
 
     level = CyclotomicLevel(ell, n)
     m, group = level.modulus, level.group
-    th = stickelberger(m, level.places(), r).element
+    th = stickelberger(m, level.places(), r)
     k = group.order // 2
     g = primitive_root(m)
     t = symbols("t")

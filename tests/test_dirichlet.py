@@ -1,16 +1,12 @@
-import subprocess
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
-from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import galideal
 from galideal.abelian import unit_group
 from galideal.cyclotomic import CyclotomicNumber
 from galideal.dirichlet import (
@@ -22,12 +18,11 @@ from galideal.dirichlet import (
     is_prime,
     l_value,
     orbit_values,
-    partial_zeta,
-    partial_zeta_characters,
-    partial_zeta_hurwitz,
     primitive_core,
 )
 from galideal.stickelberger import ramified_places, stickelberger
+
+from conftest import run_python
 
 
 def characters_mod(m):
@@ -100,8 +95,6 @@ def test_place_set():
     assert 3 in s.primes and 5 not in s.primes
     assert s.covers_modulus(63)
     assert not s.covers_modulus(10)
-    assert PlaceSet([3]).is_exactly_ramified(9)
-    assert not PlaceSet([3, 7]).is_exactly_ramified(9)
     with pytest.raises(ValueError, match="not a prime: 4"):
         PlaceSet([4])
 
@@ -225,70 +218,23 @@ def test_orbit_values_match_every_l_value():
         assert len(calls) == len(cyclic)
 
 
-def test_partial_zeta_frozen():
-    s7 = PlaceSet([7])
-    assert partial_zeta(0, 3, 7, s7) == Fraction(1, 14)
-    s3 = PlaceSet([3])
-    assert partial_zeta(0, 1, 3, s3) == Fraction(1, 6)
-    # sum over classes = L_S(0, triv) = 0 by the Euler factor at 7
-    assert sum(partial_zeta(0, a, 7, s7) for a in range(1, 7)) == 0
-    # m = 1 recovers Riemann zeta
-    assert partial_zeta(-1, 0, 1, PlaceSet()) == Fraction(-1, 12)
-
-
-def test_partial_zeta_routes_agree():
-    for m in [3, 4, 5, 7, 9, 12]:
-        s = PlaceSet([p for p in range(2, m + 1) if m % p == 0 and
-                      all(p % d for d in range(2, p))])
-        for r in [0, -1, -2]:
-            for a in unit_group(m).elements:
-                h = partial_zeta_hurwitz(r, a, m, s)
-                c = partial_zeta_characters(r, a, m, s)
-                assert h == c, (m, r, a)
-
-
-def test_partial_zeta_reflection():
-    # zeta_S(r, sigma_{-a}) = (-1)^{1-r} zeta_S(r, sigma_a)
-    s = PlaceSet([5])
-    for r in [0, -1, -2, -3]:
-        for a in [1, 2, 3, 4]:
-            lhs = partial_zeta(r, -a, 5, s)
-            rhs = (-1) ** (1 - r) * partial_zeta(r, a, 5, s)
-            assert lhs == rhs
-
-
-def test_partial_zeta_preconditions():
-    with pytest.raises(ValueError):
-        partial_zeta(0, 2, 9, PlaceSet())  # S misses 3
-    with pytest.raises(ValueError):
-        partial_zeta(0, 3, 9, PlaceSet([3]))  # class not coprime
-
-
 def test_input_checks_survive_optimize_flag():
     # python -O strips asserts; each bad input must still raise ValueError.
-    # Without the checks, a place set missing 3 or the class 3 mod 9 gave a
-    # silent answer, r = 1 divided by zero, and galois at t = 3 on zeta_6
-    # (which the orbit fill of L-values calls) gave a non-automorphism.
-    src = str(Path(galideal.__file__).resolve().parents[1])
+    # Without the checks, a place set missing 3 gave a silent answer, r = 1
+    # divided by zero, and galois at t = 3 on zeta_6 (which the orbit fill
+    # of L-values calls) gave a non-automorphism.
     script = """
 from galideal.abelian import unit_group
 from galideal.cyclotomic import (CyclotomicNumber, cyclotomic_polynomial,
     euler_phi, prime_divisors)
-from galideal.dirichlet import (PlaceSet, bernoulli_number, l_value,
-    partial_zeta, partial_zeta_characters, partial_zeta_hurwitz)
+from galideal.dirichlet import PlaceSet, bernoulli_number, l_value
+from galideal.stickelberger import stickelberger
 s3 = PlaceSet([3])
 z6 = CyclotomicNumber.zeta(6)
 calls = {
-    "S misses 3": lambda: partial_zeta(0, 2, 9, PlaceSet()),
-    "class not coprime": lambda: partial_zeta(0, 3, 9, s3),
-    "partial_zeta r = 1": lambda: partial_zeta(1, 1, 3, s3),
+    "S misses 3": lambda: stickelberger(9, PlaceSet(), 0),
+    "stickelberger r = 1": lambda: stickelberger(3, s3, 1),
     "l_value r = 1": lambda: l_value(1, unit_group(3).characters()[0], s3),
-    "hurwitz S not ramified": lambda: partial_zeta_hurwitz(0, 1, 3, PlaceSet()),
-    "hurwitz class not coprime": lambda: partial_zeta_hurwitz(0, 3, 9, s3),
-    "hurwitz r = 1": lambda: partial_zeta_hurwitz(1, 1, 3, s3),
-    "characters class not coprime": lambda: partial_zeta_characters(
-        0, 3, 9, s3),
-    "characters r = 1": lambda: partial_zeta_characters(1, 1, 3, s3),
     "bernoulli n = -1": lambda: bernoulli_number(-1),
     "galois t not prime to the order": lambda: z6.galois(3),
     "galois t = 0": lambda: z6.galois(0),
@@ -306,9 +252,7 @@ for name, call in calls.items():
     except ValueError:
         pass
 """
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=60,
-                          env={"PYTHONPATH": src})
+    proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
 
@@ -350,11 +294,12 @@ def test_hurwitz_route_matches_fraction_reference(m, r, extra):
     ramified = ramified_places(m)
     places = PlaceSet(ramified.primes + tuple(p for p in extra if m % p))
     want = reference_theta(m, places, r)
-    got = stickelberger(m, places, r).element
+    got = stickelberger(m, places, r)
     assert {a: got.coefficient(a) for a in got.group.elements} == want
     bare = reference_theta(m, ramified, r)
-    for a in unit_group(m).elements:
-        assert partial_zeta_hurwitz(r, pow(a, -1, m), m, ramified) == bare[a]
+    theta = stickelberger(m, ramified, r)
+    for a in theta.group.elements:
+        assert theta.coefficient(a) == bare[a], (m, r, a)
 
 
 def test_is_prime_matches_sympy_below_1e5():

@@ -6,14 +6,13 @@
 
 import hashlib
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import galideal
 from galideal.cli import main
+
+from conftest import run_python
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
@@ -82,11 +81,9 @@ for argv in json.loads(sys.stdin.read()):
     out.append([code, buf.getvalue(), err.getvalue()])
 sys.stdout.write(json.dumps(out))
 """
-    src = str(Path(galideal.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          input=json.dumps([c["argv"] for c in cases]),
-                          capture_output=True, text=True, timeout=300,
-                          cwd=GOLDEN, env={"PYTHONPATH": src})
+    proc = run_python("-O", "-c", script,
+                      input=json.dumps([c["argv"] for c in cases]),
+                      timeout=300, cwd=GOLDEN)
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)
     assert len(results) == len(cases)

@@ -1,6 +1,4 @@
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, prod
@@ -10,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import galideal
 from galideal.abelian import FiniteAbelianGroup, closure, unit_group
 from galideal.brauer import BUILTIN_GROUPS, from_cayley_text, symmetric3
 from galideal.cyclotomic import CyclotomicNumber
@@ -27,6 +24,8 @@ from galideal.groupring import (
     psi_eval,
     y_rank,
 )
+
+from conftest import run_python
 
 C2 = FiniteAbelianGroup((2,))
 C3 = FiniteAbelianGroup((3,))
@@ -372,21 +371,22 @@ def test_input_checks_survive_optimize_flag():
     # python -O strips asserts; each bad input must still raise ValueError.
     # FiniteGroup.index returns its argument, so the keys -1 and 6 of S3
     # would land in a valid slot without the membership check.  The last
-    # group covers the cycloideal, brauer and ncideal input checks.
-    src = str(Path(galideal.__file__).resolve().parents[1])
+    # group covers the stickelberger, brauer and ncideal input checks.
     script = """
 from galideal.abelian import FiniteAbelianGroup, unit_group
 from galideal.brauer import (bgstar, component_images, quotient_group,
                              subgroup_lattice, symmetric3)
-from galideal.cycloideal import CyclotomicLevel, half_subgroup
+from galideal.cycloideal import CyclotomicLevel
 from galideal.groupring import (EmbeddingSignature, GroupRingElement,
                                 det_over_group_ring, y_rank)
 from galideal.lattice import unit_ideal
 from galideal.ncideal import datum_integrality, nc_ideal, subgroup_datum
 from galideal.padic import eigen_projection
+from galideal.stickelberger import half_stickelberger
 S3, c2, lev = symmetric3(), FiniteAbelianGroup((2,)), CyclotomicLevel(3, 1)
 x = GroupRingElement.one(S3)
 top = subgroup_lattice(S3)[-1]
+order2 = next(r for r in subgroup_lattice(S3) if len(r.elements) == 2)
 calls = {
     "key -1": lambda: GroupRingElement(S3, {-1: 1}),
     "key order": lambda: GroupRingElement(S3, {6: 1}),
@@ -405,8 +405,8 @@ calls = {
         lev, 1, GroupRingElement.one(c2)),
     "eigen_projection precision": lambda: eigen_projection(
         lev, 1, GroupRingElement.one(lev.group), precision=0),
-    "half_subgroup at ell = 1 mod 4": lambda: half_subgroup(
-        CyclotomicLevel(5, 0)),
+    "half_stickelberger index 4": lambda: half_stickelberger(8),
+    "half_stickelberger at ell = 1 mod 4": lambda: half_stickelberger(13),
     "quotient without the identity": lambda: quotient_group(S3, [3, 4]),
     "quotient by a non-normal subgroup": lambda: quotient_group(S3, [0, 1]),
     "component_images ambient": lambda: component_images(
@@ -414,6 +414,8 @@ calls = {
     "datum ell 2": lambda: datum_integrality(subgroup_datum(top, x, x, 2)),
     "datum over another group": lambda: nc_ideal(
         symmetric3(), [subgroup_datum(top, x, x, 3)]),
+    "push outside the subgroup": lambda: order2.push(
+        GroupRingElement.basis(S3, 3)),
 }
 for name, call in calls.items():
     try:
@@ -422,9 +424,7 @@ for name, call in calls.items():
     except ValueError:
         pass
 """
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=60,
-                          env={"PYTHONPATH": src})
+    proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
 

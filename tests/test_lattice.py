@@ -1,6 +1,4 @@
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from math import lcm
@@ -10,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import galideal
 from galideal.abelian import FiniteAbelianGroup, unit_group
 from galideal.brauer import (alternating4, from_cayley_text, quaternion8,
                              symmetric3)
@@ -36,6 +33,8 @@ from galideal.lattice import (
     zero_ideal,
 )
 from galideal.stickelberger import stickelberger
+
+from conftest import run_python
 
 C2 = FiniteAbelianGroup((2,))
 D6 = from_cayley_text(
@@ -210,7 +209,7 @@ def test_canonicalize_against_sympy_hnf():
 
     level = CyclotomicLevel(7, 1)
     group = level.group
-    theta = stickelberger(level.modulus, level.places(), 0).element
+    theta = stickelberger(level.modulus, level.places(), 0)
     vecs = [element_vector(group, GroupRingElement.basis(group, g) * theta)
             for g in group.elements]
     d0 = lcm(*(x.denominator for v in vecs for x in v))
@@ -477,7 +476,6 @@ def test_membership_with_two_power_pivots(data):
 
 def test_input_checks_survive_optimize_flag():
     # python -O strips asserts; every mismatch must still raise ValueError
-    src = str(Path(galideal.__file__).resolve().parents[1])
     script = """
 from galideal.abelian import FiniteAbelianGroup, unit_group
 from galideal.groupring import GroupRingElement
@@ -508,8 +506,6 @@ for name, call in calls.items():
     except ValueError:
         pass
 """
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=60,
-                          env={"PYTHONPATH": src})
+    proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""

@@ -2,16 +2,12 @@
 # conjugation covariance vs two-sidedness, and behaviour under quotients.
 
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import galideal
 from galideal.brauer import (cyclic_group, from_group, quotient_group,
                              subgroup_lattice, symmetric3)
 from galideal.cycloideal import CyclotomicLevel, ideal_J_minus
@@ -25,6 +21,8 @@ from galideal.ncideal import (AnnihilatorDatum, IntegralityError,
                               subgroup_datum, two_sided_check)
 from galideal.padic import torsion_annihilator, valuation
 from galideal.stickelberger import ramified_places, stickelberger
+
+from conftest import run_python
 
 F = Fraction
 
@@ -120,12 +118,8 @@ def test_lift_z_rejects_a_chooser_outside_the_coset():
     # python -O strips asserts; a chooser that returns the identity for the
     # odd coset of S3 must still raise ValueError naming the coset and the
     # element chosen, not move the odd coefficients onto the identity
-    src = str(Path(galideal.__file__).resolve().parents[1])
     for flags in ([], ["-O"]):
-        proc = subprocess.run([sys.executable, *flags, "-c",
-                               CHOOSER_OUTSIDE_THE_COSET],
-                              capture_output=True, text=True, timeout=60,
-                              env={"PYTHONPATH": src})
+        proc = run_python(*flags, "-c", CHOOSER_OUTSIDE_THE_COSET)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "chooser picked 0, outside coset 1 = [1, 2, 5]\n"
 
@@ -196,7 +190,7 @@ def test_abelian_case_recovers_the_ideal_times_annihilator():
     # the product of the minus ideal with the torsion annihilator ideal
     lev, G, move = wrapped_level(3)
     rec = subgroup_lattice(G)[-1]
-    theta = stickelberger(3, ramified_places(3), -1).element
+    theta = stickelberger(3, ramified_places(3), -1)
     ann = torsion_annihilator(3, 3, -1)
     data = [subgroup_datum(rec, move(theta), move(b), 3)
             for b in ann.generators]
@@ -216,7 +210,7 @@ def test_generator_integrality_sweep():
         for r in (-1, -2):
             lev, G, move = wrapped_level(m)
             rec = subgroup_lattice(G)[-1]
-            theta = stickelberger(m, ramified_places(m), r).element
+            theta = stickelberger(m, ramified_places(m), r)
             ann = torsion_annihilator(m, ell, r)
             data = [subgroup_datum(rec, move(theta), move(b), ell)
                     for b in ann.generators]
@@ -245,7 +239,7 @@ def test_quotient_check_stickelberger_level_drop():
     # pushed through the quotient onto (Z/3)^*
     lev9, G9, move9 = wrapped_level(9)
     rec9 = subgroup_lattice(G9)[-1]
-    theta9 = stickelberger(9, ramified_places(9), -1).element
+    theta9 = stickelberger(9, ramified_places(9), -1)
     ann9 = torsion_annihilator(9, 3, -1)
     data9 = [subgroup_datum(rec9, move9(theta9), move9(b), 3)
              for b in ann9.generators]

@@ -1,11 +1,7 @@
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import galideal
 from galideal.abelian import unit_group
 from galideal.cycloideal import CyclotomicLevel
 from galideal.cyclotomic import CyclotomicNumber
@@ -17,10 +13,12 @@ from galideal.padic import (EigenCoefficient, annihilator_integrality,
                             torsion_annihilator, torsion_exponent, valuation)
 from galideal.stickelberger import stickelberger
 
+from conftest import run_python
+
 
 def theta(m, r=0):
     ell = min(p for p in range(2, m + 1) if m % p == 0)
-    return stickelberger(m, PlaceSet([ell]), r).element
+    return stickelberger(m, PlaceSet([ell]), r)
 
 
 def test_valuation():
@@ -221,7 +219,6 @@ def test_torsion_annihilator_rejects_bad_inputs():
 def test_torsion_annihilator_checked_under_optimize_flag():
     # python -O strips asserts: at r = 1 the exponent search never ended,
     # and a modulus that is no power of ell gave a silent answer
-    src = str(Path(galideal.__file__).resolve().parents[1])
     script = (
         "from galideal.padic import torsion_annihilator\n"
         "for args in ((9, 3, 1), (10, 5, -1)):\n"
@@ -229,9 +226,7 @@ def test_torsion_annihilator_checked_under_optimize_flag():
         "        torsion_annihilator(*args)\n"
         "    except ValueError as exc:\n"
         "        print(exc)\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=60,
-                          env={"PYTHONPATH": src})
+    proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     need = "need an odd prime ell, a modulus m > 1 that is a power of it "
     assert proc.stdout == (need + "and r <= -1, got m = 9, ell = 3, r = 1\n"
@@ -241,7 +236,6 @@ def test_torsion_annihilator_checked_under_optimize_flag():
 def test_valuation_and_teichmuller_checked_under_optimize_flag():
     # python -O strips asserts: valuation(0, ell) never returned, and a
     # residue divisible by ell got the Teichmuller lift 0
-    src = str(Path(galideal.__file__).resolve().parents[1])
     script = (
         "from galideal.padic import teichmuller, valuation\n"
         "for call in (lambda: valuation(0, 3), lambda: teichmuller(3, 3, 5)):\n"
@@ -249,9 +243,7 @@ def test_valuation_and_teichmuller_checked_under_optimize_flag():
         "        print(call())\n"
         "    except ValueError as exc:\n"
         "        print(exc)\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=60,
-                          env={"PYTHONPATH": src})
+    proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("valuation of 0\n"
                            "no Teichmuller lift of 3: 3 divides it\n")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from galideal.abelian import ResidueGroup, squares_subgroup, unit_group
+from galideal.abelian import squares_subgroup, unit_group
 from galideal.dirichlet import PlaceSet, horner
 from galideal.groupring import GroupRingElement, invert_unit, psi_eval
 from galideal.stickelberger import (
@@ -20,7 +20,7 @@ from galideal.stickelberger import (
 
 
 def theta(m, r=0):
-    return stickelberger(m, ramified_places(m), r).element
+    return stickelberger(m, ramified_places(m), r)
 
 
 def test_theta_mod3():
@@ -47,7 +47,7 @@ def test_routes_agree():
             s = PlaceSet(ramified_places(m).primes +
                          tuple(p for p in extra if m % p))
             for r in [0, -1, -2]:
-                assert stickelberger(m, s, r).element == \
+                assert stickelberger(m, s, r) == \
                     stickelberger_by_characters(m, s, r), (m, s, r)
 
 
@@ -68,7 +68,7 @@ def test_one_hurwitz_value_per_sign_pair(monkeypatch, m, r):
     monkeypatch.setattr(mod, "horner", counted)
     g = unit_group(m)
     s = PlaceSet(ramified_places(m).primes + ((5,) if m % 5 else ()))
-    x = stickelberger(m, s, r).element
+    x = stickelberger(m, s, r)
     assert len(calls) == -(-g.order // 2)
     monkeypatch.undo()
     assert x == stickelberger_by_characters(m, s, r)
@@ -130,11 +130,10 @@ def test_half_stickelberger_extra_places():
 
 
 def test_half_stickelberger_validations():
-    with pytest.raises(ValueError):
-        half_stickelberger(7, subgroup=unit_group(7))  # index 1
-    with pytest.raises(ValueError):
-        # index-2 subgroup of (Z/8)* containing -1 = 7
-        half_stickelberger(8, subgroup=ResidueGroup(8, [1, 7]))
+    with pytest.raises(ValueError, match="index is 4"):
+        half_stickelberger(8)  # the squares mod 8 are {1}
+    with pytest.raises(ValueError, match="conjugation"):
+        half_stickelberger(13)  # -1 is a square mod 13
 
 
 def test_quadratic_character_cuts_out_imaginary_field():
