@@ -44,8 +44,8 @@
 # representatives of its component map all come from it.
 
 from functools import lru_cache
-from itertools import product
-from math import gcd
+from itertools import compress, product
+from math import gcd, lcm
 
 from .cyclotomic import CyclotomicNumber, prime_divisors
 
@@ -70,16 +70,21 @@ def _element_order(g, mul, identity):
 
 def _element_orders(elems, mul, identity):
     # element -> order, with one walk per cyclic subgroup: a walk of g's
-    # powers g, g^2, ..., g^n = 1 gives g^k the order n / gcd(k, n)
+    # powers g, g^2, ..., g^n = 1 gives g^k the order n / gcd(k, n), a list
+    # made once per walk length n
     orders = {}
+    by_length = {}
     for g in elems:
         if g not in orders:
+            x = g
             powers = [g]
-            while powers[-1] != identity:
-                powers.append(mul(powers[-1], g))
+            while x != identity:
+                x = mul(x, g)
+                powers.append(x)
             n = len(powers)
-            for k, x in enumerate(powers, 1):
-                orders[x] = n // gcd(k, n)
+            if n not in by_length:
+                by_length[n] = [n // gcd(k, n) for k in range(1, n + 1)]
+            orders.update(zip(powers, by_length[n]))
     return orders
 
 
@@ -130,9 +135,7 @@ def decompose(elems, mul, identity):
     if len(elems) == 1:
         return (), []
     orders = _element_orders(elems, mul, identity)
-    exponent = 1
-    for o in orders.values():
-        exponent = exponent * o // gcd(exponent, o)
+    exponent = lcm(*set(orders.values()))
     # build x of order == exponent from prime-power pieces
     x = identity
     for p in prime_divisors(exponent):
@@ -181,18 +184,18 @@ def coordinates(elems, mul, identity):
     # generators and from_tuple its inverse.
     invariants, gens = decompose(elems, mul, identity)
     A = FiniteAbelianGroup(invariants)
-    # extend by one generator at a time, in the order of A.elements: the
-    # powers of each g_i, then one product per element of each prefix
-    table = [((), identity)]
+    # the elements in the order of A.elements, extended by one generator at
+    # a time: the powers of each g_i, then one product per element of each
+    # prefix
+    listed = [identity]
     for gi, d in zip(gens, invariants):
         powers = [identity]
         for _ in range(d - 1):
             powers.append(mul(powers[-1], gi))
-        table = [(e + (k,), mul(g, p))
-                 for e, g in table for k, p in enumerate(powers)]
-    from_tuple = dict(table)
-    assert len(set(from_tuple.values())) == len(elems)
-    to_tuple = {g: e for e, g in from_tuple.items()}
+        listed = [mul(g, p) for g in listed for p in powers]
+    from_tuple = dict(zip(A.elements, listed))
+    to_tuple = dict(zip(listed, A.elements))
+    assert len(to_tuple) == len(elems)
     return A, to_tuple, from_tuple
 
 
@@ -214,7 +217,7 @@ class FiniteAbelianGroup:
         self.elements = list(product(*[range(d) for d in invariants]))
         self.order = len(self.elements)
         self.identity = tuple(0 for _ in invariants)
-        self._index = {e: i for i, e in enumerate(self.elements)}
+        self._index = dict(zip(self.elements, range(self.order)))
         self._characters = None
 
     def op(self, a, b):
@@ -355,13 +358,8 @@ class ResidueGroup:
     # ints in [0, m), enumerated in increasing residue order; labels "s<a>".
 
     def __init__(self, modulus, residues):
-        self.modulus = modulus
-        if modulus < 1:
-            raise ValueError("modulus %d is not positive" % modulus)
-        self.elements = sorted(int(a) % modulus for a in residues)
-        self.order = len(self.elements)
-        self.identity = 1 % modulus
-        self._index = {a: i for i, a in enumerate(self.elements)}
+        _check_modulus(modulus)
+        self._fill(modulus, sorted(int(a) % modulus for a in residues))
         if len(self._index) < self.order:
             raise ValueError("repeated residue mod %d" % modulus)
         if self.identity not in self._index:
@@ -369,6 +367,20 @@ class ResidueGroup:
         for a in self.elements:
             if gcd(a, modulus) != 1 and modulus != 1:
                 raise ValueError("%d is not a unit mod %d" % (a, modulus))
+
+    @classmethod
+    def _trusted(cls, modulus, elements):
+        # elements: the units of a subgroup in increasing order, unchecked
+        self = object.__new__(cls)
+        self._fill(modulus, elements)
+        return self
+
+    def _fill(self, modulus, elements):
+        self.modulus = modulus
+        self.elements = elements
+        self.order = len(elements)
+        self.identity = 1 % modulus
+        self._index = dict(zip(elements, range(self.order)))
         self._coords = None
         self._characters = None
 
@@ -392,6 +404,11 @@ class ResidueGroup:
     def abelian_coordinates(self):
         if self._coords is None:
             self._coords = coordinates(self.elements, self.op, self.identity)
+            # the positions a row reads (_positions), from the order in which
+            # from_tuple lists the elements, with no lookup per element
+            A, _, from_tuple = self._coords
+            where = dict(zip(from_tuple.values(), range(self.order)))
+            self._positions = (A, list(map(where.__getitem__, self.elements)))
         return self._coords
 
     def characters(self):
@@ -428,10 +445,20 @@ class ResidueGroup:
         return "ResidueGroup(%d, order %d)" % (self.modulus, self.order)
 
 
+def _check_modulus(m):
+    if m < 1:
+        raise ValueError("modulus %d is not positive" % m)
+
+
 @lru_cache(maxsize=None)
 def unit_group(m):
-    # m < 1 is refused by ResidueGroup
-    return ResidueGroup(m, [a for a in range(m) if gcd(a, m) == 1])
+    # (Z/m)^*, sieved: the multiples of each prime p | m are struck out of
+    # 0 .. m-1, which leaves the units in increasing order
+    _check_modulus(m)
+    unit = bytearray(b"\1") * m
+    for p in prime_divisors(m):
+        unit[::p] = bytes(m // p)
+    return ResidueGroup._trusted(m, list(compress(range(m), unit)))
 
 
 def subgroup_of_units(m, gens):

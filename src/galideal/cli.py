@@ -21,7 +21,7 @@ from .serialize import (FixtureError, element_payload, fraction_str,
                         lattice_payload, load_fixture, parse_element,
                         parse_lattice, to_json)
 from .stickelberger import ramified_places, stickelberger
-from .suites import SUITE_ALIASES, SUITES, check_params, run_all
+from .suites import SUITES, check_params, run_all
 
 
 class UsageError(Exception):
@@ -416,10 +416,6 @@ def cmd_nc_ideal(args):
 
 def cmd_check(args):
     suite = args.suite or "all"
-    known = sorted(set(SUITES) | set(SUITE_ALIASES))
-    if suite != "all" and suite not in known:
-        raise UsageError("--suite: unknown suite %r (have: all, %s)"
-                         % (suite, ", ".join(known)))
     params = {
         "ells": (args.ell,) if args.ell is not None else None,
         "levels": (args.levels,) if args.levels is not None else None,

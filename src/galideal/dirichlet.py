@@ -29,10 +29,13 @@ def bernoulli_number(n):
         raise ValueError("Bernoulli number needs n >= 0, got %d" % n)
     if n == 0:
         return Fraction(1)
-    total = Fraction(0)
-    for k in range(n):
-        total += comb(n + 1, k) * bernoulli_number(k)
-    return -total / (n + 1)
+    # Sigma_{k<=n} C(n+1,k) B_k = 0, summed in integers over the lcm L of
+    # the denominators of B_0 .. B_(n-1)
+    bs = [bernoulli_number(k) for k in range(n)]
+    L = lcm(*(b.denominator for b in bs))
+    total = sum(comb(n + 1, k) * b.numerator * (L // b.denominator)
+                for k, b in enumerate(bs))
+    return Fraction(-total, (n + 1) * L)
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -102,12 +105,12 @@ class PlaceSet:
 
 
 def conductor(chi):
-    # minimal f | m with chi trivial on residues = 1 mod f
+    # minimal f | m with chi trivial on residues = 1 mod f: no unit that
+    # chi moves is 1 mod f
     m = chi.modulus
-    group = chi.group
-    for f in sorted(d for d in range(1, m + 1) if m % d == 0):
-        if all(chi.exponent(a) == 0
-               for a in group.elements if a % f == 1 % f):
+    moved = {a for a, k in zip(chi.group.elements, chi.row) if k}
+    for f in range(1, m + 1):
+        if m % f == 0 and moved.isdisjoint(range(1 % f, m, f)):
             return f
     raise AssertionError("unreachable: f = m always works")
 
@@ -139,19 +142,21 @@ def _bernoulli_sum(n, f, star):
     # B_0 .. B_n,
     #   f^(n-1) B_n(a/f) = Sigma_j C(n,j) B_j a^(n-j) f^(j-1) = P(a) / (f L)
     # for an integer polynomial P; P(a) is added into slot k(a).
+    # B_n(1 - x) = (-1)^n B_n(x) gives P(f - a) = (-1)^n P(a), so for f > 1
+    # the units a and f - a cancel when chi*(-1) != (-1)^n, i.e. when the
+    # exponent k(-1), 0 or N/2, is not (n mod 2) N/2: then the sum is 0
+    N = star.root_order
+    if f > 1 and 2 * star.exponent(-1) != n % 2 * N:
+        return 1, [0], 1
     bs = [bernoulli_number(j) for j in range(n + 1)]
     L = lcm(*(b.denominator for b in bs))
     poly = [comb(n, j) * b.numerator * (L // b.denominator) * f ** j
             for j, b in enumerate(bs)]  # coefficient of a^(n-j)
-    N = star.root_order
     acc = [0] * N
-    for a in range(1, f + 1):
-        k = star.exponent(a)
-        if k is not None:
-            value = 0
-            for c in poly:
-                value = value * a + c
-            acc[k] += value
+    # the units of (Z/f)^* in [0, f) with their exponents; a = 0 (f = 1)
+    # stands for a = f
+    for a, k in zip(star.group.elements, star.row):
+        acc[k] += horner(poly, a or f)
     return N, acc, f * L
 
 

@@ -148,7 +148,7 @@ def _half_columns(cols):
 
 
 def group_labels(group):
-    return tuple(group.label(g) for g in group.elements)
+    return tuple(map(group.label, group.elements))
 
 
 def element_vector(group, x):

@@ -11,7 +11,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
 from .groupring import GroupRingElement
-from .lattice import canonicalize
+from .lattice import canonicalize, group_labels
 
 SCHEMA_VERSION = 1
 _FRACTION = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
@@ -53,10 +53,15 @@ def parse_fraction(text, field="value"):
 
 
 def element_payload(x):
-    # label -> fraction string, zero coefficients dropped
-    den, label = x.den, x.group.label
-    return {label(g): fraction_str(a, den)
-            for g, a in zip(x.group.elements, x.nums) if a}
+    # label -> fraction string, zero coefficients dropped; the text of
+    # fraction_str, written inline as it runs once per coefficient
+    den = x.den
+    out = {}
+    for label, a in zip(group_labels(x.group), x.nums):
+        if a:
+            g = gcd(a, den)
+            out[label] = f"{a // g}" if g == den else f"{a // g}/{den // g}"
+    return out
 
 
 def parse_element(group, payload, field="element"):

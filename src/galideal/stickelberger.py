@@ -35,24 +35,26 @@ def stickelberger(m, places, r=0):
         raise ValueError("place set %r does not cover the modulus %d"
                          % (places, m))
     g = unit_group(m)
-    # zeta(r, b/m) = Q(b) / den over the ramified places; c holds the
-    # numerators.  One Hurwitz value per pair {a, -a}: B_n(1 - x) =
-    # (-1)^n B_n(x) gives zeta(r, -b) = (-1)^(1-r) zeta(r, b), and each
-    # Euler factor below keeps that parity; for m <= 2 the pair is the one
-    # class a = -a
+    elems, phi = g.elements, g.order
+    # zeta(r, b/m) = Q(b) / den over the ramified places; nums holds the
+    # numerators in the order of elems.  One Hurwitz value per pair {a, -a}:
+    # B_n(1 - x) = (-1)^n B_n(x) gives zeta(r, -b) = (-1)^(1-r) zeta(r, b),
+    # and each Euler factor below keeps that parity.  The units are
+    # symmetric about m/2, so -elems[i] is elems[phi-1-i]; for m <= 2 the
+    # pair is the one class a = -a
     coeffs, den = hurwitz_polynomial(r, m)
     sign = (-1) ** (1 - r)
-    c = {}
-    for a in g.elements:
-        if a not in c:
-            value = horner(coeffs, g.inv(a) or m)
-            c[(-a) % m] = sign * value
-            c[a] = value  # last, as -a is a for m <= 2
+    nums = [0] * phi
+    for i in range((phi + 1) // 2):
+        value = horner(coeffs, pow(elems[i], -1, m) or m)
+        nums[phi - 1 - i] = sign * value
+        nums[i] = value  # last, as phi - 1 - i is i for m <= 2
     for p in places.primes:
         if m % p:
             # zeta_{S u p}(r, b) = zeta_S(r, b) - p^{-r} zeta_S(r, b p^{-1})
-            c = {a: c[a] - p ** -r * c[a * p % m] for a in g.elements}
-    nums = [c[a] for a in g.elements]
+            q = p ** -r
+            nums = [x - q * nums[g.index(a * p % m)]
+                    for x, a in zip(nums, elems)]
     return GroupRingElement.from_numerators(g, nums, den)
 
 

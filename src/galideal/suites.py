@@ -509,13 +509,15 @@ PARAM_FLAGS = {"ells": "--ell", "levels": "--levels", "rs": "--r",
 def check_params(name, **params):
     # the canonical suite name and its parameters from `params` (None means
     # not given); raises ValueError, before any of the suite's work starts,
-    # on the first parameter in the order given that the suite does not
-    # take, naming the suite as given, and then on the first value it
-    # cannot take, each time naming the parameter's flag
+    # on an unknown suite, then on the first parameter in the order given
+    # that the suite does not take, naming the suite as given, and then on
+    # the first value it cannot take, each time naming the flag.  The list
+    # of names offered includes the CLI's "all" (check --suite all)
     canonical = SUITE_ALIASES.get(name, name)
     if canonical not in SUITES:
-        raise KeyError("unknown suite %r; available: %s"
-                       % (canonical, ", ".join(sorted(SUITES))))
+        raise ValueError("--suite: unknown suite %r (have: all, %s)"
+                         % (name, ", ".join(sorted(set(SUITES)
+                                                   | set(SUITE_ALIASES)))))
     rules = SUITE_PARAMS[canonical]
     kwargs = {k: v for k, v in params.items() if v is not None}
     for key in kwargs:

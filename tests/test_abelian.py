@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -122,6 +121,19 @@ for name, call in calls.items():
 
 def test_unit_group_cached_identity():
     assert unit_group(7) is unit_group(7)
+
+
+def test_unit_group_sieve_matches_gcd_filter():
+    # the sieved units against a gcd filter, for m = 1 and 2, the powers of
+    # 2, odd prime powers and moduli with three primes (30, 60, ..., 390)
+    for m in range(1, 401):
+        g = unit_group(m)
+        assert g.elements == [a for a in range(m) if gcd(a, m) == 1], m
+        assert [g.index(a) for a in g.elements] == list(range(g.order))
+        assert all(g.inv(a) * a % m == 1 % m for a in g.elements), m
+        assert unit_group(m) is g
+        # the unchecked path builds what the checked constructor accepts
+        assert g == ResidueGroup(m, g.elements) and g.identity == 1 % m
 
 
 def character_table_orthogonality(group):

@@ -10,7 +10,7 @@ import pytest
 
 from galideal import brauer
 from galideal.abelian import left_cosets
-from galideal.brauer import (BUILTIN_GROUPS, BrauerMap, ClassSpace,
+from galideal.brauer import (BUILTIN_GROUPS, ClassSpace,
                              FiniteGroup, alternating4, bgstar,
                              complete_components, component_images,
                              conjugation_consistency, cyclic_group,

@@ -202,6 +202,17 @@ def test_check_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+def test_unknown_suite_is_refused_by_check_params(capsys):
+    # one refusal: the library's error is the CLI's stderr line
+    names = "all, " + ", ".join(sorted(set(SUITES) | set(SUITE_ALIASES)))
+    message = "--suite: unknown suite 'nosuch' (have: %s)" % names
+    with pytest.raises(ValueError) as refused:
+        run_suite("nosuch", ells=(3,))
+    assert str(refused.value) == message
+    code, out, err = run(capsys, ["check", "--suite", "nosuch", "--ell", "3"])
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 # Negative controls: one input perturbed through a function the suite
 # already calls, so the suite must report FAIL with its witness, and
 # `check --suite` must exit 1.

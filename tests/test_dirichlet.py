@@ -176,6 +176,40 @@ def test_primitive_core_matches_search():
             assert star.row == want.row
 
 
+@lru_cache(maxsize=None)
+def bernoulli_term(n, a, f):
+    # f^(n-1) B_n(a/f), in Fractions
+    return f ** (n - 1) * bernoulli_polynomial(n, Fraction(a, f))
+
+
+def test_row_sums_match_residue_by_residue_references():
+    # conductor and generalized_bernoulli read exponent rows, and the sum is
+    # skipped where parity makes it 0; the references take one residue at a
+    # time through exponent, Fractions and zeta, for every character mod
+    # m <= 60
+    for m in range(1, 61):
+        units = unit_group(m).elements
+        for chi in characters_mod(m):
+            f = min(d for d in range(1, m + 1) if m % d == 0 and all(
+                chi.exponent(a) == 0 for a in units if a % d == 1 % d))
+            assert conductor(chi) == f, (m, chi.tuple)
+            star = primitive_core(chi)[1]
+            N = star.root_order
+            for n in range(1, 5):
+                # Sigma_{a=1..f} chi*(a) f^(n-1) B_n(a/f), collected by the
+                # exponent of chi*(a)
+                by_k = {}
+                for a in range(1, f + 1):
+                    k = star.exponent(a)
+                    if k is not None:
+                        by_k[k] = by_k.get(k, 0) + bernoulli_term(n, a, f)
+                want = CyclotomicNumber.zero()
+                for k, c in by_k.items():
+                    want = want + CyclotomicNumber.zeta(N, k) * c
+                assert generalized_bernoulli(n, chi) == want, \
+                    (m, chi.tuple, n)
+
+
 def test_l_value_galois_equivariance():
     # L_S(r, chi^a) = sigma_a L_S(r, chi), both sides computed from scratch,
     # for every character mod m <= 40, every a prime to the root order, and

@@ -14,7 +14,7 @@ from galideal.cycloideal import CyclotomicLevel, ideal_J_minus
 from galideal.groupring import GroupRingElement, map_elements
 from galideal.lattice import (compare, contains_element, from_generators,
                               group_labels, ideal_elements, map_image)
-from galideal.ncideal import (AnnihilatorDatum, IntegralityError,
+from galideal.ncideal import (IntegralityError,
                               covariant_data, datum_generator,
                               datum_integrality, lift_z, nc_ideal,
                               norm_element, quotient_check, quotient_data,
