@@ -24,6 +24,7 @@ from .groupring import (GroupRingElement, generating_set, map_elements,
 from .intmat import hnf_columns, mat_mul, mat_vec
 from .lattice import (canonicalize, contains_vector, map_image,
                       map_preimage)
+from .towers import TowerDatum
 
 SUBGROUP_ORDER_BUDGET = 32
 
@@ -310,9 +311,6 @@ class SubgroupRecord:
         self.ab = FiniteGroup(table, [G.label(r) for r in reps])
         self._characters = None
 
-    def ab_labels(self):
-        return self.ab.labels
-
     def induced(self, other, f):
         # the map H^ab -> other^ab induced by a group map f sending this
         # subgroup into `other`, on coset indices: images[u] for coset u
@@ -434,7 +432,7 @@ class BrauerMap(NamedTuple):
     def long_labels(self):
         out = []
         for k, rec in enumerate(self.records):
-            out.extend("H%02d:%s" % (k, lab) for lab in rec.ab_labels())
+            out.extend("H%02d:%s" % (k, lab) for lab in rec.ab.labels)
         return tuple(out)
 
 
@@ -551,39 +549,18 @@ def transport_matrix(records, i, j, w):
 
 def transport_component(records, i, j, w, ideal):
     return map_image(ideal, transport_matrix(records, i, j, w),
-                     records[j].ab_labels())
+                     records[j].ab.labels)
 
 
-def _conjugating_element(G, records, i, j):
-    dst = frozenset(records[j].elements)
-    for w in G.elements:
-        if conjugate_set(G, records[i].elements, w) == dst:
-            return w
-    return None
-
-
-def complete_components(bmap, components):
-    # Fill in missing subgroup components by transporting a conjugate
-    # record's datum; every conjugacy orbit of subgroups must have one.
-    G = bmap.group
-    records = bmap.records
-    full = dict(components)
-    for i, rec in enumerate(records):
-        if i in full:
-            if full[i].labels != rec.ab_labels():
-                raise ValueError(
-                    "component %d for %r lives over %r, expected %r"
-                    % (i, rec, full[i].labels, rec.ab_labels()))
-            continue
-        for j in components:
-            w = _conjugating_element(G, records, j, i)
-            if w is not None:
-                full[i] = transport_component(records, j, i, w, components[j])
-                break
-        else:
+def check_components(bmap, components):
+    # every subgroup has a component, over its own abelianization
+    for i, rec in enumerate(bmap.records):
+        if i not in components:
+            raise ValueError("no component datum for subgroup %r" % (rec,))
+        if components[i].labels != rec.ab.labels:
             raise ValueError(
-                "no component datum for subgroup %r or any conjugate" % (rec,))
-    return full
+                "component %d for %r lives over %r, expected %r"
+                % (i, rec, components[i].labels, rec.ab.labels))
 
 
 def conjugation_consistency(bmap, components):
@@ -600,13 +577,14 @@ def conjugation_consistency(bmap, components):
 
 
 def product_lattice(bmap, components):
-    full = complete_components(bmap, components)
+    check_components(bmap, components)
     labels = bmap.long_labels()
     n = len(labels)
-    d = lcm(*(ideal.denominator for ideal in full.values()))
-    vecs = [[0] * lo + [d // full[k].denominator * x for x in col]
+    d = lcm(*(ideal.denominator for ideal in components.values()))
+    vecs = [[0] * lo + [d // components[k].denominator * x for x in col]
             + [0] * (n - lo - len(col))
-            for k, lo in enumerate(bmap.offsets) for col in full[k].columns]
+            for k, lo in enumerate(bmap.offsets)
+            for col in components[k].columns]
     return canonicalize(labels, d, vecs)
 
 
@@ -623,7 +601,7 @@ def component_images(bmap, ideal):
     if ideal.labels != bmap.space.labels:
         raise ValueError("ambient mismatch: %r, expected the class space %r"
                          % (ideal.labels, bmap.space.labels))
-    return {k: map_image(ideal, bmap.block(k), rec.ab_labels())
+    return {k: map_image(ideal, bmap.block(k), rec.ab.labels)
             for k, rec in enumerate(bmap.records)}
 
 
@@ -631,7 +609,7 @@ def component_images(bmap, ideal):
 # quotient maps
 
 def quotient_group(G, normal_elements):
-    # (Q, proj) with proj a list sending each element to its coset's index
+    # the tower G -> G/N, projecting each element to its coset's index
     nset = frozenset(normal_elements)
     if G.identity not in nset:
         raise ValueError("normal subgroup lacks the identity")
@@ -641,32 +619,32 @@ def quotient_group(G, normal_elements):
                              "falls outside it" % G.label(h))
     # elements ascend, so each representative is its coset's minimum
     reps, coset_of = left_cosets(G.elements, G.op, nset)
-    proj = [coset_of[g] for g in G.elements]
-    table = [[proj[G.op(a, b)] for b in reps] for a in reps]
+    table = [[coset_of[G.op(a, b)] for b in reps] for a in reps]
     Q = FiniteGroup(table, [G.label(r) for r in reps])
-    return Q, proj
+    return TowerDatum(G, Q, coset_of.__getitem__)
 
 
-def class_quotient_matrix(space_big, space_small, proj):
+def class_quotient_matrix(tower):
     # Q{G} -> Q{G/N} on class bases
-    M = [[0] * space_big.dimension for _ in range(space_small.dimension)]
-    for c, cls in enumerate(space_big.classes):
-        M[space_small.class_of(proj[min(cls)])][c] = 1
+    big, small = ClassSpace(tower.big), ClassSpace(tower.quotient)
+    M = [[0] * big.dimension for _ in range(small.dimension)]
+    for c, cls in enumerate(big.classes):
+        M[small.class_of(tower.project(min(cls)))][c] = 1
     return M
 
 
-def _full_preimages(bmap_big, bmap_small, proj):
+def _full_preimages(tower, bmap_big, bmap_small):
     # for each subgroup J of the quotient: (its index, the index of its full
-    # preimage H in the big group, the map H^ab -> J^ab induced by proj)
-    G = bmap_big.group
+    # preimage H in the big group, the map H^ab -> J^ab induced by the
+    # projection)
     for kq, rec_q in enumerate(bmap_small.records):
         jset = set(rec_q.elements)
-        kg = record_index(bmap_big.records,
-                          [g for g in G.elements if proj[g] in jset])
-        yield kq, kg, bmap_big.records[kg].induced(rec_q, proj.__getitem__)
+        kg = record_index(bmap_big.records, [g for g in tower.big.elements
+                                             if tower.project(g) in jset])
+        yield kq, kg, bmap_big.records[kg].induced(rec_q, tower.project)
 
 
-def component_quotient_matrix(bmap_big, bmap_small, proj):
+def component_quotient_matrix(tower, bmap_big, bmap_small):
     # the dual of the inflation-assembly map: for each subgroup J of the
     # quotient, take the component at its full preimage H and push it
     # along H^ab -> J^ab; components at subgroups that are not full
@@ -674,7 +652,7 @@ def component_quotient_matrix(bmap_big, bmap_small, proj):
     rows = sum(rec.ab.order for rec in bmap_small.records)
     cols = sum(rec.ab.order for rec in bmap_big.records)
     M = [[0] * cols for _ in range(rows)]
-    for kq, kg, images in _full_preimages(bmap_big, bmap_small, proj):
+    for kq, kg, images in _full_preimages(tower, bmap_big, bmap_small):
         for u, v in enumerate(images):
             M[bmap_small.offsets[kq] + v][bmap_big.offsets[kg] + u] = 1
     return M
@@ -690,31 +668,30 @@ class NaturalityReport(NamedTuple):
         return self.square_commutes and self.contained
 
 
-def quotient_naturality(G, normal_elements, components, components_small=None):
+def quotient_naturality(tower, components):
     # 1) the matrix identity: pushing components forward after the big
     #    component map equals the small component map after the class
-    #    quotient; 2) the preimage ideal maps into the quotient's: the class
-    #    quotient is linear and J_small a Z[1/2]-module, so 2) holds iff the
-    #    image of each column of J_big is in J_small; the witness is the
-    #    first failing column's image.
-    Q, proj = quotient_group(G, normal_elements)
-    bmap_big = bgstar(G)
-    bmap_small = bgstar(Q)
-    clsmat = class_quotient_matrix(bmap_big.space, bmap_small.space, proj)
-    alphastar = component_quotient_matrix(bmap_big, bmap_small, proj)
+    #    quotient; 2) the preimage ideal maps into the quotient's, built
+    #    from the components pushed to each full preimage's image: the
+    #    class quotient is linear and J_small a Z[1/2]-module, so 2) holds
+    #    iff the image of each column of J_big is in J_small; the witness
+    #    is the first failing column's image.
+    bmap_big = bgstar(tower.big)
+    bmap_small = bgstar(tower.quotient)
+    clsmat = class_quotient_matrix(tower)
+    alphastar = component_quotient_matrix(tower, bmap_big, bmap_small)
     left = mat_mul(alphastar, bmap_big.matrix)
     right = mat_mul(bmap_small.matrix, clsmat)
     if left != right:
         return NaturalityReport(False, False, ("matrix identity",))
-    full_big = complete_components(bmap_big, components)
-    if components_small is None:
-        components_small = {}
-        for kq, kg, images in _full_preimages(bmap_big, bmap_small, proj):
-            rec_q = bmap_small.records[kq]
-            components_small[kq] = map_image(
-                full_big[kg], _map_matrix(images, rec_q.ab.order),
-                rec_q.ab_labels())
-    J_big = nonabelian_J(bmap_big, full_big)
+    check_components(bmap_big, components)
+    components_small = {}
+    for kq, kg, images in _full_preimages(tower, bmap_big, bmap_small):
+        rec_q = bmap_small.records[kq]
+        components_small[kq] = map_image(
+            components[kg], _map_matrix(images, rec_q.ab.order),
+            rec_q.ab.labels)
+    J_big = nonabelian_J(bmap_big, components)
     J_small = nonabelian_J(bmap_small, components_small)
     for col in J_big.columns:
         v = [Fraction(x, J_big.denominator) for x in mat_vec(clsmat, col)]

@@ -11,9 +11,9 @@ from typing import NamedTuple
 
 from .brauer import SubgroupRecord, conjugate_set, record_index
 from .groupring import GroupRingElement, map_elements
-from .lattice import (contains_element, element_vector, from_generators,
-                      ideal_elements)
+from .lattice import contains_element, from_generators
 from .padic import valuation
+from .towers import check_quotient_containment
 
 
 class IntegralityError(ValueError):
@@ -57,11 +57,10 @@ def datum_integrality(d):
     return worst >= 0, worst, witness
 
 
-def lift_z(d, chooser=None):
-    # any preimage in the subgroup's algebra of alpha*beta under the
-    # abelianization; the default places each coefficient on the
-    # smallest-label element of its coset.  A chooser that leaves the coset
-    # and non-integral products are surfaced as errors.
+def lift_z(d):
+    # a preimage in the subgroup's algebra of alpha*beta under the
+    # abelianization, each coefficient placed on the smallest-label element
+    # of its coset; a non-integral product is surfaced as an error
     ok, worst, witness = datum_integrality(d)
     if not ok:
         raise IntegralityError(
@@ -69,17 +68,8 @@ def lift_z(d, chooser=None):
             "(valuation %d)" % (d.ell, witness, worst))
     rec = d.record
     G = rec.group
-    if chooser is None:
-        chooser = lambda coset: min(coset, key=G.label)
-    product = d.alpha * d.beta
-    def lift(q):
-        coset = sorted(rec.cosets[q])
-        rep = chooser(coset)
-        if rep not in rec.cosets[q]:
-            raise ValueError("chooser picked %r, outside coset %d = %r"
-                             % (rep, q, coset))
-        return rep
-    return map_elements(product, G, lift)
+    reps = [min(coset, key=G.label) for coset in rec.cosets]
+    return map_elements(d.alpha * d.beta, G, reps.__getitem__)
 
 
 def norm_element(record):
@@ -88,8 +78,8 @@ def norm_element(record):
     return GroupRingElement(G, {h: 1 for h in record.commutator})
 
 
-def datum_generator(d, chooser=None):
-    return norm_element(d.record) * lift_z(d, chooser)
+def datum_generator(d):
+    return norm_element(d.record) * lift_z(d)
 
 
 class NCIdeal(NamedTuple):
@@ -98,13 +88,13 @@ class NCIdeal(NamedTuple):
     lattice: object       # FractionalIdeal: the left span
 
 
-def nc_ideal(G, data, chooser=None):
+def nc_ideal(G, data):
     # the left ideal generated by norm-times-lift for each datum
     for d in data:
         if d.record.group is not G:
             raise ValueError("datum lives over a different group: %r, "
                              "not %r" % (d.record.group, G))
-    gens = tuple(datum_generator(d, chooser) for d in data)
+    gens = tuple(datum_generator(d) for d in data)
     return NCIdeal(G, gens, from_generators(G, gens))
 
 
@@ -123,12 +113,6 @@ def two_sided_check(I):
             if not contains_element(I.lattice, G, conj):
                 return TwoSidedReport(False, (G.label(w), t))
     return TwoSidedReport(True, ())
-
-
-def conjugate_datum(d, target_record, w):
-    # move a datum to the conjugate subgroup w H w^-1
-    G = d.record.group
-    return _push(d, target_record, lambda h: G.conjugate(w, h))
 
 
 def _push(d, target_record, f):
@@ -154,27 +138,23 @@ def covariant_data(records, base_data):
                 continue
             seen.add(moved)
             target = records[record_index(records, moved)]
-            out.append(conjugate_datum(d, target, w))
+            out.append(_push(d, target, lambda h: G.conjugate(w, h)))
     return out
 
 
 # ---------------------------------------------------------------------------
 # quotient behaviour
 
-def push_datum(d, record_small, proj):
-    return _push(d, record_small, proj.__getitem__)
-
-
-def quotient_data(data, Q, proj):
+def quotient_data(data, tower):
     # the pushed-forward data over the quotient group, one datum per
     # original datum, over the image subgroup
     out = []
     cache = {}
     for d in data:
-        jset = tuple(sorted({proj[h] for h in d.record.elements}))
+        jset = tuple(sorted({tower.project(h) for h in d.record.elements}))
         if jset not in cache:
-            cache[jset] = SubgroupRecord(Q, jset)
-        out.append(push_datum(d, cache[jset], proj))
+            cache[jset] = SubgroupRecord(tower.quotient, jset)
+        out.append(_push(d, cache[jset], tower.project))
     return out
 
 
@@ -188,40 +168,27 @@ class QuotientReport(NamedTuple):
         return self.compatible and self.contained
 
 
-def quotient_check(G, Q, proj, data, data_small):
+def quotient_check(tower, data, data_small):
     # 1) every datum's pushforward must appear (as an exact product match)
     #    in the quotient-level data; 2) the image of the ideal must land
-    #    inside the quotient-level ideal.  proj is a ring map and the small
-    #    ideal a Z[1/2]-module, so 2) holds iff the image of each column of
-    #    the big ideal's lattice is in it; the witness is the first failing
-    #    column's image
+    #    inside the quotient-level ideal, checked on the big ideal's
+    #    generators; the witness is the first failing generator's image
     compatible = True
     witness = ()
     for t, d in enumerate(data):
-        jset = tuple(sorted({proj[h] for h in d.record.elements}))
-        hit = False
+        jset = tuple(sorted({tower.project(h) for h in d.record.elements}))
         for d2 in data_small:
-            if d2.record.elements != jset or d2.ell != d.ell:
-                continue
-            images = d.record.induced(d2.record, proj.__getitem__)
-            pushed = map_elements(d.alpha * d.beta, d2.record.ab,
-                                  images.__getitem__)
-            if pushed == d2.alpha * d2.beta:
-                hit = True
-                break
-        if not hit:
+            if d2.record.elements == jset and d2.ell == d.ell:
+                pushed = _push(d, d2.record, tower.project)
+                if pushed.alpha * pushed.beta == d2.alpha * d2.beta:
+                    break
+        else:
             compatible = False
             witness = ("incompatible datum", t)
             break
-    I_big = nc_ideal(G, data)
-    I_small = nc_ideal(Q, data_small)
-    contained = True
-    for x in ideal_elements(I_big.lattice, G):
-        y = map_elements(x, Q, proj.__getitem__)
-        if not contains_element(I_small.lattice, Q, y):
-            contained = False
-            if not witness:
-                witness = ("image vector escapes",
-                           tuple(element_vector(Q, y)))
-            break
-    return QuotientReport(compatible, contained, witness)
+    report = check_quotient_containment(
+        tower, nc_ideal(tower.big, data).generators,
+        nc_ideal(tower.quotient, data_small).lattice)
+    if not report.passed and not witness:
+        witness = ("image vector escapes", tuple(report.witness))
+    return QuotientReport(compatible, report.passed, witness)

@@ -96,13 +96,15 @@ def eigen_projection(level, power, x, precision=20):
     scale = valuation(x.den, ell)
     unit_part = x.den // ell ** scale
     unit_inv = pow(unit_part, -1, mod)
+    weights = [(t, pow(teichmuller(t, ell, precision), power, mod))
+               for t in level.tame.elements]
     residues = {}
     for w in level.wild.elements:
         total = 0
-        for t in level.tame.elements:
+        for t, weight in weights:
             a = x.nums[level.group.index(t * w % m)]
             if a:
-                total += a * pow(teichmuller(t, ell, precision), power, mod)
+                total += a * weight
         residues[w] = total * unit_inv % mod
     smoothed = power % (ell - 1) == 1 % (ell - 1)
     if smoothed:

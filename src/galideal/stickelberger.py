@@ -120,15 +120,14 @@ def require_imagquad_prime(ell):
                          "got %d" % ell)
 
 
-def base_change_element(ell, level=0):
+def base_change_element(ell):
     # B = sum over even psi of L_S(0, rho psi)^{-1} e_{psi|_H}, an element of
-    # Q[H] for H the squares in (Z/ell^{level+1})^*; rho is the quadratic
-    # character (cutting out the imaginary quadratic subfield when
-    # ell = 3 mod 4).  Satisfies tau(B)^{-1} = 2 theta-tilde.
+    # Q[H] for H the squares in (Z/ell)^*; rho is the quadratic character
+    # (cutting out the imaginary quadratic subfield when ell = 3 mod 4).
+    # Satisfies tau(B)^{-1} = 2 theta-tilde.
     require_imagquad_prime(ell)
-    m = ell ** (level + 1)
-    g = unit_group(m)
-    h = squares_subgroup(m)
+    g = unit_group(ell)
+    h = squares_subgroup(ell)
     places = PlaceSet([ell])
     rho = quadratic_character(g)
     values = {}

@@ -283,7 +283,7 @@ def brauer_suite():
             normal = list(G.center)
         bmap = bgstar(G)
         comps = {k: unit_ideal(rec.ab) for k, rec in enumerate(bmap.records)}
-        rep = quotient_naturality(G, normal, comps)
+        rep = quotient_naturality(quotient_group(G, normal), comps)
         out.append(CheckResult(
             "brauer", "quotient-square:%s" % name,
             rep.square_commutes, ""))
@@ -364,8 +364,8 @@ def nc_ideal_suite():
     full = records[-1]
     d = subgroup_datum(full, GroupRingElement(G, {0: F(1), 1: F(2)}),
                        GroupRingElement.one(G), 3)
-    Q, proj = quotient_group(G, [0, 3, 4])
-    rep = quotient_check(G, Q, proj, [d], quotient_data([d], Q, proj))
+    tower = quotient_group(G, [0, 3, 4])
+    rep = quotient_check(tower, [d], quotient_data([d], tower))
     out.append(CheckResult(
         "nc-ideal", "quotient:S3/A3", rep.passed,
         "" if rep.passed else "witness %s" % (rep.witness,)))
@@ -378,9 +378,8 @@ def nc_ideal_suite():
     data9 = [subgroup_datum(rec9, move(theta(9, -1)), move(b), 3)
              for b in ann.generators]
     normal = [lev9.group.index(a) for a in (1, 4, 7)]
-    Q9, proj9 = quotient_group(G9, normal)
-    rep9 = quotient_check(G9, Q9, proj9, data9,
-                          quotient_data(data9, Q9, proj9))
+    tower9 = quotient_group(G9, normal)
+    rep9 = quotient_check(tower9, data9, quotient_data(data9, tower9))
     out.append(CheckResult(
         "nc-ideal", "quotient:C9->C3-stickelberger", rep9.passed,
         "%d data" % len(data9) if rep9.passed

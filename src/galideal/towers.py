@@ -138,23 +138,21 @@ def induced_character_sum(x, group, subgroup, embed, eta):
 # --- proposition checks ---
 
 class ContainmentReport(NamedTuple):
-    name: str
     passed: bool
     witness: object   # image vector of the first failing generator, or None
 
 
-def _containment(name, images, target):
+def _containment(images, target):
     # the first image outside the target ideal is the witness
     for y in images:
         if not contains_element(target, y.group, y):
-            return ContainmentReport(name, False, element_vector(y.group, y))
-    return ContainmentReport(name, True, None)
+            return ContainmentReport(False, element_vector(y.group, y))
+    return ContainmentReport(True, None)
 
 
 def check_quotient_containment(tower, gens_big, ideal_small):
     # pi(J_L) is contained in J_K; gens_big generate J_L
-    return _containment("quotient:pi(J) in J'",
-                        (apply_quotient(tower, x) for x in gens_big),
+    return _containment((apply_quotient(tower, x) for x in gens_big),
                         ideal_small)
 
 
@@ -163,8 +161,7 @@ def check_fixed_point_containment(tower, gens_small, ideal_big):
     # full subspace, this is equivalent to e * lambda(J_K) inside e * J_L;
     # gens_small generate J_K
     e = kernel_idempotent(tower)
-    return _containment("fixed-point:e lambda(J) in e J'",
-                        (e * apply_fixed_point(tower, x) for x in gens_small),
+    return _containment((e * apply_fixed_point(tower, x) for x in gens_small),
                         scale_by(ideal_big, tower.big, e))
 
 
@@ -172,7 +169,7 @@ def check_corestriction_containment(subgroup, group, embed, gens, ideal_sub):
     # iota(J over G) is contained in J over H; gens generate J over G
     sub = [embed(h) for h in subgroup.elements]
     reps = left_cosets(group.elements, group.op, sub)[0]
-    return _containment("corestriction:iota(J) in J'", (
+    return _containment((
         apply_corestriction(GroupRingElement.basis(group, t) * x,
                             subgroup, group, embed)
         for x in gens for t in reps), ideal_sub)

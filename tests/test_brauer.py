@@ -12,7 +12,7 @@ from galideal import brauer
 from galideal.abelian import left_cosets
 from galideal.brauer import (BUILTIN_GROUPS, ClassSpace,
                              FiniteGroup, alternating4, bgstar,
-                             complete_components, component_images,
+                             check_components, component_images,
                              conjugation_consistency, cyclic_group,
                              dihedral4, duality_certificate,
                              from_cayley_text, from_group, nonabelian_J,
@@ -116,7 +116,7 @@ def test_subgroup_lattice_budget():
 def test_commutators_and_abelianizations():
     s3 = subgroup_lattice(symmetric3())[-1]
     assert s3.commutator == (0, 3, 4)          # the 3-cycles
-    assert s3.ab.order == 2 and s3.ab_labels() == ("e", "(23)")
+    assert s3.ab.order == 2 and s3.ab.labels == ("e", "(23)")
     q8 = subgroup_lattice(quaternion8())[-1]
     assert q8.commutator == (0, 1)             # {1, -1}
     assert q8.ab.order == 4 and len(q8.ab.center) == 4
@@ -332,32 +332,23 @@ def test_conjugation_consistency():
     comps = unit_components(bmap)
     assert conjugation_consistency(bmap, comps) == (True, ())
     # a component not fixed by the normalizer action is flagged
-    comps[4] = canonicalize(bmap.records[4].ab_labels(), 1, [[1, 1, 0]])
+    comps[4] = canonicalize(bmap.records[4].ab.labels, 1, [[1, 1, 0]])
     ok, witness = conjugation_consistency(bmap, comps)
     assert not ok and witness == (4, 4, "(23)")
 
 
-def test_complete_components_transports_conjugates():
+def test_check_components_requires_every_subgroup():
+    # one component per conjugacy orbit is not enough: records 2 and 3 of
+    # S3 are conjugates of record 1, and each needs its own component
     bmap = bgstar(symmetric3())
-    rec1 = bmap.records[1]
-    comps = {
-        0: unit_ideal(bmap.records[0].ab),
-        1: canonicalize(rec1.ab_labels(), 1, [[1, 1]]),
-        4: unit_ideal(bmap.records[4].ab),
-        5: unit_ideal(bmap.records[5].ab),
-    }
-    full = complete_components(bmap, comps)
-    assert set(full) == set(range(6))
-    for k in (2, 3):
-        assert full[k] == canonicalize(bmap.records[k].ab_labels(), 1, [[1, 1]])
-
-
-def test_complete_components_requires_every_orbit():
-    bmap = bgstar(symmetric3())
-    partial = {0: unit_ideal(bmap.records[0].ab),
-               5: unit_ideal(bmap.records[5].ab)}
-    with pytest.raises(ValueError, match="no component datum"):
-        complete_components(bmap, partial)
+    check_components(bmap, unit_components(bmap))
+    for missing in ([1, 2, 3, 4], [2, 3]):
+        partial = {k: c for k, c in unit_components(bmap).items()
+                   if k not in missing}
+        with pytest.raises(ValueError, match=re.escape(
+                "no component datum for subgroup %r"
+                % bmap.records[missing[0]])):
+            check_components(bmap, partial)
 
 
 def test_components_over_the_wrong_ambient_are_rejected():
@@ -371,7 +362,7 @@ def test_components_over_the_wrong_ambient_are_rejected():
     with pytest.raises(ValueError, match=re.escape(
             "component 1 for SubgroupRecord(order 2: e,(12)) lives over "
             "('e', 't1', 't2'), expected ('e', '(12)')")):
-        complete_components(bmap, comps)
+        check_components(bmap, comps)
     script = """
 from galideal.brauer import bgstar, cyclic_group, nonabelian_J, symmetric3
 from galideal.lattice import unit_ideal
@@ -401,7 +392,7 @@ def test_zeroed_component_cuts_the_preimage():
     bmap = bgstar(symmetric3())
     comps = unit_components(bmap)
     J_full = nonabelian_J(bmap, comps)
-    comps[3] = zero_ideal(bmap.records[3].ab_labels())
+    comps[3] = zero_ideal(bmap.records[3].ab.labels)
     J_cut = nonabelian_J(bmap, comps)
     assert compare(J_cut, J_full) == "subset"
     assert J_cut == canonicalize(bmap.space.labels, 1, [[0, 0, 1]])
@@ -436,24 +427,27 @@ def test_component_images_round_trip_s3():
 
 def test_quotient_group_s3_mod_a3():
     G = symmetric3()
-    Q, proj = quotient_group(G, [0, 3, 4])
+    tower = quotient_group(G, [0, 3, 4])
+    assert tower.big is G and tower.validate() is tower
+    Q = tower.quotient
     assert Q.order == 2 and Q.labels == ("e", "(23)")
-    assert proj == [0, 1, 1, 0, 0, 1]
+    assert [tower.project(g) for g in G.elements] == [0, 1, 1, 0, 0, 1]
+    assert sorted(tower.kernel) == [0, 3, 4]
     with pytest.raises(ValueError, match="normal"):
         quotient_group(G, [0, 1])
 
 
 def test_class_quotient_matrix_s3():
     G = symmetric3()
-    Q, proj = quotient_group(G, [0, 3, 4])
-    M = class_quotient_matrix(ClassSpace(G), ClassSpace(Q), proj)
+    M = class_quotient_matrix(quotient_group(G, [0, 3, 4]))
     assert M == [[1, 0, 1], [0, 1, 0]]
 
 
 def test_quotient_naturality_s3_a3():
     G = symmetric3()
     bmap = bgstar(G)
-    rep = quotient_naturality(G, [0, 3, 4], unit_components(bmap))
+    rep = quotient_naturality(quotient_group(G, [0, 3, 4]),
+                              unit_components(bmap))
     assert rep.square_commutes and rep.contained and rep.passed
 
 
@@ -461,14 +455,16 @@ def test_quotient_naturality_d4_center():
     G = dihedral4()
     assert len(G.center) == 2
     bmap = bgstar(G)
-    rep = quotient_naturality(G, G.center, unit_components(bmap))
+    rep = quotient_naturality(quotient_group(G, G.center),
+                              unit_components(bmap))
     assert rep.passed
 
 
 def test_quotient_naturality_c4():
     G = cyclic_group(4)
     bmap = bgstar(G)
-    rep = quotient_naturality(G, [0, 2], unit_components(bmap))
+    rep = quotient_naturality(quotient_group(G, [0, 2]),
+                              unit_components(bmap))
     assert rep.passed
 
 
@@ -482,29 +478,29 @@ def test_quotient_naturality_abelian_tower():
     bmap = bgstar(G)
     comps = component_images(bmap, J)
     normal = [lev.group.elements.index(1), lev.group.elements.index(4)]
-    rep = quotient_naturality(G, normal, comps)
+    quotient = quotient_group(G, normal)
+    rep = quotient_naturality(quotient, comps)
     assert rep.passed
 
     from galideal.cycloideal import plus_tower
-    Q, proj = quotient_group(G, normal)
-    clsmat = class_quotient_matrix(ClassSpace(G), ClassSpace(Q), proj)
+    clsmat = class_quotient_matrix(quotient)
     tower = plus_tower(5)
-    image_classes = map_image(J, clsmat, tuple(Q.labels))
+    image_classes = map_image(J, clsmat, tuple(quotient.quotient.labels))
     image_tower = map_image(J, quotient_matrix(tower),
                             group_labels(tower.quotient))
     assert image_classes.columns == image_tower.columns
     assert image_classes.denominator == image_tower.denominator
 
 
-def test_naturality_detects_wrong_small_components():
-    # forcing a too-small ideal on the quotient side breaks containment
+def test_naturality_detects_wrong_small_components(monkeypatch):
+    # forcing a too-small ideal on the quotient side breaks containment:
+    # every pushed component becomes the zero ideal
     G = symmetric3()
     bmap = bgstar(G)
-    Q, proj = quotient_group(G, [0, 3, 4])
-    bmap_q = bgstar(Q)
-    small = {k: zero_ideal(rec.ab_labels())
-             for k, rec in enumerate(bmap_q.records)}
-    rep = quotient_naturality(G, [0, 3, 4], unit_components(bmap), small)
+    monkeypatch.setattr(brauer, "map_image",
+                        lambda ideal, matrix, labels: zero_ideal(labels))
+    rep = quotient_naturality(quotient_group(G, [0, 3, 4]),
+                              unit_components(bmap))
     assert rep.square_commutes and not rep.contained
     assert rep.witness != ()
 
@@ -544,8 +540,8 @@ def _restriction_failures(bmap_g, bmap_h, els, res):
     for kh, rec_h in enumerate(bmap_h.records):
         kg = record_index(bmap_g.records, [els[h] for h in rec_h.elements])
         rhs = mat_mul(bmap_h.block(kh), res)
-        rows = [rhs[rec_h.ab_labels().index(lab)]
-                for lab in bmap_g.records[kg].ab_labels()]
+        rows = [rhs[rec_h.ab.labels.index(lab)]
+                for lab in bmap_g.records[kg].ab.labels]
         if bmap_g.block(kg) != rows:
             bad.append(kh)
     return bad

@@ -18,6 +18,7 @@ from galideal.brauer import (cyclic_group, product_cyclic, symmetric3,
                              to_cayley_text)
 from galideal.cli import _FLAGS, _HELP, main, parse_argv
 from galideal.groupring import GroupRingElement
+from galideal.lattice import zero_ideal
 from galideal.serialize import lattice_payload, parse_lattice
 from galideal.suites import (SUITE_ALIASES, SUITE_PARAMS, SUITES,
                              integrality_suite, run_suite)
@@ -312,6 +313,34 @@ def test_fixed_point_suite_reports_a_wrong_character_value(capsys,
     monkeypatch.setattr(suites, "psi_eval", shifted)
     _check_fails(capsys, "fixed-point", "lambda-character-description:C4/C2",
                  "")
+
+
+def test_nc_ideal_suite_reports_an_incompatible_datum(capsys, monkeypatch):
+    real = suites.quotient_data
+
+    def scaled(data, tower):
+        small = real(data, tower)
+        if len(data) == 1:  # only S3/A3; the C9 -> C3 case has 7 data
+            small[0] = small[0]._replace(alpha=small[0].alpha.scale(5))
+        return small
+
+    monkeypatch.setattr(suites, "quotient_data", scaled)
+    _check_fails(capsys, "nc-ideal", "quotient:S3/A3",
+                 "witness ('incompatible datum', 0)")
+
+
+def test_abelian_reduction_suite_reports_a_wrong_preimage(capsys,
+                                                         monkeypatch):
+    real = suites.nonabelian_J
+
+    def emptied(bmap, components):
+        J = real(bmap, components)
+        return zero_ideal(J.labels) if bmap.group.order == 4 else J
+
+    monkeypatch.setattr(suites, "nonabelian_J", emptied)
+    # the check carries no witness, only its fixed detail
+    _check_fails(capsys, "abelian-reduction", "preimage-equals-direct:ell=5",
+                 "3 subgroup components")
 
 
 def test_ideal_minus_lattice(capsys):

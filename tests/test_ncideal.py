@@ -22,8 +22,6 @@ from galideal.ncideal import (IntegralityError,
 from galideal.padic import torsion_annihilator, valuation
 from galideal.stickelberger import ramified_places, stickelberger
 
-from conftest import run_python
-
 F = Fraction
 
 
@@ -61,7 +59,7 @@ def s3_transposition_datum(ell=3):
 
 def test_subgroup_datum_pushes_to_abelianization():
     G, records, d = s3_transposition_datum()
-    assert d.record.ab_labels() == ("e", "(12)")
+    assert d.record.ab.labels == ("e", "(12)")
     assert d.alpha == GroupRingElement(d.record.ab, {0: F(1), 1: F(1)})
     assert d.beta == GroupRingElement(d.record.ab, {0: F(1)})
     assert d.ell == 3
@@ -88,7 +86,6 @@ def test_lift_z_places_coefficients_on_smallest_labels():
     d = subgroup_datum(rec, one, one, 3)
     # the trivial coset is {e, (123), (132)}; "(123)" sorts first
     assert lift_z(d) == GroupRingElement.basis(G, 3)
-    assert lift_z(d, chooser=lambda cs: cs[-1]) == GroupRingElement.basis(G, 4)
 
 
 def test_lift_z_rejects_non_integral_products():
@@ -98,30 +95,6 @@ def test_lift_z_rejects_non_integral_products():
     d = subgroup_datum(rec, one, one.scale(F(1, 3)), 3)
     with pytest.raises(IntegralityError, match="not 3-integral"):
         lift_z(d)
-
-
-CHOOSER_OUTSIDE_THE_COSET = """
-from galideal.brauer import subgroup_lattice, symmetric3
-from galideal.groupring import GroupRingElement
-from galideal.ncideal import nc_ideal, subgroup_datum
-G = symmetric3()
-alpha = GroupRingElement(G, {g: 1 for g in G.elements})
-d = subgroup_datum(subgroup_lattice(G)[-1], alpha, GroupRingElement.one(G), 3)
-try:
-    print(nc_ideal(G, [d], chooser=lambda coset: G.identity).lattice)
-except ValueError as e:
-    print(e)
-"""
-
-
-def test_lift_z_rejects_a_chooser_outside_the_coset():
-    # python -O strips asserts; a chooser that returns the identity for the
-    # odd coset of S3 must still raise ValueError naming the coset and the
-    # element chosen, not move the odd coefficients onto the identity
-    for flags in ([], ["-O"]):
-        proc = run_python(*flags, "-c", CHOOSER_OUTSIDE_THE_COSET)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "chooser picked 0, outside coset 1 = [1, 2, 5]\n"
 
 
 def test_norm_element_sums_the_commutator_subgroup():
@@ -137,9 +110,14 @@ def test_generator_is_lift_independent():
     alpha = GroupRingElement(G, {0: F(1), 1: F(2)})
     d = subgroup_datum(rec, alpha, GroupRingElement.one(G), 3)
     default = datum_generator(d)
+    # other lifts of alpha*beta: a random member of each coset, and the
+    # largest-label one, which differs from lift_z's
     rng = random.Random(11)
-    assert datum_generator(d, chooser=rng.choice) == default
-    assert datum_generator(d, chooser=lambda cs: cs[-1]) == default
+    for reps in ([rng.choice(sorted(coset)) for coset in rec.cosets],
+                 [max(coset, key=G.label) for coset in rec.cosets]):
+        lift = map_elements(d.alpha * d.beta, G, reps.__getitem__)
+        assert norm_element(rec) * lift == default
+    assert lift != lift_z(d)
 
 
 def test_single_subgroup_datum_is_not_two_sided():
@@ -224,10 +202,10 @@ def test_generator_integrality_sweep():
 
 def test_quotient_data_structure():
     G, records, d = s3_transposition_datum()
-    Q, proj = quotient_group(G, [0, 3, 4])
-    small = quotient_data([d], Q, proj)
+    tower = quotient_group(G, [0, 3, 4])
+    small = quotient_data([d], tower)
     assert len(small) == 1
-    assert small[0].record.group is Q
+    assert small[0].record.group is tower.quotient
     # the image subgroup of {e, (12)} is all of the order-2 quotient
     assert small[0].record.elements == (0, 1)
     assert small[0].alpha == GroupRingElement(
@@ -244,9 +222,9 @@ def test_quotient_check_stickelberger_level_drop():
     data9 = [subgroup_datum(rec9, move9(theta9), move9(b), 3)
              for b in ann9.generators]
     normal = [lev9.group.index(a) for a in (1, 4, 7)]
-    Q, proj = quotient_group(G9, normal)
-    data3 = quotient_data(data9, Q, proj)
-    report = quotient_check(G9, Q, proj, data9, data3)
+    tower = quotient_group(G9, normal)
+    data3 = quotient_data(data9, tower)
+    report = quotient_check(tower, data9, data3)
     assert report.compatible and report.contained and report.passed
 
 
@@ -255,9 +233,9 @@ def test_quotient_check_s3_mod_a3():
     rec = subgroup_lattice(G)[-1]
     alpha = GroupRingElement(G, {0: F(1), 1: F(2)})
     d = subgroup_datum(rec, alpha, GroupRingElement.one(G), 3)
-    Q, proj = quotient_group(G, [0, 3, 4])
-    small = quotient_data([d], Q, proj)
-    report = quotient_check(G, Q, proj, [d], small)
+    tower = quotient_group(G, [0, 3, 4])
+    small = quotient_data([d], tower)
+    report = quotient_check(tower, [d], small)
     assert report.passed
 
 
@@ -266,10 +244,10 @@ def test_quotient_check_flags_incompatible_data():
     rec = subgroup_lattice(G)[-1]
     alpha = GroupRingElement(G, {0: F(1), 1: F(2)})
     d = subgroup_datum(rec, alpha, GroupRingElement.one(G), 3)
-    Q, proj = quotient_group(G, [0, 3, 4])
-    small = quotient_data([d], Q, proj)
+    tower = quotient_group(G, [0, 3, 4])
+    small = quotient_data([d], tower)
     corrupted = [small[0]._replace(beta=small[0].beta.scale(5))]
-    report = quotient_check(G, Q, proj, [d], corrupted)
+    report = quotient_check(tower, [d], corrupted)
     assert not report.compatible
     assert report.witness == ("incompatible datum", 0)
     assert not report.passed
@@ -284,12 +262,13 @@ def test_quotient_check_flags_an_escaping_image():
     rec = subgroup_lattice(G)[-1]
     alpha = GroupRingElement(G, {0: F(1), 1: F(2)})
     d = subgroup_datum(rec, alpha, GroupRingElement.one(G), 3)
-    Q, proj = quotient_group(G, [0, 3, 4])
-    small = quotient_data([d], Q, proj)
+    tower = quotient_group(G, [0, 3, 4])
+    Q = tower.quotient
+    small = quotient_data([d], tower)
     scaled = [small[0]._replace(alpha=small[0].alpha.scale(5))]
-    report = quotient_check(G, Q, proj, [d], scaled)
+    report = quotient_check(tower, [d], scaled)
     assert not report.compatible and not report.contained
-    M = [[int(proj[g] == q) for g in G.elements] for q in Q.elements]
+    M = [[int(tower.project(g) == q) for g in G.elements] for q in Q.elements]
     image = map_image(nc_ideal(G, [d]).lattice, M, group_labels(Q))
     assert compare(image, nc_ideal(Q, scaled).lattice) == "incomparable"
     assert compare(image, nc_ideal(Q, small).lattice) in ("equal", "subset")

@@ -17,6 +17,8 @@
 import ast
 from pathlib import Path
 
+from galideal.suites import SUITE_PARAMS, SUITES
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "galideal"
 
 # kept for README's promises, the benchmark worker or the CLI's file format
@@ -142,3 +144,80 @@ def test_imports_are_pinned():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 found.add(node.module.split(".")[0])
     assert sorted(found - IMPORTS) == []
+
+
+# Parameter guard: every defaulted parameter of a public module-level
+# function in src/galideal is set by some call in src/galideal outside the
+# function's own def, by keyword, by position, or through *args (every
+# positional parameter) or **kwargs (every parameter).  Calls are matched by
+# name, as f(...) or x.f(...), so a method sharing a function's name counts
+# for it.  A default that no call overrides is a setting only tests reach:
+# it is removed, or listed below with the reason it stays.
+KEPT_PARAMS = {
+    "main.argv": "the console script calls main() and it reads sys.argv; "
+                 "tests pass the arguments in",
+    "eigen_projection.precision": "eigen_projection is kept for README "
+                                  "(KEPT_FOR_TESTS above), and its caller "
+                                  "chooses the ell-adic precision",
+    "half_stickelberger.places": "exported from the package root: theta-"
+                                 "tilde over a set S of places, as "
+                                 "stickelberger(m, places, r) takes one",
+}
+
+
+def _suite_params():
+    # the suite keyword parameters: run_suite passes them through
+    # SUITES[name](**kwargs), a call by subscript that the scan cannot
+    # name; the CLI sets them, each checked by check_params
+    return {"%s.%s" % (SUITES[name].__name__, param)
+            for name, params in SUITE_PARAMS.items() for param in params}
+
+
+def _unset_defaults():
+    defaults = {}   # "function.param" -> (module, position or None)
+    calls = []      # (enclosing public function or None, ast.Call)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            own = None
+            if (isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")):
+                own = node.name
+                a = node.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    defaults["%s.%s" % (own, arg.arg)] = (path.stem, i)
+                for arg, d in zip(a.kwonlyargs, a.kw_defaults):
+                    if d is not None:
+                        defaults["%s.%s" % (own, arg.arg)] = (path.stem, None)
+            calls.extend((own, sub) for sub in ast.walk(node)
+                         if isinstance(sub, ast.Call))
+    set_by_call = set()
+    for own, call in calls:
+        f = call.func
+        name = (f.id if isinstance(f, ast.Name)
+                else f.attr if isinstance(f, ast.Attribute) else None)
+        if name is None or name == own:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        for key, (_, pos) in defaults.items():
+            fn, param = key.split(".")
+            if fn != name:
+                continue
+            if (any(k.arg in (None, param) for k in call.keywords)
+                    or (pos is not None
+                        and (starred or pos < len(call.args)))):
+                set_by_call.add(key)
+    return {key: mod for key, (mod, _) in defaults.items()
+            if key not in set_by_call}
+
+
+def test_every_default_is_set_by_some_call():
+    unset = _unset_defaults()
+    allowed = _suite_params() | set(KEPT_PARAMS)
+    assert sorted("%s.%s" % (unset[k], k) for k in unset
+                  if k not in allowed) == []
+    # an exception that a call now sets, or whose parameter is gone,
+    # leaves the list
+    assert sorted(k for k in KEPT_PARAMS if k not in unset) == []

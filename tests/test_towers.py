@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from galideal.abelian import (FiniteAbelianGroup, squares_subgroup,
                               subgroup_of_units, unit_group)
+from galideal.brauer import dihedral4, quotient_group, symmetric3
 from galideal.cycloideal import plus_tower
 from galideal.dirichlet import PlaceSet
 from galideal.groupring import GroupRingElement, psi_eval
@@ -309,6 +310,13 @@ def _small_towers():
 
 TOWERS = _small_towers()
 
+# the quotient check needs no characters, so it also runs on Cayley-table
+# groups, towers built by brauer.quotient_group
+QUOTIENT_TOWERS = [t for _, t, _, _ in TOWERS] + [
+    quotient_group(symmetric3(), [0, 3, 4]),
+    quotient_group(dihedral4(), dihedral4().center),
+]
+
 
 def _draw_elements(data, group):
     coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -343,7 +351,7 @@ def _agrees(report, reference, image, target):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_quotient_check_matches_matrix_route(data):
-    _, t, _, _ = data.draw(st.sampled_from(TOWERS))
+    t = data.draw(st.sampled_from(QUOTIENT_TOWERS))
     gens = _draw_elements(data, t.big)
     image = map_image(from_generators(t.big, gens), quotient_matrix(t),
                       group_labels(t.quotient))
