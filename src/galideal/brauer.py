@@ -668,15 +668,17 @@ class NaturalityReport(NamedTuple):
         return self.square_commutes and self.contained
 
 
-def quotient_naturality(tower, components):
+def quotient_naturality(tower, components, bmap_big):
     # 1) the matrix identity: pushing components forward after the big
     #    component map equals the small component map after the class
     #    quotient; 2) the preimage ideal maps into the quotient's, built
     #    from the components pushed to each full preimage's image: the
     #    class quotient is linear and J_small a Z[1/2]-module, so 2) holds
     #    iff the image of each column of J_big is in J_small; the witness
-    #    is the first failing column's image.
-    bmap_big = bgstar(tower.big)
+    #    is the first failing column's image.  bmap_big is bgstar(tower.big),
+    #    whose records key the components.
+    if bmap_big.group is not tower.big:
+        raise ValueError("the component map is not of the tower's big group")
     bmap_small = bgstar(tower.quotient)
     clsmat = class_quotient_matrix(tower)
     alphastar = component_quotient_matrix(tower, bmap_big, bmap_small)

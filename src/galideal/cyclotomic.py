@@ -22,7 +22,7 @@
 # zeta_N^k rotates exponents, so Sigma_i v_i zeta_N^(k_i) adds each v_i's
 # numerators, shifted by k_i, into one integer accumulator indexed by
 # exponent mod M (M the lcm of N and the orders of the v_i) and reduces mod
-# Phi_M once (`RootSums`, `from_exponents`).
+# Phi_M once (`from_exponents`, `rational_sums`).
 
 from fractions import Fraction
 from functools import lru_cache
@@ -142,8 +142,34 @@ def _make(order, nums, den):
 
 
 def from_exponents(n, acc, den=1):
-    # Sigma_k acc[k] zeta_n^k / den, for integers acc[k] and den > 0
-    return _make(n, _reduce(n, list(acc)), den)
+    # Sigma_k acc[k] zeta_n^k / den, for a list of integers acc[k], den > 0
+    return _make(n, _reduce(n, acc), den)
+
+
+def rational_sums(n, values, columns):
+    # (nums, den) with nums[j] / den = Sigma_i v_i zeta_n^(k_i) for the j-th
+    # column (k_0, k_1, ...) of exponents in [0, n), up to the first sum that
+    # is not rational: a short nums names it.  The CyclotomicNumbers v_i are
+    # put over one order M, a multiple of n, and one den, so a sum is one
+    # rotation per value and one reduction mod Phi_M, and it is rational
+    # exactly when its coordinates past the first vanish.
+    M = lcm(n, *(v.order for v in values))
+    den = lcm(*(v.den for v in values))
+    step = M // n
+    terms = [[(i * (M // v.order), a * (den // v.den))
+              for i, a in enumerate(v.nums) if a] for v in values]
+    nums = []
+    for column in columns:
+        acc = [0] * (2 * M)  # positions below 2M; _reduce folds mod M
+        for k, vterms in zip(column, terms):
+            s = k * step
+            for i, a in vterms:
+                acc[i + s] += a
+        out = _reduce(M, acc)
+        if any(out[1:]):
+            break
+        nums.append(out[0])
+    return nums, den
 
 
 class CyclotomicNumber:
@@ -196,11 +222,6 @@ class CyclotomicNumber:
             acc[i * step] = a
         return _reduce(m, acc)
 
-    def _terms(self, m):
-        # the nonzero (position, numerator) pairs of self at order m
-        step = m // self.order
-        return [(i * step, a) for i, a in enumerate(self.nums) if a]
-
     def lift(self, m):
         # view in Q(zeta_m), self.order | m
         if m < 1 or m % self.order:
@@ -229,14 +250,15 @@ class CyclotomicNumber:
 
     # --- ring operations ---
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        # self + sign * other in one pass; __sub__ passes sign = -1
         if not isinstance(other, CyclotomicNumber):
             other = CyclotomicNumber.from_rational(other)
         a, b = self, other
-        if a.order == 1:
-            a, b = b, a
         den = lcm(a.den, b.den)
-        sa, sb = den // a.den, den // b.den
+        sa, sb = den // a.den, sign * (den // b.den)
+        if a.order == 1 and b.order != 1:
+            a, b, sa, sb = b, a, sb, sa
         if a.order == b.order:
             nums = [x * sa + y * sb for x, y in zip(a.nums, b.nums)]
             return _make(a.order, nums, den)
@@ -255,9 +277,7 @@ class CyclotomicNumber:
         return _make(self.order, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, CyclotomicNumber):
-            other = CyclotomicNumber.from_rational(other)
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __mul__(self, other):
         if not isinstance(other, CyclotomicNumber):
@@ -347,32 +367,3 @@ class CyclotomicNumber:
             else:
                 terms.append("(%s)*z%d^%d" % (c, self.order, i))
         return " + ".join(terms) if terms else "0"
-
-
-class RootSums:
-    # Fixed values v_0, v_1, ... (rational or cyclotomic) put over one order
-    # M, a multiple of n, and one denominator, so that each sum
-    # Sigma_i v_i zeta_n^(k_i) costs one rotation per value and a single
-    # reduction mod Phi_M.  An exponent None drops its term (a character
-    # value 0).
-
-    def __init__(self, n, values):
-        values = [v if isinstance(v, CyclotomicNumber)
-                  else CyclotomicNumber.from_rational(v) for v in values]
-        order = lcm(n, *(v.order for v in values))
-        den = lcm(*(v.den for v in values))
-        self.order = order
-        self.den = den
-        self.step = order // n
-        self.terms = [[(i, a * (den // v.den)) for i, a in v._terms(order)]
-                      for v in values]
-
-    def __call__(self, exponents):
-        M, step = self.order, self.step
-        acc = [0] * (2 * M)  # positions below 2M; _reduce folds mod M
-        for k, terms in zip(exponents, self.terms):
-            if k is not None:
-                s = k * step % M
-                for pos, a in terms:
-                    acc[pos + s] += a
-        return _make(M, _reduce(M, acc), self.den)

@@ -142,9 +142,11 @@ def _bernoulli_sum(n, f, star):
     # B_0 .. B_n,
     #   f^(n-1) B_n(a/f) = Sigma_j C(n,j) B_j a^(n-j) f^(j-1) = P(a) / (f L)
     # for an integer polynomial P; P(a) is added into slot k(a).
-    # B_n(1 - x) = (-1)^n B_n(x) gives P(f - a) = (-1)^n P(a), so for f > 1
-    # the units a and f - a cancel when chi*(-1) != (-1)^n, i.e. when the
-    # exponent k(-1), 0 or N/2, is not (n mod 2) N/2: then the sum is 0
+    # B_n(1 - x) = (-1)^n B_n(x) gives P(f - a) = (-1)^n P(a), and k(f - a)
+    # = k(a) + k(-1).  So for f > 1 the pair a, f - a cancels when
+    # chi*(-1) != (-1)^n (the exponent k(-1), 0 or N/2, is not (n mod 2) N/2)
+    # and otherwise adds up to 2 P(a) zeta_N^k(a): P is read only at the
+    # units a < f - a, the first half of the ascending units
     N = star.root_order
     if f > 1 and 2 * star.exponent(-1) != n % 2 * N:
         return 1, [0], 1
@@ -152,11 +154,11 @@ def _bernoulli_sum(n, f, star):
     L = lcm(*(b.denominator for b in bs))
     poly = [comb(n, j) * b.numerator * (L // b.denominator) * f ** j
             for j, b in enumerate(bs)]  # coefficient of a^(n-j)
+    if f <= 2:  # the one unit, a = 1 mod f, and the trivial character
+        return 1, [horner(poly, 1)], f * L
     acc = [0] * N
-    # the units of (Z/f)^* in [0, f) with their exponents; a = 0 (f = 1)
-    # stands for a = f
-    for a, k in zip(star.group.elements, star.row):
-        acc[k] += horner(poly, a or f)
+    for a, k in zip(star.group.elements[:star.group.order // 2], star.row):
+        acc[k] += 2 * horner(poly, a)
     return N, acc, f * L
 
 

@@ -28,7 +28,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .abelian import closure
-from .cyclotomic import CyclotomicNumber, RootSums, from_exponents
+from .cyclotomic import CyclotomicNumber, from_exponents, rational_sums
 
 
 def _coerce(value):
@@ -188,18 +188,19 @@ def lambda_assemble(group, h):
     # rational, which is exactly failure of Galois equivariance of h.
     chars = group.characters()
     values = [h[chi] if isinstance(h, dict) else h(chi) for chi in chars]
-    # chi takes values in mu_N; |G| x_g is the sum at g^-1, put over sums.den
-    sums = RootSums(chars[0].root_order, values)
-    columns = list(zip(*(chi.row for chi in chars)))  # exponents per element
-    nums = []
-    for g in group.elements:
-        total = sums(columns[group.index(group.inv(g))])
-        if not total.is_rational():
-            raise ValueError(
-                "character values are not Galois-equivariant: coefficient at %s "
-                "came out irrational" % group.label(g))
-        nums.append(total.nums[0] * (sums.den // total.den))
-    return _make(group, nums, sums.den * group.order)
+    # |G| x_g = Sigma_chi h(chi) chi(g^-1), so column i lists the exponent
+    # of every chi at the inverse of elements[i]; kept on the group with chars
+    kept = getattr(group, "_inverse_columns", None)
+    if kept is None or kept[0] is not chars:
+        columns = list(zip(*(chi.row for chi in chars)))
+        kept = group._inverse_columns = (chars, [
+            columns[group.index(group.inv(g))] for g in group.elements])
+    nums, den = rational_sums(chars[0].root_order, values, kept[1])
+    if len(nums) < group.order:
+        raise ValueError(
+            "character values are not Galois-equivariant: coefficient at %s "
+            "came out irrational" % group.label(group.elements[len(nums)]))
+    return _make(group, nums, den * group.order)
 
 
 def character_components(x):

@@ -5,6 +5,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .abelian import FiniteAbelianGroup, squares_subgroup, unit_group
@@ -46,6 +47,15 @@ class CheckResult(NamedTuple):
 
 def theta(m, r=0):
     return stickelberger(m, ramified_places(m), r)
+
+
+def random_element(rng, group, top, bottom):
+    # coefficients randint(-top, top) / randint(1, bottom), drawn in element
+    # order, as numerators over lcm(1, ..., bottom)
+    den = lcm(*range(1, bottom + 1))
+    return GroupRingElement.from_numerators(group, [
+        rng.randint(-top, top) * (den // rng.randint(1, bottom))
+        for _ in group.elements], den)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +155,8 @@ def induced_det_suite(count=100, seed=2026):
         bad = None
         for i in range(count):
             n = rng.choice([1, 2])
-            M = [[GroupRingElement(
-                H, {h: F(rng.randint(-3, 3), rng.randint(1, 4))
-                    for h in H.elements})
-                for _ in range(n)] for _ in range(n)]
+            M = [[random_element(rng, H, 3, 4) for _ in range(n)]
+                 for _ in range(n)]
             lhs, rhs = induced_det_both_routes(H, G, embed, M)
             if lhs != rhs:
                 bad = i
@@ -184,10 +192,8 @@ def fixed_point_suite(seed=2026):
             GroupRingElement.one(t.big)
         hom_ok = True
         for _ in range(25):
-            x = GroupRingElement(Q, {q: F(rng.randint(-4, 4), rng.randint(1, 3))
-                                     for q in Q.elements})
-            y = GroupRingElement(Q, {q: F(rng.randint(-4, 4), rng.randint(1, 3))
-                                     for q in Q.elements})
+            x = random_element(rng, Q, 4, 3)
+            y = random_element(rng, Q, 4, 3)
             if apply_fixed_point(t, x * y) != \
                     apply_fixed_point(t, x) * apply_fixed_point(t, y):
                 hom_ok = False
@@ -224,8 +230,7 @@ def fixed_point_suite(seed=2026):
          lambda h: (0, 2 * h[0] % 4)),
     ]
     for name, H, G, embed in cases:
-        x = GroupRingElement(G, {g: F(rng.randint(-5, 5), rng.randint(1, 4))
-                                 for g in G.elements})
+        x = random_element(rng, G, 5, 4)
         iota = apply_corestriction(x, H, G, embed)
         ok = all(psi_eval(iota, eta) ==
                  induced_character_sum(x, G, H, embed, eta)
@@ -265,9 +270,10 @@ def fixed_point_suite(seed=2026):
 
 def brauer_suite():
     out = []
+    maps = {}
     for name, make in [("S3", symmetric3), ("D4", dihedral4),
                        ("Q8", quaternion8), ("A4", alternating4)]:
-        bmap = bgstar(make())
+        bmap = maps[name] = bgstar(make())
         out.append(CheckResult(
             "brauer", "injective:%s" % name, bmap.injective,
             "rank %d = %d classes" % (bmap.rank, bmap.space.dimension)))
@@ -276,14 +282,12 @@ def brauer_suite():
             "brauer", "duality-certified:%s" % name, duality.passed,
             "%d traces" % duality.checked if duality.passed
             else "witness %s" % (duality.witness,)))
-    for name, G, normal in [
-            ("S3/A3", symmetric3(), [0, 3, 4]),
-            ("D4/center", dihedral4(), None)]:
-        if normal is None:
-            normal = list(G.center)
-        bmap = bgstar(G)
+    for name, bmap, normal in [
+            ("S3/A3", maps["S3"], [0, 3, 4]),
+            ("D4/center", maps["D4"], maps["D4"].group.center)]:
         comps = {k: unit_ideal(rec.ab) for k, rec in enumerate(bmap.records)}
-        rep = quotient_naturality(quotient_group(G, normal), comps)
+        tower = quotient_group(bmap.group, normal)
+        rep = quotient_naturality(tower, comps, bmap)
         out.append(CheckResult(
             "brauer", "quotient-square:%s" % name,
             rep.square_commutes, ""))

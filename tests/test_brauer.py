@@ -447,7 +447,7 @@ def test_quotient_naturality_s3_a3():
     G = symmetric3()
     bmap = bgstar(G)
     rep = quotient_naturality(quotient_group(G, [0, 3, 4]),
-                              unit_components(bmap))
+                              unit_components(bmap), bmap)
     assert rep.square_commutes and rep.contained and rep.passed
 
 
@@ -456,7 +456,7 @@ def test_quotient_naturality_d4_center():
     assert len(G.center) == 2
     bmap = bgstar(G)
     rep = quotient_naturality(quotient_group(G, G.center),
-                              unit_components(bmap))
+                              unit_components(bmap), bmap)
     assert rep.passed
 
 
@@ -464,7 +464,7 @@ def test_quotient_naturality_c4():
     G = cyclic_group(4)
     bmap = bgstar(G)
     rep = quotient_naturality(quotient_group(G, [0, 2]),
-                              unit_components(bmap))
+                              unit_components(bmap), bmap)
     assert rep.passed
 
 
@@ -479,7 +479,7 @@ def test_quotient_naturality_abelian_tower():
     comps = component_images(bmap, J)
     normal = [lev.group.elements.index(1), lev.group.elements.index(4)]
     quotient = quotient_group(G, normal)
-    rep = quotient_naturality(quotient, comps)
+    rep = quotient_naturality(quotient, comps, bmap)
     assert rep.passed
 
     from galideal.cycloideal import plus_tower
@@ -492,6 +492,16 @@ def test_quotient_naturality_abelian_tower():
     assert image_classes.denominator == image_tower.denominator
 
 
+def test_quotient_naturality_refuses_a_map_of_another_group():
+    # the map passed in stands for bgstar(tower.big), so it must be a map of
+    # that group object: here it is one of a second S3 built alongside
+    G = symmetric3()
+    bmap = bgstar(symmetric3())
+    with pytest.raises(ValueError, match="not of the tower's big group"):
+        quotient_naturality(quotient_group(G, [0, 3, 4]),
+                            unit_components(bmap), bmap)
+
+
 def test_naturality_detects_wrong_small_components(monkeypatch):
     # forcing a too-small ideal on the quotient side breaks containment:
     # every pushed component becomes the zero ideal
@@ -500,7 +510,7 @@ def test_naturality_detects_wrong_small_components(monkeypatch):
     monkeypatch.setattr(brauer, "map_image",
                         lambda ideal, matrix, labels: zero_ideal(labels))
     rep = quotient_naturality(quotient_group(G, [0, 3, 4]),
-                              unit_components(bmap))
+                              unit_components(bmap), bmap)
     assert rep.square_commutes and not rep.contained
     assert rep.witness != ()
 

@@ -210,6 +210,33 @@ def test_row_sums_match_residue_by_residue_references():
                     (m, chi.tuple, n)
 
 
+def test_bernoulli_sums_at_conductors_1_3_4():
+    # the smallest conductors of the half-range sum: f = 1 has one unit and
+    # no pair a, f - a; f = 3 and f = 4 have one pair each.  The table is
+    # B_n(1) for the trivial character and the classical values for
+    # chi_-3 and chi_-4 (0 where n has the wrong parity)
+    F = Fraction
+    want = {
+        1: [F(1, 2), F(1, 6), 0, F(-1, 30), 0, F(1, 42)],
+        3: [F(-1, 3), 0, F(2, 3), 0, F(-10, 3), 0],
+        4: [F(-1, 2), 0, F(3, 2), 0, F(-25, 2), 0],
+    }
+    seen = set()
+    for m in (1, 3, 4):
+        for chi in characters_mod(m):
+            f = conductor(chi)
+            seen.add(f)
+            for n in range(1, 7):
+                got = generalized_bernoulli(n, chi)
+                assert got == CyclotomicNumber.from_rational(want[f][n - 1])
+                # the characters mod 1, 3 and 4 take values +-1 = (-1)^k
+                assert got == sum(
+                    (-1) ** chi.exponent(a) * bernoulli_term(n, a, f)
+                    for a in range(1, f + 1) if gcd(a, f) == 1), \
+                    (m, chi.tuple, n)
+    assert seen == {1, 3, 4}
+
+
 def test_l_value_galois_equivariance():
     # L_S(r, chi^a) = sigma_a L_S(r, chi), both sides computed from scratch,
     # for every character mod m <= 40, every a prime to the root order, and

@@ -169,6 +169,60 @@ def test_lambda_rejects_value_times_root_of_unity(group):
     assert rejected >= 4 * group.order
 
 
+def _assemble_reference(group, h):
+    # (1/|G|) Sigma_chi h(chi) chi(g^-1) for each g, summed one term at a time
+    # in CyclotomicNumber arithmetic
+    out = []
+    for g in group.elements:
+        total = CyclotomicNumber.zero()
+        for chi in group.characters():
+            total = total + h[chi] * chi(group.inv(g))
+        out.append((g, total * Fraction(1, group.order)))
+    return out
+
+
+@pytest.mark.parametrize("group", [C6, C2xC4, FiniteAbelianGroup((2, 2, 4)),
+                                   unit_group(15)],
+                         ids=["C6", "C2xC4", "C2xC2xC4", "units15"])
+def test_lambda_assemble_matches_direct_sum(group):
+    # one, two and three invariant factors, and a residue group: the
+    # assembled element is the direct character sum, and for values that are
+    # not Galois-equivariant the error names the first element, in element
+    # order, whose direct sum is irrational.  One component times a root of
+    # unity spoils the identity's coefficient; a root added at one character
+    # and taken away at another leaves it rational and spoils a later one
+    rng = random.Random(group.order)
+    roots = [CyclotomicNumber.zeta(n, k) for n, k in [(3, 1), (4, 1), (5, 2)]]
+    labels = set()
+    for _ in range(4):
+        x = GroupRingElement(group, {g: Fraction(rng.randint(-9, 9),
+                                                 rng.randint(1, 4))
+                                     for g in group.elements})
+        comps = character_components(x)
+        # the same values put at twice their order
+        lifted = {chi: v.lift(2 * v.order) for chi, v in comps.items()}
+        for h in (comps, lifted):
+            want = GroupRingElement(group, dict(_assemble_reference(group, h)))
+            assert lambda_assemble(group, h) == want == x
+        scaled, moved = dict(comps), dict(comps)
+        chi = rng.choice([c for c in group.characters()[1:]
+                          if not comps[c].is_zero()])
+        scaled[chi] = comps[chi] * rng.choice(roots)
+        c1, c2 = rng.sample(group.characters(), 2)
+        w = rng.choice(roots)
+        moved[c1], moved[c2] = comps[c1] + w, comps[c2] - w
+        for bad in (scaled, moved):
+            first = next(g for g, v in _assemble_reference(group, bad)
+                         if not v.is_rational())
+            labels.add(group.label(first))
+            with pytest.raises(ValueError) as err:
+                lambda_assemble(group, bad)
+            assert str(err.value) == (
+                "character values are not Galois-equivariant: coefficient "
+                "at %s came out irrational" % group.label(first))
+    assert group.label(group.identity) in labels and len(labels) > 1
+
+
 def test_invert_unit():
     x = elem(C2, ((0,), 3), ((1,), 1))  # components 4 and 2, a unit
     y = invert_unit(x)
