@@ -15,15 +15,21 @@
 # Canonicalization (saturated_columns, at any dimension) takes integer
 # vectors over one denominator (keeping its odd part) and signed coordinate
 # permutations, column-HNFs the smallest lattice holding the vectors and
-# stable under the permutations (hnf_columns' closure), then saturates at 2:
-# for a basis c of the F2-kernel {c : H c = 0 mod 2} adjoin (H c)/2 and
-# re-HNF, until the kernel is empty.  A signed permutation maps the
-# 2-saturation of a stable lattice onto itself, so the saturation needs no
-# closure.  Last, divide d and the columns by g = gcd(d, content), which
-# leaves gcd(d, content) = 1; g is odd, so the divided lattice is still
-# 2-saturated and still in column HNF.  Fractions
-# occur only at the API's edges; a translate g x or x g permutes x's
-# integer numerators.
+# stable under the permutations (hnf_columns' closure), then saturates at 2
+# in one pass over that HNF's columns in pivot order.  A lattice is
+# 2-saturated iff its basis is independent mod 2.  So let S be the
+# saturation of the columns passed so far, with a basis independent mod 2,
+# and b the next column: while b = s mod 2 for some s in S, replace b by
+# (b + s)/2, which lies in the saturation T of S + Zb.  Each step halves
+# the coefficient of the original column in b, so this ends, with b
+# independent of S mod 2.  Then S + Zb is 2-saturated and holds S and the
+# original column, so it holds T; it lies in T, so it is T.  Only if some
+# b was halved is the result HNF'd again, once.  A signed permutation
+# maps the 2-saturation of a stable lattice onto itself, so the saturation
+# needs no closure.  Last, divide d and the columns by g = gcd(d, content),
+# which leaves gcd(d, content) = 1; g is odd, so the divided lattice is
+# still 2-saturated and still in column HNF.  Fractions occur only at the
+# API's edges; a translate g x or x g permutes x's integer numerators.
 #
 # Membership: unless d*v is integral up to a power of 2, v is no member.
 # Else one integer forward pass over the columns in pivot order keeps r
@@ -114,37 +120,31 @@ def saturated_columns(denominator, vectors, n, perms=()):
     if not vs:
         return 1, []
     H = hnf_columns(vs, n, perms)
-    halves = _half_columns(H)
-    while halves:
-        H = hnf_columns(H + halves, n)
-        halves = _half_columns(H)
+    # the header's one pass: out holds the columns passed so far, 2-saturated,
+    # and echelon their bitmasks mod 2 in echelon form, keyed by leading bit,
+    # each with the set of columns of out it combines
+    out, echelon = [], {}
+    for b in H:
+        while True:
+            mask, combo = sum(1 << r for r, x in enumerate(b) if x & 1), 0
+            while mask:
+                found = echelon.get(mask.bit_length() - 1)
+                if found is None:
+                    break
+                mask ^= found[0]
+                combo ^= found[1]
+            if mask:
+                break
+            # b = (columns of out in combo) mod 2: halve their sum with b
+            b = [sum(xs) // 2 for xs in zip(b, *(
+                out[k] for k in range(len(out)) if combo >> k & 1))]
+        echelon[mask.bit_length() - 1] = (mask, combo | 1 << len(out))
+        out.append(b)
+    if out != H:
+        H = hnf_columns(out, n)
     d = _odd_part(denominator)
     g = gcd(d, *(x for col in H for x in col))
     return d // g, [[x // g for x in col] for col in H]
-
-
-def _half_columns(cols):
-    # (H c)/2 for a basis c of the F2-kernel {c : H c = 0 mod 2}, H the
-    # matrix with columns `cols`, found by elimination on bitmasks of the
-    # columns mod 2; each dependent column gives one kernel vector, recorded
-    # as the set of columns it combines
-    echelon = {}  # leading bit -> (column bitmask, combination bitmask)
-    halves = []
-    for j, col in enumerate(cols):
-        mask = sum(1 << r for r, x in enumerate(col) if x & 1)
-        combo = 1 << j
-        while mask:
-            top = mask.bit_length() - 1
-            if top not in echelon:
-                echelon[top] = (mask, combo)
-                break
-            m, c = echelon[top]
-            mask ^= m
-            combo ^= c
-        else:
-            picked = [cols[k] for k in range(j + 1) if combo >> k & 1]
-            halves.append([sum(xs) // 2 for xs in zip(*picked)])
-    return halves
 
 
 def group_labels(group):

@@ -12,7 +12,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .groupring import GroupRingElement
-from .lattice import from_generators, ideal_elements
+from .lattice import canonicalize, group_labels, ideal_elements
 from .abelian import unit_group
 from .dirichlet import is_prime
 
@@ -148,13 +148,21 @@ def torsion_annihilator(m, ell, r):
         raise ValueError("need an odd prime ell, a modulus m > 1 that is a "
                          "power of it and r <= -1, got m = %d, ell = %d, "
                          "r = %d" % (m, ell, r))
+    # Their Z-span is already a Z[G]-module, so it is canonicalized without
+    # a closure under G: with e = 1 - r,
+    #   sigma_g (sigma_a - a^e) = (sigma_ga - (ga)^e) - a^e (sigma_g - g^e),
+    #   sigma_g ell^v = ell^v (sigma_g - g^e) + g^e ell^v,
+    # both in the span, since (ga)^e differs from b^e, b = ga mod m, by a
+    # multiple of ell^v (b / ga = 1 mod m; the definition of v).  The
+    # generators are integral, so their numerators over 1 span it.
     group = unit_group(m)
     v = torsion_exponent(m, ell, r)
     one = GroupRingElement.one(group)
     gens = [one.scale(ell ** v)]
     for a in group.elements:
         gens.append(GroupRingElement.basis(group, a) - one.scale(a ** (1 - r)))
-    return TorsionAnnihilator(from_generators(group, gens), v, tuple(gens))
+    ideal = canonicalize(group_labels(group), 1, [x.nums for x in gens])
+    return TorsionAnnihilator(ideal, v, tuple(gens))
 
 
 def annihilator_integrality(m, ell, r, theta):

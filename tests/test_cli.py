@@ -6,6 +6,7 @@ import json
 import re
 import signal
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from galideal.brauer import (cyclic_group, product_cyclic, symmetric3,
                              to_cayley_text)
 from galideal.cli import _FLAGS, _HELP, main, parse_argv
 from galideal.groupring import GroupRingElement
-from galideal.lattice import zero_ideal
+from galideal.lattice import canonicalize, zero_ideal
 from galideal.serialize import lattice_payload, parse_lattice
 from galideal.suites import (SUITE_ALIASES, SUITE_PARAMS, SUITES,
                              integrality_suite, run_suite)
@@ -341,6 +342,36 @@ def test_abelian_reduction_suite_reports_a_wrong_preimage(capsys,
     # the check carries no witness, only its fixed detail
     _check_fails(capsys, "abelian-reduction", "preimage-equals-direct:ell=5",
                  "3 subgroup components")
+
+
+def test_functoriality_suite_reports_a_shrunken_ideal(capsys, monkeypatch):
+    real = suites.ideal_J_minus
+
+    def tripled(level, r, places):
+        J = real(level, r, places)
+        if (level.ell, r) == (5, -1):
+            J = canonicalize(J.labels, J.denominator,
+                             [[3 * x for x in col] for col in J.columns])
+        return J
+
+    monkeypatch.setattr(suites, "ideal_J_minus", tripled)
+    # the witness is the image pi(theta) of the level-1 element, not in 3 J
+    _check_fails(capsys, "functoriality", "pi-minus:ell=5,level=1->0,r=-1",
+                 "witness [Fraction(-1, 60), Fraction(11, 60), "
+                 "Fraction(11, 60), Fraction(-1, 60)]")
+
+
+def test_integrality_suite_reports_a_divided_theta(capsys, monkeypatch):
+    real = suites.theta
+
+    def divided(m, r=0):
+        x = real(m, r)
+        return x.scale(Fraction(1, 5)) if (m, r) == (25, -2) else x
+
+    monkeypatch.setattr(suites, "theta", divided)
+    # generator 0 is 5^v itself, and 5^v theta / 5 has valuation -1
+    _check_fails(capsys, "integrality", "annihilator:m=25,ell=5,r=-2",
+                 "valuation -1 at 0")
 
 
 def test_ideal_minus_lattice(capsys):

@@ -1,7 +1,8 @@
+import json
 import random
 import time
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from galideal.abelian import FiniteAbelianGroup, unit_group
 from galideal.brauer import (alternating4, from_cayley_text, quaternion8,
                              symmetric3)
 from galideal.cycloideal import CyclotomicLevel, ideal_J_minus
+from galideal import lattice
 from galideal.groupring import GroupRingElement, invert_unit
 from galideal.intmat import hnf_columns
 from galideal.lattice import (
@@ -28,10 +30,12 @@ from galideal.lattice import (
     intersect,
     map_image,
     map_preimage,
+    saturated_columns,
     scale_by,
     unit_ideal,
     zero_ideal,
 )
+from galideal.serialize import parse_lattice
 from galideal.stickelberger import stickelberger
 
 from conftest import run_python
@@ -256,6 +260,104 @@ def test_generators_are_members_and_sum_monotone(data):
         assert contains_element(I, group, x)
     J = ideal_sum(I, unit_ideal(group))
     assert compare(I, J) in ("equal", "subset")
+
+
+def _reference_half_columns(cols):
+    # (H c)/2 for a basis c of the F2-kernel {c : H c = 0 mod 2}, H the
+    # matrix with columns `cols`, found by elimination on bitmasks of the
+    # columns mod 2; each dependent column gives one kernel vector, recorded
+    # as the set of columns it combines
+    echelon = {}  # leading bit -> (column bitmask, combination bitmask)
+    halves = []
+    for j, col in enumerate(cols):
+        mask = sum(1 << r for r, x in enumerate(col) if x & 1)
+        combo = 1 << j
+        while mask:
+            top = mask.bit_length() - 1
+            if top not in echelon:
+                echelon[top] = (mask, combo)
+                break
+            m, c = echelon[top]
+            mask ^= m
+            combo ^= c
+        else:
+            picked = [cols[k] for k in range(j + 1) if combo >> k & 1]
+            halves.append([sum(xs) // 2 for xs in zip(*picked)])
+    return halves
+
+
+def _reference_saturated_columns(denominator, vectors, n, perms=()):
+    # the round-based 2-saturation: adjoin (H c)/2 for a basis c of the
+    # F2-kernel of H and re-HNF, until the kernel is empty
+    vs = [v for v in vectors if any(v)]
+    if not vs:
+        return 1, []
+    H = hnf_columns(vs, n, perms)
+    halves = _reference_half_columns(H)
+    while halves:
+        H = hnf_columns(H + halves, n)
+        halves = _reference_half_columns(H)
+    d = abs(denominator) // (denominator & -denominator)
+    g = gcd(d, *(x for col in H for x in col))
+    return d // g, [[x // g for x in col] for col in H]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_saturation_matches_the_round_based_reference(data):
+    # generators spanning a lattice of rank below n, some columns scaled
+    # by 2^k so that the saturation has work to do, sometimes with a signed
+    # coordinate permutation to close under
+    n = data.draw(st.integers(1, 7))
+    rank = data.draw(st.integers(0, n - 1))
+    entry = st.integers(-6, 6)
+    basis = [data.draw(st.lists(entry, min_size=n, max_size=n))
+             for _ in range(rank)]
+    vectors = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        c = [data.draw(st.integers(-3, 3)) for _ in basis]
+        v = [sum(cj * b[i] for cj, b in zip(c, basis)) for i in range(n)]
+        vectors.append([x << data.draw(st.integers(0, 4)) for x in v])
+    perms = ()
+    if rank and data.draw(st.booleans()):
+        order = data.draw(st.permutations(range(n)))
+        perms = ([(k, data.draw(st.sampled_from([1, -1]))) for k in order],)
+    den = data.draw(st.integers(1, 90)) * data.draw(st.sampled_from([1, -1]))
+    assert (saturated_columns(den, vectors, n, perms)
+            == _reference_saturated_columns(den, vectors, n, perms))
+
+
+def test_saturation_of_a_column_halved_three_times():
+    # the HNF is (2, 0, 1), (0, 0, 4): the second column halves to
+    # (0, 0, 2), then (0, 0, 1), then with the first to (1, 0, 1)
+    vectors = [[2, 0, 1], [12, 0, 10]]
+    assert hnf_columns(vectors, 3) == [[2, 0, 1], [0, 0, 4]]
+    expected = (3, [[1, 0, 0], [0, 0, 1]])
+    assert saturated_columns(6, vectors, 3) == expected
+    assert _reference_saturated_columns(6, vectors, 3) == expected
+
+
+def test_saturation_of_the_zero_module():
+    assert saturated_columns(1, [], 3) == (1, [])
+    assert saturated_columns(9, [[0, 0, 0], [0, 0, 0]], 3) == (1, [])
+    assert saturated_columns(5, [], 0) == (1, [])
+
+
+@pytest.mark.parametrize("name", ["units-43.json", "units-49.json"])
+def test_parsing_a_units_lattice_runs_two_hnfs(monkeypatch, name):
+    # one HNF of the columns and one after the 2-saturation's pass
+    real = lattice.hnf_columns
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lattice, "hnf_columns", counted)
+    payload = json.loads((Path(__file__).parent / "golden" / name)
+                         .read_text(encoding="utf-8"))
+    parse_lattice(payload["lattice"])
+    assert len(calls) == 2
 
 
 def _over_common_denominator(vectors):

@@ -7,7 +7,7 @@ from galideal.cycloideal import CyclotomicLevel
 from galideal.cyclotomic import CyclotomicNumber
 from galideal.dirichlet import PlaceSet, l_value
 from galideal.groupring import GroupRingElement
-from galideal.lattice import contains_element
+from galideal.lattice import contains_element, from_generators
 from galideal.padic import (EigenCoefficient, annihilator_integrality,
                             eigen_projection, teichmuller,
                             torsion_annihilator, torsion_exponent, valuation)
@@ -176,6 +176,15 @@ def test_torsion_annihilator_mod_3():
     # the quotient by the annihilator is the cyclic module of order 3
     assert not contains_element(ann.ideal, g, GroupRingElement.one(g))
     assert ann.ideal.denominator == 1
+
+
+@pytest.mark.parametrize("m, ell", [(3, 3), (9, 3), (5, 5), (25, 5), (7, 7),
+                                     (49, 7)])
+@pytest.mark.parametrize("r", [-1, -2])
+def test_torsion_annihilator_span_is_already_closed(m, ell, r):
+    # the generators' span equals the Z[1/2][G]-module they generate
+    ann = torsion_annihilator(m, ell, r)
+    assert ann.ideal == from_generators(unit_group(m), list(ann.generators))
 
 
 def test_worked_deligne_ribet_case():
