@@ -36,9 +36,9 @@
 # order N, split off <x>, recurse on the quotient, and lift quotient
 # generators y with y^d = x^s to honest order-d elements y * x^(-s/d).
 #
-# closure() is the one subgroup closure of the package: the subgroups of
-# (Z/m)^* here, the subgroup lattices and commutator subgroups of brauer.py
-# and the greedy generating sets of groupring.py all come from it.
+# closure() is the one subgroup closure of the package: the subgroup
+# lattices and commutator subgroups of brauer.py and the greedy generating
+# sets of groupring.py all come from it.
 # left_cosets() is the one coset partition: the quotient here, the
 # abelianizations and quotient groups of brauer.py and the coset
 # representatives of its component map all come from it.
@@ -459,11 +459,6 @@ def unit_group(m):
     for p in prime_divisors(m):
         unit[::p] = bytes(m // p)
     return ResidueGroup._trusted(m, list(compress(range(m), unit)))
-
-
-def subgroup_of_units(m, gens):
-    # subgroup of (Z/m)^* generated by the given residues
-    return ResidueGroup(m, closure(unit_group(m), gens))
 
 
 def squares_subgroup(m):

@@ -243,30 +243,21 @@ def dihedral4():
 
 
 def quaternion8():
-    # units {1, -1, i, -i, j, -j, k, -k}
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+    # units {1, -1, i, -i, j, -j, k, -k} as the 4-tuples +-e_t of
+    # a + b i + c j + d k, multiplied by Hamilton's product
+    units = [tuple(s * (t == axis) for t in range(4))
+             for axis in range(4) for s in (1, -1)]
+    names = [sign + nm for nm in "1ijk" for sign in ("", "-")]
 
-    def unpack(x):
-        # (sign, axis) with axis in "1ijk"
-        return (-1 if x.startswith("-") else 1), x.lstrip("-")
+    def mul(p, q):
+        a, b, c, d = p
+        e, f, g, h = q
+        return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+                a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
 
-    rules = {("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"),
-             ("1", "k"): (1, "k"), ("i", "1"): (1, "i"), ("j", "1"): (1, "j"),
-             ("k", "1"): (1, "k"), ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"),
-             ("k", "k"): (-1, "1"), ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-             ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"), ("k", "i"): (1, "j"),
-             ("i", "k"): (-1, "j")}
-
-    def mul(x, y):
-        sx, ax = unpack(x)
-        sy, ay = unpack(y)
-        s, a = rules[(ax, ay)]
-        s *= sx * sy
-        return ("-" if s < 0 else "") + a
-
-    pos = {nm: i for i, nm in enumerate(names)}
-    table = [[pos[mul(a, b)] for b in names] for a in names]
-    return FiniteGroup(table, names)
+    pos = {u: i for i, u in enumerate(units)}
+    return FiniteGroup([[pos[mul(p, q)] for q in units] for p in units],
+                       names)
 
 
 BUILTIN_GROUPS = {

@@ -1,23 +1,26 @@
 # Fractional Galois ideals for the prime-power cyclotomic family: the full
 # ideal over (Z/ell^(n+1))^*, its real-subfield version over the plus
 # quotient, and the imaginary-quadratic version over the index-2 subgroup
-# avoiding conjugation, together with the plus/minus projections and the
-# towers connecting levels.
+# avoiding conjugation, together with the towers connecting levels.
+#
+# Both summands of the full ideal live in an eigenspace of conjugation, so
+# both are built on half coordinates, the residues below m/2, by one
+# closure (_half_closure): the Stickelberger span from theta's first half,
+# the plus summand from the unit annihilator's columns, whose quotient
+# elements are those same residues.  No idempotent of Q[G] is formed.
 #
 # Unit-side input is always an explicit annihilator lattice (defaulting to
 # the unit ideal, the class-number-one hypothesis for small ell); nothing
 # here computes unit groups.
 
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .abelian import subgroup_of_units, unit_group
+from .abelian import unit_group
 from .cyclotomic import prime_divisors
 from .dirichlet import PlaceSet, is_prime
-from .groupring import GroupRingElement, map_elements
-from .lattice import (FractionalIdeal, group_labels, ideal_elements,
-                      ideal_sum, saturated_columns, scale_by, unit_ideal)
+from .lattice import (FractionalIdeal, group_labels, ideal_sum,
+                      saturated_columns, scale_by, unit_ideal)
 from .stickelberger import (complex_conjugation, half_stickelberger,
                             require_imagquad_prime, stickelberger)
 from .towers import TowerDatum, cyclotomic_tower
@@ -35,26 +38,28 @@ def smallest_primitive_root(ell):
 
 class CyclotomicLevel:
     # The layer of conductor m = ell^(n+1): its Galois group with the
-    # distinguished conjugation, split internally into the tame subgroup
-    # (order ell-1, isomorphic image of (Z/ell)^*) and the wild subgroup
-    # (order ell^n, the residues = 1 mod ell).  The product of their
-    # generators has order (ell-1) ell^n, so it generates the whole group.
+    # distinguished conjugation, and the residues of its two factors in
+    # fixed orders.  tame holds the ell-1 powers t0^i of t0 = g^(ell^n), g the
+    # smallest primitive root mod ell, in power order (tame[i] = t0^i, the
+    # isomorphic image of (Z/ell)^*); wild holds the ell^n residues = 1 mod
+    # ell, in increasing order, so w sits at w // ell.  The generator
+    # t0 (1 + ell) has order (ell-1) ell^n, the product of two coprime
+    # orders, so it generates the whole group.
 
     def __init__(self, ell, n):
         if n < 0:
             raise ValueError("level %d is negative" % n)
         g = smallest_primitive_root(ell)
+        m = ell ** (n + 1)
         self.ell = ell
         self.level = n
-        self.modulus = ell ** (n + 1)
-        self.group = unit_group(self.modulus)
-        self.conjugation = complex_conjugation(self.modulus)
-        tame, wild = pow(g, ell ** n, self.modulus), (1 + ell) % self.modulus
-        self.tame = subgroup_of_units(self.modulus, [tame])
-        self.wild = subgroup_of_units(self.modulus, [wild])
-        self.generator = tame * wild % self.modulus
-        assert self.tame.order == ell - 1
-        assert self.wild.order == ell ** n
+        self.modulus = m
+        self.group = unit_group(m)
+        self.conjugation = complex_conjugation(m)
+        t0 = pow(g, ell ** n, m)
+        self.tame = [pow(t0, i, m) for i in range(ell - 1)]
+        self.wild = range(1, m, ell)
+        self.generator = t0 * (1 + ell) % m
 
     def places(self):
         return PlaceSet([self.ell])
@@ -115,21 +120,9 @@ def level_tower(level_big, level_small):
     return cyclotomic_tower(level_big.modulus, level_small.modulus)
 
 
-def plus_idempotent(level):
-    one = GroupRingElement.one(level.group)
-    c = GroupRingElement.basis(level.group, level.conjugation)
-    return (one + c).scale(Fraction(1, 2))
-
-
 def eigenspace_ideal(level, gens, eps):
     # Z[1/2][G]-module generated by gens, which must lie in the eps-eigenspace
-    # of conjugation: x[m-a] = eps x[a].  The residues are labelled in
-    # increasing order, so a < m/2 fills the first half of the coordinates
-    # and m-a the mirrored index.  Restricted to that half the eigenspace is
-    # Z^k (k = phi(m)/2) and level.generator acts by a signed permutation;
-    # the HNF's pivot rows are the half's rows, and restriction commutes
-    # with 2-saturation, so the canonical columns are those of the half,
-    # lifted by x[m-a] = eps x[a].
+    # of conjugation: x[m-a] = eps x[a]
     group, m = level.group, level.modulus
     k = group.order // 2
     den = lcm(*(x.den for x in gens))
@@ -140,6 +133,20 @@ def eigenspace_ideal(level, gens, eps):
             raise ValueError("generator outside the %+d eigenspace of "
                              "conjugation mod %d" % (eps, m))
         half.append([a * (den // x.den) for a in x.nums[:k]])
+    return _half_closure(level, den, half, eps)
+
+
+def _half_closure(level, den, half, eps):
+    # Z[1/2][G]-module generated by the eps-eigenspace vectors whose first
+    # halves are the rows of half over den.  The residues are labelled in
+    # increasing order, so a < m/2 fills the first half of the coordinates
+    # and m-a the mirrored index.  Restricted to that half the eigenspace is
+    # Z^k (k = phi(m)/2) and level.generator acts by a signed permutation;
+    # the HNF's pivot rows are the half's rows, and restriction commutes
+    # with 2-saturation, so the canonical columns are those of the half,
+    # lifted by x[m-a] = eps x[a].
+    group, m = level.group, level.modulus
+    k = group.order // 2
     # (g x)[a] = x[g^-1 a], read back into the half by x[m-b] = eps x[b]
     g_inv = pow(level.generator, -1, m)
     perm = []
@@ -162,24 +169,14 @@ def ideal_J_minus(level, r=0, places=None):
     return eigenspace_ideal(level, [theta], (-1) ** (1 - r))
 
 
-def inflate_plus(level, xbar):
-    # e_plus times any preimage of xbar under G -> G/{+-1}; independent of
-    # the preimage choice because e_plus absorbs conjugation.  Quotient
-    # elements are residues below m/2, hence are their own preimages.
-    lift = map_elements(xbar, level.group, lambda a: a)
-    return plus_idempotent(level) * lift
-
-
 def full_ideal_parts(level, units=None):
     # the two summands of the full ideal: (1/2) e_plus (inflated unit
-    # annihilator), and the Stickelberger span; ideal_elements raises
-    # ValueError, naming both label sets, on units over another ambient
-    quot = plus_quotient(level.modulus)
-    if units is None:
-        units = unit_ideal(quot)
-    plus_gens = [inflate_plus(level, x).scale(Fraction(1, 2))
-                 for x in ideal_elements(units, quot)]
-    plus_part = eigenspace_ideal(level, plus_gens, 1)
+    # annihilator), and the Stickelberger span.  The plus quotient's
+    # elements are the residues below m/2, G's first half, and e_plus puts
+    # x[a]/2 at both a and m-a, so the plus summand's first halves are the
+    # annihilator's columns times 1/4, a unit of Z[1/2].
+    real = ideal_J_real(level, units)
+    plus_part = _half_closure(level, real.denominator, real.columns, 1)
     minus_part = ideal_J_minus(level, 0)
     return plus_part, minus_part
 

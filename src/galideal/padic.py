@@ -12,7 +12,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .groupring import GroupRingElement
-from .lattice import canonicalize, group_labels, ideal_elements
+from .lattice import canonicalize, group_labels
 from .abelian import unit_group
 from .dirichlet import is_prime
 
@@ -96,26 +96,30 @@ def eigen_projection(level, power, x, precision=20):
     scale = valuation(x.den, ell)
     unit_part = x.den // ell ** scale
     unit_inv = pow(unit_part, -1, mod)
-    weights = [(t, pow(teichmuller(t, ell, precision), power, mod))
-               for t in level.tame.elements]
-    residues = {}
-    for w in level.wild.elements:
+    # tame[i] = t0^i, so omega(tame[i])^power is the i-th power of one lift
+    step = pow(teichmuller(level.tame[1], ell, precision), power, mod)
+    weights, weight = [], 1
+    for t in level.tame:
+        weights.append((t, weight))
+        weight = weight * step % mod
+    index, nums = level.group.index, x.nums
+    residues = []  # the coefficient at wild w sits at w // ell
+    for w in level.wild:
         total = 0
         for t, weight in weights:
-            a = x.nums[level.group.index(t * w % m)]
+            a = nums[index(t * w % m)]
             if a:
                 total += a * weight
-        residues[w] = total * unit_inv % mod
+        residues.append(total * unit_inv % mod)
     smoothed = power % (ell - 1) == 1 % (ell - 1)
     if smoothed:
         sigma = (1 + ell) % m
-        residues = {w: (residues[w]
-                        - (1 + ell) * residues[sigma * w % m]) % mod
-                    for w in level.wild.elements}
-    coeffs = tuple(EigenCoefficient(residues[w], scale, precision, ell)
-                   for w in level.wild.elements)
-    return EigenProjection(ell, power, precision,
-                           tuple(level.wild.elements), coeffs, smoothed)
+        residues = [(res - (1 + ell) * residues[sigma * w % m // ell]) % mod
+                    for w, res in zip(level.wild, residues)]
+    coeffs = tuple(EigenCoefficient(res, scale, precision, ell)
+                   for res in residues)
+    return EigenProjection(ell, power, precision, tuple(level.wild), coeffs,
+                           smoothed)
 
 
 class TorsionAnnihilator(NamedTuple):
@@ -173,8 +177,11 @@ def annihilator_integrality(m, ell, r, theta):
     ann = torsion_annihilator(m, ell, r)
     worst = None
     witness = None
-    checks = list(ann.generators) + ideal_elements(ann.ideal, unit_group(m))
-    for k, gen in enumerate(checks):
+    # Only the generators are tried: every element of the ideal is a
+    # Z[1/2]-combination of them, and ell is odd, so its product with theta
+    # has no lower valuation than the generators' minimum, which a generator
+    # attains.
+    for k, gen in enumerate(ann.generators):
         prod = gen * theta
         if prod.is_zero():
             continue

@@ -11,7 +11,6 @@ from galideal.abelian import (
     coordinates,
     decompose,
     squares_subgroup,
-    subgroup_of_units,
     unit_group,
 )
 from galideal.brauer import subgroup_lattice, symmetric3
@@ -251,7 +250,7 @@ def test_residue_convention_on_proper_subgroup():
 
 
 def test_subgroup_of_units():
-    h = subgroup_of_units(7, [2])
+    h = ResidueGroup(7, [4, 1, 2])
     assert h.elements == [1, 2, 4]
     assert h.inv(2) == 4
 

@@ -93,6 +93,23 @@ def test_s3_structure():
     assert G.center == (0,)
 
 
+def test_quaternion_relations():
+    Q = quaternion8()
+    assert Q.labels == ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
+    at = {lab: g for g, lab in zip(Q.elements, Q.labels)}
+
+    def mul(*labels):
+        x = at["1"]
+        for lab in labels:
+            x = Q.op(x, at[lab])
+        return Q.labels[x]
+
+    assert (mul("i", "i") == mul("j", "j") == mul("k", "k")
+            == mul("i", "j", "k") == "-1")
+    assert mul("i", "j") == "k" and mul("j", "i") == "-k"
+    assert mul("-1", "-1") == "1" and Q.identity == at["1"]
+
+
 def test_subgroup_lattice_counts():
     for make, orders in [
         (symmetric3, [1, 2, 2, 2, 3, 6]),

@@ -18,7 +18,8 @@ from galideal.abelian import squares_subgroup, unit_group
 from galideal.brauer import (cyclic_group, product_cyclic, symmetric3,
                              to_cayley_text)
 from galideal.cli import _FLAGS, _HELP, main, parse_argv
-from galideal.groupring import GroupRingElement
+from galideal.cycloideal import full_ideal_parts
+from galideal.groupring import EmbeddingSignature, GroupRingElement
 from galideal.lattice import canonicalize, zero_ideal
 from galideal.serialize import lattice_payload, parse_lattice
 from galideal.suites import (SUITE_ALIASES, SUITE_PARAMS, SUITES,
@@ -372,6 +373,60 @@ def test_integrality_suite_reports_a_divided_theta(capsys, monkeypatch):
     # generator 0 is 5^v itself, and 5^v theta / 5 has valuation -1
     _check_fails(capsys, "integrality", "annihilator:m=25,ell=5,r=-2",
                  "valuation -1 at 0")
+
+
+def test_half_stickelberger_suite_reports_a_shifted_theta(capsys,
+                                                          monkeypatch):
+    real = suites.theta
+
+    def shifted(m, r=0):
+        x = real(m, r)
+        return x + GroupRingElement.basis(x.group, 2) if m == 11 else x
+
+    monkeypatch.setattr(suites, "theta", shifted)
+    # the check carries no witness, only its fixed detail
+    _check_fails(capsys, "half-stickelberger", "one-minus-c:m=11",
+                 "phi(m)=10")
+
+
+def test_base_change_suite_reports_a_doubled_inverse(capsys, monkeypatch):
+    real = suites.invert_unit
+
+    def doubled(x):
+        y = real(x)
+        return y.scale(2) if y.group.modulus == 11 else y
+
+    monkeypatch.setattr(suites, "invert_unit", doubled)
+    # the check carries no witness and an empty detail
+    _check_fails(capsys, "base-change", "tau-inverse:ell=11", "")
+
+
+def test_rank_suite_reports_a_shifted_rank(capsys, monkeypatch):
+    real = suites.y_rank
+
+    def shifted(sig):
+        k = real(sig)
+        return k + 1 if sig == EmbeddingSignature(3, 0, -1) else k
+
+    monkeypatch.setattr(suites, "y_rank", shifted)
+    # the check carries no witness, only its fixed detail
+    _check_fails(capsys, "rank", "y-rank:Q(zeta7)+", "r in {0,-1,-2,-3}")
+
+
+def test_fixed_point_suite_reports_a_missing_plus_summand(capsys,
+                                                         monkeypatch):
+    real = suites.ideal_J_full
+
+    def minus_only(level, units=None):
+        J = real(level, units)
+        return full_ideal_parts(level)[1] if level.modulus == 5 else J
+
+    monkeypatch.setattr(suites, "ideal_J_full", minus_only)
+    # the witness is the image (s1 + s4)/2 of the quotient's identity, which
+    # the Stickelberger span alone misses
+    _check_fails(capsys, "fixed-point", "lambda-containment:ell=5",
+                 "witness [Fraction(1, 2), Fraction(0, 1), Fraction(0, 1), "
+                 "Fraction(1, 2)]")
 
 
 def test_ideal_minus_lattice(capsys):

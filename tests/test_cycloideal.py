@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -6,15 +8,15 @@ from galideal.abelian import squares_subgroup
 from galideal.cycloideal import (CyclotomicLevel, eigenspace_ideal,
                                  full_ideal_parts,
                                  ideal_J_full, ideal_J_imagquad, ideal_J_minus,
-                                 ideal_J_real, inflate_plus, level_tower,
-                                 plus_idempotent,
+                                 ideal_J_real, level_tower,
                                  plus_quotient, plus_tower,
                                  smallest_primitive_root)
 from galideal.dirichlet import PlaceSet
-from galideal.groupring import GroupRingElement, invert_unit
+from galideal.groupring import GroupRingElement, invert_unit, map_elements
 from galideal.lattice import (contains_element, contains_vector,
                               from_generators, group_labels, ideal_elements,
                               intersect, map_image, scale_by, unit_ideal)
+from galideal.serialize import parse_lattice
 from galideal.stickelberger import (base_change_element, half_stickelberger,
                                     stickelberger)
 from galideal.towers import check_quotient_containment
@@ -40,10 +42,10 @@ def test_level_structure():
     lev = CyclotomicLevel(3, 1)
     assert lev.modulus == 9
     assert lev.conjugation == 8
-    assert lev.tame.elements == [1, 8]
-    assert lev.wild.elements == [1, 4, 7]
+    assert lev.tame == [1, 8]
+    assert list(lev.wild) == [1, 4, 7]
     lev5 = CyclotomicLevel(5, 0)
-    assert lev5.tame.order == 4 and lev5.wild.order == 1
+    assert lev5.tame == [1, 2, 4, 3] and list(lev5.wild) == [1]
     with pytest.raises(ValueError):
         CyclotomicLevel(9, 0)
 
@@ -59,6 +61,20 @@ def test_level_generator_generates(ell):
         level = CyclotomicLevel(ell, n)
         m = level.modulus
         assert n_order(level.generator, m) == totient(m) == level.group.order
+
+
+@pytest.mark.parametrize("ell,n", [(3, 0), (3, 3), (5, 0), (5, 2), (7, 1),
+                                  (11, 1), (13, 0)])
+def test_tame_residues_are_the_powers_of_one_root(ell, n):
+    # tame is the set of (ell-1)-th roots of unity mod m, in power order
+    level = CyclotomicLevel(ell, n)
+    m = level.modulus
+    assert (set(level.tame)
+            == {a for a in level.group.elements if pow(a, ell - 1, m) == 1})
+    assert len(level.tame) == ell - 1
+    assert all(t == level.tame[1] ** i % m for i, t in enumerate(level.tame))
+    assert list(level.wild) == [a for a in level.group.elements
+                                if a % ell == 1]
 
 
 @pytest.mark.parametrize("ell,n,r", [(3, 0, 0), (3, 2, -1), (5, 1, 0),
@@ -99,7 +115,7 @@ def test_plus_quotient_group():
 
 def test_idempotent_split():
     lev = CyclotomicLevel(5, 0)
-    ep = plus_idempotent(lev)
+    ep = _plus_idempotent(lev)
     for r in (0, -1, -2, -3):
         em = _minus_idempotent(lev, r)
         assert em * em == em
@@ -136,7 +152,7 @@ def test_full_ideal_projections():
         J = ideal_J_full(lev)
         plus, minus = full_ideal_parts(lev)
         assert scale_by(J, lev.group, _minus_idempotent(lev)) == minus
-        assert scale_by(J, lev.group, plus_idempotent(lev)) == plus
+        assert scale_by(J, lev.group, _plus_idempotent(lev)) == plus
         assert minus == from_generators(lev.group, [theta(lev.modulus)])
 
 
@@ -146,6 +162,31 @@ def test_plus_part_integral_under_unit_fixture():
         lev = CyclotomicLevel(ell, n)
         plus, _ = full_ideal_parts(lev)
         assert plus.denominator == 1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _units_fixture(name):
+    payload = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    return parse_lattice(payload["lattice"])
+
+
+@pytest.mark.parametrize("ell,n,fixture", [
+    (3, 0, None), (5, 1, None), (7, 1, None), (3, 3, None),
+    (43, 0, "units-43.json"), (7, 1, "units-49.json")])
+def test_plus_summand_is_the_inflated_annihilator(ell, n, fixture):
+    # the half-coordinate route against span{(1/2) e_plus lift(x)} over the
+    # annihilator's generators x, lifted to G as elements of Q[G]
+    lev = CyclotomicLevel(ell, n)
+    quot = plus_quotient(lev.modulus)
+    units = (unit_ideal(quot) if fixture is None
+             else _units_fixture(fixture))
+    half_ep = _plus_idempotent(lev).scale(Fraction(1, 2))
+    gens = [half_ep * map_elements(x, lev.group, lambda a: a)
+            for x in ideal_elements(units, quot)]
+    plus, _ = full_ideal_parts(lev, units)
+    assert plus == from_generators(lev.group, gens)
 
 
 def test_full_ideal_refuses_units_on_another_ambient():
@@ -216,17 +257,6 @@ for make in [lambda: TowerDatum(C4, C2, lambda e: (0,)).validate(),
         "CyclotomicLevel(ell=3, n=1) is not above CyclotomicLevel(ell=5, n=0)",
         "CyclotomicLevel(ell=3, n=0) is not above CyclotomicLevel(ell=3, n=0)",
     ]
-
-
-def test_inflate_plus_section_independent():
-    lev = CyclotomicLevel(5, 0)
-    q = plus_quotient(5)
-    xbar = GroupRingElement(q, {1: Fraction(3), 2: Fraction(-1, 2)})
-    lifted = inflate_plus(lev, xbar)
-    # multiplying any preimage by e_plus gives the same element: compare
-    # against the conjugate-flipped lift
-    flipped = GroupRingElement(lev.group, {4: Fraction(3), 3: Fraction(-1, 2)})
-    assert lifted == plus_idempotent(lev) * flipped
 
 
 def test_real_ideal_trivial_after_saturation():
@@ -370,6 +400,13 @@ RELATIVE_CLASS_NUMBERS = {
     (59, 0): 41241, (61, 0): 76301,
     (3, 1): 1, (5, 1): 1, (3, 2): 1, (7, 1): 43, (3, 3): 2593,
 }
+
+
+def _plus_idempotent(level):
+    # e_plus = (1 + c)/2, the projector onto the conjugation-fixed part
+    one = GroupRingElement.one(level.group)
+    c = GroupRingElement.basis(level.group, level.conjugation)
+    return (one + c).scale(Fraction(1, 2))
 
 
 def _minus_idempotent(level, r=0):

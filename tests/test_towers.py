@@ -4,8 +4,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from galideal.abelian import (FiniteAbelianGroup, squares_subgroup,
-                              subgroup_of_units, unit_group)
+from galideal.abelian import (FiniteAbelianGroup, ResidueGroup,
+                              squares_subgroup, unit_group)
 from galideal.brauer import dihedral4, quotient_group, symmetric3
 from galideal.cycloideal import plus_tower
 from galideal.dirichlet import PlaceSet
@@ -299,12 +299,12 @@ def _small_towers():
     return [
         ("C4/C2", C4_C2, C2, lambda h: (2 * h[0] % 4,)),
         ("C6/C3", C6_C3, C2, lambda h: (3 * h[0] % 6,)),
-        ("plus 5", plus_tower(5), subgroup_of_units(5, [4]), lambda a: a),
-        ("plus 7", plus_tower(7), subgroup_of_units(7, [6]), lambda a: a),
-        ("9->3", cyclotomic_tower(9, 3), subgroup_of_units(9, [4]),
+        ("plus 5", plus_tower(5), ResidueGroup(5, [1, 4]), lambda a: a),
+        ("plus 7", plus_tower(7), ResidueGroup(7, [1, 6]), lambda a: a),
+        ("9->3", cyclotomic_tower(9, 3), ResidueGroup(9, [1, 4, 7]),
          lambda a: a),
-        ("25->5", cyclotomic_tower(25, 5), subgroup_of_units(25, [6]),
-         lambda a: a),
+        ("25->5", cyclotomic_tower(25, 5),
+         ResidueGroup(25, [1, 6, 11, 16, 21]), lambda a: a),
     ]
 
 
