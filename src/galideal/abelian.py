@@ -59,15 +59,6 @@ def _same(e):
     return e
 
 
-def _element_order(g, mul, identity):
-    n = 1
-    x = g
-    while x != identity:
-        x = mul(x, g)
-        n += 1
-    return n
-
-
 def _element_orders(elems, mul, identity):
     # element -> order, with one walk per cyclic subgroup: a walk of g's
     # powers g, g^2, ..., g^n = 1 gives g^k the order n / gcd(k, n), a list
@@ -136,7 +127,8 @@ def decompose(elems, mul, identity):
         return (), []
     orders = _element_orders(elems, mul, identity)
     exponent = lcm(*set(orders.values()))
-    # build x of order == exponent from prime-power pieces
+    # build x of order == exponent from prime-power pieces: the pieces have
+    # coprime orders p^a and commute, so their product has order exponent
     x = identity
     for p in prime_divisors(exponent):
         pa = p
@@ -145,7 +137,6 @@ def decompose(elems, mul, identity):
         carrier = next(g for g in elems if orders[g] % pa == 0)
         piece = _power(carrier, orders[carrier] // pa, mul, identity)
         x = mul(x, piece)
-    assert _element_order(x, mul, identity) == exponent
 
     # quotient G / <x>, on coset indices
     xcyc = []
@@ -167,15 +158,10 @@ def decompose(elems, mul, identity):
         s = xcyc.index(yd)
         # y^d = x^s forces d | s (raise both sides to exponent/d), so the
         # corrected lift y * x^(-s/d) has honest order d in its coset
-        assert s % d == 0
-        y2 = mul(y, _power(x, (-(s // d)) % exponent, mul, identity))
-        assert _element_order(y2, mul, identity) == d
-        generators.append(y2)
+        generators.append(mul(y, xcyc[-(s // d) % exponent]))
     generators.append(x)
-    invariants = tuple(qinv) + (exponent,)
-    for a, b in zip(invariants, invariants[1:]):
-        assert b % a == 0
-    return invariants, generators
+    # the quotient's invariants divide its exponent, which divides exponent
+    return tuple(qinv) + (exponent,), generators
 
 
 def coordinates(elems, mul, identity):
@@ -194,8 +180,9 @@ def coordinates(elems, mul, identity):
             powers.append(mul(powers[-1], gi))
         listed = [mul(g, p) for g in listed for p in powers]
     from_tuple = dict(zip(A.elements, listed))
+    # G is the direct product of the <g_i>, so the listed products are
+    # distinct and cover it
     to_tuple = dict(zip(listed, A.elements))
-    assert len(to_tuple) == len(elems)
     return A, to_tuple, from_tuple
 
 
@@ -338,9 +325,6 @@ class AbelianCharacter:
             c = c * self
             n += 1
         return n
-
-    def is_even(self):
-        return self(-1) == CyclotomicNumber.one()
 
     def __eq__(self, other):
         return (isinstance(other, AbelianCharacter)

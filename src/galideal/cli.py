@@ -15,6 +15,7 @@ from .brauer import (BUILTIN_GROUPS, bgstar, check_order_budget,
 from .cycloideal import (CyclotomicLevel, ideal_J_full, ideal_J_imagquad,
                          ideal_J_minus, ideal_J_real, plus_quotient)
 from .dirichlet import PlaceSet, is_prime, l_value
+from .lattice import group_labels
 from .ncideal import (AnnihilatorDatum, IntegralityError, nc_ideal,
                       two_sided_check)
 from .serialize import (FixtureError, element_payload, fraction_str,
@@ -285,8 +286,7 @@ def cmd_ideal(args):
         if "lattice" not in fixture:
             raise FixtureError("fixture is missing the 'lattice' field")
         units = parse_lattice(fixture["lattice"], "lattice")
-        want = tuple(plus_quotient(lev.modulus).label(a)
-                     for a in plus_quotient(lev.modulus).elements)
+        want = group_labels(plus_quotient(lev.modulus))
         if units.labels != want:
             raise FixtureError("field 'lattice.ambient': expected the "
                                "plus-quotient labels %r" % (list(want),))

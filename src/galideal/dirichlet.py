@@ -106,13 +106,12 @@ class PlaceSet:
 
 def conductor(chi):
     # minimal f | m with chi trivial on residues = 1 mod f: no unit that
-    # chi moves is 1 mod f
+    # chi moves is 1 mod f.  f = m always qualifies, as its one residue is
+    # 1 (0 at m = 1), which no character moves
     m = chi.modulus
     moved = {a for a, k in zip(chi.group.elements, chi.row) if k}
-    for f in range(1, m + 1):
-        if m % f == 0 and moved.isdisjoint(range(1 % f, m, f)):
-            return f
-    raise AssertionError("unreachable: f = m always works")
+    return next(f for f in range(1, m + 1)
+                if m % f == 0 and moved.isdisjoint(range(1 % f, m, f)))
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +130,6 @@ def primitive_core(chi):
         g = from_tuple[tuple(int(j == i) for j in range(len(A.invariants)))]
         a = next(a for a in range(g, m, f) if gcd(a, m) == 1)
         k = chi.exponent(a)
-        assert k * d % N == 0, "chi is not trivial on 1 mod %d" % f
         t.append(k * d // N)
     return f, target.character(A.index(tuple(t)))
 

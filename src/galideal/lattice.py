@@ -338,10 +338,9 @@ def map_preimage(ideal, T, in_labels):
                            len(K))[2]
     pre = []
     for c in coeffs:
-        found = _coordinates(H, [den * x for x in mat_vec(B, c)],
-                             lambda f: True)
-        assert found is not None, "intersection vector fell outside the image"
-        Y, s = found
+        # K B c = 0 puts B c in im(T), so _coordinates finds it
+        Y, s = _coordinates(H, [den * x for x in mat_vec(B, c)],
+                            lambda f: True)
         pre.append((s, [sum(map(mul, col, Y)) for col in zip(*U)]))
     s = lcm(*(s for s, _ in pre))
     return canonicalize(in_labels, ideal.denominator * s,

@@ -94,22 +94,19 @@ def include_subgroup(x, big_group):
 
 
 def quadratic_character(group):
-    quads = [chi for chi in group.characters() if chi.order() == 2]
-    assert len(quads) == 1, "expected a unique quadratic character"
-    return quads[0]
+    # the Legendre symbol of (Z/ell)^*, ell an odd prime: the group is
+    # cyclic with coordinates Z/(ell - 1), and the tuple ((ell - 1)/2,)
+    # sends its generator to -1
+    return group.character(group.order // 2)
 
 
 def even_extension(group, subgroup, eta):
-    # the unique even character of `group` restricting to eta on `subgroup`
-    # (exists and is unique when G = H x {+-1})
-    matches = []
-    for psi in group.characters():
-        if not psi.is_even():
-            continue
-        if all(psi(h) == eta(h) for h in subgroup.elements):
-            matches.append(psi)
-    assert len(matches) == 1, "even extension not unique"
-    return matches[0]
+    # the even character psi of (Z/ell)^* restricting to eta on the squares
+    # H, for ell = 3 (mod 4), where G = H x {+-1}.  The generator x of G is
+    # no square, so -x is one and psi(x) = psi(-x) = eta(-x) = zeta_k^j for
+    # k = |H|; psi therefore has the tuple (2j,), and 2j < 2k = ell - 1
+    x = group.abelian_coordinates()[2][(1,)]
+    return group.character(2 * eta.exponent(-x % group.modulus))
 
 
 def require_imagquad_prime(ell):

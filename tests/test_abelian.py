@@ -55,6 +55,30 @@ def test_coordinates_bijective():
                 assert lhs == rhs
 
 
+def assert_decomposition(elems, mul, identity):
+    # the invariants form a divisor chain, each generator's order is its
+    # invariant, and coordinates() is a bijection onto the elements
+    invariants, gens = decompose(elems, mul, identity)
+    assert all(b % a == 0 for a, b in zip(invariants, invariants[1:]))
+    for g, d in zip(gens, invariants):
+        powers = [g]
+        while powers[-1] != identity:
+            powers.append(mul(powers[-1], g))
+        assert len(powers) == d
+    _, to_tuple, from_tuple = coordinates(elems, mul, identity)
+    assert sorted(to_tuple) == sorted(elems)
+    assert all(from_tuple[to_tuple[g]] == g for g in elems)
+
+
+def test_decompose_units_and_squares():
+    for m in range(1, 301):
+        groups = [unit_group(m)]
+        if m % 2:
+            groups.append(squares_subgroup(m))
+        for g in groups:
+            assert_decomposition(g.elements, g.op, g.identity)
+
+
 def reference_from_tuple(elems, mul, identity):
     # the coordinate table element by element, one _power per coordinate:
     # O(|G| * sum d_i) products
@@ -224,7 +248,7 @@ def test_parity():
     g = unit_group(5)
     chars = g.characters()
     odd = [c for c in chars if c(-1) == -1]
-    even = [c for c in chars if c.is_even()]
+    even = [c for c in chars if c.exponent(-1) == 0]
     assert len(odd) == 2 and len(even) == 2
     assert all(c(-1) == c(4) for c in chars)
 

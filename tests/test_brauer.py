@@ -27,6 +27,7 @@ from galideal.intmat import mat_mul
 from galideal.lattice import (canonicalize, compare, contains_vector,
                               group_labels, map_image, unit_ideal,
                               zero_ideal)
+from test_abelian import assert_decomposition
 from test_towers import corestriction_matrix, quotient_matrix
 
 from conftest import run_python
@@ -275,6 +276,22 @@ def _induced(G, rec, chi, g, cosets):
 def _golden_group(name):
     path = Path(__file__).parent / "golden" / name
     return lambda: from_cayley_text(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("make", [
+    *BUILTIN_GROUPS.values(), _golden_group("d6.txt"),
+    _golden_group("s4.txt")],
+    ids=[*BUILTIN_GROUPS, "D6", "S4"])
+def test_each_record_has_a_normal_commutator_and_a_decomposed_quotient(make):
+    # [H, H] lies in H and is normal in it, and H^ab decomposes into a
+    # divisor chain with coordinates
+    G = make()
+    for rec in subgroup_lattice(G):
+        comm = set(rec.commutator)
+        assert comm <= set(rec.elements)
+        assert all(G.conjugate(h, c) in comm
+                   for h in rec.elements for c in comm)
+        assert_decomposition(rec.ab.elements, rec.ab.op, rec.ab.identity)
 
 
 @pytest.mark.parametrize("make", [

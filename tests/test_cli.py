@@ -429,6 +429,63 @@ def test_fixed_point_suite_reports_a_missing_plus_summand(capsys,
                  "Fraction(1, 2)]")
 
 
+def test_fixed_point_suite_reports_a_shrunken_imagquad_ideal(capsys,
+                                                             monkeypatch):
+    real = suites.ideal_J_imagquad
+
+    def tripled(level, units=None):
+        J = real(level, units)
+        if level.modulus == 7:
+            J = canonicalize(J.labels, J.denominator,
+                             [[3 * x for x in col] for col in J.columns])
+        return J
+
+    monkeypatch.setattr(suites, "ideal_J_imagquad", tripled)
+    # the witness is a corestricted generator of J, not in 3 J(imagquad)
+    _check_fails(capsys, "fixed-point", "iota-containment:ell=7",
+                 "witness [Fraction(2, 7), Fraction(8, 7), Fraction(4, 7)]")
+
+
+def test_integrality_suite_reports_a_negated_worked_case(capsys,
+                                                         monkeypatch):
+    real = suites.theta
+
+    def negated(m, r=0):
+        x = real(m, r)
+        return x.scale(-1) if (m, r) == (3, -1) else x
+
+    monkeypatch.setattr(suites, "theta", negated)
+    # the sign leaves every valuation, so the annihilator checks still pass;
+    # the worked case carries no witness, only its fixed detail
+    _check_fails(capsys, "integrality", "worked-case:m=3",
+                 "(s2 - 4) theta(-1) = -(s1 + s2)/4")
+
+
+def test_oracles_suite_reports_a_wrong_quadratic_character(capsys,
+                                                           monkeypatch):
+    # the trivial character mod 3 in place of chi_-3
+    monkeypatch.setattr(suites, "quadratic_character",
+                        lambda group: group.character(0))
+    # the check carries no witness, only its fixed detail
+    _check_fails(capsys, "oracles", "B_{1,chi_-3}", "-1/3")
+
+
+def test_brauer_suite_reports_an_uncertified_component(capsys, monkeypatch):
+    real = suites.duality_certificate
+
+    def corrupted(bmap):
+        if bmap.group.order == 6:  # only S3
+            bad = [row[:] for row in bmap.matrix]
+            bad[0][0] += 1
+            bmap = bmap._replace(matrix=bad)
+        return real(bmap)
+
+    monkeypatch.setattr(suites, "duality_certificate", corrupted)
+    # subgroup 0, character 0, at the class of e
+    _check_fails(capsys, "brauer", "duality-certified:S3",
+                 "witness (0, 0, 'e')")
+
+
 def test_ideal_minus_lattice(capsys):
     code, report = run_json(
         capsys, ["ideal", "--ell", "3", "--part", "minus", "--r", "-1"])

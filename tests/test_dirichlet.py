@@ -105,7 +105,7 @@ def test_characters_mod_counts():
     cs = characters_mod(7)
     assert len(cs) == 6
     assert sum(1 for c in cs if c(-1) == -1) == 3
-    assert sum(1 for c in cs if c.is_even()) == 3
+    assert sum(1 for c in cs if c.exponent(-1) == 0) == 3
 
 
 def test_conductor():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from galideal.abelian import squares_subgroup, unit_group
-from galideal.dirichlet import PlaceSet, horner
+from galideal.dirichlet import PlaceSet, horner, is_prime
 from galideal.groupring import GroupRingElement, invert_unit, psi_eval
 from galideal.stickelberger import (
     base_change_element,
@@ -150,9 +150,36 @@ def test_even_extension_bijection():
     seen = set()
     for eta in h.characters():
         psi = even_extension(g, h, eta)
-        assert psi.is_even()
+        assert psi.exponent(-1) == 0
         seen.add(psi)
     assert len(seen) == h.order
+
+
+def quadratic_character_by_search(group):
+    quads = [chi for chi in group.characters() if chi.order() == 2]
+    assert len(quads) == 1, "expected a unique quadratic character"
+    return quads[0]
+
+
+def even_extension_by_search(group, subgroup, eta):
+    # the unique even character of `group` restricting to eta on `subgroup`
+    matches = [psi for psi in group.characters() if psi.exponent(-1) == 0
+               and all(psi(h) == eta(h) for h in subgroup.elements)]
+    assert len(matches) == 1, "even extension not unique"
+    return matches[0]
+
+
+def test_direct_characters_match_the_searches():
+    # the characters read off the coordinates of (Z/ell)^* are the ones a
+    # search over every character finds, for each odd prime ell < 100
+    for ell in filter(is_prime, range(3, 100)):
+        g = unit_group(ell)
+        assert quadratic_character(g) == quadratic_character_by_search(g)
+        if ell % 4 == 3:
+            h = squares_subgroup(ell)
+            for eta in h.characters():
+                assert (even_extension(g, h, eta)
+                        == even_extension_by_search(g, h, eta)), (ell, eta)
 
 
 def test_l_value_equals_pairing_identity():
