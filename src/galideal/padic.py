@@ -123,9 +123,22 @@ def eigen_projection(level, power, x, precision=20):
 
 
 class TorsionAnnihilator(NamedTuple):
-    ideal: object        # FractionalIdeal over (Z/m)^*
     exponent: int        # the torsion module has order ell^exponent
     generators: tuple    # the defining GroupRingElements
+
+    @property
+    def ideal(self):
+        # the FractionalIdeal over (Z/m)^* the generators span, built when
+        # read.  Their Z-span is already a Z[G]-module, so it is canonicalized
+        # without a closure under G: with v = exponent and e = 1 - r,
+        #   sigma_g (sigma_a - a^e) = (sigma_ga - (ga)^e) - a^e (sigma_g - g^e),
+        #   sigma_g ell^v = ell^v (sigma_g - g^e) + g^e ell^v,
+        # both in the span, since (ga)^e differs from b^e, b = ga mod m, by a
+        # multiple of ell^v (b / ga = 1 mod m; the definition of v).  The
+        # generators are integral, so their numerators over 1 span it.
+        group = self.generators[0].group
+        return canonicalize(group_labels(group), 1,
+                            [x.nums for x in self.generators])
 
 
 def torsion_exponent(m, ell, r):
@@ -145,28 +158,21 @@ def torsion_exponent(m, ell, r):
 
 
 def torsion_annihilator(m, ell, r):
-    # ideal generated by ell^v and the twisted differences sigma_a - a^(1-r)
+    # the exponent v and the generators ell^v and sigma_a - a^(1-r) of the
+    # annihilator ideal, which .ideal canonicalizes only when it is read
     # m > 1 is a power of the prime ell iff it divides ell^(bits of m)
     if not (ell % 2 and is_prime(ell) and r <= -1 and m > 1
             and ell ** m.bit_length() % m == 0):
         raise ValueError("need an odd prime ell, a modulus m > 1 that is a "
                          "power of it and r <= -1, got m = %d, ell = %d, "
                          "r = %d" % (m, ell, r))
-    # Their Z-span is already a Z[G]-module, so it is canonicalized without
-    # a closure under G: with e = 1 - r,
-    #   sigma_g (sigma_a - a^e) = (sigma_ga - (ga)^e) - a^e (sigma_g - g^e),
-    #   sigma_g ell^v = ell^v (sigma_g - g^e) + g^e ell^v,
-    # both in the span, since (ga)^e differs from b^e, b = ga mod m, by a
-    # multiple of ell^v (b / ga = 1 mod m; the definition of v).  The
-    # generators are integral, so their numerators over 1 span it.
     group = unit_group(m)
     v = torsion_exponent(m, ell, r)
     one = GroupRingElement.one(group)
     gens = [one.scale(ell ** v)]
     for a in group.elements:
         gens.append(GroupRingElement.basis(group, a) - one.scale(a ** (1 - r)))
-    ideal = canonicalize(group_labels(group), 1, [x.nums for x in gens])
-    return TorsionAnnihilator(ideal, v, tuple(gens))
+    return TorsionAnnihilator(v, tuple(gens))
 
 
 def annihilator_integrality(m, ell, r, theta):

@@ -100,7 +100,7 @@ def quadratic_character(group):
     return group.character(group.order // 2)
 
 
-def even_extension(group, subgroup, eta):
+def even_extension(group, eta):
     # the even character psi of (Z/ell)^* restricting to eta on the squares
     # H, for ell = 3 (mod 4), where G = H x {+-1}.  The generator x of G is
     # no square, so -x is one and psi(x) = psi(-x) = eta(-x) = zeta_k^j for
@@ -129,7 +129,7 @@ def base_change_element(ell):
     rho = quadratic_character(g)
     values = {}
     for eta in h.characters():
-        psi = even_extension(g, h, eta)
+        psi = even_extension(g, eta)
         lv = l_value(0, rho * psi, places)
         if lv.is_zero():
             raise ZeroDivisionError("L_S(0, rho psi) vanished unexpectedly")

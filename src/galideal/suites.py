@@ -88,7 +88,7 @@ def lvalue_identity_suite(ells=(7, 11)):
         tt = half_stickelberger(ell).tau()
         bad = None
         for eta in h.characters():
-            psi = even_extension(g, h, eta)
+            psi = even_extension(g, eta)
             if l_value(0, rho * psi, ramified_places(ell)) != \
                     2 * psi_eval(tt, eta):
                 bad = eta.index
@@ -239,13 +239,14 @@ def fixed_point_suite(seed=2026):
                                ok, "all characters of H"))
 
     # lambda containment (plus tower) and iota containment (imaginary
-    # quadratic base) on the cyclotomic ideals
+    # quadratic base) on the cyclotomic ideals; both read J at ell = 7
+    full = {ell: ideal_J_full(CyclotomicLevel(ell, 0))
+            for ell in (3, 5, 7, 11)}
     for ell in (3, 5, 7):
         lev = CyclotomicLevel(ell, 0)
         tow = plus_tower(ell)
         rep = check_fixed_point_containment(
-            tow, ideal_elements(ideal_J_real(lev), tow.quotient),
-            ideal_J_full(lev))
+            tow, ideal_elements(ideal_J_real(lev), tow.quotient), full[ell])
         out.append(CheckResult("fixed-point",
                                "lambda-containment:ell=%d" % ell,
                                rep.passed,
@@ -255,8 +256,7 @@ def fixed_point_suite(seed=2026):
         lev = CyclotomicLevel(ell, 0)
         rep = check_corestriction_containment(
             squares_subgroup(ell), unit_group(ell), lambda a: a,
-            ideal_elements(ideal_J_full(lev), lev.group),
-            ideal_J_imagquad(lev))
+            ideal_elements(full[ell], lev.group), ideal_J_imagquad(lev))
         out.append(CheckResult("fixed-point",
                                "iota-containment:ell=%d" % ell,
                                rep.passed,

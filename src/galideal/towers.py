@@ -107,11 +107,24 @@ def coset_section(tower):
     return {tower.project(g): g for g in reversed(tower.big.elements)}
 
 
+def _fixed_point_parts(tower):
+    # e, the section lookup and 1 - e: one triple per tower, kept on its
+    # big group with the tower it was built for
+    big = tower.big
+    kept = getattr(big, "_fixed_point_parts", None)
+    if kept is None or kept[0] is not tower:
+        e = kernel_idempotent(tower)
+        kept = big._fixed_point_parts = (
+            tower, e, coset_section(tower).__getitem__,
+            GroupRingElement.one(big) - e)
+    return kept[1:]
+
+
 def apply_fixed_point(tower, x):
     # lambda(sum a_q q) = (sum a_q)(1 - e) + (sum a_q z_q) e
-    e = kernel_idempotent(tower)
-    z = map_elements(x, tower.big, coset_section(tower).__getitem__)
-    return (GroupRingElement.one(tower.big) - e).scale(x.augmentation()) + z * e
+    e, section, complement = _fixed_point_parts(tower)
+    z = map_elements(x, tower.big, section)
+    return complement.scale(x.augmentation()) + z * e
 
 
 # --- corestriction iota ---
@@ -160,7 +173,7 @@ def check_fixed_point_containment(tower, gens_small, ideal_big):
     # lambda(J_K) lands in (1-e)Q[G] + e J_L; since the first summand is a
     # full subspace, this is equivalent to e * lambda(J_K) inside e * J_L;
     # gens_small generate J_K
-    e = kernel_idempotent(tower)
+    e = _fixed_point_parts(tower)[0]
     return _containment((e * apply_fixed_point(tower, x) for x in gens_small),
                         scale_by(ideal_big, tower.big, e))
 

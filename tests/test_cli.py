@@ -265,7 +265,7 @@ def test_lvalue_identity_suite_reports_a_shifted_value(capsys, monkeypatch):
     # rho psi for the even psi extending character 1 of the squares mod 7
     eta = h.characters()[1]
     target = (suites.quadratic_character(g)
-              * suites.even_extension(g, h, eta)).tuple
+              * suites.even_extension(g, eta)).tuple
 
     def shifted(r, chi, places):
         x = real(r, chi, places)

@@ -149,7 +149,7 @@ def test_even_extension_bijection():
     h = squares_subgroup(11)
     seen = set()
     for eta in h.characters():
-        psi = even_extension(g, h, eta)
+        psi = even_extension(g, eta)
         assert psi.exponent(-1) == 0
         seen.add(psi)
     assert len(seen) == h.order
@@ -178,7 +178,7 @@ def test_direct_characters_match_the_searches():
         if ell % 4 == 3:
             h = squares_subgroup(ell)
             for eta in h.characters():
-                assert (even_extension(g, h, eta)
+                assert (even_extension(g, eta)
                         == even_extension_by_search(g, h, eta)), (ell, eta)
 
 
@@ -192,7 +192,7 @@ def test_l_value_equals_pairing_identity():
         rho = quadratic_character(g)
         tt = half_stickelberger(ell).tau()
         for eta in h.characters():
-            psi = even_extension(g, h, eta)
+            psi = even_extension(g, eta)
             lhs = l_value(0, rho * psi, ramified_places(ell))
             rhs = 2 * psi_eval(tt, eta)
             assert lhs == rhs, (ell, eta.index)

@@ -1,13 +1,15 @@
-# The inputs and the map reuse of the check suites: the random group-ring
-# elements are the ones a dict of Fractions gave, draw for draw, and the
-# brauer suite builds each component map once.
+# The inputs and the work of the check suites: the random group-ring
+# elements are the ones a dict of Fractions gave, draw for draw, the brauer
+# suite builds each component map once, the fixed-point suite builds each
+# tower's parts and each full ideal once, and the integrality verdicts build
+# no annihilator lattice.
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from galideal import brauer, suites
+from galideal import brauer, padic, suites, towers
 from galideal.abelian import FiniteAbelianGroup, squares_subgroup, unit_group
 from galideal.groupring import GroupRingElement
 from galideal.suites import random_element, run_suite
@@ -65,3 +67,45 @@ def test_brauer_suite_builds_each_map_once(monkeypatch):
         ("quotient-square:D4/center", True, ""),
         ("quotient-containment:D4/center", True, ""),
     ]
+
+
+def _counting(monkeypatch, module, name):
+    # replace module.name by a wrapper that records its first argument
+    calls, real = [], getattr(module, name)
+
+    def counting(first, *args):
+        calls.append(first)
+        return real(first, *args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_integrality_verdicts_build_no_annihilator_lattice(monkeypatch):
+    # annihilator_integrality and the nc-ideal suite read only the
+    # annihilator's generators, so neither canonicalizes its ideal
+    calls = _counting(monkeypatch, padic, "canonicalize")
+    cases = [(m, ell, r) for ell in (3, 5, 7) for m in (ell, ell * ell)
+             for r in (-1, -2)]
+    assert len(cases) == 12
+    for m, ell, r in cases:
+        ok, worst, _ = padic.annihilator_integrality(
+            m, ell, r, suites.theta(m, r))
+        assert ok and worst >= 0, (m, ell, r)
+    assert all(r.passed for r in suites.nc_ideal_suite())
+    assert calls == []
+
+
+def test_fixed_point_suite_builds_each_towers_parts_once(monkeypatch):
+    # three suite towers and the plus towers at ell = 3, 5, 7: one kernel
+    # idempotent each, although the suite maps 242 elements
+    calls = _counting(monkeypatch, towers, "kernel_idempotent")
+    assert all(r.passed for r in suites.fixed_point_suite())
+    assert len(calls) == len({id(t) for t in calls}) == 6
+
+
+def test_fixed_point_suite_builds_each_full_ideal_once(monkeypatch):
+    # the lambda and iota containments share J at ell = 7
+    calls = _counting(monkeypatch, suites, "ideal_J_full")
+    assert all(r.passed for r in suites.fixed_point_suite())
+    assert sorted(level.modulus for level in calls) == [3, 5, 7, 11]

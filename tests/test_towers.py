@@ -161,6 +161,22 @@ def test_fixed_point_section_independence():
             assert z1 * e == z2 * e
 
 
+def test_fixed_point_rebuilds_its_parts_for_another_tower():
+    # C6/C3 and C6/C2 share their big group, which keeps the parts of the
+    # tower last mapped; alternating between them must not reuse stale ones
+    towers = [TowerDatum(C6, C3, lambda e: (e[0] % 3,)).validate(),
+              TowerDatum(C6, C2, lambda e: (e[0] % 2,)).validate()]
+    for _ in range(2):
+        for t in towers:
+            e = kernel_idempotent(t)
+            sec = coset_section(t)
+            for q in t.quotient.elements:
+                want = (GroupRingElement.one(C6) - e
+                        + GroupRingElement.basis(C6, sec[q]) * e)
+                assert apply_fixed_point(
+                    t, GroupRingElement.basis(t.quotient, q)) == want
+
+
 def test_fixed_point_fixture_compatibility():
     # for any unit fixture R_K with augmentation 1, setting R_L = lambda(R_K)
     # satisfies lambda(R_K) = (1 - e) + R_L e
