@@ -19,8 +19,7 @@ from typing import NamedTuple
 
 from .abelian import AbelianCharacter, closure, coordinates, left_cosets
 from .cyclotomic import from_exponents
-from .groupring import (GroupRingElement, generating_set, map_elements,
-                        psi_eval)
+from .groupring import GroupRingElement, generating_set, map_elements
 from .intmat import hnf_columns, mat_mul, mat_vec
 from .lattice import (canonicalize, contains_vector, map_image,
                       map_preimage)
@@ -329,19 +328,23 @@ def check_order_budget(G):
 
 
 def subgroup_lattice(G):
-    # every subgroup exactly once, ordered by (order, element labels)
+    # every subgroup exactly once, ordered by (order, element labels), by
+    # cyclic extension: each subgroup found keeps the generators it was
+    # reached by, and <S, g> = <S, g s> for s in S, so one g per left coset
+    # gS outside S extends S, as the closure of S's generators and g
     check_order_budget(G)
-    subs = {frozenset([G.identity])}
+    subs = {frozenset([G.identity]): ()}
     frontier = list(subs)
     while frontier:
         nxt = []
         for S in frontier:
-            for g in G.elements:
+            gens = subs[S]
+            for g in left_cosets(G.elements, G.op, S)[0]:
                 if g in S:
                     continue
-                T = closure(G, S | {g})
+                T = closure(G, gens + (g,))
                 if T not in subs:
-                    subs.add(T)
+                    subs[T] = gens + (g,)
                     nxt.append(T)
         frontier = nxt
     key = lambda S: (len(S), sorted(G.label(h) for h in S))
@@ -393,10 +396,6 @@ class BrauerMap(NamedTuple):
     @property
     def rank(self):
         return len(hnf_columns(zip(*self.matrix), len(self.matrix)))
-
-    @property
-    def injective(self):
-        return self.rank == self.space.dimension
 
     def block(self, k):
         lo = self.offsets[k]
@@ -472,7 +471,15 @@ def duality_certificate(bmap):
     # M(g)M(x) = M(gx) for g in a generating set and all x extend by
     # induction on word length to all g.  A test's permutation half is the
     # same for every chi; its exponent equations a + b = c on H^ab are kept
-    # once, keyed to their first test, up to the first permutation failure.
+    # once, keyed to their first test, up to the first permutation failure:
+    # () for M(e) = 1, else the pair (g, x).
+    #
+    # Per class, the trace of Ind chi (g) is Sigma chi(h) over the cosets g
+    # fixes, and the component is Sigma a_q q in Z[H^ab]; they agree iff the
+    # one integer accumulator holding 1 at the exponent of each such h, less
+    # a_q at the exponent of each q, is the zero number.  On a passing map
+    # the h and the q are the same multiset, so every entry is 0 and
+    # nothing is reduced.
     G = bmap.group
     gens = generating_set(G)
     checked = 0
@@ -481,28 +488,39 @@ def duality_certificate(bmap):
         perm, hs = mats[G.identity]
         if perm != list(range(len(perm))):
             return DualityReport(False, checked, (k, 0, "identity"))
-        eqs, fail = {(h, h, h): "identity" for h in hs}, None  # chi(h) = 1
+        eqs, fail = {(h, h, h): () for h in hs}, None  # chi(h) = 1
         for g, x in product(gens, G.elements):
             (pg, hg), (px, hx), (pgx, hgx) = mats[g], mats[x], mats[G.op(g, x)]
-            at = "hom@%s,%s" % (G.label(g), G.label(x))
             # column j of M(g)M(x) is chi(hg[i]) chi(hx[j]) in row pg[i]
             for j, i in enumerate(px):
-                eqs.setdefault((hg[i], hx[j], hgx[j]), at)
+                eqs.setdefault((hg[i], hx[j], hgx[j]), (g, x))
             if [pg[i] for i in px] != pgx:
-                fail = at
+                fail = (g, x)
                 break
+        traces = []
+        for c, cls in enumerate(bmap.space.classes):
+            perm, hs = mats[min(cls)]
+            nums = bmap.component(c, k).nums
+            traces.append(([h for j, (i, h) in enumerate(zip(perm, hs))
+                            if i == j],
+                           [(q, a) for q, a in zip(rec.ab.elements, nums)
+                            if a]))
         for ci, chi in enumerate(rec.characters()):
             N = chi.root_order
             row = [chi.exponent(q) % N for q in rec.ab.elements]
             bad = next((at for (a, b, c), at in eqs.items()
                         if (row[a] + row[b] - row[c]) % N), fail)
-            if bad:
-                return DualityReport(False, checked, (k, ci, bad))
-            for c, cls in enumerate(bmap.space.classes):
+            if bad is not None:
+                at = ("hom@%s,%s" % (G.label(bad[0]), G.label(bad[1]))
+                      if bad else "identity")
+                return DualityReport(False, checked, (k, ci, at))
+            for c, (fixed, terms) in enumerate(traces):
                 acc = [0] * N
-                for j, (i, h) in enumerate(zip(*mats[min(cls)])):
-                    acc[row[h]] += i == j
-                if psi_eval(bmap.component(c, k), chi) != from_exponents(N, acc):
+                for h in fixed:
+                    acc[row[h]] += 1
+                for q, a in terms:
+                    acc[row[q]] -= a
+                if any(acc) and not from_exponents(N, acc).is_zero():
                     return DualityReport(False, checked,
                                          (k, ci, bmap.space.labels[c]))
                 checked += 1

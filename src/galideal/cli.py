@@ -318,6 +318,8 @@ def cmd_ideal(args):
 def cmd_brauer_map(args):
     G, echo = load_group(args)
     bmap = bgstar(G)
+    rank = bmap.rank
+    injective = rank == bmap.space.dimension
     report = {
         "command": "brauer-map",
         "inputs": dict(echo, certify=bool(args.certify)),
@@ -325,10 +327,10 @@ def cmd_brauer_map(args):
         "class-labels": list(bmap.space.labels),
         "row-labels": list(bmap.long_labels()),
         "matrix": [list(row) for row in bmap.matrix],
-        "rank": bmap.rank,
-        "injective": bmap.injective,
+        "rank": rank,
+        "injective": injective,
     }
-    code = 0 if bmap.injective else 1
+    code = 0 if injective else 1
     if args.certify:
         cert = duality_certificate(bmap)
         report["duality"] = {

@@ -4,12 +4,13 @@
 
 import re
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
 from galideal import brauer
-from galideal.abelian import left_cosets
+from galideal.abelian import closure, left_cosets
 from galideal.brauer import (BUILTIN_GROUPS, ClassSpace,
                              FiniteGroup, alternating4, bgstar,
                              check_components, component_images,
@@ -37,6 +38,11 @@ F = Fraction
 
 def unit_components(bmap):
     return {k: unit_ideal(rec.ab) for k, rec in enumerate(bmap.records)}
+
+
+def _golden_group(name):
+    path = Path(__file__).parent / "golden" / name
+    return lambda: from_cayley_text(path.read_text(encoding="utf-8"))
 
 
 def test_builtin_groups_are_groups():
@@ -111,7 +117,19 @@ def test_quaternion_relations():
     assert mul("-1", "-1") == "1" and Q.identity == at["1"]
 
 
-def test_subgroup_lattice_counts():
+def _permutation_group(perms):
+    perms = sorted(perms)
+    pos = {p: i for i, p in enumerate(perms)}
+    return FiniteGroup([[pos[tuple(a[i] for i in b)] for b in perms]
+                        for a in perms], ["".join(map(str, p)) for p in perms])
+
+
+def _even(p):
+    return sum(p[i] > p[j] for i in range(len(p))
+               for j in range(i + 1, len(p))) % 2 == 0
+
+
+def test_subgroup_lattice_counts(monkeypatch):
     for make, orders in [
         (symmetric3, [1, 2, 2, 2, 3, 6]),
         (quaternion8, [1, 2, 4, 4, 4, 8]),
@@ -124,11 +142,78 @@ def test_subgroup_lattice_counts():
         text = (Path(__file__).parent / "golden" / name).read_text(
             encoding="utf-8")
         assert len(subgroup_lattice(from_cayley_text(text))) == count, name
+    # S4, A5 and S5 as permutations; A5 and S5 lie above the order budget,
+    # raised here only
+    monkeypatch.setattr(brauer, "SUBGROUP_ORDER_BUDGET", 120)
+    for perms, count in [
+            (permutations(range(4)), 30),
+            (filter(_even, permutations(range(5))), 59),
+            (permutations(range(5)), 156)]:
+        assert len(subgroup_lattice(_permutation_group(perms))) == count
 
 
 def test_subgroup_lattice_budget():
     with pytest.raises(ValueError, match="budget"):
         subgroup_lattice(cyclic_group(33))
+
+
+def _reference_lattice(G):
+    # the enumeration before cyclic extension: S closed with each g outside
+    # it, S's elements all taken as generators; element tuples in the
+    # records' order
+    subs = {frozenset([G.identity])}
+    frontier = list(subs)
+    while frontier:
+        nxt = []
+        for S in frontier:
+            for g in G.elements:
+                if g not in S:
+                    T = closure(G, S | {g})
+                    if T not in subs:
+                        subs.add(T)
+                        nxt.append(T)
+        frontier = nxt
+    key = lambda S: (len(S), sorted(G.label(h) for h in S))
+    return [tuple(sorted(S)) for S in sorted(subs, key=key)]
+
+
+def _relabelled(G):
+    # G with its element indices reversed, so the identity is the last
+    # element and every coset's first element changes
+    n = G.order
+    table = [[n - 1 - G.op(n - 1 - a, n - 1 - b) for b in range(n)]
+             for a in range(n)]
+    return FiniteGroup(table, [G.label(n - 1 - a) for a in range(n)])
+
+
+@pytest.mark.parametrize("make", [
+    *BUILTIN_GROUPS.values(), _golden_group("s4.txt"),
+    lambda: _relabelled(_golden_group("d6.txt")())],
+    ids=[*BUILTIN_GROUPS, "S4", "D6-relabelled"])
+def test_subgroup_lattice_matches_the_reference_enumeration(make):
+    G = make()
+    assert ([rec.elements for rec in subgroup_lattice(G)]
+            == _reference_lattice(G))
+
+
+@pytest.mark.parametrize("make, calls", [
+    (alternating4, 40), (_golden_group("s4.txt"), 204)], ids=["A4", "S4"])
+def test_subgroup_lattice_closes_once_per_coset(monkeypatch, make, calls):
+    # one closure per (subgroup, left coset outside it), Sigma ([G:S] - 1);
+    # the enumeration that closed S with every g outside it made 85 and 577
+    G = make()
+    made = []
+    real = brauer.closure
+
+    def counted(group, gens):
+        made.append(gens)
+        return real(group, gens)
+
+    monkeypatch.setattr(brauer, "closure", counted)
+    records = subgroup_lattice(G)
+    # each record also closes its commutators once
+    assert len(made) - len(records) == calls
+    assert calls == sum(G.order // len(rec.elements) - 1 for rec in records)
 
 
 def test_commutators_and_abelianizations():
@@ -152,7 +237,7 @@ def test_class_space_s3():
 def test_bgstar_s3_frozen():
     bmap = bgstar(symmetric3())
     assert bmap.space.dimension == 3
-    assert bmap.rank == 3 and bmap.injective
+    assert bmap.rank == 3  # injective
     # the order-3 subgroup sees the 3-cycle class as gamma + gamma^2
     k = 4
     rec = bmap.records[k]
@@ -169,7 +254,8 @@ def test_bgstar_s3_frozen():
 
 def test_bgstar_injective_on_test_groups():
     for make in (symmetric3, dihedral4, quaternion8, alternating4):
-        assert bgstar(make()).injective
+        bmap = bgstar(make())
+        assert bmap.rank == bmap.space.dimension
 
 
 def test_abelian_blocks_factor_through_corestriction():
@@ -186,12 +272,24 @@ def test_abelian_blocks_factor_through_corestriction():
     assert bmap.block(1) == [[1, 0], [0, 1]]
 
 
-def test_duality_certificates_frozen():
+def test_duality_certificates_frozen(monkeypatch):
+    # on a map that passes, each trace and its component hold the same
+    # multiset of H^ab elements, so every accumulator is zero entrywise and
+    # no cyclotomic number is reduced
+    reduced = []
+    real = brauer.from_exponents
+
+    def counted(n, acc, den=1):
+        reduced.append(n)
+        return real(n, acc, den)
+
+    monkeypatch.setattr(brauer, "from_exponents", counted)
     for make, n_checks in [(symmetric3, 36), (dihedral4, 135),
                            (quaternion8, 95), (alternating4, 104)]:
         report = duality_certificate(bgstar(make()))
         assert report.passed and report.witness == ()
         assert report.checked == n_checks
+    assert reduced == []
 
 
 def test_duality_negative_control():
@@ -271,11 +369,6 @@ def _induced(G, rec, chi, g, cosets):
     exps = [chi.exponent(rec.project[G.op(G.inv(reps[i]), G.op(g, x))])
             for i, x in zip(perm, reps)]
     return perm, exps
-
-
-def _golden_group(name):
-    path = Path(__file__).parent / "golden" / name
-    return lambda: from_cayley_text(path.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("make", [
@@ -601,7 +694,8 @@ def test_restriction_square_into_s4(order, classes):
         rec.elements for rec in bmap_g.records if len(rec.elements) == order))
     assert len(H.conjugacy_classes) == classes  # non-abelian
     bmap_h = bgstar(H)
-    assert len(bmap_h.records) == 10 and bmap_h.injective
+    assert len(bmap_h.records) == 10
+    assert bmap_h.rank == bmap_h.space.dimension  # injective
     res = _restriction_matrix(G, els, bmap_h.space)
     assert _restriction_failures(bmap_g, bmap_h, els, res) == []
     # negative control: one unit of Res moved to another row of its column;

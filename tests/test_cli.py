@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from galideal import suites
+from galideal import brauer, suites
 from galideal.abelian import squares_subgroup, unit_group
 from galideal.brauer import (cyclic_group, product_cyclic, symmetric3,
                              to_cayley_text)
@@ -218,17 +218,20 @@ def test_unknown_suite_is_refused_by_check_params(capsys):
 
 # Negative controls: one input perturbed through a function the suite
 # already calls, so the suite must report FAIL with its witness, and
-# `check --suite` must exit 1.
+# `check --suite` must exit 1.  `also` names the other checks that read the
+# perturbed input and fail with it.
 
-def _check_fails(capsys, suite, name, detail):
+def _check_fails(capsys, suite, name, detail, also=()):
     result = {r.name: r for r in run_suite(suite)}[name]
     assert (result.passed, result.detail) == (False, detail)
     code, out, err = run(capsys, ["check", "--suite", suite])
     report = json.loads(out)
     assert (code, err) == (1, "")
-    assert (report["passed"], report["failures"]) == (False, 1)
+    assert (report["passed"], report["failures"]) == (False, 1 + len(also))
     assert {"suite": suite, "name": name, "passed": False,
             "detail": detail} in report["results"]
+    assert sorted(r["name"] for r in report["results"]
+                  if not r["passed"]) == sorted((name, *also))
 
 
 def test_oracles_suite_reports_a_shifted_coefficient(capsys, monkeypatch):
@@ -484,6 +487,41 @@ def test_brauer_suite_reports_an_uncertified_component(capsys, monkeypatch):
     # subgroup 0, character 0, at the class of e
     _check_fails(capsys, "brauer", "duality-certified:S3",
                  "witness (0, 0, 'e')")
+
+
+def test_brauer_suite_reports_a_rank_deficient_map(capsys, monkeypatch):
+    real = suites.bgstar
+
+    def duplicated(G):
+        bmap = real(G)
+        if G.order == 6:  # only S3: the 3-cycle class's column becomes a
+            # copy of the transpositions'
+            bmap = bmap._replace(matrix=[row[:2] + row[1:2]
+                                         for row in bmap.matrix])
+        return bmap
+
+    monkeypatch.setattr(suites, "bgstar", duplicated)
+    # the certificate and the S3/A3 square read the same matrix
+    _check_fails(capsys, "brauer", "injective:S3", "rank 2 = 3 classes",
+                 also=("duality-certified:S3", "quotient-square:S3/A3",
+                       "quotient-containment:S3/A3"))
+
+
+def test_brauer_suite_reports_a_square_that_does_not_commute(capsys,
+                                                              monkeypatch):
+    real = brauer.class_quotient_matrix
+
+    def swapped(tower):
+        M = real(tower)
+        if tower.big.order == 6:  # only S3/A3: each class goes to the
+            # other coset of A3
+            M = M[::-1]
+        return M
+
+    monkeypatch.setattr(brauer, "class_quotient_matrix", swapped)
+    # the check carries no witness; containment is refused with the square
+    _check_fails(capsys, "brauer", "quotient-square:S3/A3", "",
+                 also=("quotient-containment:S3/A3",))
 
 
 def test_ideal_minus_lattice(capsys):
