@@ -300,9 +300,6 @@ class AbelianCharacter:
     def _with(self, t):
         return AbelianCharacter(self.group, self.coords, t, self._lookup)
 
-    def is_trivial(self):
-        return all(t == 0 for t in self.tuple)
-
     def __mul__(self, other):
         if self.group != other.group:
             raise ValueError("character of %r times one of %r"
@@ -317,14 +314,6 @@ class AbelianCharacter:
     def __pow__(self, e):
         return self._with(tuple((x * e) % d for x, d in
                                 zip(self.tuple, self.coords.invariants)))
-
-    def order(self):
-        n = 1
-        c = self
-        while not c.is_trivial():
-            c = c * self
-            n += 1
-        return n
 
     def __eq__(self, other):
         return (isinstance(other, AbelianCharacter)

@@ -159,9 +159,6 @@ class GroupRingElement:
             return NotImplemented
         return (self.group, self.nums, self.den) == (other.group, other.nums, other.den)
 
-    def __hash__(self):
-        raise TypeError("GroupRingElement is not hashable")
-
     def __repr__(self):
         label = self.group.label
         return " + ".join("(%s)%s" % (Fraction(a, self.den), label(g)) for g, a

@@ -49,15 +49,11 @@ def xgcd(a, b):
 
 
 def transpose(A):
-    if not A:
-        return []
     return [list(col) for col in zip(*A)]
 
 
 def mat_mul(A, B):
-    if not A or not B:
-        return [[] for _ in A]
-    n, k, m = len(A), len(B), len(B[0])
+    k = len(B)
     Bt = transpose(B)
     return [[sum(row[t] * col[t] for t in range(k)) for col in Bt] for row in A]
 

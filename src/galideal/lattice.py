@@ -90,9 +90,6 @@ class FractionalIdeal:
                 and self.denominator == other.denominator
                 and self.columns == other.columns)
 
-    def __hash__(self):
-        return hash((self.labels, self.denominator, self.columns))
-
     def __repr__(self):
         return "FractionalIdeal(dim %d, rank %d, den %d)" % (
             self.dimension, self.rank, self.denominator)

@@ -130,8 +130,5 @@ def base_change_element(ell):
     values = {}
     for eta in h.characters():
         psi = even_extension(g, eta)
-        lv = l_value(0, rho * psi, places)
-        if lv.is_zero():
-            raise ZeroDivisionError("L_S(0, rho psi) vanished unexpectedly")
-        values[eta] = lv.inverse()
+        values[eta] = l_value(0, rho * psi, places).inverse()
     return lambda_assemble(h, values)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from galideal import brauer, suites
+from galideal import brauer, ncideal, suites
 from galideal.abelian import squares_subgroup, unit_group
 from galideal.brauer import (cyclic_group, product_cyclic, symmetric3,
                              to_cayley_text)
@@ -524,6 +524,78 @@ def test_brauer_suite_reports_a_square_that_does_not_commute(capsys,
                  also=("quotient-containment:S3/A3",))
 
 
+@pytest.mark.parametrize("order, name", [
+    (4, "iota-duality:C2<C4"), (6, "iota-duality:H7<Z7"),
+    (8, "iota-duality:C2<C2xC4")])
+def test_fixed_point_suite_reports_a_shifted_induced_character(
+        capsys, monkeypatch, order, name):
+    real = suites.induced_character_sum
+
+    def shifted(x, G, H, embed, eta):
+        value = real(x, G, H, embed, eta)
+        return value + 1 if G.order == order else value
+
+    monkeypatch.setattr(suites, "induced_character_sum", shifted)
+    # the check carries no witness, only its fixed detail
+    _check_fails(capsys, "fixed-point", name, "all characters of H")
+
+
+def test_nc_ideal_suite_reports_a_two_sided_control(capsys, monkeypatch):
+    # a two-sidedness check that passes every ideal passes the one-datum
+    # control too
+    real = suites.two_sided_check
+    monkeypatch.setattr(suites, "two_sided_check",
+                        lambda I: real(I)._replace(passed=True, witness=()))
+    _check_fails(capsys, "nc-ideal", "control-fails-two-sided:S3",
+                 "control unexpectedly two-sided")
+
+
+def test_nc_ideal_suite_reports_data_left_uncompleted(capsys, monkeypatch):
+    # without the conjugate data the covariant ideal is the control's: the
+    # conjugate by (23) of its generator leaves it
+    monkeypatch.setattr(suites, "covariant_data",
+                        lambda records, data: list(data))
+    _check_fails(capsys, "nc-ideal", "covariant-two-sided:S3",
+                 "witness ('(23)', 0)")
+
+
+def test_nc_ideal_suite_reports_an_escaping_image(capsys, monkeypatch):
+    real = ncideal.nc_ideal
+
+    def tripled(G, data):
+        I = real(G, data)
+        if G.order == 2 and len(data) == 7:  # the C9 -> C3 quotient level
+            J = I.lattice
+            I = I._replace(lattice=canonicalize(
+                J.labels, J.denominator,
+                [[3 * x for x in col] for col in J.columns]))
+        return I
+
+    monkeypatch.setattr(ncideal, "nc_ideal", tripled)
+    # the data stay compatible, so the witness is the first generator's
+    # image, outside 3 J over the quotient
+    _check_fails(capsys, "nc-ideal", "quotient:C9->C3-stickelberger",
+                 "witness ('image vector escapes', "
+                 "(Fraction(-1, 4), Fraction(-1, 4)))")
+
+
+@pytest.mark.parametrize("m, r, name, detail", [
+    (1, -1, "zeta(-1)", "-1/12"),
+    (7, 0, "theta-hurwitz:m=7", "[5/14, -1/14, -3/14, 3/14, 1/14, -5/14]")])
+def test_oracles_suite_reports_a_shifted_theta(capsys, monkeypatch, m, r,
+                                               name, detail):
+    real = suites.theta
+
+    def shifted(m_, r_=0):
+        x = real(m_, r_)
+        return x + GroupRingElement.one(x.group) if (m_, r_) == (m, r) else x
+
+    monkeypatch.setattr(suites, "theta", shifted)
+    # theta-dual-routes calls stickelberger itself, so only this check
+    # reads the shifted value; it carries no witness, only its fixed detail
+    _check_fails(capsys, "oracles", name, detail)
+
+
 def test_ideal_minus_lattice(capsys):
     code, report = run_json(
         capsys, ["ideal", "--ell", "3", "--part", "minus", "--r", "-1"])
@@ -1004,6 +1076,72 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "--char" in err
     code, out, err = run(capsys, [])
     assert code == 2
+
+
+_BIG_PRIME = 2 ** 89 - 1  # above PRIME_TEST_BOUND, no prime factor <= 41
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stickelberger", "--modulus", "0"],
+     "--modulus must be a positive integer"),
+    (["lvalue", "--modulus", "0", "--char", "0"],
+     "--modulus must be a positive integer"),
+    (["lvalue", "--modulus", "7", "--char", "0", "--r", "1"],
+     "--r must be a non-positive integer"),
+    (["ideal", "--ell", "7", "--level", "-1"],
+     "--level must be a non-negative integer"),
+    (["ideal", "--ell", "7", "--part", "minus", "--units", "{units}"],
+     "--units only applies to parts built from the real half"),
+    (["brauer-map", "--cayley", "{missing}"], "cannot read --cayley file: "),
+    (["nc-ideal", "--group", "S3", "--data", "{missing}"],
+     "cannot read fixture file: "),
+    (["nc-ideal", "--group", "S3", "--data", "{big_ell}"],
+     "field 'ell': cannot decide whether %d is prime" % _BIG_PRIME),
+    (["nc-ideal", "--group", "S3", "--data", "{scalar_datum}"],
+     "field 'data[0]' must be an object"),
+    (["ideal", "--ell", "7", "--level", "1", "--part", "plus", "--units",
+      "{scalar_lattice}"], "field 'lattice' must be an object"),
+], ids=["stickelberger-modulus", "lvalue-modulus", "lvalue-r", "ideal-level",
+        "minus-units", "cayley-unreadable", "data-unreadable", "data-big-ell",
+        "data-scalar-datum", "units-scalar-lattice"])
+def test_refusal_is_one_error_line(capsys, tmp_path, argv, message):
+    units = json.loads((GOLDEN / "units-49.json").read_text())
+    files = {
+        "units": GOLDEN / "units-49.json",
+        "missing": tmp_path / "missing.json",
+        "big_ell": COVARIANT_S3.replace('"ell": 3', '"ell": %d' % _BIG_PRIME),
+        "scalar_datum": COVARIANT_S3.replace(
+            '"data": [', '"data": [1, ', 1),
+        "scalar_lattice": json.dumps(dict(units, lattice=1)),
+    }
+    for key in ("big_ell", "scalar_datum", "scalar_lattice"):
+        path = tmp_path / (key + ".json")
+        path.write_text(files[key])
+        files[key] = path
+    code, out, err = run(capsys, [a.format(**files) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message)
+    assert err.count("\n") == 1  # one line, no traceback
+
+
+def test_brauer_map_uncertified_exits_1(capsys, monkeypatch):
+    table = brauer._monomial_table
+
+    def moved_identity(G, rec):
+        # the identity swaps two cosets of the trivial subgroup
+        mats = table(G, rec)
+        perm = mats[G.identity][0]
+        if len(perm) > 1:
+            perm[0], perm[1] = perm[1], perm[0]
+        return mats
+
+    monkeypatch.setattr(brauer, "_monomial_table", moved_identity)
+    code, report = run_json(capsys, ["brauer-map", "--group", "S3",
+                                     "--certify"])
+    assert code == 1
+    assert report["injective"] is True
+    assert report["duality"] == {"passed": False, "checked": 0,
+                                 "witness": [0, 0, "identity"]}
 
 
 def test_unknown_flag_exits_2(capsys):

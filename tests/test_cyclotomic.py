@@ -72,6 +72,14 @@ def test_rational_collapse():
     assert hash(v) == hash(Fraction(1))
 
 
+def test_repr_and_comparison_with_other_types():
+    assert repr(CyclotomicNumber.from_rational(Fraction(1, 2))) == \
+        "CyclotomicNumber(1/2)"
+    assert repr(CyclotomicNumber.one() + zeta(3)) == "1 + (1)*z3^1"
+    assert repr(zeta(5, 2)) == "(1)*z5^2"
+    assert (zeta(3) == "z3") is False and zeta(3) != "z3"
+
+
 def test_cross_order_arithmetic():
     # z2 * z3 = z6^5 since zeta_6 = -zeta_3^2 -> check via lifting
     lhs = zeta(2) * zeta(3)

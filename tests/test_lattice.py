@@ -92,6 +92,12 @@ def test_compare():
     assert compare(ep, I) == "subset"
     assert compare(I, ep) == "superset"
     assert compare(ep, em) == "incomparable"
+    # no other type is equal to an ideal, and a basis that is not the
+    # canonical form of its module is refused
+    assert (I == I.columns) is False
+    skewed = FractionalIdeal(I.labels, 1, [(1, 1), (0, 1)])
+    with pytest.raises(AssertionError, match="canonical forms differ"):
+        compare(I, skewed)
 
 
 def test_sum_of_idempotent_ideals():

@@ -156,7 +156,8 @@ def test_even_extension_bijection():
 
 
 def quadratic_character_by_search(group):
-    quads = [chi for chi in group.characters() if chi.order() == 2]
+    quads = [chi for chi in group.characters()
+             if any(chi.tuple) and not any((chi ** 2).tuple)]
     assert len(quads) == 1, "expected a unique quadratic character"
     return quads[0]
 

@@ -10,9 +10,12 @@
 # rule, read through attributes: a method is used when x.name appears
 # outside its own def, or when its class body aliases it (conjugate =
 # inverse).  The check is by name only, so a method that shares its name
-# with another attribute is never flagged: one named split or index would
-# pass on str.split and list.index alone.  Operators (dunders) are called
-# by syntax, not by name, and are not checked.
+# with another method is never flagged: one named split or index would
+# pass on str.split and list.index alone.  A method whose name is also a
+# plain attribute or a property somewhere in the package is used only when
+# x.name(...) is called, since a read such as group.order would hide an
+# unused order().  Operators (dunders) are called by syntax, not by name,
+# and are not checked.
 
 import ast
 from pathlib import Path
@@ -81,10 +84,12 @@ def test_every_public_name_is_used_in_the_package():
 
 
 def _methods():
-    # {Class.method: module} for public methods, and the attribute names
-    # used outside each one's own def
-    defined = {}
-    used = set()
+    # {Class.method: module} for public methods and properties, the names
+    # of properties and plain attributes (self.x = ..., NamedTuple fields),
+    # and the attribute names used, and those called, outside each one's
+    # own def
+    defined, properties, attributes = {}, set(), set()
+    used, called = set(), set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             items = node.body if isinstance(node, ast.ClassDef) else [node]
@@ -93,25 +98,45 @@ def _methods():
                 if isinstance(node, ast.ClassDef):
                     if isinstance(item, ast.FunctionDef):
                         own = item.name
+                        key = "%s.%s" % (node.name, own)
+                        if any(isinstance(d, ast.Name) and d.id == "property"
+                               for d in item.decorator_list):
+                            properties.add(key)
+                            attributes.add(own)
                         if not own.startswith("_"):
-                            defined["%s.%s" % (node.name, own)] = path.stem
+                            defined[key] = path.stem
                     else:
+                        if isinstance(item, ast.AnnAssign):
+                            attributes.add(item.target.id)
                         used.update(sub.id for sub in ast.walk(item)
                                     if isinstance(sub, ast.Name))
-                used.update(sub.attr for sub in ast.walk(item)
-                            if isinstance(sub, ast.Attribute)
-                            and sub.attr != own)
-    return defined, used
+                for sub in ast.walk(item):
+                    if isinstance(sub, ast.Attribute):
+                        if isinstance(sub.ctx, ast.Store):
+                            attributes.add(sub.attr)
+                        if sub.attr != own:
+                            used.add(sub.attr)
+                    elif (isinstance(sub, ast.Call)
+                          and isinstance(sub.func, ast.Attribute)
+                          and sub.func.attr != own):
+                        called.add(sub.func.attr)
+
+    def is_used(key):
+        name = key.split(".")[1]
+        if key not in properties and name in attributes:
+            return name in called
+        return name in used
+
+    return defined, is_used
 
 
 def test_every_public_method_is_used_in_the_package():
-    defined, used = _methods()
+    defined, is_used = _methods()
     unused = sorted("%s.%s" % (defined[name], name) for name in defined
-                    if name.split(".")[1] not in used
-                    and name not in KEPT_METHODS)
+                    if not is_used(name) and name not in KEPT_METHODS)
     assert unused == []
     assert sorted(n for n in KEPT_METHODS
-                  if n not in defined or n.split(".")[1] in used) == []
+                  if n not in defined or is_used(n)) == []
 
 
 # assert statements left in src/galideal.  python -O strips them, so none
