@@ -32,18 +32,24 @@
 # API's edges; a translate g x or x g permutes x's integer numerators.
 #
 # Membership: unless d*v is integral up to a power of 2, v is no member.
-# Else one integer forward pass over the columns in pivot order keeps r
-# over a scale s (from d*v and 1): at the pivot c = col[p], with
-# g = gcd(r[p], c) and f = c/g, y_j = (r[p]/g) / (s f), r <- f r - (r[p]/g)
-# col and s <- s f.  So y_j is in Z[1/2] iff f is a power of 2 (for
-# c = 2^e o: iff o divides r[p]); v is outside the Q-span if r is nonzero
-# above a pivot or after the last one.  The step computes exactly that s,
-# and that r below p, sparsely: nothing reads r[p] again, r is scaled only
-# when f != 1, and col is subtracted only on its nonzero rows, which in a
-# canonical column are few.  The pass
-# needs only the echelon shape, so it also holds for trusted-constructor
+# Else one integer forward pass keeps r over a scale s (from d*v and 1) and
+# walks r to its next nonzero row p; v is outside the Q-span if p is no pivot
+# row.  At the pivot c = col[p] of column j, with g = gcd(r[p], c) and
+# f = c/g, y_j = (r[p]/g) / (s f), r <- f r - (r[p]/g) col and s <- s f.  So
+# y_j is in Z[1/2] iff f is a power of 2 (for c = 2^e o: iff o divides r[p]),
+# and a pivot where r is zero has y_j = 0 and costs nothing.  The step
+# computes exactly that s, and that r below p, sparsely: nothing reads r[p]
+# again, r is scaled only when f != 1, and col is subtracted only on its
+# nonzero rows below p, which in a canonical column are few.  Those rows come
+# from the ideal's pivot table, which maps each pivot row to its column's
+# index, pivot and nonzero (row, entry) pairs below the pivot.  The table is
+# built by the first membership test and kept on the ideal, not by the
+# constructor: most ideals (each result of a sum, a scaling or a map) are never
+# asked for a member, and would pay a scan of every column for nothing.  The
+# pass needs only the echelon shape, so it also holds for trusted-constructor
 # ideals whose columns are echelon but not reduced; it serves map_preimage
-# too, which solves T x = v on the column HNF of T.
+# too, which solves T x = v on the column HNF of T, from one table for all
+# its vectors.
 # The zero module (no columns, d = 1) participates in everything.
 
 from fractions import Fraction
@@ -60,7 +66,7 @@ def _odd_part(x):
 
 
 class FractionalIdeal:
-    __slots__ = ("labels", "denominator", "columns")
+    __slots__ = ("labels", "denominator", "columns", "_pivots")
 
     def __init__(self, labels, denominator, columns):
         # trusted constructor: canonicalize() is the public entry
@@ -71,6 +77,7 @@ class FractionalIdeal:
         self.labels = tuple(labels)
         self.denominator = denominator
         self.columns = tuple(tuple(c) for c in columns)
+        self._pivots = None  # the header's pivot table, built by _pivots_of
 
     @property
     def dimension(self):
@@ -194,35 +201,53 @@ def zero_ideal(labels):
     return FractionalIdeal(tuple(labels), 1, [])
 
 
-def _coordinates(columns, r, unit):
+def _pivot_table(columns, n):
+    # the header's pivot table of echelon columns in an ambient of dimension
+    # n: (rank, rows), rows[p] = (j, c, tail) if p is the pivot row of
+    # columns[j], with pivot c and tail its nonzero (row, entry) pairs below
+    # p, and None if p is no pivot row
+    rows = [None] * n
+    for j, col in enumerate(columns):
+        (p, c), *tail = [(i, x) for i, x in enumerate(col) if x]
+        rows[p] = j, c, tail
+    return len(columns), rows
+
+
+def _pivots_of(ideal):
+    if ideal._pivots is None:
+        ideal._pivots = _pivot_table(ideal.columns, ideal.dimension)
+    return ideal._pivots
+
+
+def _coordinates(table, r, unit):
     # (Y, s) with sum_j (Y_j / s) columns[j] = r (r integers, consumed), by
-    # the forward pass of the header over echelon columns; None if r is
+    # the header's forward pass over the columns' pivot table; None if r is
     # outside the Q-span, or at the first pivot whose factor f fails unit
-    y = []  # (q, s) per column: y_j = q / s at the scale s of the step
-    s, start = 1, 0
-    for col in columns:
-        p = start
-        while not col[p]:
-            p += 1
-        if any(r[start:p]):
+    # (asked only for f != 1).  Each r[p] is read when the loop reaches p,
+    # after every step above p has updated it in place.
+    rank, rows = table
+    y = []  # (j, q, s): y_j = q / s at the scale s of its step
+    s = 1
+    for p, x in enumerate(r):
+        if not x:
+            continue
+        if rows[p] is None:
             return None
-        q, c = r[p], col[p]
-        if q:
-            g = gcd(q, c) if c > 0 else -gcd(q, c)
-            f, q = c // g, q // g
+        j, c, tail = rows[p]
+        g = gcd(x, c) if c > 0 else -gcd(x, c)
+        f, q = c // g, x // g
+        if f != 1:
             if not unit(f):
                 return None
-            if f != 1:
-                s *= f
-                r[p + 1:] = [f * x for x in r[p + 1:]]
-            for i in range(p + 1, len(col)):
-                if col[i]:
-                    r[i] -= q * col[i]
-        y.append((q, s))
-        start = p + 1
-    if any(r[start:]):
-        return None
-    return [q * (s // sq) for q, sq in y], s
+            s *= f
+            r[p + 1:] = [f * v for v in r[p + 1:]]
+        for i, e in tail:
+            r[i] -= q * e
+        y.append((j, q, s))
+    Y = [0] * rank
+    for j, q, sq in y:
+        Y[j] = q * (s // sq)
+    return Y, s
 
 
 def _contains(ideal, den, num):
@@ -233,7 +258,7 @@ def _contains(ideal, den, num):
     if d * gcd(*num) % o:
         return False
     r = [d * x // o for x in num]
-    return _coordinates(ideal.columns, r,
+    return _coordinates(_pivots_of(ideal), r,
                         lambda f: f & (f - 1) == 0) is not None
 
 
@@ -333,10 +358,10 @@ def map_preimage(ideal, T, in_labels):
     # qualifies
     coeffs = hnf_transform([mat_vec(K, col) for col in ideal.columns],
                            len(K))[2]
-    pre = []
+    table, pre = _pivot_table(H, ideal.dimension), []
     for c in coeffs:
         # K B c = 0 puts B c in im(T), so _coordinates finds it
-        Y, s = _coordinates(H, [den * x for x in mat_vec(B, c)],
+        Y, s = _coordinates(table, [den * x for x in mat_vec(B, c)],
                             lambda f: True)
         pre.append((s, [sum(map(mul, col, Y)) for col in zip(*U)]))
     s = lcm(*(s for s, _ in pre))

@@ -19,6 +19,8 @@ from galideal.intmat import hnf_columns
 from galideal.lattice import (
     FractionalIdeal,
     _coordinates,
+    _pivot_table,
+    _pivots_of,
     canonicalize,
     compare,
     contains_element,
@@ -572,7 +574,7 @@ def test_membership_with_two_power_pivots(data):
     # sum_j (Y_j / s) col_j = w, with Y_j / s = L y_j
     L = lcm(*(x.denominator for x in v))
     w = [int(L * d * x) for x in v]
-    Y, s = _coordinates(I.columns, list(w), lambda f: True)
+    Y, s = _coordinates(_pivots_of(I), list(w), lambda f: True)
     assert [sum(Fraction(Yj, s) * col[i] for Yj, col in zip(Y, cols))
             for i in range(n)] == w
     assert [Fraction(Yj, s) for Yj in Y] == [L * y for y in ys]
@@ -580,6 +582,140 @@ def test_membership_with_two_power_pivots(data):
     if free:
         v[data.draw(st.sampled_from(free))] += Fraction(1, 2)
         assert not contains_vector(I, v)
+
+
+def _dense_coordinates(columns, r, unit):
+    # reference for _coordinates: the same forward pass read off the
+    # columns themselves, visiting every pivot in order and scanning every
+    # column's full tail at each step
+    y = []  # (q, s) per column: y_j = q / s at the scale s of the step
+    s, start = 1, 0
+    for col in columns:
+        p = start
+        while not col[p]:
+            p += 1
+        if any(r[start:p]):
+            return None
+        q, c = r[p], col[p]
+        if q:
+            g = gcd(q, c) if c > 0 else -gcd(q, c)
+            f, q = c // g, q // g
+            if not unit(f):
+                return None
+            if f != 1:
+                s *= f
+                r[p + 1:] = [f * x for x in r[p + 1:]]
+            for i in range(p + 1, len(col)):
+                if col[i]:
+                    r[i] -= q * col[i]
+        y.append((q, s))
+        start = p + 1
+    if any(r[start:]):
+        return None
+    return [q * (s // sq) for q, sq in y], s
+
+
+def _power_of_two(f):
+    return f & (f - 1) == 0
+
+
+def _any_factor(f):
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sparse_pass_matches_the_dense_pass(data):
+    # echelon columns with pivots +-2^e o and tails of a few or of all rows
+    # below the pivot; tail entries run far past the pivots, so the columns
+    # are echelon but not reduced unless they are replaced by their HNF.
+    # r is a combination of them, perturbed at a pivot row or at a
+    # non-pivot row (then never in the Q-span), or drawn at random.
+    n = data.draw(st.integers(1, 30))
+    pivots = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=10)))
+    dense = data.draw(st.booleans())
+    entry = st.integers(-200, 200)
+    cols = []
+    for p in pivots:
+        col = [0] * n
+        col[p] = (data.draw(st.sampled_from([1, -1]))
+                  * 2 ** data.draw(st.integers(0, 4))
+                  * data.draw(st.sampled_from([1, 3, 5, 9])))
+        if dense:
+            col[p + 1:] = [data.draw(entry) for _ in range(p + 1, n)]
+        elif p < n - 1:
+            for i, x in data.draw(st.dictionaries(
+                    st.integers(p + 1, n - 1), entry, max_size=3)).items():
+                col[i] = x
+        cols.append(col)
+    if cols and data.draw(st.booleans()):
+        cols = hnf_columns(cols, n)
+    ys = data.draw(st.lists(
+        st.builds(Fraction, st.integers(-7, 7),
+                  st.sampled_from([1, 2, 4, 8, 3, 6, 5])),
+        min_size=len(cols), max_size=len(cols)))
+    v = [sum(y * col[i] for y, col in zip(ys, cols)) for i in range(n)]
+    L = lcm(*(x.denominator for x in v))
+    r = [int(L * x) for x in v]
+    free = [i for i in range(n) if i not in pivots]
+    kind = data.draw(st.sampled_from(["member", "pivot", "free", "any"]))
+    if kind == "pivot" and pivots:
+        r[data.draw(st.sampled_from(pivots))] += data.draw(st.integers(1, 15))
+    elif kind == "free" and free:
+        r[data.draw(st.sampled_from(free))] += data.draw(st.integers(1, 15))
+    elif kind == "any":
+        r = data.draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+    unit = data.draw(st.sampled_from([_power_of_two, _any_factor]))
+    found = _coordinates(_pivot_table(cols, n), list(r), unit)
+    assert found == _dense_coordinates(cols, list(r), unit)
+    if unit is _any_factor and kind == "member":
+        assert found is not None
+    if kind == "free" and free:
+        assert found is None
+
+
+def test_one_pivot_table_per_ideal(monkeypatch):
+    # the table is built by the first membership test on an ideal, never by
+    # its constructor, and then serves every later test on it
+    built, real = [], lattice._pivot_table
+
+    def counted(columns, n):
+        built.append(tuple(map(tuple, columns)))
+        return real(columns, n)
+
+    monkeypatch.setattr(lattice, "_pivot_table", counted)
+    J = ideal_J_minus(CyclotomicLevel(7, 1))
+    built.clear()
+    I = FractionalIdeal(J.labels, J.denominator, J.columns)
+    tripled = FractionalIdeal(J.labels, J.denominator,
+                              [[3 * x for x in col] for col in J.columns])
+    assert built == [] and J.denominator % 3
+    # four members, and four outside I: a member plus e_k / 3
+    vectors = [[Fraction(k + 1, 2 ** k) * x / I.denominator for x in col]
+               for k, col in enumerate(I.columns[:8])]
+    for k in range(1, 8, 2):
+        vectors[k][k] += Fraction(1, 3)
+    assert [contains_vector(I, v) for v in vectors] == [True, False] * 4
+    assert compare(tripled, I) == "subset"
+    assert built.count(I.columns) == 1
+    assert built.count(tripled.columns) <= 1
+    assert len(built) <= 2
+    # map_preimage: one table for the HNF of T, whatever the number of
+    # vectors it solves for
+    solved, real_coordinates = [], lattice._coordinates
+
+    def counted_coordinates(table, r, unit):
+        solved.append(r)
+        return real_coordinates(table, r, unit)
+
+    monkeypatch.setattr(lattice, "_coordinates", counted_coordinates)
+    amb3 = canonicalize(("x", "y", "z"), 3, [[1, 0, 0], [0, 2, 0], [0, 5, 7]])
+    for T in ([[1, 0, 0], [1, 1, 0], [0, 1, 3]], [[2, 0], [1, 1], [0, 1]]):
+        built.clear()
+        solved.clear()
+        map_preimage(amb3, T, tuple("abc"[:len(T[0])]))
+        assert len(built) == 1
+        assert len(solved) >= 2
 
 
 def test_input_checks_survive_optimize_flag():
