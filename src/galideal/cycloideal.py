@@ -1,7 +1,8 @@
 # Fractional Galois ideals for the prime-power cyclotomic family: the full
 # ideal over (Z/ell^(n+1))^*, its real-subfield version over the plus
 # quotient, and the imaginary-quadratic version over the index-2 subgroup
-# avoiding conjugation, together with the towers connecting levels.
+# avoiding conjugation, together with the tower onto the plus quotient.
+# Two levels are joined by towers.cyclotomic_tower.
 #
 # Both summands of the full ideal live in an eigenspace of conjugation, so
 # both are built on half coordinates, the residues below m/2, by one
@@ -23,7 +24,7 @@ from .lattice import (FractionalIdeal, group_labels, ideal_sum,
                       saturated_columns, scale_by, unit_ideal)
 from .stickelberger import (complex_conjugation, half_stickelberger,
                             require_imagquad_prime, stickelberger)
-from .towers import TowerDatum, cyclotomic_tower
+from .towers import TowerDatum
 
 
 def smallest_primitive_root(ell):
@@ -113,13 +114,6 @@ def plus_tower(modulus):
     return TowerDatum(unit_group(modulus), quot, quot.normalize)
 
 
-def level_tower(level_big, level_small):
-    if (level_big.ell != level_small.ell
-            or level_big.level <= level_small.level):
-        raise ValueError("%r is not above %r" % (level_big, level_small))
-    return cyclotomic_tower(level_big.modulus, level_small.modulus)
-
-
 def eigenspace_ideal(level, gens, eps):
     # Z[1/2][G]-module generated by gens, which must lie in the eps-eigenspace
     # of conjugation: x[m-a] = eps x[a]
@@ -160,12 +154,10 @@ def _half_closure(level, den, half, eps):
                             for c in columns])
 
 
-def ideal_J_minus(level, r=0, places=None):
+def ideal_J_minus(level, r=0):
     # the r-twisted Stickelberger span Z[1/2][G] theta(r), in the
     # (-1)^(1-r) eigenspace of conjugation
-    if places is None:
-        places = level.places()
-    theta = stickelberger(level.modulus, places, r)
+    theta = stickelberger(level.modulus, level.places(), r)
     return eigenspace_ideal(level, [theta], (-1) ** (1 - r))
 
 

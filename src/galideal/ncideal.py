@@ -88,13 +88,18 @@ class NCIdeal(NamedTuple):
     lattice: object       # FractionalIdeal: the left span
 
 
-def nc_ideal(G, data):
-    # the left ideal generated by norm-times-lift for each datum
+def _generators(G, data):
+    # norm-times-lift for each datum, all of which must lie over G
     for d in data:
         if d.record.group is not G:
             raise ValueError("datum lives over a different group: %r, "
                              "not %r" % (d.record.group, G))
-    gens = tuple(datum_generator(d) for d in data)
+    return tuple(datum_generator(d) for d in data)
+
+
+def nc_ideal(G, data):
+    # the left ideal generated by norm-times-lift for each datum
+    gens = _generators(G, data)
     return NCIdeal(G, gens, from_generators(G, gens))
 
 
@@ -187,7 +192,7 @@ def quotient_check(tower, data, data_small):
             witness = ("incompatible datum", t)
             break
     report = check_quotient_containment(
-        tower, nc_ideal(tower.big, data).generators,
+        tower, _generators(tower.big, data),
         nc_ideal(tower.quotient, data_small).lattice)
     if not report.passed and not witness:
         witness = ("image vector escapes", tuple(report.witness))

@@ -45,7 +45,8 @@ def test_criterion_03_base_change():
 
 
 def test_criterion_04_quotient_functoriality():
-    # pi(J) contained in J one level down, minus parts, three twists
+    # pi(theta_n(r)) = theta_(n-1)(r), three twists; J_n is generated by
+    # theta_n and pi is a surjective ring map, so pi(J_n) = J_(n-1)
     by_name = run_criterion(4, "functoriality", 10, 6)
     assert set(by_name) == {
         "pi-minus:ell=%d,level=1->0,r=%d" % (ell, r)

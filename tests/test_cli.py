@@ -178,6 +178,39 @@ def test_check_rejects_bad_parameter_values(capsys, argv, flag):
     assert err.startswith("error: " + flag + ": ")
 
 
+@pytest.mark.parametrize("argv, flag, predicted", [
+    (["--levels", "30"], "--levels", "5^31"),
+    (["--ell", "1000003"], "--ell", "1000003^2"),
+    (["--ell", "1000003", "--levels", "2"], "--ell", "1000003^3"),
+    (["--ell", "3", "--levels", "12"], "--levels", "3^13"),
+])
+def test_functoriality_refuses_a_modulus_above_its_budget(
+        capsys, monkeypatch, argv, flag, predicted):
+    # the refusal is read off the flags alone: no theta and no tower is built
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(suites, "theta", no_work)
+    monkeypatch.setattr(suites, "cyclotomic_tower", no_work)
+    code, out, err = run(capsys, ["check", "--suite", "functoriality"] + argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: %s: suite 'functoriality' builds moduli "
+                   "ell^(level+1) up to 531441, and this input predicts %s\n"
+                   % (flag, predicted))
+
+
+def test_functoriality_budget_admits_its_limit():
+    # 3^12 is the limit itself, and the defaults, which the budget repeats,
+    # are far below it
+    assert suites.FUNCTORIALITY_MAX_MODULUS == 3 ** 12
+    params = inspect.signature(suites.functoriality_suite).parameters
+    assert (params["ells"].default, params["levels"].default) == ((3, 5),
+                                                                  (1,))
+    assert suites.check_params("functoriality", ells=(3,), levels=(11,)) \
+        == ("functoriality", {"ells": (3,), "levels": (11,)})
+    assert suites.check_params("functoriality") == ("functoriality", {})
+
+
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_suite_params_match_signatures(name):
     # check_params rejects every parameter SUITE_PARAMS does not list, so a
@@ -348,21 +381,25 @@ def test_abelian_reduction_suite_reports_a_wrong_preimage(capsys,
                  "3 subgroup components")
 
 
-def test_functoriality_suite_reports_a_shrunken_ideal(capsys, monkeypatch):
-    real = suites.ideal_J_minus
+@pytest.mark.parametrize("shifted_modulus, detail", [
+    (5, "at residue 2: pi(theta_1) has 11/60, theta_0 has 71/60"),
+    (25, "at residue 2: pi(theta_1) has 71/60, theta_0 has 11/60"),
+], ids=["level-0", "level-1"])
+def test_functoriality_suite_reports_a_shifted_theta(capsys, monkeypatch,
+                                                    shifted_modulus, detail):
+    # one coefficient of theta_0(-1) or of theta_1(-1) at ell = 5 moved by
+    # 1 breaks the distribution relation at the residue it sits on
+    real = suites.theta
 
-    def tripled(level, r, places):
-        J = real(level, r, places)
-        if (level.ell, r) == (5, -1):
-            J = canonicalize(J.labels, J.denominator,
-                             [[3 * x for x in col] for col in J.columns])
-        return J
+    def shifted(m, r=0):
+        x = real(m, r)
+        if (m, r) == (shifted_modulus, -1):
+            x = x + GroupRingElement.basis(x.group, 2)
+        return x
 
-    monkeypatch.setattr(suites, "ideal_J_minus", tripled)
-    # the witness is the image pi(theta) of the level-1 element, not in 3 J
+    monkeypatch.setattr(suites, "theta", shifted)
     _check_fails(capsys, "functoriality", "pi-minus:ell=5,level=1->0,r=-1",
-                 "witness [Fraction(-1, 60), Fraction(11, 60), "
-                 "Fraction(11, 60), Fraction(-1, 60)]")
+                 detail)
 
 
 def test_integrality_suite_reports_a_divided_theta(capsys, monkeypatch):

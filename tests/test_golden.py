@@ -43,36 +43,18 @@ def test_deep_minus_lattices_keep_their_digest(argv, digest, capsys):
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
-def test_check_and_lvalue_cases_without_asserts():
-    # python -O strips asserts: every check and lvalue case prints the same
-    # bytes in one -O process, so none of their work happens in an assert
-    cases = [c for c in CASES if c["argv"][0] in ("check", "lvalue")]
-    assert len(cases) > 20
-    _run_without_asserts(cases)
-
-
-def test_brauer_map_cases_without_asserts():
-    # the same for brauer-map, whose subgroup lattices and commutator
-    # subgroups carry asserts on internal invariants
-    cases = [c for c in CASES if c["argv"][0] == "brauer-map"]
-    assert len(cases) >= 8
-    _run_without_asserts(cases)
-
-
-def test_ideal_cases_without_asserts():
-    # the same for ideal: the eigenspace lattices reject a generator off
-    # its eigenspace with a raise, so nothing they compute sits in an assert
-    cases = [c for c in CASES if c["argv"][0] == "ideal"]
-    assert len(cases) >= 13
-    _run_without_asserts(cases)
-
-
-def _run_without_asserts(cases):
+def test_every_case_without_asserts_under_a_fixed_hash_seed():
+    # python -O strips asserts, and a non-default PYTHONHASHSEED reorders
+    # every set and dict of strings: every case prints the same bytes in one
+    # such process, so none of its work happens in an assert and no output
+    # follows the hash order
+    assert {c["argv"][0] for c in CASES} == {
+        "brauer-map", "check", "ideal", "lvalue", "nc-ideal", "stickelberger"}
     script = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from galideal.cli import main
-if __debug__:
-    sys.exit("asserts are on")
+if __debug__ or os.environ["PYTHONHASHSEED"] != "123":
+    sys.exit("asserts are on, or the hash seed is not 123")
 out = []
 for argv in json.loads(sys.stdin.read()):
     buf, err = io.StringIO(), io.StringIO()
@@ -82,12 +64,12 @@ for argv in json.loads(sys.stdin.read()):
 sys.stdout.write(json.dumps(out))
 """
     proc = run_python("-O", "-c", script,
-                      input=json.dumps([c["argv"] for c in cases]),
-                      timeout=300, cwd=GOLDEN)
+                      input=json.dumps([c["argv"] for c in CASES]),
+                      timeout=300, cwd=GOLDEN, env={"PYTHONHASHSEED": "123"})
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)
-    assert len(results) == len(cases)
-    for case, (code, out, err) in zip(cases, results):
+    assert len(results) == len(CASES)
+    for case, (code, out, err) in zip(CASES, results):
         assert (code, err) == (case["exit"], ""), case["name"]
         assert out.encode() == (GOLDEN / (case["name"] + ".out")).read_bytes(), \
             case["name"]

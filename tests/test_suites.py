@@ -1,15 +1,18 @@
 # The inputs and the work of the check suites: the random group-ring
 # elements are the ones a dict of Fractions gave, draw for draw, the brauer
 # suite builds each component map once, the fixed-point suite builds each
-# tower's parts and each full ideal once, and the integrality verdicts build
-# no annihilator lattice.
+# tower's parts and each full ideal once, and the integrality, functoriality
+# and nc-ideal quotient verdicts build no lattice they do not read.
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from galideal import brauer, padic, suites, towers
+from galideal import (brauer, cycloideal, lattice, ncideal, padic, suites,
+                      towers)
+from galideal.cli import main
 from galideal.abelian import FiniteAbelianGroup, squares_subgroup, unit_group
 from galideal.groupring import GroupRingElement
 from galideal.suites import random_element, run_suite
@@ -109,3 +112,41 @@ def test_fixed_point_suite_builds_each_full_ideal_once(monkeypatch):
     calls = _counting(monkeypatch, suites, "ideal_J_full")
     assert all(r.passed for r in suites.fixed_point_suite())
     assert sorted(level.modulus for level in calls) == [3, 5, 7, 11]
+
+
+def test_functoriality_suite_builds_no_lattice(monkeypatch, capsys):
+    # the distribution relation compares two elements, so neither J_n nor
+    # J_(n-1) is built: every canonical form goes through saturated_columns
+    calls = [_counting(monkeypatch, lattice, "saturated_columns"),
+             _counting(monkeypatch, cycloideal, "saturated_columns"),
+             _counting(monkeypatch, lattice, "canonicalize")]
+    assert main(["check", "--suite", "functoriality"]) == 0
+    assert main(["check", "--suite", "functoriality", "--ell", "3",
+                 "--levels", "2"]) == 0
+    capsys.readouterr()
+    assert calls == [[], [], []]
+
+
+@pytest.mark.parametrize("levels", [7, 9])
+def test_functoriality_suite_at_depth(levels):
+    # m = 3^8 and 3^10, linear work in m: 0.02 s and 0.19 s on 2 cores of a
+    # shared VM, against more than 120 s at level 7 for the lattice route;
+    # the budget leaves room for a line tracer
+    start = time.perf_counter()
+    results = run_suite("functoriality", ells=(3,), levels=(levels,))
+    assert time.perf_counter() - start < 10
+    assert [(r.name, r.passed, r.detail) for r in results] == [
+        ("pi-minus:ell=3,level=%d->%d,r=%d" % (levels, levels - 1, r), True,
+         "") for r in (0, -1, -2)]
+
+
+def test_quotient_check_builds_no_lattice_over_the_big_group(monkeypatch):
+    # the big ideal is read only through its generators; the two S3
+    # lattices are the two-sided checks', then one per quotient group
+    calls = _counting(monkeypatch, ncideal, "from_generators")
+    checked = _counting(monkeypatch, suites, "quotient_check")
+    assert all(r.passed for r in suites.nc_ideal_suite())
+    assert len(checked) == 2
+    assert [G.order for G in calls[:2]] == [6, 6]
+    assert len(calls) == 4
+    assert all(G is t.quotient for G, t in zip(calls[2:], checked))

@@ -42,6 +42,8 @@ _REPR = ("a debugging aid, shown when a value is printed by hand or in a "
 KEPT = {
     'abelian.py AbelianCharacter.__repr__: '
     'return "AbelianCharacter(%r, %r)" % (self.group, self.tuple)': _REPR,
+    'cycloideal.py CyclotomicLevel.__repr__: '
+    'return "CyclotomicLevel(ell=%d, n=%d)" % (self.ell, self.level)': _REPR,
     'cycloideal.py PlusQuotientGroup.__repr__: '
     'return "PlusQuotientGroup(%d, order %d)" % (self.modulus, self.order)':
         _REPR,
