@@ -43,13 +43,12 @@ def test_deep_minus_lattices_keep_their_digest(argv, digest, capsys):
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
-def test_every_case_without_asserts_under_a_fixed_hash_seed():
+@pytest.fixture(scope="module")
+def without_asserts():
     # python -O strips asserts, and a non-default PYTHONHASHSEED reorders
-    # every set and dict of strings: every case prints the same bytes in one
-    # such process, so none of its work happens in an assert and no output
-    # follows the hash order
-    assert {c["argv"][0] for c in CASES} == {
-        "brauer-map", "check", "ideal", "lvalue", "nc-ideal", "stickelberger"}
+    # every set and dict of strings: every case runs once in one such
+    # process, and the tests below compare its bytes with the corpus, so none
+    # of the work happens in an assert and no output follows the hash order
     script = """
 import contextlib, io, json, os, sys
 from galideal.cli import main
@@ -69,7 +68,40 @@ sys.stdout.write(json.dumps(out))
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)
     assert len(results) == len(CASES)
-    for case, (code, out, err) in zip(CASES, results):
+    return {case["name"]: result for case, result in zip(CASES, results)}
+
+
+def _same_without_asserts(cases, results):
+    for case in cases:
+        code, out, err = results[case["name"]]
         assert (code, err) == (case["exit"], ""), case["name"]
         assert out.encode() == (GOLDEN / (case["name"] + ".out")).read_bytes(), \
             case["name"]
+
+
+def test_every_case_without_asserts_under_a_fixed_hash_seed(without_asserts):
+    assert {c["argv"][0] for c in CASES} == {
+        "brauer-map", "check", "ideal", "lvalue", "nc-ideal", "stickelberger"}
+    _same_without_asserts(CASES, without_asserts)
+
+
+def test_check_and_lvalue_cases_without_asserts(without_asserts):
+    cases = [c for c in CASES if c["argv"][0] in ("check", "lvalue")]
+    assert len(cases) > 20
+    _same_without_asserts(cases, without_asserts)
+
+
+def test_brauer_map_cases_without_asserts(without_asserts):
+    # subgroup lattices and commutator subgroups carry asserts on internal
+    # invariants
+    cases = [c for c in CASES if c["argv"][0] == "brauer-map"]
+    assert len(cases) >= 8
+    _same_without_asserts(cases, without_asserts)
+
+
+def test_ideal_cases_without_asserts(without_asserts):
+    # the eigenspace lattices reject a generator off its eigenspace with a
+    # raise, so nothing they compute sits in an assert
+    cases = [c for c in CASES if c["argv"][0] == "ideal"]
+    assert len(cases) >= 13
+    _same_without_asserts(cases, without_asserts)
