@@ -39,8 +39,8 @@ _FLAGS = {
               "units": str},
     "brauer-map": {"group": str, "cayley": str, "certify": bool},
     "nc-ideal": {"group": str, "cayley": str, "data": str},
-    "check": {"suite": str, "ell": int, "levels": int, "r": int,
-              "seed": int, "count": int, "max-modulus": int},
+    "check": {"suite": str, "ell": int, "levels": int, "seed": int,
+              "max-modulus": int},
 }
 
 _HELP = {
@@ -421,9 +421,7 @@ def cmd_check(args):
     params = {
         "ells": (args.ell,) if args.ell is not None else None,
         "levels": (args.levels,) if args.levels is not None else None,
-        "rs": (args.r,) if args.r is not None else None,
         "seed": args.seed,
-        "count": args.count,
         "max_modulus": args.max_modulus,
     }
     if suite == "all":
@@ -436,11 +434,9 @@ def cmd_check(args):
         except ValueError as e:
             raise UsageError(str(e))
         results = SUITES[name](**kwargs)
-    inputs = {"suite": suite}
-    for key in ("ell", "levels", "r", "seed", "count", "max_modulus"):
-        value = getattr(args, key)
-        if value is not None:
-            inputs[key.replace("_", "-")] = value
+    inputs = {key: getattr(args, _dest(key)) for key in _FLAGS["check"]
+              if getattr(args, _dest(key)) is not None}
+    inputs["suite"] = suite
     failures = [r for r in results if not r.passed]
     report = {
         "command": "check",

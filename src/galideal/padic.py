@@ -143,18 +143,14 @@ class TorsionAnnihilator(NamedTuple):
 
 def torsion_exponent(m, ell, r):
     # largest k such that a^(1-r) = 1 mod ell^k whenever a = 1 mod
-    # ell^min(k, v_ell(m)); the order of the twisted cyclotomic torsion
-    vm = valuation(m, ell)
-
-    def holds(k):
-        step = ell ** min(k, vm)
-        mod = ell ** k
-        return all(pow(a, 1 - r, mod) == 1 for a in range(1, mod + 1, step))
-
-    k = vm  # automatic below vm: a = 1 mod ell^k forces a^(1-r) = 1 mod ell^k
-    while holds(k + 1):
-        k += 1
-    return k
+    # ell^min(k, v), v = v_ell(m); the order of the twisted cyclotomic
+    # torsion.  For ell odd, v >= 1 and r != 1, lifting the exponent gives
+    # v_ell(a^(1-r) - 1) = v + v_ell(1 - r) at a = 1 + ell^v u, u a unit,
+    # the least over all such a, so k = v + v_ell(1 - r)
+    if not (ell % 2 and is_prime(ell) and m % ell == 0 and r != 1):
+        raise ValueError("need an odd prime ell dividing m and r != 1, got "
+                         "m = %d, ell = %d, r = %d" % (m, ell, r))
+    return valuation(m, ell) + valuation(1 - r, ell)
 
 
 def torsion_annihilator(m, ell, r):

@@ -9,10 +9,11 @@ from math import lcm
 from typing import NamedTuple
 
 from .abelian import FiniteAbelianGroup, squares_subgroup, unit_group
-from .brauer import (alternating4, bgstar, component_images,
-                     conjugation_consistency, dihedral4, duality_certificate,
-                     from_group, nonabelian_J, quaternion8, quotient_group,
-                     quotient_naturality, subgroup_lattice, symmetric3)
+from .brauer import (SUBGROUP_ORDER_BUDGET, alternating4, bgstar,
+                     component_images, conjugation_consistency, dihedral4,
+                     duality_certificate, from_group, nonabelian_J,
+                     quaternion8, quotient_group, quotient_naturality,
+                     subgroup_lattice, symmetric3)
 from .cycloideal import (CyclotomicLevel, ideal_J_full, ideal_J_imagquad,
                          ideal_J_real, plus_tower)
 from .cyclotomic import CyclotomicNumber
@@ -60,10 +61,10 @@ def random_element(rng, group, top, bottom):
 # ---------------------------------------------------------------------------
 # 1. (1 - c) theta-tilde = theta
 
-def half_stickelberger_suite(ells=(7, 11, 19, 23), levels=(0, 1)):
+def half_stickelberger_suite():
     out = []
-    for ell in ells:
-        for n in levels:
+    for ell in (7, 11, 19, 23):
+        for n in (0, 1):
             m = ell ** (n + 1)
             g = unit_group(m)
             ht = include_subgroup(half_stickelberger(m), g)
@@ -78,9 +79,9 @@ def half_stickelberger_suite(ells=(7, 11, 19, 23), levels=(0, 1)):
 # ---------------------------------------------------------------------------
 # 2. L_S(0, rho psi) = 2 psi|_H(tau theta-tilde) for every even psi
 
-def lvalue_identity_suite(ells=(7, 11)):
+def lvalue_identity_suite():
     out = []
-    for ell in ells:
+    for ell in (7, 11):
         g = unit_group(ell)
         h = squares_subgroup(ell)
         rho = quadratic_character(g)
@@ -102,9 +103,9 @@ def lvalue_identity_suite(ells=(7, 11)):
 # ---------------------------------------------------------------------------
 # 3. tau(B)^{-1} = 2 theta-tilde
 
-def base_change_suite(ells=(7, 11)):
+def base_change_suite():
     out = []
-    for ell in ells:
+    for ell in (7, 11):
         b = base_change_element(ell)
         ok = invert_unit(b.tau()) == half_stickelberger(ell).scale(2)
         out.append(CheckResult("base-change", "tau-inverse:ell=%d" % ell,
@@ -120,13 +121,13 @@ def base_change_suite(ells=(7, 11)):
 #    pi(J_n) = Z[1/2][G_(n-1)] pi(theta_n) = J_(n-1), an equality of ideals
 #    that needs neither lattice built
 
-def functoriality_suite(ells=(3, 5), levels=(1,), rs=(0, -1, -2)):
+def functoriality_suite(ells=(3, 5), levels=(1,)):
     out = []
     for ell in ells:
         for n in levels:
             big, small = ell ** (n + 1), ell ** n
             tow = cyclotomic_tower(big, small)
-            for r in rs:
+            for r in (0, -1, -2):
                 image = apply_quotient(tow, theta(big, r))
                 target = theta(small, r)
                 passed = image == target
@@ -146,7 +147,7 @@ def functoriality_suite(ells=(3, 5), levels=(1,), rs=(0, -1, -2)):
 # ---------------------------------------------------------------------------
 # 5. determinant identity for induced matrices
 
-def induced_det_suite(count=100, seed=2026):
+def induced_det_suite(seed=2026):
     cases = [
         ("1<C2", FiniteAbelianGroup(()), FiniteAbelianGroup((2,)),
          lambda _: (0,)),
@@ -161,7 +162,7 @@ def induced_det_suite(count=100, seed=2026):
     out = []
     for name, H, G, embed in cases:
         bad = None
-        for i in range(count):
+        for i in range(100):
             n = rng.choice([1, 2])
             M = [[random_element(rng, H, 3, 4) for _ in range(n)]
                  for _ in range(n)]
@@ -171,7 +172,7 @@ def induced_det_suite(count=100, seed=2026):
                 break
         out.append(CheckResult(
             "induced-det", "det:%s" % name, bad is None,
-            "%d random matrices" % count if bad is None
+            "100 random matrices" if bad is None
             else "mismatch at matrix %d" % bad))
     return out
 
@@ -330,11 +331,11 @@ def abelian_reduction_suite(ells=(3, 5)):
 # ---------------------------------------------------------------------------
 # 9. annihilator integrality
 
-def integrality_suite(ells=(3, 5, 7), rs=(-1, -2)):
+def integrality_suite(ells=(3, 5, 7)):
     out = []
     for ell in ells:
         for m in (ell, ell * ell):
-            for r in rs:
+            for r in (-1, -2):
                 ok, worst, witness = annihilator_integrality(
                     m, ell, r, theta(m, r))
                 out.append(CheckResult(
@@ -403,13 +404,13 @@ def nc_ideal_suite():
 # ---------------------------------------------------------------------------
 # 11. oracle cross-checks
 
-def oracles_suite(max_modulus=30, rs=(0, -1, -2, -3)):
+def oracles_suite(max_modulus=30):
     out = []
     bad = None
     count = 0
     for m in range(1, max_modulus + 1):
         s = ramified_places(m)
-        for r in rs:
+        for r in (0, -1, -2, -3):
             count += 1
             if stickelberger(m, s, r) != stickelberger_by_characters(m, s, r):
                 bad = (m, r)
@@ -483,44 +484,47 @@ SUITE_ALIASES = {
 # the rule its values must satisfy: (predicate, what it asks for)
 _ANY = (lambda v: True, "an integer")
 _ODD_PRIME = (lambda v: v > 2 and is_prime(v), "an odd prime")
-_PRIME_3_MOD_4 = (lambda v: v % 4 == 3 and is_prime(v), "a prime = 3 (mod 4)")
-_PRIME_3_MOD_4_ABOVE_3 = (lambda v: v > 3 and v % 4 == 3 and is_prime(v),
-                          "a prime = 3 (mod 4), larger than 3")
 
 
 def _at_least(k):
     return (lambda v: v >= k, "an integer >= %d" % k)
 
 
-def _at_most(k):
-    return (lambda v: v <= k, "an integer <= %d" % k)
+def _odd_prime_with(size, what, limit):
+    # an odd prime ell with size(ell) <= limit, size tested before primality
+    return (lambda v: size(v) <= limit and v > 2 and is_prime(v),
+            "an odd prime with %s <= %d" % (what, limit))
 
+
+# the largest modulus ell^2 the integrality suite builds, at a cost growing
+# as ell^4: 1.6 s at the limit ell = 31, 5.0 s at 43 (cold, 2-core shared VM)
+INTEGRALITY_MAX_MODULUS = 31 ** 2
 
 SUITE_PARAMS = {
-    "half-stickelberger": {"ells": _PRIME_3_MOD_4, "levels": _at_least(0)},
-    "lvalue-identity": {"ells": _PRIME_3_MOD_4},
-    "base-change": {"ells": _PRIME_3_MOD_4_ABOVE_3},
-    "functoriality": {"ells": _ODD_PRIME, "levels": _at_least(1),
-                      "rs": _at_most(0)},
-    "induced-det": {"count": _at_least(1), "seed": _ANY},
+    "half-stickelberger": {},
+    "lvalue-identity": {},
+    "base-change": {},
+    "functoriality": {"ells": _ODD_PRIME, "levels": _at_least(1)},
+    "induced-det": {"seed": _ANY},
     "fixed-point": {"seed": _ANY},
     "brauer": {},
-    "abelian-reduction": {"ells": _ODD_PRIME},
-    "integrality": {"ells": _ODD_PRIME, "rs": _at_most(-1)},
+    "abelian-reduction": {"ells": _odd_prime_with(
+        lambda v: v - 1, "group order ell - 1", SUBGROUP_ORDER_BUDGET)},
+    "integrality": {"ells": _odd_prime_with(
+        lambda v: v * v, "modulus ell^2", INTEGRALITY_MAX_MODULUS)},
     "nc-ideal": {},
-    "oracles": {"max_modulus": _at_least(1), "rs": _at_most(0)},
+    "oracles": {"max_modulus": _at_least(1)},
     "rank": {},
 }
 
 # the command-line flag that carries each parameter
-PARAM_FLAGS = {"ells": "--ell", "levels": "--levels", "rs": "--r",
-               "count": "--count", "seed": "--seed",
+PARAM_FLAGS = {"ells": "--ell", "levels": "--levels", "seed": "--seed",
                "max_modulus": "--max-modulus"}
 
 
 # the largest modulus ell^(level+1) the functoriality suite builds: its
-# cost is linear in the modulus, about 1.6 s and 133 MB of peak RSS at the
-# limit on 2 cores of a shared VM
+# cost is linear in the modulus, 1.3-1.8 s and 122 MB of peak RSS at the
+# limit, one cold process each on 2 cores of a shared VM
 FUNCTORIALITY_MAX_MODULUS = 3 ** 12
 
 
@@ -546,8 +550,8 @@ def check_params(name, **params):
     # not given); raises ValueError, before any of the suite's work starts,
     # on an unknown suite, then on the first parameter in the order given
     # that the suite does not take, naming the suite as given, then on the
-    # first value it cannot take, each time naming the flag, and last on an
-    # input above the suite's size budget.  The list of names offered
+    # first value it cannot take, each time naming the flag, and last on a
+    # functoriality input above its size budget.  The list of names offered
     # includes the CLI's "all" (check --suite all)
     canonical = SUITE_ALIASES.get(name, name)
     if canonical not in SUITES:

@@ -62,11 +62,12 @@ class TowerDatum(NamedTuple):
 
 
 def cyclotomic_tower(m_big, m_small):
-    # (Z/m_big)^* -> (Z/m_small)^* by reduction; m_small | m_big
+    # (Z/m_big)^* -> (Z/m_small)^* by reduction; m_small | m_big makes it a
+    # surjective homomorphism, so it needs no validate()
     if m_big % m_small:
         raise ValueError("modulus %d does not divide %d" % (m_small, m_big))
     return TowerDatum(unit_group(m_big), unit_group(m_small),
-                      lambda a: a % m_small).validate()
+                      lambda a: a % m_small)
 
 
 # --- quotient map pi ---

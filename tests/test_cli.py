@@ -165,9 +165,9 @@ def test_check_rejects_wrong_parameter_for_suite(capsys):
 
 @pytest.mark.parametrize("argv, flag", [
     (["--suite", "functoriality", "--levels", "0"], "--levels"),
-    (["--suite", "half-stickelberger", "--ell", "4"], "--ell"),
-    (["--suite", "base-change", "--ell", "5"], "--ell"),
-    (["--suite", "integrality", "--r", "0"], "--r"),
+    (["--suite", "abelian-reduction", "--ell", "4"], "--ell"),
+    (["--suite", "integrality", "--ell", "9"], "--ell"),
+    (["--suite", "oracles", "--max-modulus", "0"], "--max-modulus"),
 ])
 def test_check_rejects_bad_parameter_values(capsys, argv, flag):
     # a value the suite cannot take is a usage error (exit 2), never a
@@ -176,6 +176,69 @@ def test_check_rejects_bad_parameter_values(capsys, argv, flag):
     assert code == 2
     assert out == ""
     assert err.startswith("error: " + flag + ": ")
+
+
+_BUDGET = brauer.SUBGROUP_ORDER_BUDGET
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["functoriality", "--r", "-1"], "--r is not a flag of check"),
+    (["integrality", "--r", "-3"], "--r is not a flag of check"),
+    (["oracles", "--r", "-4"], "--r is not a flag of check"),
+    (["induced-det", "--count", "100000"], "--count is not a flag of check"),
+    (["half-stickelberger", "--ell", "263"],
+     "--ell: suite 'half-stickelberger' does not accept this flag"),
+    (["half-stickelberger", "--levels", "2"],
+     "--levels: suite 'half-stickelberger' does not accept this flag"),
+    (["lvalue-identity", "--ell", "263"],
+     "--ell: suite 'lvalue-identity' does not accept this flag"),
+    (["base-change", "--ell", "263"],
+     "--ell: suite 'base-change' does not accept this flag"),
+    # (Z/ell)^* has order ell - 1 above the subgroup budget, which bgstar
+    # refused with a traceback only after the ideal was built
+    (["abelian-reduction", "--ell", "37"],
+     "--ell: suite 'abelian-reduction' needs an odd prime with group order "
+     "ell - 1 <= %d, got 37" % _BUDGET),
+    (["abelian-reduction", "--ell", "1000003"],
+     "--ell: suite 'abelian-reduction' needs an odd prime with group order "
+     "ell - 1 <= %d, got 1000003" % _BUDGET),
+    # theta at m = ell^2 times phi(m) + 1 generators, in time growing as
+    # ell^4; the size is compared before primality, so 10^30 is refused too
+    (["integrality", "--ell", "37"],
+     "--ell: suite 'integrality' needs an odd prime with modulus ell^2 <= "
+     "961, got 37"),
+    (["integrality", "--ell", "1009"],
+     "--ell: suite 'integrality' needs an odd prime with modulus ell^2 <= "
+     "961, got 1009"),
+    (["integrality", "--ell", str(10 ** 30)],
+     "--ell: suite 'integrality' needs an odd prime with modulus ell^2 <= "
+     "961, got %d" % 10 ** 30),
+], ids=["functoriality-r", "integrality-r", "oracles-r", "induced-det-count",
+        "half-stickelberger-ell", "half-stickelberger-levels",
+        "lvalue-identity-ell", "base-change-ell", "abelian-reduction-37",
+        "abelian-reduction-1000003", "integrality-37", "integrality-1009",
+        "integrality-10^30"])
+def test_check_refuses_before_any_suite_work(capsys, monkeypatch, argv,
+                                             message):
+    # check --r and --count are gone, three suites no longer take --ell or
+    # --levels, and two bound --ell by a size: each refusal is one error
+    # line with exit 2, and no suite, bgstar or theta runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, no_work)
+    monkeypatch.setattr(suites, "bgstar", no_work)
+    monkeypatch.setattr(suites, "theta", no_work)
+    code, out, err = run(capsys, ["check", "--suite"] + argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_integrality_budget_admits_its_limit():
+    # 31 is the largest prime with 31^2 <= 961
+    assert suites.INTEGRALITY_MAX_MODULUS == 31 ** 2
+    assert suites.check_params("integrality", ells=(31,)) \
+        == ("integrality", {"ells": (31,)})
 
 
 @pytest.mark.parametrize("argv, flag, predicted", [
@@ -225,7 +288,7 @@ def test_run_suite_rejects_parameter_the_suite_does_not_take():
     # its flag, and the suite as it was given
     with pytest.raises(ValueError, match="^--ell: suite 'annihilator' does "
                                          "not accept this flag$"):
-        run_suite("annihilator", ells=(3,), count=2, seed=None)
+        run_suite("annihilator", ells=(3,), levels=(2,), seed=None)
     # a keyword that is no flag at all is named as given
     with pytest.raises(ValueError, match="^foo: suite 'rank' does not "
                                          "accept this flag$"):
@@ -1283,8 +1346,8 @@ def test_parse_matches_argparse_reference(capsys, argv):
     (["brauer-map", "--cert", "--group", "S3"],
      {"group": "S3", "cayley": None, "certify": True}),
     (["check", "--max", "-1", "--su", "oracles"],
-     {"suite": "oracles", "ell": None, "levels": None, "r": None,
-      "seed": None, "count": None, "max_modulus": -1}),
+     {"suite": "oracles", "ell": None, "levels": None, "seed": None,
+      "max_modulus": -1}),
 ])
 def test_flag_grammar(argv, expected):
     # --flag VALUE, --flag=VALUE, unique prefixes, the last of a repeated

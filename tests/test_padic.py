@@ -152,17 +152,43 @@ def test_projection_detects_starved_precision():
     assert not pr.certified
 
 
+def _torsion_exponent_by_search(m, ell, r):
+    # the definition read directly: the largest k with a^(1-r) = 1 mod ell^k
+    # for every a = 1 mod ell^min(k, v_ell(m)), searched upward from v_ell(m)
+    vm = valuation(m, ell)
+
+    def holds(k):
+        step = ell ** min(k, vm)
+        mod = ell ** k
+        return all(pow(a, 1 - r, mod) == 1 for a in range(1, mod + 1, step))
+
+    k = vm
+    while holds(k + 1):
+        k += 1
+    return k
+
+
 def test_torsion_exponent_values():
     assert torsion_exponent(3, 3, -1) == 1
     assert torsion_exponent(9, 3, -1) == 2
     assert torsion_exponent(5, 5, -1) == 1
-    # matches v_ell(m) + v_ell(1 - r) across the board
+    assert torsion_exponent(9, 3, -2) == 3
+    # the closed form v_ell(m) + v_ell(1 - r) against the search, at twists
+    # with v_ell(1 - r) from 0 to 2, positive r included, and at moduli
+    # with a cofactor prime to ell
     for ell in (3, 5, 7):
-        for m in (ell, ell * ell):
-            for r in (-1, -2, -3, -4):
-                expect = valuation(m, ell) + (valuation(1 - r, ell)
-                                              if (1 - r) % ell == 0 else 0)
-                assert torsion_exponent(m, ell, r) == expect
+        for m in (ell, ell * ell, ell ** 3, 2 * ell, 4 * ell * ell):
+            for r in (-1, -2, -3, -4, 1 - ell, 1 - ell * ell, 1 + ell, 3):
+                assert torsion_exponent(m, ell, r) == \
+                    _torsion_exponent_by_search(m, ell, r), (m, ell, r)
+
+
+def test_torsion_exponent_rejects_inputs_outside_its_hypotheses():
+    # an even or composite ell, an ell not dividing m, and r = 1 (where the
+    # search never ended) are refused
+    for m, ell, r in ((8, 2, -1), (81, 9, -1), (10, 3, -1), (9, 3, 1)):
+        with pytest.raises(ValueError):
+            torsion_exponent(m, ell, r)
 
 
 def test_torsion_annihilator_mod_3():

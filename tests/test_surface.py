@@ -18,11 +18,14 @@
 # and are not checked.
 
 import ast
+import json
 from pathlib import Path
 
-from galideal.suites import SUITE_PARAMS, SUITES
+from galideal.cli import parse_argv
+from galideal.suites import PARAM_FLAGS, SUITE_ALIASES, SUITE_PARAMS, SUITES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "galideal"
+GOLDEN_CASES = Path(__file__).resolve().parent / "golden" / "cases.json"
 
 # kept for README's promises, the benchmark worker or the CLI's file format
 KEPT_FOR_TESTS = {
@@ -249,3 +252,24 @@ def test_every_default_is_set_by_some_call():
     # an exception that a call now sets, or whose parameter is gone,
     # leaves the list
     assert sorted(k for k in KEPT_PARAMS if k not in unset) == []
+
+
+def test_every_suite_parameter_is_set_by_a_golden_case():
+    # the suite parameters are the knobs check hands to users: each
+    # (suite, parameter) pair check_params admits is set, through its
+    # PARAM_FLAGS flag, by some golden case, so a knob that only tests reach
+    # fails here, as a default that only tests reach fails above
+    set_by_case = set()
+    for case in json.loads(GOLDEN_CASES.read_text()):
+        if case["argv"][0] != "check":
+            continue
+        args = parse_argv(case["argv"])
+        suite = SUITE_ALIASES.get(args.suite, args.suite)
+        for param, flag in PARAM_FLAGS.items():
+            if getattr(args, flag[2:].replace("-", "_"), None) is not None:
+                set_by_case.add((suite, param))
+    admitted = {(suite, param) for suite, params in SUITE_PARAMS.items()
+                for param in params}
+    assert sorted(admitted - set_by_case) == []
+    # and every flag carries some suite's parameter
+    assert {param for _, param in admitted} == set(PARAM_FLAGS)

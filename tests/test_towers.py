@@ -82,6 +82,16 @@ def test_quotient_map_c4():
     assert apply_quotient(t, x * y) == apply_quotient(t, x) * apply_quotient(t, y)
 
 
+def test_reduction_towers_need_no_validation():
+    # cyclotomic_tower skips validate(): reduction mod m_small is a
+    # surjective homomorphism whenever m_small | m_big, as the walk confirms
+    # at prime powers, mixed moduli and the trivial quotient
+    for big, small in ((9, 3), (27, 3), (8, 2), (16, 4), (12, 4), (15, 5),
+                       (24, 8), (60, 12), (7, 1)):
+        t = cyclotomic_tower(big, small)
+        assert t.validate() is t, (big, small)
+
+
 def test_quotient_carries_stickelberger_down():
     # the distribution relation: with S = {ell} at both levels,
     # pi(theta_big) = theta_small exactly, for levels 1-3 and r = 0, -1, -2
