@@ -146,30 +146,36 @@ def from_exponents(n, acc, den=1):
     return _make(n, _reduce(n, acc), den)
 
 
-def rational_sums(n, values, columns):
-    # (nums, den) with nums[j] / den = Sigma_i v_i zeta_n^(k_i) for the j-th
-    # column (k_0, k_1, ...) of exponents in [0, n), up to the first sum that
-    # is not rational: a short nums names it.  The CyclotomicNumbers v_i are
-    # put over one order M, a multiple of n, and one den, so a sum is one
-    # rotation per value and one reduction mod Phi_M, and it is rational
-    # exactly when its coordinates past the first vanish.
-    M = lcm(n, *(v.order for v in values))
-    den = lcm(*(v.den for v in values))
-    step = M // n
-    terms = [[(i * (M // v.order), a * (den // v.den))
-              for i, a in enumerate(v.nums) if a] for v in values]
+def _product(p, q):
+    # the convolution of two numerator rows (integer lists), unreduced
+    qt = [(j, y) for j, y in enumerate(q) if y]
+    acc = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        if x:
+            for j, y in qt:
+                acc[i + j] += x * y
+    return acc
+
+
+def rational_sums(m, rows, columns, step=1):
+    # nums[j] = Sigma_i r_i zeta_m^(step k_i) for the j-th column (k_0, ...)
+    # of exponents and numerator rows r_i, step k_i < m, up to the first sum
+    # that is not rational (its coordinates past the first do not vanish):
+    # a short nums names it.  A sum is one rotation per row, reduced once.
+    terms = [[(i, a) for i, a in enumerate(row) if a] for row in rows]
+    width = m + max(map(len, rows))  # _reduce folds positions past m
     nums = []
     for column in columns:
-        acc = [0] * (2 * M)  # positions below 2M; _reduce folds mod M
-        for k, vterms in zip(column, terms):
+        acc = [0] * width
+        for k, rterms in zip(column, terms):
             s = k * step
-            for i, a in vterms:
+            for i, a in rterms:
                 acc[i + s] += a
-        out = _reduce(M, acc)
+        out = _reduce(m, acc)
         if any(out[1:]):
             break
         nums.append(out[0])
-    return nums, den
+    return nums
 
 
 class CyclotomicNumber:
@@ -294,13 +300,7 @@ class CyclotomicNumber:
         if n != b.order:
             n = lcm(n, b.order)
             p, q = a._at(n), b._at(n)
-        qt = [(j, y) for j, y in enumerate(q) if y]
-        prod = [0] * (len(p) + len(q) - 1)
-        for i, x in enumerate(p):
-            if x:
-                for j, y in qt:
-                    prod[i + j] += x * y
-        return _make(n, _reduce(n, prod), den)
+        return _make(n, _reduce(n, _product(p, q)), den)
 
     __rmul__ = __mul__
 

@@ -7,13 +7,14 @@
 #                        the values are not Galois-equivariant (detected as
 #                        non-rational assembled coefficients)
 #   det_over_group_ring  determinant via character-wise evaluation, each one
-#                        fraction-free (Bareiss)
+#                        fraction-free (Bareiss) on numerator rows
 #
-# psi_eval and lambda_assemble read a character through its exponent row
-# (chi.row[i] = k with chi(group.elements[i]) = zeta_N^k, built once per
-# character and kept with the group's cached characters): each sum is one
-# integer accumulator reduced once, never a chain of cyclotomic products,
-# and no exponent is recomputed per element.
+# One table per group (`_table`) holds each character's exponent row
+# (chi.row[i] = k with chi(group.elements[i]) = zeta_N^k) and the assembly
+# columns; both directions assemble through cyclotomic's `rational_sums`.
+# Determinants alone also keep each character's values at the elements as
+# coordinates (|G|^2 phi(N) numbers): they run on numerator rows at order N
+# and below 3 x 3 build no CyclotomicNumber.
 #
 # An element is `nums`, |G| integers indexed by group.index, over one
 # denominator den > 0 with gcd(den, nums) = 1.  Sums add numerators, tau
@@ -25,10 +26,12 @@
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .abelian import closure
-from .cyclotomic import CyclotomicNumber, from_exponents, rational_sums
+from .cyclotomic import (CyclotomicNumber, _product, _reduce, from_exponents,
+                         rational_sums)
 
 
 def _coerce(value):
@@ -178,21 +181,33 @@ def psi_eval(x, chi):
     return from_exponents(chi.root_order, acc, x.den)
 
 
+def _table(group):
+    # (N, exponent rows, assembly columns) of the characters, kept on the
+    # group: as |G| x_g = Sigma_chi psi(chi) chi(g^-1), column i reads g_i^-1
+    kept = getattr(group, "_character_table", None)
+    if kept is None:
+        chars = group.characters()
+        rows = [chi.row for chi in chars]
+        columns = list(zip(*rows))
+        kept = group._character_table = (chars[0].root_order, rows, [
+            columns[group.index(group.inv(g))] for g in group.elements])
+    return kept
+
+
 def lambda_assemble(group, h):
     # Inverse of psi_eval: builds the unique x with psi_eval(x, chi) = h(chi)
     # for every character chi.  h: callable on characters, or dict keyed by
     # them.  Raises ValueError when the assembled coefficients fail to be
     # rational, which is exactly failure of Galois equivariance of h.
-    chars = group.characters()
-    values = [h[chi] if isinstance(h, dict) else h(chi) for chi in chars]
-    # |G| x_g = Sigma_chi h(chi) chi(g^-1), so column i lists the exponent
-    # of every chi at the inverse of elements[i]; kept on the group with chars
-    kept = getattr(group, "_inverse_columns", None)
-    if kept is None or kept[0] is not chars:
-        columns = list(zip(*(chi.row for chi in chars)))
-        kept = group._inverse_columns = (chars, [
-            columns[group.index(group.inv(g))] for g in group.elements])
-    nums, den = rational_sums(chars[0].root_order, values, kept[1])
+    values = [h[chi] if isinstance(h, dict) else h(chi)
+              for chi in group.characters()]
+    N, _, columns = _table(group)
+    M = lcm(N, *(v.order for v in values))
+    den = lcm(*(v.den for v in values))
+    rows = [[0] * ((len(v.nums) - 1) * (M // v.order) + 1) for v in values]
+    for row, v in zip(rows, values):
+        row[::M // v.order] = [a * (den // v.den) for a in v.nums]
+    nums = rational_sums(M, rows, columns, M // N)
     if len(nums) < group.order:
         raise ValueError(
             "character values are not Galois-equivariant: coefficient at %s "
@@ -216,38 +231,56 @@ def invert_unit(x):
     return lambda_assemble(x.group, {chi: v.inverse() for chi, v in comps.items()})
 
 
-def _field_det(M):
-    # determinant of a square matrix of CyclotomicNumbers, fraction-free
-    # (Bareiss): after step c the entries below and right of the pivot are
-    # 2 x 2 minors divided exactly by the previous pivot, so the last entry
-    # is the determinant and only steps past the first invert a pivot
-    n = len(M)
-    M = [row[:] for row in M]
-    sign, prev = 1, None
+def _bareiss(N, A):
+    # determinant of a square matrix of numerator rows at order N, fraction-
+    # free: after step c the entries below and right of the pivot are 2 x 2
+    # minors divided exactly by the previous pivot, through its inverse q / d
+    n, prev = len(A), None
     for c in range(n - 1):
-        piv = next((r for r in range(c, n) if not M[r][c].is_zero()), None)
+        piv = next((r for r in range(c, n) if any(A[r][c])), None)
         if piv is None:
-            return CyclotomicNumber.zero()
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            sign = -sign
-        p = M[c][c]
-        inv = None if prev is None else prev.inverse()
+            return A[c][c]  # zero, as is column c from row c down
+        if piv != c:  # a swap that negates one row keeps the determinant
+            A[c], A[piv] = A[piv], [[-s for s in e] for e in A[c]]
+        p = A[c][c]
+        if prev is not None:
+            inv = from_exponents(N, prev).inverse()
+            q, d = inv._at(N), inv.den
         for r in range(c + 1, n):
-            f = M[r][c]
-            row = [p * a - f * b for a, b in zip(M[r][c + 1:], M[c][c + 1:])]
-            M[r][c + 1:] = row if inv is None else [a * inv for a in row]
+            f = A[r][c]
+            row = [_reduce(N, [s - t for s, t in
+                               zip(_product(p, a), _product(f, b))])
+                   for a, b in zip(A[r][c + 1:], A[c][c + 1:])]
+            if prev is not None:
+                row = [[s // d for s in _reduce(N, _product(e, q))]
+                       for e in row]
+            A[r][c + 1:] = row
         prev = p
-    return M[n - 1][n - 1] if sign > 0 else -M[n - 1][n - 1]
+    return A[n - 1][n - 1]
 
 
 def det_over_group_ring(M):
-    # determinant of a square matrix over Q[G], computed one character at a
-    # time and reassembled; exact, and multiplicative by construction
-    if any(len(row) != len(M) for row in M):
+    # determinant over Q[G], one character at a time and reassembled: over
+    # one denominator D, Bareiss yields D^n times each (equivariant) value
+    n = len(M)
+    if not n:
+        raise ValueError("empty matrix: a determinant needs at least one row")
+    if any(len(row) != n for row in M):
         raise ValueError("non-square matrix")
-    return lambda_assemble(M[0][0].group, lambda chi: _field_det(
-        [[psi_eval(x, chi) for x in row] for row in M]))
+    group = M[0][0].group
+    if any(x.group != group for row in M for x in row):
+        raise ValueError("an entry lies outside Q[%r]" % (group,))
+    N, rows, columns = _table(group)
+    W = getattr(group, "_coordinate_table", None)
+    if W is None:  # W[c][t][i] = coordinate t of chi_c(g_i)
+        z = [_reduce(N, [0] * k + [1]) for k in range(N)]  # zeta_N^k
+        W = group._coordinate_table = [
+            [[z[k][t] for k in row] for t in range(len(z[0]))] for row in rows]
+    D = lcm(*(x.den for row in M for x in row))
+    S = [[[a * (D // x.den) for a in x.nums] for x in row] for row in M]
+    dets = [_bareiss(N, [[[sum(map(mul, s, w)) for w in Wc] for s in row]
+                         for row in S]) for Wc in W]
+    return _make(group, rational_sums(N, dets, columns), D ** n * group.order)
 
 
 def generating_set(group):

@@ -481,19 +481,24 @@ SUITE_ALIASES = {
 }
 
 # which keyword parameters each suite accepts from the outside, each with
-# the rule its values must satisfy: (predicate, what it asks for)
-_ANY = (lambda v: True, "an integer")
-_ODD_PRIME = (lambda v: v > 2 and is_prime(v), "an odd prime")
+# the rule its values must satisfy: (predicate, what it asks for, how a
+# refusal names the value given)
+_GOT = "got %d".__mod__
+_ANY = (lambda v: True, "an integer", _GOT)
+_ODD_PRIME = (lambda v: v > 2 and is_prime(v), "an odd prime", _GOT)
 
 
 def _at_least(k):
-    return (lambda v: v >= k, "an integer >= %d" % k)
+    return (lambda v: v >= k, "an integer >= %d" % k, _GOT)
 
 
 def _odd_prime_with(size, what, limit):
-    # an odd prime ell with size(ell) <= limit, size tested before primality
+    # an odd prime ell with size(ell) <= limit, size tested before primality;
+    # an ell past the limit is refused with `what` at that ell
     return (lambda v: size(v) <= limit and v > 2 and is_prime(v),
-            "an odd prime with %s <= %d" % (what, limit))
+            "an odd prime with %s <= %d" % (what, limit),
+            lambda v: "and this input predicts " + what.replace("ell", str(v))
+            if size(v) > limit else _GOT(v))
 
 
 # the largest modulus ell^2 the integrality suite builds, at a cost growing
@@ -565,15 +570,15 @@ def check_params(name, **params):
             raise ValueError("%s: suite %r does not accept this flag"
                              % (PARAM_FLAGS.get(key, key), name))
     for key, value in kwargs.items():
-        ok, want = rules[key]
+        ok, want, got = rules[key]
         for v in value if isinstance(value, tuple) else (value,):
             try:
                 good = ok(v)
             except ValueError as e:
                 raise ValueError("%s: %s" % (PARAM_FLAGS[key], e))
             if not good:
-                raise ValueError("%s: suite %r needs %s, got %d"
-                                 % (PARAM_FLAGS[key], canonical, want, v))
+                raise ValueError("%s: suite %r needs %s, %s"
+                                 % (PARAM_FLAGS[key], canonical, want, got(v)))
     if canonical == "functoriality":
         _check_functoriality_budget(kwargs)
     return canonical, kwargs

@@ -198,26 +198,31 @@ _BUDGET = brauer.SUBGROUP_ORDER_BUDGET
     # refused with a traceback only after the ideal was built
     (["abelian-reduction", "--ell", "37"],
      "--ell: suite 'abelian-reduction' needs an odd prime with group order "
-     "ell - 1 <= %d, got 37" % _BUDGET),
+     "ell - 1 <= %d, and this input predicts group order 37 - 1" % _BUDGET),
     (["abelian-reduction", "--ell", "1000003"],
      "--ell: suite 'abelian-reduction' needs an odd prime with group order "
-     "ell - 1 <= %d, got 1000003" % _BUDGET),
+     "ell - 1 <= %d, and this input predicts group order 1000003 - 1"
+     % _BUDGET),
     # theta at m = ell^2 times phi(m) + 1 generators, in time growing as
     # ell^4; the size is compared before primality, so 10^30 is refused too
     (["integrality", "--ell", "37"],
      "--ell: suite 'integrality' needs an odd prime with modulus ell^2 <= "
-     "961, got 37"),
+     "961, and this input predicts modulus 37^2"),
     (["integrality", "--ell", "1009"],
      "--ell: suite 'integrality' needs an odd prime with modulus ell^2 <= "
-     "961, got 1009"),
+     "961, and this input predicts modulus 1009^2"),
     (["integrality", "--ell", str(10 ** 30)],
      "--ell: suite 'integrality' needs an odd prime with modulus ell^2 <= "
-     "961, got %d" % 10 ** 30),
+     "961, and this input predicts modulus %d^2" % 10 ** 30),
+    # within the size, a refusal for primality names the value as given
+    (["integrality", "--ell", "9"],
+     "--ell: suite 'integrality' needs an odd prime with modulus ell^2 <= "
+     "961, got 9"),
 ], ids=["functoriality-r", "integrality-r", "oracles-r", "induced-det-count",
         "half-stickelberger-ell", "half-stickelberger-levels",
         "lvalue-identity-ell", "base-change-ell", "abelian-reduction-37",
         "abelian-reduction-1000003", "integrality-37", "integrality-1009",
-        "integrality-10^30"])
+        "integrality-10^30", "integrality-9"])
 def test_check_refuses_before_any_suite_work(capsys, monkeypatch, argv,
                                              message):
     # check --r and --count are gone, three suites no longer take --ell or

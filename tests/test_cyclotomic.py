@@ -116,6 +116,7 @@ def test_ring_axioms(triple):
     assert a * (b * c) == (a * b) * c
     assert a + b == b + a
     assert a * b == b * a
+    assert (-a) + a == CyclotomicNumber.zero() and -a == a * -1
 
 
 @settings(max_examples=60)

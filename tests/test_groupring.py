@@ -1,20 +1,21 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import gcd, prod
+from math import gcd, lcm, prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galideal import cyclotomic
 from galideal.abelian import FiniteAbelianGroup, closure, unit_group
 from galideal.brauer import BUILTIN_GROUPS, from_cayley_text, symmetric3
-from galideal.cyclotomic import CyclotomicNumber
+from galideal.cyclotomic import CyclotomicNumber, from_exponents
 from galideal.groupring import (
     EmbeddingSignature,
     GroupRingElement,
-    _field_det,
+    _bareiss,
     character_components,
     det_over_group_ring,
     generating_set,
@@ -32,6 +33,8 @@ C3 = FiniteAbelianGroup((3,))
 C4 = FiniteAbelianGroup((4,))
 C6 = FiniteAbelianGroup((6,))
 C2xC4 = FiniteAbelianGroup((2, 4))
+C2xC2xC2 = FiniteAbelianGroup((2, 2, 2))
+C3xC3 = FiniteAbelianGroup((3, 3))
 D6 = from_cayley_text(
     (Path(__file__).parent / "golden" / "d6.txt").read_text(encoding="utf-8"))
 
@@ -279,10 +282,12 @@ def _field_leibniz(A):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_bareiss_matches_leibniz(data):
-    # sparse entries make zero pivots, a zero corner forces a row swap at
-    # the first step, and a last row that is a Q[G]-combination of the
-    # others makes the matrix singular at every character
-    group = data.draw(st.sampled_from([C6, C2xC4]))
+    # Bareiss on numerator rows at every character against the Leibniz sum
+    # in the field.  Sparse entries make zero pivots, a zero corner forces a
+    # row swap at the first step, and a last row that is a Q[G]-combination
+    # of the others makes the matrix singular at every character.
+    # C2 x C2 x C2 has three invariant factors and only rational values.
+    group = data.draw(st.sampled_from([C6, C2xC4, C2xC2xC2, C3xC3]))
     n = data.draw(st.integers(1, 4))
     frac = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     entry = st.dictionaries(st.sampled_from(group.elements), frac,
@@ -296,9 +301,13 @@ def test_bareiss_matches_leibniz(data):
     if data.draw(st.booleans()):
         M[0][0] = zero
     assert det_over_group_ring(M) == det_leibniz(M)
+    N, D = group.exponent, lcm(*(x.den for row in M for x in row))
     for chi in group.characters():
         A = [[psi_eval(x, chi) for x in row] for row in M]
-        assert _field_det(A) == _field_leibniz(A)
+        rows = [[[a * (D // v.den) for a in v._at(N)] for v in row]
+                for row in A]
+        assert from_exponents(N, _bareiss(N, rows), D ** n) \
+            == _field_leibniz(A)
 
 
 def test_y_rank_table():
@@ -422,6 +431,29 @@ def test_det_of_1x1_inverts_nothing(monkeypatch):
     assert len(calls) == C4.order
 
 
+def test_det_of_2x2_builds_no_cyclotomic_number(monkeypatch):
+    # a 2 x 2 determinant runs on numerator rows from its entries to the
+    # assembly, so it builds no CyclotomicNumber at any character
+    made = []
+    make = cyclotomic._make
+    monkeypatch.setattr(cyclotomic, "_make",
+                        lambda *args: made.append(1) or make(*args))
+    one, g = GroupRingElement.one(C6), GroupRingElement.basis(C6, (1,))
+    M = [[one + g, g.scale(Fraction(1, 2))], [g * g, one - g.scale(3)]]
+    got = det_over_group_ring(M)
+    assert made == []
+    assert got == det_leibniz(M)
+
+
+def test_det_refuses_empty_and_mixed_matrices():
+    with pytest.raises(ValueError, match="^empty matrix"):
+        det_over_group_ring([])
+    one2, one4 = GroupRingElement.one(C2), GroupRingElement.one(C4)
+    for M in ([[one2, one4], [one4, one4]], [[one4, one4], [one4, one2]]):
+        with pytest.raises(ValueError, match="entry lies outside Q"):
+            det_over_group_ring(M)
+
+
 def test_input_checks_survive_optimize_flag():
     # python -O strips asserts; each bad input must still raise ValueError.
     # FiniteGroup.index returns its argument, so the keys -1 and 6 of S3
@@ -439,6 +471,7 @@ from galideal.ncideal import datum_integrality, nc_ideal, subgroup_datum
 from galideal.padic import eigen_projection
 from galideal.stickelberger import half_stickelberger
 S3, c2, lev = symmetric3(), FiniteAbelianGroup((2,)), CyclotomicLevel(3, 1)
+c4 = FiniteAbelianGroup((4,))
 x = GroupRingElement.one(S3)
 top = subgroup_lattice(S3)[-1]
 order2 = next(r for r in subgroup_lattice(S3) if len(r.elements) == 2)
@@ -453,6 +486,9 @@ calls = {
     "coefficient order": lambda: x.coefficient(6),
     "numerator count": lambda: GroupRingElement.from_numerators(S3, [1]),
     "det of a non-square matrix": lambda: det_over_group_ring([[x, x]]),
+    "det of an empty matrix": lambda: det_over_group_ring([]),
+    "det with an entry of another group": lambda: det_over_group_ring(
+        [[GroupRingElement.one(c2)] * 2, [GroupRingElement.one(c4)] * 2]),
     "zero denominator": lambda: GroupRingElement.from_numerators(c2, [1, 0], 0),
     "y_rank positive twist": lambda: y_rank(EmbeddingSignature(0, 2, 1)),
     "y_rank negative r1": lambda: y_rank(EmbeddingSignature(-1, 2, 0)),
