@@ -22,7 +22,8 @@
 # zeta_N^k rotates exponents, so Sigma_i v_i zeta_N^(k_i) adds each v_i's
 # numerators, shifted by k_i, into one integer accumulator indexed by
 # exponent mod M (M the lcm of N and the orders of the v_i) and reduces mod
-# Phi_M once (`from_exponents`, `rational_sums`).
+# Phi_M once (`from_exponents`).  A trace to Q needs no reduction: with
+# Tr zeta_M^j = c_M(j) (`ramanujan_sums`) it is one integer dot product.
 
 from fractions import Fraction
 from functools import lru_cache
@@ -104,6 +105,18 @@ def _reduction_rows(n):
     return rows
 
 
+@lru_cache(maxsize=None)
+def ramanujan_sums(m):
+    # (c_m(0), ..., c_m(m-1)), c_m(j) = Tr_{Q(zeta_m)/Q} zeta_m^j
+    # = mu(q) phi(m) / phi(q) for q = m / gcd(j, m) (Hardy and Wright,
+    # Thm. 272); mu(q) is 0 unless q is the product of its primes
+    def c(q):
+        primes = prime_divisors(q)
+        mu = (-1) ** len(primes) if prod(primes) == q else 0
+        return mu * euler_phi(m) // euler_phi(q)
+    return tuple(c(m // gcd(j, m)) for j in range(m))
+
+
 def _reduce(n, acc):
     # acc: integer coefficients of a polynomial in zeta_n, any length;
     # returns the phi(n) canonical coordinates as a list
@@ -155,27 +168,6 @@ def _product(p, q):
             for j, y in qt:
                 acc[i + j] += x * y
     return acc
-
-
-def rational_sums(m, rows, columns, step=1):
-    # nums[j] = Sigma_i r_i zeta_m^(step k_i) for the j-th column (k_0, ...)
-    # of exponents and numerator rows r_i, step k_i < m, up to the first sum
-    # that is not rational (its coordinates past the first do not vanish):
-    # a short nums names it.  A sum is one rotation per row, reduced once.
-    terms = [[(i, a) for i, a in enumerate(row) if a] for row in rows]
-    width = m + max(map(len, rows))  # _reduce folds positions past m
-    nums = []
-    for column in columns:
-        acc = [0] * width
-        for k, rterms in zip(column, terms):
-            s = k * step
-            for i, a in rterms:
-                acc[i + s] += a
-        out = _reduce(m, acc)
-        if any(out[1:]):
-            break
-        nums.append(out[0])
-    return nums
 
 
 class CyclotomicNumber:

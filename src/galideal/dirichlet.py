@@ -13,7 +13,7 @@
 #     generator of (Z/f)^*, never found by comparing characters mod f
 #   - L_S(r, chi^a) = sigma_a L_S(r, chi) for a prime to the root order N
 #     (Washington, ch. 4), so a family of values over all characters takes
-#     one L-value per Galois orbit and the rest by galois (orbit_values)
+#     one L-value per Galois orbit (unreduced: l_value_exponents)
 
 from fractions import Fraction
 from functools import lru_cache
@@ -148,16 +148,25 @@ def _bernoulli_sum(n, f, star):
     N = star.root_order
     if f > 1 and 2 * star.exponent(-1) != n % 2 * N:
         return 1, [0], 1
+    den, values = _polynomial_values(n, f)
+    acc = [0] * N  # for f <= 2: N = 1, and the one value at exponent 0
+    for v, k in zip(values, star.row):
+        acc[k] += v
+    return N, acc, den
+
+
+@lru_cache(maxsize=None)
+def _polynomial_values(n, f):
+    # (f L, values) for _bernoulli_sum, shared by the characters of conductor
+    # f: 2 P(a) at the first half of the units a of f, or P(1) for f <= 2
     bs = [bernoulli_number(j) for j in range(n + 1)]
     L = lcm(*(b.denominator for b in bs))
     poly = [comb(n, j) * b.numerator * (L // b.denominator) * f ** j
             for j, b in enumerate(bs)]  # coefficient of a^(n-j)
-    if f <= 2:  # the one unit, a = 1 mod f, and the trivial character
-        return 1, [horner(poly, 1)], f * L
-    acc = [0] * N
-    for a, k in zip(star.group.elements[:star.group.order // 2], star.row):
-        acc[k] += 2 * horner(poly, a)
-    return N, acc, f * L
+    if f <= 2:
+        return f * L, (horner(poly, 1),)
+    units = unit_group(f).elements
+    return f * L, tuple(2 * horner(poly, a) for a in units[:len(units) // 2])
 
 
 def generalized_bernoulli(n, chi):
@@ -173,8 +182,13 @@ def l_value(r, chi, places):
     # character chi mod m:
     #   -B_{1-r,chi*}/(1-r) * prod over {p | m, p not | f} u {p in S, p not | m}
     #                          of (1 - chi*(p) p^{-r})
-    # Each Euler factor multiplies the exponent accumulator of B_{1-r,chi*}
-    # by 1 - p^{-r} zeta_N^k, k the exponent of chi*(p); Phi_N reduces once.
+    return from_exponents(*l_value_exponents(r, chi, places))
+
+
+def l_value_exponents(r, chi, places):
+    # l_value as (N, acc, den), the value Sigma_k acc[k] zeta_N^k / den,
+    # unreduced.  Each Euler factor multiplies the exponent accumulator of
+    # B_{1-r,chi*} by 1 - p^{-r} zeta_N^k, k the exponent of chi*(p).
     _check_r(r)
     m = chi.modulus
     f, star = primitive_core(chi)
@@ -188,26 +202,7 @@ def l_value(r, chi, places):
         k = star.exponent(p)
         c = p ** -r
         acc = [x - c * acc[(e - k) % N] for e, x in enumerate(acc)]
-    return from_exponents(N, [-x for x in acc], den * n)
-
-
-def orbit_values(group, value):
-    # [value(chi) for chi in group.characters()] for a Galois-equivariant
-    # value, value(chi^a) = sigma_a value(chi) for a prime to the root order
-    # N: one call per orbit, the rest by galois.  Each value must lie in
-    # Q(zeta_n) for some n | N, as L-values through primitive cores do
-    chars = group.characters()
-    N = chars[0].root_order
-    units = [a for a in range(1, N + 1) if gcd(a, N) == 1]
-    found = {}
-    for chi in chars:
-        if chi.tuple not in found:
-            v = value(chi)
-            for a in units:
-                t = (chi ** a).tuple
-                if t not in found:
-                    found[t] = v.galois(a)
-    return [found[chi.tuple] for chi in chars]
+    return N, [-x for x in acc], den * n
 
 
 def hurwitz_polynomial(r, m):

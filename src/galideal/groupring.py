@@ -4,17 +4,17 @@
 #   psi_eval(x, chi)     Sigma c_g chi(g), the chi-component of x
 #   lambda_assemble(...) the inverse of psi: given one value per character,
 #                        the unique element with those components; raises if
-#                        the values are not Galois-equivariant (detected as
-#                        non-rational assembled coefficients)
-#   det_over_group_ring  determinant via character-wise evaluation, each one
+#                        the values are not Galois-equivariant (checked on
+#                        generators of the Galois group)
+#   det_over_group_ring  determinant via one character per Galois orbit,
 #                        fraction-free (Bareiss) on numerator rows
 #
-# One table per group (`_table`) holds each character's exponent row
-# (chi.row[i] = k with chi(group.elements[i]) = zeta_N^k) and the assembly
-# columns; both directions assemble through cyclotomic's `rational_sums`.
-# Determinants alone also keep each character's values at the elements as
-# coordinates (|G|^2 phi(N) numbers): they run on numerator rows at order N
-# and below 3 x 3 build no CyclotomicNumber.
+# One table per group (`_table`) holds the Galois orbits of the characters;
+# both directions assemble from one value per orbit (`assemble_orbits`), by
+# one integer trace per orbit and element, with no reduction.  Determinants
+# alone also keep each orbit's first character's values at the elements as
+# coordinates: they run on numerator rows at order N and below 3 x 3 build
+# no CyclotomicNumber.
 #
 # An element is `nums`, |G| integers indexed by group.index, over one
 # denominator den > 0 with gcd(den, nums) = 1.  Sums add numerators, tau
@@ -25,13 +25,14 @@
 # or scale, coefficient(), augmentation() and repr.
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
-from .abelian import closure
-from .cyclotomic import (CyclotomicNumber, _product, _reduce, from_exponents,
-                         rational_sums)
+from .abelian import ResidueGroup, closure
+from .cyclotomic import (CyclotomicNumber, _product, _reduce, euler_phi,
+                         from_exponents, ramanujan_sums)
 
 
 def _coerce(value):
@@ -182,41 +183,89 @@ def psi_eval(x, chi):
 
 
 def _table(group):
-    # (N, exponent rows, assembly columns) of the characters, kept on the
-    # group: as |G| x_g = Sigma_chi psi(chi) chi(g^-1), column i reads g_i^-1
+    # (N, orbits), kept on the group: one (chi, n, phi(n), exps) per Galois
+    # orbit {chi^a : a prime to n} of characters, chi its first character, n
+    # its order and chi(g_j^-1) = zeta_n^exps[j]; the orbits are read off the
+    # coordinate tuples
     kept = getattr(group, "_character_table", None)
     if kept is None:
+        if not hasattr(group, "characters"):
+            raise ValueError("%r has no character table" % (group,))
         chars = group.characters()
-        rows = [chi.row for chi in chars]
-        columns = list(zip(*rows))
-        kept = group._character_table = (chars[0].root_order, rows, [
-            columns[group.index(group.inv(g))] for g in group.elements])
+        N, ds = chars[0].root_order, chars[0].coords.invariants
+        seen, orbits = set(), []
+        for chi in chars:
+            if chi.tuple not in seen:
+                n = N // gcd(N, *chi.row)
+                seen.update(tuple(a * x % d for x, d in zip(chi.tuple, ds))
+                            for a in range(1, n + 1) if gcd(a, n) == 1)
+                orbits.append((chi, n, euler_phi(n),
+                               [-k % N // (N // n) for k in chi.row]))
+        kept = group._character_table = (N, orbits)
     return kept
+
+
+@lru_cache(maxsize=None)
+def _fixing(m, n):
+    # generators of the a = 1 mod n in (Z/m)^*, n | m: Gal(Q(zeta_m)/Q(zeta_n))
+    return tuple(generating_set(ResidueGroup._trusted(
+        m, [a for a in range(1, m, n) if gcd(a, m) == 1])))
+
+
+def assemble_orbits(group, value):
+    # The x with psi_eval(x, chi^a) = sigma_a value(chi) for chi the first
+    # character of each Galois orbit, value(chi) = (m, acc, den) the number
+    # Sigma_k acc[k] zeta_m^k / den, len(acc) <= m.  Over an orbit of order
+    # n the character sum is phi(n)/phi(M) times a trace, Tr zeta_M^j = c_M(j):
+    #   |G| phi(M) D x_g = Sigma_chi phi(n) (D/den) Sigma_k acc[k]
+    #                      c_M(k M/m + t M/n),  chi(g^-1) = zeta_n^t
+    # for M = lcm(N, m, ...), D = lcm(den, ...), if each value is fixed by the
+    # a = 1 mod n (so it is if its exponents are multiples of m / gcd(m, n)).
+    N, orbits = _table(group)
+    values = [value(chi) for chi, _, _, _ in orbits]
+    M = lcm(N, *(m for m, _, _ in values))
+    D = lcm(*(den for _, _, den in values))
+    c = ramanujan_sums(M) * 2  # c_M at [0, 2M), so no index is taken mod M
+    out = [0] * group.order
+    for (chi, n, weight, exps), (m, acc, den) in zip(orbits, values):
+        gens = _fixing(lcm(m, n), n)
+        if gens and any(x for k, x in enumerate(acc) if k % (m // gcd(m, n))):
+            v = from_exponents(m, acc)
+            if any(v.galois(a) != v for a in gens):
+                raise ValueError(
+                    "character values are not Galois-equivariant: the value "
+                    "at character %d is moved by its stabiliser" % chi.index)
+        f, s = weight * (D // den), M // m
+        sums = [f * sum(map(mul, acc, c[t * M // n::s])) for t in range(n)]
+        out = list(map(add, out, map(sums.__getitem__, exps)))
+    return _make(group, out, group.order * euler_phi(M) * D)
 
 
 def lambda_assemble(group, h):
     # Inverse of psi_eval: builds the unique x with psi_eval(x, chi) = h(chi)
     # for every character chi.  h: callable on characters, or dict keyed by
-    # them.  Raises ValueError when the assembled coefficients fail to be
-    # rational, which is exactly failure of Galois equivariance of h.
-    values = [h[chi] if isinstance(h, dict) else h(chi)
-              for chi in group.characters()]
-    N, _, columns = _table(group)
+    # them.  Raises ValueError unless h(chi^a) = sigma_a h(chi) for a on
+    # generators of (Z/M)^*, which is exactly when the character sums are
+    # rational, naming the first element, in element order, whose sum is not.
+    N, _ = _table(group)
+    chars = group.characters()
+    values = [h[chi] if isinstance(h, dict) else h(chi) for chi in chars]
     M = lcm(N, *(v.order for v in values))
-    den = lcm(*(v.den for v in values))
-    rows = [[0] * ((len(v.nums) - 1) * (M // v.order) + 1) for v in values]
-    for row, v in zip(rows, values):
-        row[::M // v.order] = [a * (den // v.den) for a in v.nums]
-    nums = rational_sums(M, rows, columns, M // N)
-    if len(nums) < group.order:
+    if any(values[(chi ** a).index] != v.galois(a)
+           for a in _fixing(M, 1) for chi, v in zip(chars, values)):
+        first = next(g for g in group.elements if not sum(
+            (v * chi(group.inv(g)) for chi, v in zip(chars, values)),
+            CyclotomicNumber.zero()).is_rational())
         raise ValueError(
             "character values are not Galois-equivariant: coefficient at %s "
-            "came out irrational" % group.label(group.elements[len(nums)]))
-    return _make(group, nums, den * group.order)
+            "came out irrational" % group.label(first))
+    parts = [(v.order, list(v.nums), v.den) for v in values]
+    return assemble_orbits(group, lambda chi: parts[chi.index])
 
 
 def character_components(x):
     # dict: character -> psi_eval(x, character)
+    _table(x.group)  # refuses a group without characters
     return {chi: psi_eval(x, chi) for chi in x.group.characters()}
 
 
@@ -260,8 +309,8 @@ def _bareiss(N, A):
 
 
 def det_over_group_ring(M):
-    # determinant over Q[G], one character at a time and reassembled: over
-    # one denominator D, Bareiss yields D^n times each (equivariant) value
+    # determinant over Q[G], at the first character of each Galois orbit and
+    # reassembled: over one denominator D, Bareiss yields D^n times each value
     n = len(M)
     if not n:
         raise ValueError("empty matrix: a determinant needs at least one row")
@@ -270,17 +319,20 @@ def det_over_group_ring(M):
     group = M[0][0].group
     if any(x.group != group for row in M for x in row):
         raise ValueError("an entry lies outside Q[%r]" % (group,))
-    N, rows, columns = _table(group)
+    N, orbits = _table(group)
+    if n == 1:  # the entry, once the group is known to have characters
+        return M[0][0]
     W = getattr(group, "_coordinate_table", None)
-    if W is None:  # W[c][t][i] = coordinate t of chi_c(g_i)
+    if W is None:  # W[c][t][i] = coordinate t of chi_c(g_i), chi_c a first
         z = [_reduce(N, [0] * k + [1]) for k in range(N)]  # zeta_N^k
-        W = group._coordinate_table = [
-            [[z[k][t] for k in row] for t in range(len(z[0]))] for row in rows]
+        W = group._coordinate_table = {
+            chi.index: [[z[k][t] for k in chi.row] for t in range(len(z[0]))]
+            for chi, _, _, _ in orbits}
     D = lcm(*(x.den for row in M for x in row))
     S = [[[a * (D // x.den) for a in x.nums] for x in row] for row in M]
-    dets = [_bareiss(N, [[[sum(map(mul, s, w)) for w in Wc] for s in row]
-                         for row in S]) for Wc in W]
-    return _make(group, rational_sums(N, dets, columns), D ** n * group.order)
+    return assemble_orbits(group, lambda chi: (N, _bareiss(N, [
+        [[sum(map(mul, s, w)) for w in W[chi.index]] for s in row]
+        for row in S]), D ** n))
 
 
 def generating_set(group):

@@ -13,13 +13,14 @@
 #        runs on integers: one integer polynomial in the class gives every
 #        numerator over one denominator, and p^{-r} is an integer.  This is
 #        the package's one Hurwitz evaluation of partial zeta values;
-#   (ii) lambda-assembly of chi -> L_S(r, conj(chi)) (characters).
+#   (ii) assembly of chi -> L_S(r, conj(chi)), one L-value per Galois orbit.
 
 from .abelian import squares_subgroup, unit_group
 from .cyclotomic import prime_divisors
 from .dirichlet import (PlaceSet, horner, hurwitz_polynomial, is_prime,
-                        l_value, orbit_values)
-from .groupring import GroupRingElement, lambda_assemble, map_elements
+                        l_value, l_value_exponents)
+from .groupring import (GroupRingElement, assemble_orbits, lambda_assemble,
+                        map_elements)
 
 
 def ramified_places(m):
@@ -60,10 +61,9 @@ def stickelberger(m, places, r=0):
 
 def stickelberger_by_characters(m, places, r=0):
     # independent route: the element whose chi-component is L_S(r, conj(chi)),
-    # one L-value per Galois orbit of characters
-    g = unit_group(m)
-    values = orbit_values(g, lambda chi: l_value(r, chi.conjugate(), places))
-    return lambda_assemble(g, lambda chi: values[chi.index])
+    # one L-value per Galois orbit of characters, as its exponent accumulator
+    return assemble_orbits(unit_group(m), lambda chi: l_value_exponents(
+        r, chi.conjugate(), places))
 
 
 def complex_conjugation(m):

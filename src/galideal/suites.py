@@ -51,10 +51,10 @@ def theta(m, r=0):
 
 def random_element(rng, group, top, bottom):
     # coefficients randint(-top, top) / randint(1, bottom), drawn in element
-    # order, as numerators over lcm(1, ..., bottom)
+    # order by the randrange calls of randint, over lcm(1, ..., bottom)
     den = lcm(*range(1, bottom + 1))
     return GroupRingElement.from_numerators(group, [
-        rng.randint(-top, top) * (den // rng.randint(1, bottom))
+        rng.randrange(-top, top + 1) * (den // rng.randrange(1, bottom + 1))
         for _ in group.elements], den)
 
 

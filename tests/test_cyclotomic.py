@@ -12,6 +12,7 @@ from galideal.cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
     from_exponents,
+    ramanujan_sums,
 )
 
 zeta = CyclotomicNumber.zeta
@@ -147,6 +148,15 @@ def test_galois_orbit_sum_is_rational():
     assert tr.is_rational()
     # trace of zeta_7 over Q is -1; of 3*zeta_7^3 likewise -3
     assert tr.as_fraction() == -4
+
+
+def test_ramanujan_sums_are_traces():
+    # c_m(j) against the trace Sigma_t sigma_t zeta_m^j over the units t
+    for m in range(1, 41):
+        for j, c in enumerate(ramanujan_sums(m)):
+            tr = sum((zeta(m, j).galois(t) for t in range(1, m + 1)
+                      if gcd(t, m) == 1), CyclotomicNumber.zero())
+            assert tr == c, (m, j)
 
 
 def test_conjugate():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
+from importlib import import_module
 from itertools import count
 from math import comb, gcd, lcm
 
@@ -18,10 +19,11 @@ from galideal.dirichlet import (
     generalized_bernoulli,
     is_prime,
     l_value,
-    orbit_values,
     primitive_core,
 )
-from galideal.stickelberger import ramified_places, stickelberger
+from galideal.groupring import _table
+from galideal.stickelberger import (ramified_places, stickelberger,
+                                    stickelberger_by_characters)
 
 from conftest import run_python
 
@@ -254,7 +256,7 @@ def test_bernoulli_sums_at_conductors_1_3_4():
 def test_l_value_galois_equivariance():
     # L_S(r, chi^a) = sigma_a L_S(r, chi), both sides computed from scratch,
     # for every character mod m <= 40, every a prime to the root order, and
-    # an S with one prime outside m: the identity the orbit fill rests on
+    # an S with one prime outside m: the identity the orbit assembly rests on
     for m in range(1, 41):
         extra = next(p for p in (2, 3, 5, 7) if m % p)
         places = PlaceSet(ramified_places(m).primes + (extra,))
@@ -272,33 +274,44 @@ def test_l_value_galois_equivariance():
                         (m, chi.tuple, a, r)
 
 
-def test_orbit_values_match_every_l_value():
-    # one L-value per orbit, filled by galois, gives every L-value byte for
-    # byte: same order, numerators and denominator
+def test_orbit_table_gives_every_l_value(monkeypatch):
+    # the orbit table holds one character per cyclic subgroup of the
+    # characters, the character route reads one L-value at each, and sigma_a
+    # of it gives every L-value byte for byte: same order, numerators and
+    # denominator
+    module = import_module("galideal.stickelberger")  # not the function
+    real = module.l_value_exponents
+    calls = []
+    monkeypatch.setattr(module, "l_value_exponents",
+                        lambda *args: calls.append(args[1]) or real(*args))
     for m in (1, 12, 15, 16, 21, 35, 63):
         places = ramified_places(m)
-        calls = []
-
-        def value(chi):
-            calls.append(chi)
-            return l_value(-1, chi, places)
-
-        got = orbit_values(unit_group(m), value)
-        want = [l_value(-1, chi, places) for chi in characters_mod(m)]
-        assert [(v.order, v.nums, v.den) for v in got] == \
-            [(v.order, v.nums, v.den) for v in want]
-        # one call per orbit, i.e. per cyclic subgroup of the characters
+        chars = characters_mod(m)
+        N, orbits = _table(unit_group(m))
         cyclic = {frozenset((chi ** k).tuple
                             for k in range(character_order(chi)))
-                  for chi in characters_mod(m)}
-        assert len(calls) == len(cyclic)
+                  for chi in chars}
+        assert len(orbits) == len(cyclic)
+        got = {}
+        for chi, _, _, _ in orbits:
+            value = l_value(-1, chi, places)
+            for a in range(1, N + 1):
+                if gcd(a, N) == 1:
+                    got.setdefault((chi ** a).tuple, value.galois(a))
+        assert {t: (v.order, v.nums, v.den) for t, v in got.items()} == {
+            chi.tuple: (v.order, v.nums, v.den)
+            for chi, v in ((chi, l_value(-1, chi, places)) for chi in chars)}
+        calls.clear()
+        stickelberger_by_characters(m, places, -1)
+        assert sorted(chi.tuple for chi in calls) == sorted(
+            chi.conjugate().tuple for chi, _, _, _ in orbits)
 
 
 def test_input_checks_survive_optimize_flag():
     # python -O strips asserts; each bad input must still raise ValueError.
     # Without the checks, a place set missing 3 gave a silent answer, r = 1
-    # divided by zero, and galois at t = 3 on zeta_6 (which the orbit fill
-    # of L-values calls) gave a non-automorphism.
+    # divided by zero, and galois at t = 3 on zeta_6 (which the
+    # equivariance check of lambda_assemble calls) gave a non-automorphism.
     script = """
 from galideal.abelian import unit_group
 from galideal.cyclotomic import (CyclotomicNumber, cyclotomic_polynomial,

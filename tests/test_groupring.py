@@ -16,6 +16,8 @@ from galideal.groupring import (
     EmbeddingSignature,
     GroupRingElement,
     _bareiss,
+    _table,
+    assemble_orbits,
     character_components,
     det_over_group_ring,
     generating_set,
@@ -226,6 +228,87 @@ def test_lambda_assemble_matches_direct_sum(group):
     assert group.label(group.identity) in labels and len(labels) > 1
 
 
+def _parts(v, lift=1):
+    # a CyclotomicNumber as the (order, exponent accumulator, denominator)
+    # that assemble_orbits reads, at lift times its order
+    v = v.lift(lift * v.order)
+    return v.order, list(v.nums), v.den
+
+
+@pytest.mark.parametrize("group", [
+    FiniteAbelianGroup((7,)), unit_group(11), unit_group(27),
+    FiniteAbelianGroup((8,)), unit_group(29), C2xC4,
+    FiniteAbelianGroup((2, 2, 4)), unit_group(15)],
+    ids=["C7", "units11", "units27", "C8", "units29", "C2xC4", "C2xC2xC4",
+         "units15"])
+def test_orbit_assembly_matches_direct_sum(group):
+    # cyclic groups of prime (C7), prime-power (C8) and composite order
+    # ((Z/11)^* = C10, (Z/27)^* = C18, (Z/29)^* = C28), then two and three
+    # invariant factors: one value per Galois orbit, at its order, at twice
+    # it, and as an unreduced accumulator (plus a multiple of Phi_m, which
+    # is zero), assembles the direct sum over every character
+    rng = random.Random(group.order)
+    x = GroupRingElement(group, {g: Fraction(rng.randint(-9, 9),
+                                             rng.randint(1, 4))
+                                 for g in group.elements})
+    comps = character_components(x)
+    want = GroupRingElement(group, dict(_assemble_reference(group, comps)))
+    assert want == x
+
+    def unreduced(chi):
+        v = comps[chi]
+        m = 2 * v.order
+        phi = cyclotomic.cyclotomic_polynomial(m)  # of length phi(m) + 1 <= m
+        acc = list(v._at(m)) + [0]
+        return m, [a + 5 * p for a, p in zip(acc, phi)], v.den
+
+    for value in (lambda chi: _parts(comps[chi]),
+                  lambda chi: _parts(comps[chi], 2), unreduced):
+        assert assemble_orbits(group, value) == x
+    lifted = {chi: v.lift(2 * v.order) for chi, v in comps.items()}
+    assert lambda_assemble(group, lifted) == x
+
+
+@pytest.mark.parametrize("group", [C4, C6, unit_group(15), unit_group(27)],
+                         ids=["C4", "C6", "units15", "units27"])
+def test_orbit_assembly_refuses_a_value_outside_its_field(group):
+    # negative control for the stabiliser check: at a character of order n
+    # the value zeta_4n lies outside Q(zeta_n) and is refused, while zeta_n
+    # is taken, and is the component there of the assembled element
+    for first, n, _, _ in _table(group)[1]:
+        for q, taken in ((4 * n, False), (n, True)):
+            def value(chi):
+                # zeta_q at first, as the exponent accumulator [0, 1] (just
+                # [1] for zeta_1 = 1), and 1 elsewhere
+                if chi != first:
+                    return 1, [1], 1
+                return q, [0] * (q > 1) + [1], 1
+            if taken:
+                x = assemble_orbits(group, value)
+                assert psi_eval(x, first) == CyclotomicNumber.zeta(n)
+                continue
+            with pytest.raises(ValueError, match=(
+                    "^character values are not Galois-equivariant: the value"
+                    " at character %d is moved by its stabiliser$"
+                    % first.index)):
+                assemble_orbits(group, value)
+
+
+def test_character_route_refuses_a_cayley_table_group():
+    # a Cayley-table group has no characters: each entry point of the
+    # character route names the group in a ValueError
+    S3 = symmetric3()
+    one = GroupRingElement.one(S3)
+    calls = [lambda: det_over_group_ring([[one]]),
+             lambda: lambda_assemble(S3, {}),
+             lambda: assemble_orbits(S3, None),
+             lambda: invert_unit(one)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^FiniteGroup\(order 6\) has "
+                                             "no character table"):
+            call()
+
+
 def test_invert_unit():
     x = elem(C2, ((0,), 3), ((1,), 1))  # components 4 and 2, a unit
     y = invert_unit(x)
@@ -411,9 +494,11 @@ def test_integer_layout_matches_fraction_reference(kind, data):
 
 
 def test_det_of_1x1_inverts_nothing(monkeypatch):
-    # Bareiss divides step c by the pivot of step c - 1, so the 1 x 1 and
-    # 2 x 2 determinants of the induced-det suite invert nothing, and a
-    # 3 x 3 one inverts one pivot per character
+    # a 1 x 1 determinant is its entry, and Bareiss divides step c by the
+    # pivot of step c - 1, so the 2 x 2 determinants of the induced-det
+    # suite invert nothing either, and a 3 x 3 one inverts one pivot per
+    # Galois orbit of characters: three on C4, with characters of orders 1,
+    # 2, 4 and 4
     calls = []
     inverse = CyclotomicNumber.inverse
     monkeypatch.setattr(CyclotomicNumber, "inverse",
@@ -428,7 +513,7 @@ def test_det_of_1x1_inverts_nothing(monkeypatch):
     # the second pivot 1 - chi(g)^2 vanishes at chi(g) = +-1: a row swap
     M = [[one, g, zero], [g, one, g], [zero, g, one]]
     assert det_over_group_ring(M) == one - (g * g).scale(2)
-    assert len(calls) == C4.order
+    assert len(calls) == 3
 
 
 def test_det_of_2x2_builds_no_cyclotomic_number(monkeypatch):
@@ -487,6 +572,7 @@ calls = {
     "numerator count": lambda: GroupRingElement.from_numerators(S3, [1]),
     "det of a non-square matrix": lambda: det_over_group_ring([[x, x]]),
     "det of an empty matrix": lambda: det_over_group_ring([]),
+    "det over a Cayley-table group": lambda: det_over_group_ring([[x]]),
     "det with an entry of another group": lambda: det_over_group_ring(
         [[GroupRingElement.one(c2)] * 2, [GroupRingElement.one(c4)] * 2]),
     "zero denominator": lambda: GroupRingElement.from_numerators(c2, [1, 0], 0),

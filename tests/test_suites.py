@@ -20,7 +20,8 @@ from galideal.suites import random_element, run_suite
 
 def _fraction_dict_element(rng, group, top, bottom):
     # the reference construction: one Fraction per element, numerator drawn
-    # before denominator, in element order
+    # before denominator, in element order, by randint, which random_element
+    # replaces with the randrange calls randint makes
     return GroupRingElement(group, {
         g: Fraction(rng.randint(-top, top), rng.randint(1, bottom))
         for g in group.elements})
