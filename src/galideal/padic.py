@@ -14,6 +14,7 @@ from typing import NamedTuple
 from .groupring import GroupRingElement
 from .lattice import canonicalize, group_labels
 from .abelian import unit_group
+from .cycloideal import smallest_primitive_root
 from .dirichlet import is_prime
 
 
@@ -153,17 +154,22 @@ def torsion_exponent(m, ell, r):
     return valuation(m, ell) + valuation(1 - r, ell)
 
 
-def torsion_annihilator(m, ell, r):
-    # the exponent v and the generators ell^v and sigma_a - a^(1-r) of the
-    # annihilator ideal, which .ideal canonicalizes only when it is read
+def _checked_exponent(m, ell, r):
+    # torsion_exponent(m, ell, r), after the checks both callers share
     # m > 1 is a power of the prime ell iff it divides ell^(bits of m)
     if not (ell % 2 and is_prime(ell) and r <= -1 and m > 1
             and ell ** m.bit_length() % m == 0):
         raise ValueError("need an odd prime ell, a modulus m > 1 that is a "
                          "power of it and r <= -1, got m = %d, ell = %d, "
                          "r = %d" % (m, ell, r))
+    return torsion_exponent(m, ell, r)
+
+
+def torsion_annihilator(m, ell, r):
+    # the exponent v and the generators ell^v and sigma_a - a^(1-r) of the
+    # annihilator ideal, which .ideal canonicalizes only when it is read
+    v = _checked_exponent(m, ell, r)
     group = unit_group(m)
-    v = torsion_exponent(m, ell, r)
     one = GroupRingElement.one(group)
     gens = [one.scale(ell ** v)]
     for a in group.elements:
@@ -171,24 +177,44 @@ def torsion_annihilator(m, ell, r):
     return TorsionAnnihilator(v, tuple(gens))
 
 
+def annihilator_pair(m, ell, r):
+    # ell^v and sigma_g - g^(1-r), which generate the annihilator ideal over
+    # Z[G]: (Z/m)^* is cyclic with generator g, the least primitive root mod
+    # ell, plus ell if it is 1 mod ell^2 to the ell - 1.  For a = g^j and
+    # e = 1 - r,
+    #   sigma_a - a^e = (sigma_g - g^e) Sigma_(i<j) sigma_g^i g^(e(j-1-i))
+    #                   + (g^(je) - a^e),
+    # the last an integer of valuation >= v (lifting the exponent, as in
+    # torsion_exponent).  Both are among torsion_annihilator's generators
+    v = _checked_exponent(m, ell, r)
+    g = smallest_primitive_root(ell)
+    g = (g + ell if pow(g, ell - 1, ell * ell) == 1 else g) % m
+    one = GroupRingElement.one(unit_group(m))
+    return (one.scale(ell ** v),
+            GroupRingElement.basis(one.group, g) - one.scale(g ** (1 - r)))
+
+
+def _worst(x, ell):
+    # the least ell-adic valuation of x's coefficients, v(gcd(nums)) -
+    # v(den), or None at x = 0
+    return None if x.is_zero() else (valuation(gcd(*x.nums), ell)
+                                     - valuation(x.den, ell))
+
+
 def annihilator_integrality(m, ell, r, theta):
     # do all products (annihilator generator) * theta have coefficients of
     # nonnegative ell-adic valuation?  Returns (verdict, worst valuation,
-    # witness generator index or None).  The worst valuation of nums / den
-    # is v(gcd(nums)) - v(den).
-    ann = torsion_annihilator(m, ell, r)
-    worst = None
-    witness = None
-    # Only the generators are tried: every element of the ideal is a
-    # Z[1/2]-combination of them, and ell is odd, so its product with theta
-    # has no lower valuation than the generators' minimum, which a generator
-    # attains.
-    for k, gen in enumerate(ann.generators):
-        prod = gen * theta
-        if prod.is_zero():
-            continue
-        v = valuation(gcd(*prod.nums), ell) - valuation(prod.den, ell)
-        if worst is None or v < worst:
-            worst = v
-            witness = k if v < 0 else witness
-    return (worst is None or worst >= 0), worst, witness
+    # witness: the index in torsion_annihilator's generators of the first
+    # that attains a negative worst, else None).  An element of the ideal is
+    # a Z[G]-combination of annihilator_pair, and G permutes theta's
+    # coefficients, so its product has no lower valuation than the pair's:
+    # two products give the worst over the whole ideal.  Only when it is
+    # negative are the generators walked, in order, to name the witness.
+    pair = [_worst(x * theta, ell) for x in annihilator_pair(m, ell, r)]
+    worst = min((w for w in pair if w is not None), default=None)
+    if worst is None or worst >= 0:
+        return True, worst, None
+    gens = torsion_annihilator(m, ell, r).generators
+    witness = next(k for k, x in enumerate(gens)
+                   if _worst(x * theta, ell) == worst)
+    return False, worst, witness

@@ -501,9 +501,10 @@ def _odd_prime_with(size, what, limit):
             if size(v) > limit else _GOT(v))
 
 
-# the largest modulus ell^2 the integrality suite builds, at a cost growing
-# as ell^4: 1.6 s at the limit ell = 31, 5.0 s at 43 (cold, 2-core shared VM)
-INTEGRALITY_MAX_MODULUS = 31 ** 2
+# the largest modulus ell^2 the integrality suite builds: theta and two
+# annihilator products at each modulus, a cost growing as ell^2, 0.5 s at
+# the limit ell = 313 (cold, 2-core shared VM)
+INTEGRALITY_MAX_MODULUS = 313 ** 2
 
 SUITE_PARAMS = {
     "half-stickelberger": {},

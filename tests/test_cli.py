@@ -203,25 +203,26 @@ _BUDGET = brauer.SUBGROUP_ORDER_BUDGET
      "--ell: suite 'abelian-reduction' needs an odd prime with group order "
      "ell - 1 <= %d, and this input predicts group order 1000003 - 1"
      % _BUDGET),
-    # theta at m = ell^2 times phi(m) + 1 generators, in time growing as
-    # ell^4; the size is compared before primality, so 10^30 is refused too
-    (["integrality", "--ell", "37"],
+    # theta at m = ell^2 and two annihilator products, in time growing as
+    # ell^2; 317 is the least prime past 313; the size is compared before
+    # primality, so 10^30 is refused too
+    (["integrality", "--ell", "317"],
      "--ell: suite 'integrality' needs an odd prime with modulus ell^2 <= "
-     "961, and this input predicts modulus 37^2"),
+     "97969, and this input predicts modulus 317^2"),
     (["integrality", "--ell", "1009"],
      "--ell: suite 'integrality' needs an odd prime with modulus ell^2 <= "
-     "961, and this input predicts modulus 1009^2"),
+     "97969, and this input predicts modulus 1009^2"),
     (["integrality", "--ell", str(10 ** 30)],
      "--ell: suite 'integrality' needs an odd prime with modulus ell^2 <= "
-     "961, and this input predicts modulus %d^2" % 10 ** 30),
+     "97969, and this input predicts modulus %d^2" % 10 ** 30),
     # within the size, a refusal for primality names the value as given
     (["integrality", "--ell", "9"],
      "--ell: suite 'integrality' needs an odd prime with modulus ell^2 <= "
-     "961, got 9"),
+     "97969, got 9"),
 ], ids=["functoriality-r", "integrality-r", "oracles-r", "induced-det-count",
         "half-stickelberger-ell", "half-stickelberger-levels",
         "lvalue-identity-ell", "base-change-ell", "abelian-reduction-37",
-        "abelian-reduction-1000003", "integrality-37", "integrality-1009",
+        "abelian-reduction-1000003", "integrality-317", "integrality-1009",
         "integrality-10^30", "integrality-9"])
 def test_check_refuses_before_any_suite_work(capsys, monkeypatch, argv,
                                              message):
@@ -240,10 +241,12 @@ def test_check_refuses_before_any_suite_work(capsys, monkeypatch, argv,
 
 
 def test_integrality_budget_admits_its_limit():
-    # 31 is the largest prime with 31^2 <= 961
-    assert suites.INTEGRALITY_MAX_MODULUS == 31 ** 2
-    assert suites.check_params("integrality", ells=(31,)) \
-        == ("integrality", {"ells": (31,)})
+    # 313 is the largest prime with 313^2 <= 97969, and the primes below it,
+    # 37 among them, are in
+    assert suites.INTEGRALITY_MAX_MODULUS == 313 ** 2
+    for ell in (37, 313):
+        assert suites.check_params("integrality", ells=(ell,)) \
+            == ("integrality", {"ells": (ell,)})
 
 
 @pytest.mark.parametrize("argv, flag, predicted", [
@@ -826,6 +829,16 @@ def test_integrality_suite_finishes():
     results = integrality_suite()
     assert time.perf_counter() - started < 1.0
     assert all(r.passed for r in results)
+
+
+def test_integrality_suite_at_31_takes_two_products_per_case():
+    # at m = 31^2 the full list holds 931 generators, and theta times all of
+    # them takes 1.2-1.6 s in-process; the two products per case take about
+    # 0.005 s
+    started = time.perf_counter()
+    results = integrality_suite(ells=(31,))
+    assert time.perf_counter() - started < 0.25
+    assert len(results) == 5 and all(r.passed for r in results)
 
 
 def test_brauer_map_builtin(capsys):
