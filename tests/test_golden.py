@@ -43,6 +43,26 @@ def test_deep_minus_lattices_keep_their_digest(argv, digest, capsys):
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
+LVALUE_9241 = ["lvalue", "--modulus", "9241", "--char", "1", "--r", "-2"]
+LVALUE_9241_DIGEST = (
+    "b93419f14be343064df97c0c32dbee25b75c08cb59ea67bac509900deb0e478a")
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (LVALUE_9241, LVALUE_9241_DIGEST),
+    (["lvalue", "--modulus", "10007", "--char", "1", "--r", "-2"],
+     "e0f8627796dcadeb13277ab8eff46b987550e0da0d90030c44d9e3311553fce5"),
+], ids=["lvalue-9241", "lvalue-10007"])
+def test_large_lvalues_keep_their_digest(argv, digest, capsys):
+    # L-values whose character values live at the orders 9240 and 10006,
+    # far above any golden case; their reports (36 KB and 137 KB) are
+    # pinned by the sha256 of their stdout
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
 @pytest.fixture(scope="module")
 def without_asserts():
     # python -O strips asserts, and a non-default PYTHONHASHSEED reorders
