@@ -12,10 +12,11 @@
 # orders would not, and nothing here uses them as dict keys.  The Fraction
 # coordinates (`coeffs`) are computed on demand and not stored.
 #
-# Phi_N is built from binomials x^d - 1 and feeds one table of rows.  It is
-# monic, so reduction mod Phi_N stays in the integers: for
-# phi(N) <= k < N the coordinates of zeta_N^k form an integer row, and every
-# other power folds onto [0, N) by zeta_N^N = 1.
+# Phi_N is built from binomials x^d - 1.  Reduction mod Phi_N first folds
+# every power onto [0, h) by zeta_N^h = s (h = N/2 and s = -1 for even N,
+# h = N and s = 1 for odd N), then divides from the top by Phi_N.  Phi_N is
+# monic, so the division stays in the integers and reads only its nonzero
+# coefficients.
 #
 # Exponent convention: a character value is a root of unity zeta_N^k, and
 # character sums take the exponent k rather than the number.  Multiplying by
@@ -88,21 +89,14 @@ def cyclotomic_polynomial(n):
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n):
-    # Row k - phi(n), for k = phi(n) .. n-1, lists the nonzero integer
-    # coordinates (i, c) of zeta_n^k, so reduction mod Phi_n is a lookup.
-    phi = euler_phi(n)
-    head = [-c for c in cyclotomic_polynomial(n)[:-1]]  # zeta^phi
-    rows = []
-    current = head
-    for k in range(phi, n):
-        if k > phi:
-            overflow = current[-1]
-            current = [0] + current[:-1]
-            if overflow:
-                current = [a + overflow * b for a, b in zip(current, head)]
-        rows.append(tuple((i, c) for i, c in enumerate(current) if c))
-    return rows
+def _division(n):
+    # (h, s, phi, tail) for _reduce: zeta_n^h = s, with h = n/2 and s = -1
+    # for even n (h = n and s = 1 for odd n), phi = phi(n), and tail the
+    # nonzero coordinates (i, c) of zeta_n^phi = x^phi - Phi_n(x)
+    h, s = (n // 2, -1) if n % 2 == 0 else (n, 1)
+    tail = tuple((i, -c) for i, c in enumerate(cyclotomic_polynomial(n)[:-1])
+                 if c)
+    return h, s, euler_phi(n), tail
 
 
 @lru_cache(maxsize=None)
@@ -119,24 +113,21 @@ def ramanujan_sums(m):
 
 def _reduce(n, acc):
     # acc: integer coefficients of a polynomial in zeta_n, any length;
-    # returns the phi(n) canonical coordinates as a list
-    if len(acc) > n:
-        folded = acc[:n]
-        for k in range(n, len(acc)):
-            folded[k % n] += acc[k]
-        acc = folded
-    phi = euler_phi(n)
-    out = acc[:phi]
-    if len(out) < phi:
-        out.extend([0] * (phi - len(out)))
-    if len(acc) > phi:
-        rows = _reduction_rows(n)
-        for k in range(phi, len(acc)):
-            c = acc[k]
-            if c:
-                for i, r in rows[k - phi]:
-                    out[i] += c * r
-    return out
+    # returns the phi(n) canonical coordinates as a list.  Folding by
+    # zeta_n^k = s^(k // h) zeta_n^(k % h) leaves h coefficients, and
+    # phi <= h; long division by the monic Phi_n then clears them from the
+    # top down to phi
+    h, s, phi, tail = _division(n)
+    out = acc[:h]
+    for k in range(h, len(acc)):
+        out[k % h] += s ** (k // h) * acc[k]
+    for k in range(len(out) - 1, phi - 1, -1):
+        c = out[k]
+        if c:
+            base = k - phi
+            for i, t in tail:
+                out[base + i] += c * t
+    return out[:phi] + [0] * (phi - len(out))
 
 
 def _make(order, nums, den):

@@ -78,18 +78,14 @@ def apply_quotient(tower, x):
 
 # --- inclusion map phi ---
 
-def apply_inclusion(x, group, embed):
-    return map_elements(x, group, embed)
-
-
 def induced_det_both_routes(subgroup, group, embed, M):
     # the two sides of phi(Det_{Q[H]} M) = Det_{Q[G]} (phi entrywise M):
     # the left side goes through H-characters, the right through
     # G-characters, so agreement exercises restriction-compatibility of the
     # whole determinant machinery
     # det_over_group_ring raises ValueError on a non-square M
-    lhs = apply_inclusion(det_over_group_ring(M), group, embed)
-    induced = [[apply_inclusion(x, group, embed) for x in row] for row in M]
+    lhs = map_elements(det_over_group_ring(M), group, embed)
+    induced = [[map_elements(x, group, embed) for x in row] for row in M]
     rhs = det_over_group_ring(induced)
     return lhs, rhs
 

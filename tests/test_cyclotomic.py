@@ -31,13 +31,14 @@ def test_cyclotomic_polynomial_against_sympy():
 
 
 def test_from_exponents_against_sympy_rem():
-    # an accumulator of length 2n reduces to its remainder mod Phi_n
+    # an accumulator of length 2n or 3n reduces to its remainder mod Phi_n;
+    # 1155 = 3 * 5 * 7 * 11 is odd, so it is folded by zeta^n = 1 alone
     from sympy import Poly, cyclotomic_poly, symbols
 
     x = symbols("x")
     rng = random.Random(1)
-    for n in (210, 1458):
-        acc = [rng.randint(-50, 50) for _ in range(2 * n)]
+    for n, length in ((210, 420), (1458, 2916), (1155, 2310), (1155, 3465)):
+        acc = [rng.randint(-50, 50) for _ in range(length)]
         ours = from_exponents(n, acc).lift(n).coeffs
         phi_n = Poly(cyclotomic_poly(n, x), x)
         # auto=False divides over ZZ (Phi_n is monic), not over QQ
@@ -45,6 +46,75 @@ def test_from_exponents_against_sympy_rem():
         theirs = [int(c) for c in rem.all_coeffs()[::-1]]
         theirs += [0] * (euler_phi(n) - len(theirs))
         assert list(ours) == theirs, n
+
+
+@lru_cache(maxsize=None)
+def reduction_rows(n):
+    # Row k - phi(n), for k = phi(n) .. n-1, lists the nonzero integer
+    # coordinates (i, c) of zeta_n^k, so reduction mod Phi_n is a lookup.
+    phi = euler_phi(n)
+    head = [-c for c in cyclotomic_polynomial(n)[:-1]]  # zeta^phi
+    rows = []
+    current = head
+    for k in range(phi, n):
+        if k > phi:
+            overflow = current[-1]
+            current = [0] + current[:-1]
+            if overflow:
+                current = [a + overflow * b for a, b in zip(current, head)]
+        rows.append(tuple((i, c) for i, c in enumerate(current) if c))
+    return rows
+
+
+def table_reduce(n, acc):
+    # reduction mod Phi_n by a table of the powers zeta_n^k, phi(n) <= k < n,
+    # after folding by zeta_n^n = 1: the independent reference that the
+    # package's fold and long division are checked against
+    if len(acc) > n:
+        folded = acc[:n]
+        for k in range(n, len(acc)):
+            folded[k % n] += acc[k]
+        acc = folded
+    phi = euler_phi(n)
+    out = acc[:phi]
+    if len(out) < phi:
+        out.extend([0] * (phi - len(out)))
+    if len(acc) > phi:
+        rows = reduction_rows(n)
+        for k in range(phi, len(acc)):
+            c = acc[k]
+            if c:
+                for i, r in rows[k - phi]:
+                    out[i] += c * r
+    return out
+
+
+def test_from_exponents_matches_the_row_table():
+    # accumulators at the lengths where the fold or the division starts or
+    # stops (empty, one coefficient, phi, about n/2, n, past 3n), with
+    # entries of up to 200 bits; 1155 is odd with four primes, 2310, 4620
+    # and 10006 are even
+    rng = random.Random(2)
+    for n in [*range(1, 301), 1155, 2310, 4620, 10006]:
+        phi = euler_phi(n)
+        for length in (0, 1, phi, n // 2 - 1, n // 2 + 1, n, 3 * n + 1):
+            acc = [rng.getrandbits(200) - (1 << 199) for _ in range(length)]
+            expected = CyclotomicNumber(n, table_reduce(n, acc))
+            assert from_exponents(n, acc) == expected, (n, length)
+        reduction_rows.cache_clear()  # the rows at 4620 take about 100 MB
+
+
+def test_reduce_folds_and_divides():
+    # zeta_9^9 = 1 (odd order: folded by zeta^n = 1), zeta_4^3 = -zeta_4
+    # (even order: folded by zeta^(n/2) = -1), and at order 5 a zero
+    # coefficient above phi = 4 is passed over by the division
+    assert from_exponents(9, [0] * 9 + [1]) == 1
+    assert from_exponents(9, [0] * 10 + [1]) == zeta(9)
+    assert from_exponents(4, [0, 0, 0, 1]) == -zeta(4)
+    assert from_exponents(4, [2, 0, 1, 0, 1]) == 2
+    assert from_exponents(5, [1, 0, 0, 0, 0]) == 1
+    assert from_exponents(5, [0, 0, 0, 0, 1, 0]) == zeta(5, 4)
+    assert from_exponents(5, [1, 1, 1, 1, 1]) == 0
 
 
 def test_euler_phi():

@@ -63,6 +63,24 @@ def test_large_lvalues_keep_their_digest(argv, digest, capsys):
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
+def test_lvalue_at_order_9240_fits_in_128_mb():
+    # reduction mod Phi_9240 needs no table of powers of zeta: the child caps
+    # its own address space at 128 MB and still prints the pinned report
+    script = """
+import contextlib, hashlib, io, json, resource, sys
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (128 << 20, hard))
+from galideal.cli import main
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    code = main(json.loads(sys.argv[1]))
+print(code, hashlib.sha256(buf.getvalue().encode()).hexdigest())
+"""
+    proc = run_python("-c", script, json.dumps(LVALUE_9241))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", LVALUE_9241_DIGEST]
+
+
 @pytest.fixture(scope="module")
 def without_asserts():
     # python -O strips asserts, and a non-default PYTHONHASHSEED reorders
