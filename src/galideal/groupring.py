@@ -22,7 +22,7 @@
 # each nonzero index i of the left factor reads the row index(op(g_i, h)),
 # built when first read and cached on the group, never as an eager table.
 # Fractions occur only at the edges: coefficients given to the constructor
-# or scale, coefficient(), augmentation() and repr.
+# or scale, coefficient() and repr.
 
 from fractions import Fraction
 from functools import lru_cache
@@ -104,9 +104,6 @@ class GroupRingElement:
 
     def is_zero(self):
         return not any(self.nums)
-
-    def augmentation(self):
-        return Fraction(sum(self.nums), self.den)
 
     def _check(self, other):
         if self.group != other.group:
@@ -263,21 +260,19 @@ def lambda_assemble(group, h):
     return assemble_orbits(group, lambda chi: parts[chi.index])
 
 
-def character_components(x):
-    # dict: character -> psi_eval(x, character)
-    _table(x.group)  # refuses a group without characters
-    return {chi: psi_eval(x, chi) for chi in x.group.characters()}
-
-
 def invert_unit(x):
-    # inverse in Q[G] via 1/psi on every character; ZeroDivisionError if some
-    # component vanishes (x not a unit)
-    comps = character_components(x)
-    for chi, v in comps.items():
+    # inverse in Q[G] via 1/psi at the first character of each Galois orbit;
+    # ZeroDivisionError if some component vanishes (x not a unit).  sigma_a
+    # keeps zero, so the first vanishing character is the first of its orbit
+    parts = {}
+    for chi, _, _, _ in _table(x.group)[1]:
+        v = psi_eval(x, chi)
         if v.is_zero():
             raise ZeroDivisionError(
                 "not a unit: character component %d vanishes" % chi.index)
-    return lambda_assemble(x.group, {chi: v.inverse() for chi, v in comps.items()})
+        v = v.inverse()
+        parts[chi.index] = (v.order, list(v.nums), v.den)
+    return assemble_orbits(x.group, lambda chi: parts[chi.index])
 
 
 def _bareiss(N, A):

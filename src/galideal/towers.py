@@ -8,8 +8,9 @@
 #
 # The fixed-point map is determined by cosets: lambda(zN) = (1 - e) + z e
 # with e the averaging idempotent of N.  It is a unital ring homomorphism
-# (cross terms vanish because e is central), and the result is independent
-# of the section because z e only depends on the coset zN.
+# (cross terms vanish because e is central, for any normal N), and z e
+# spreads 1/|N| over the coset zN, so no section is needed: lambda(sum a_q q)
+# has (a_p(g) - [g in N] sum a_q) / |N| + [g = 1] sum a_q at g.
 #
 # The containment checks map Z[1/2]-module generators x of the source ideal
 # and test each image against the target, a module, which is exact:
@@ -72,7 +73,15 @@ def cyclotomic_tower(m_big, m_small):
 
 # --- quotient map pi ---
 
+def _source(x, group):
+    # pi, lambda and iota read x's numerators in group's element order
+    if x.group != group:
+        raise ValueError("an element of %r given to a map out of %r"
+                         % (x.group, group))
+
+
 def apply_quotient(tower, x):
+    _source(x, tower.big)
     return map_elements(x, tower.quotient, tower.project)
 
 
@@ -104,30 +113,22 @@ def coset_section(tower):
     return {tower.project(g): g for g in reversed(tower.big.elements)}
 
 
-def _fixed_point_parts(tower):
-    # e, the section lookup and 1 - e: one triple per tower, kept on its
-    # big group with the tower it was built for
-    big = tower.big
-    kept = getattr(big, "_fixed_point_parts", None)
-    if kept is None or kept[0] is not tower:
-        e = kernel_idempotent(tower)
-        kept = big._fixed_point_parts = (
-            tower, e, coset_section(tower).__getitem__,
-            GroupRingElement.one(big) - e)
-    return kept[1:]
-
-
 def apply_fixed_point(tower, x):
-    # lambda(sum a_q q) = (sum a_q)(1 - e) + (sum a_q z_q) e
-    e, section, complement = _fixed_point_parts(tower)
-    z = map_elements(x, tower.big, section)
-    return complement.scale(x.augmentation()) + z * e
+    # the header's closed form, one pass over G: numerators over |N| den
+    _source(x, tower.quotient)
+    big, Q = tower.big, tower.quotient
+    s, n = sum(x.nums), big.order // Q.order
+    out = [x.nums[Q.index(q)] - s * (q == Q.identity)
+           for q in map(tower.project, big.elements)]
+    out[big.index(big.identity)] += n * s
+    return GroupRingElement.from_numerators(big, out, n * x.den)
 
 
 # --- corestriction iota ---
 
 def apply_corestriction(x, subgroup, group, embed):
     # iota(g) = [G:H] g for g in H, 0 otherwise
+    _source(x, group)
     index = group.order // subgroup.order
     image = {embed(h): h for h in subgroup.elements}
     out = [0] * subgroup.order
@@ -170,7 +171,7 @@ def check_fixed_point_containment(tower, gens_small, ideal_big):
     # lambda(J_K) lands in (1-e)Q[G] + e J_L; since the first summand is a
     # full subspace, this is equivalent to e * lambda(J_K) inside e * J_L;
     # gens_small generate J_K
-    e = _fixed_point_parts(tower)[0]
+    e = kernel_idempotent(tower)
     return _containment((e * apply_fixed_point(tower, x) for x in gens_small),
                         scale_by(ideal_big, tower.big, e))
 

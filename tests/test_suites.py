@@ -101,11 +101,40 @@ def test_integrality_verdicts_build_no_annihilator_lattice(monkeypatch):
 
 
 def test_fixed_point_suite_builds_each_towers_parts_once(monkeypatch):
-    # three suite towers and the plus towers at ell = 3, 5, 7: one kernel
-    # idempotent each, although the suite maps 242 elements
-    calls = _counting(monkeypatch, towers, "kernel_idempotent")
+    # one kernel idempotent per lambda-containment check (the plus towers at
+    # ell = 3, 5, 7); lambda itself, on the 242 elements the suite maps,
+    # takes no product and builds no idempotent and no section
+    inside = []
+    real = towers.apply_fixed_point
+
+    def traced(tower, x):
+        inside.append(tower)
+        try:
+            return real(tower, x)
+        finally:
+            inside.pop()
+
+    def watch(owner, name):
+        # (whether lambda is running, first argument) for each call
+        calls, wrapped = [], getattr(owner, name)
+
+        def recording(first, *args):
+            calls.append((bool(inside), first))
+            return wrapped(first, *args)
+
+        monkeypatch.setattr(owner, name, recording)
+        return calls
+
+    monkeypatch.setattr(towers, "apply_fixed_point", traced)
+    monkeypatch.setattr(suites, "apply_fixed_point", traced)
+    idempotents = watch(towers, "kernel_idempotent")
+    sections = watch(towers, "coset_section")
+    products = watch(GroupRingElement, "__mul__")
     assert all(r.passed for r in suites.fixed_point_suite())
-    assert len(calls) == len({id(t) for t in calls}) == 6
+    assert [within for within, _ in idempotents] == [False] * 3
+    assert len({id(t) for _, t in idempotents}) == 3
+    assert sections == []
+    assert products and not any(within for within, _ in products)
 
 
 def test_fixed_point_suite_builds_each_full_ideal_once(monkeypatch):

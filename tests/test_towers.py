@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,12 @@ from galideal.abelian import (FiniteAbelianGroup, ResidueGroup,
 from galideal.brauer import dihedral4, quotient_group, symmetric3
 from galideal.cycloideal import plus_tower
 from galideal.dirichlet import PlaceSet
-from galideal.groupring import GroupRingElement, psi_eval
+from galideal.groupring import GroupRingElement, map_elements, psi_eval
 from galideal.lattice import (compare, contains_vector, element_vector,
                               from_generators, group_labels, map_image,
                               scale_by, unit_ideal)
 from galideal.stickelberger import stickelberger
+from galideal.suites import theta
 from galideal.towers import (
     TowerDatum,
     apply_corestriction,
@@ -172,8 +174,8 @@ def test_fixed_point_section_independence():
 
 
 def test_fixed_point_rebuilds_its_parts_for_another_tower():
-    # C6/C3 and C6/C2 share their big group, which keeps the parts of the
-    # tower last mapped; alternating between them must not reuse stale ones
+    # C6/C3 and C6/C2 share their big group; alternating between them must
+    # map each element by its own tower's kernel, never the other's
     towers = [TowerDatum(C6, C3, lambda e: (e[0] % 3,)).validate(),
               TowerDatum(C6, C2, lambda e: (e[0] % 2,)).validate()]
     for _ in range(2):
@@ -187,6 +189,61 @@ def test_fixed_point_rebuilds_its_parts_for_another_tower():
                     t, GroupRingElement.basis(t.quotient, q)) == want
 
 
+def fixed_point_by_products(tower, x):
+    # the product form lambda(x) = (sum a_q)(1 - e) + z e, z the image of x
+    # under the canonical section, as the reference for the one-pass map
+    e = kernel_idempotent(tower)
+    sec = coset_section(tower)
+    z = map_elements(x, tower.big, sec.__getitem__)
+    s = Fraction(sum(x.nums), x.den)
+    return (GroupRingElement.one(tower.big) - e).scale(s) + z * e
+
+
+def test_fixed_point_matches_the_product_form():
+    # abelian towers (C6 over both of its quotients, residue towers) and the
+    # Cayley-table towers of brauer.quotient_group, whose kernels are normal
+    # but whose groups are not abelian: random elements with denominators,
+    # zero and every basis element
+    rng = random.Random(47)
+    S3, D4 = symmetric3(), dihedral4()
+    cases = [c4_over_c2(),
+             TowerDatum(C6, C3, lambda e: (e[0] % 3,)).validate(),
+             TowerDatum(C6, C2, lambda e: (e[0] % 2,)).validate(),
+             plus_tower(7), cyclotomic_tower(25, 5),
+             quotient_group(S3, [0, 3, 4]), quotient_group(D4, D4.center)]
+    for t in cases:
+        Q = t.quotient
+        xs = [GroupRingElement(Q, {}), *(GroupRingElement.basis(Q, q)
+                                         for q in Q.elements)]
+        xs += [GroupRingElement(Q, {q: Fraction(rng.randint(-9, 9),
+                                                rng.randint(1, 6))
+                                    for q in Q.elements}) for _ in range(6)]
+        for x in xs:
+            assert apply_fixed_point(t, x) == fixed_point_by_products(t, x), \
+                (t.big, Q, x)
+
+
+def test_tower_maps_refuse_an_element_of_another_group():
+    # pi, lambda and iota read numerators by position, so an element of the
+    # wrong group is refused with both groups named, not mapped to a wrong
+    # answer or a KeyError
+    calls = [
+        (lambda: apply_quotient(cyclotomic_tower(25, 5), theta(3, 0)),
+         r"ResidueGroup\(3, order 2\) given to a map out of "
+         r"ResidueGroup\(25, order 20\)"),
+        (lambda: apply_corestriction(theta(9, 0), squares_subgroup(7),
+                                     unit_group(7), lambda a: a),
+         r"ResidueGroup\(9, order 6\) given to a map out of "
+         r"ResidueGroup\(7, order 6\)"),
+        (lambda: apply_fixed_point(plus_tower(7), theta(7, 0)),
+         r"ResidueGroup\(7, order 6\) given to a map out of "
+         r"PlusQuotientGroup\(7, order 3\)"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError, match="^an element of " + message):
+            call()
+
+
 def test_fixed_point_fixture_compatibility():
     # for any unit fixture R_K with augmentation 1, setting R_L = lambda(R_K)
     # satisfies lambda(R_K) = (1 - e) + R_L e
@@ -194,7 +251,7 @@ def test_fixed_point_fixture_compatibility():
     e = kernel_idempotent(t)
     one = GroupRingElement.one(C4)
     rk = GroupRingElement(C2, {(0,): Fraction(3, 4), (1,): Fraction(1, 4)})
-    assert rk.augmentation() == 1
+    assert sum(rk.nums) == rk.den
     rl = apply_fixed_point(t, rk)
     assert rl == (one - e) + rl * e
 

@@ -44,9 +44,6 @@ KEPT = {
     'return "AbelianCharacter(%r, %r)" % (self.group, self.tuple)': _REPR,
     'cycloideal.py CyclotomicLevel.__repr__: '
     'return "CyclotomicLevel(ell=%d, n=%d)" % (self.ell, self.level)': _REPR,
-    'cycloideal.py PlusQuotientGroup.__repr__: '
-    'return "PlusQuotientGroup(%d, order %d)" % (self.modulus, self.order)':
-        _REPR,
     'groupring.py GroupRingElement.__repr__: label = self.group.label': _REPR,
     'groupring.py GroupRingElement.__repr__: '
     'return " + ".join("(%s)%s" % (Fraction(a, self.den), label(g)) '
