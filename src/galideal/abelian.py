@@ -17,17 +17,16 @@
 #
 # AbelianCharacter is the one character type of the package, for every
 # finite abelian group: FiniteAbelianGroup itself, the ResidueGroups of
-# Dirichlet characters and the abelianizations H^ab of brauer.py.  Each
-# character holds its group, the coordinates A of that group and a lookup
-# from elements to coordinate tuples (the identity for FiniteAbelianGroup,
-# the decomposition map for the others).  Characters report values as
-# exponents: chi.exponent(g) is the k with chi(g) = zeta_N^k and
-# chi.root_order is N; calling chi builds the CyclotomicNumber.  chi.row
-# lists the exponents at group.elements, in order: it is built on first
-# read, once per character, from the weights over the coordinates in their
-# lexicographic order and one permutation into the group's order, kept on
-# the group.  characters() is kept per group, so its rows are reused.  The
-# Dirichlet convention lives only in ResidueGroup's lookup: an integer is
+# Dirichlet characters and the abelianizations H^ab of brauer.py.  The code
+# that makes a group's coordinates A hands each character A, a lookup from
+# elements to tuples and the positions in A.elements of group.elements;
+# character(i), the tuple A.elements[i], is built from its index alone, and
+# characters() maps it over the indices, once per group.  chi.exponent(g)
+# is the k with chi(g) = zeta_N^k and chi.root_order is N; calling chi
+# builds the CyclotomicNumber.  chi.row lists the exponents at
+# group.elements: it is built on first read from the weights over A in its
+# lexicographic order, read at the positions.  The Dirichlet convention
+# lives only in ResidueGroup's lookup, made once per group: an integer is
 # reduced mod m, a non-unit has no coordinates (exponent None, value 0),
 # and a unit outside the subgroup raises KeyError.
 #
@@ -221,9 +220,13 @@ class FiniteAbelianGroup:
 
     def characters(self):
         if self._characters is None:
-            self._characters = tuple(AbelianCharacter(self, self, t, _same)
-                                     for t in self.elements)
+            self._characters = tuple(map(self.character, range(self.order)))
         return self._characters
+
+    def character(self, index):
+        # the character with tuple elements[index], built alone
+        return AbelianCharacter(self, self, self.elements[index], _same,
+                                range(self.order))
 
     def __eq__(self, other):
         return isinstance(other, FiniteAbelianGroup) and self.invariants == other.invariants
@@ -235,32 +238,23 @@ class FiniteAbelianGroup:
         return "FiniteAbelianGroup%r" % (self.invariants,)
 
 
-def _positions(chi):
-    # coords.index(lookup(g)) for g in group.elements: one list per group,
-    # kept on it with the coordinates it was read in
-    group, coords = chi.group, chi.coords
-    kept = getattr(group, "_positions", None)
-    if kept is None or kept[0] is not coords:
-        kept = group._positions = (coords, [
-            coords.index(chi._lookup(g)) for g in group.elements])
-    return kept[1]
-
-
 class AbelianCharacter:
     # The character with tuple t of a group whose elements have coordinates
     # in A = Z/d_1 x ... x Z/d_k (`coords`): for x = lookup(g),
     #   chi(g) = zeta_N ^ (sum_i t_i x_i N / d_i),  N = d_k = root_order,
-    # and chi(g) = 0 where lookup(g) is None.
+    # and chi(g) = 0 where lookup(g) is None; positions[j] is the index in
+    # coords.elements of lookup(group.elements[j]).
 
     __slots__ = ("group", "coords", "tuple", "root_order", "_lookup",
-                 "_weights", "_row")
+                 "_positions", "_weights", "_row")
 
-    def __init__(self, group, coords, t, lookup):
+    def __init__(self, group, coords, t, lookup, positions):
         self.group = group
         self.coords = coords
         self.tuple = tuple(t)
         self.root_order = N = coords.exponent
         self._lookup = lookup
+        self._positions = positions
         self._weights = tuple(ti * (N // d)
                               for ti, d in zip(self.tuple, coords.invariants))
         self._row = None
@@ -273,7 +267,7 @@ class AbelianCharacter:
             for w, d in zip(self._weights, self.coords.invariants):
                 exps = [e + w * x for e in exps for x in range(d)]
             N = self.root_order
-            self._row = [exps[i] % N for i in _positions(self)]
+            self._row = [exps[i] % N for i in self._positions]
         return self._row
 
     @property
@@ -298,7 +292,8 @@ class AbelianCharacter:
         return _zeta_cached(self.root_order, k)
 
     def _with(self, t):
-        return AbelianCharacter(self.group, self.coords, t, self._lookup)
+        return AbelianCharacter(self.group, self.coords, t, self._lookup,
+                                self._positions)
 
     def __mul__(self, other):
         if self.group != other.group:
@@ -376,43 +371,44 @@ class ResidueGroup:
 
     def abelian_coordinates(self):
         if self._coords is None:
-            self._coords = coordinates(self.elements, self.op, self.identity)
-            # the positions a row reads (_positions), from the order in which
-            # from_tuple lists the elements, with no lookup per element
-            A, _, from_tuple = self._coords
+            self._coords = A, to_tuple, from_tuple = coordinates(
+                self.elements, self.op, self.identity)
+            m = self.modulus
+
+            def lookup(a):
+                # the Dirichlet convention (see the header)
+                a %= m
+                x = to_tuple.get(a)
+                if x is None and gcd(a, m) == 1:
+                    raise KeyError("residue %d outside subgroup of (Z/%d)^*"
+                                   % (a, m))
+                return x
+
+            # the positions a row reads, from the order in which from_tuple
+            # lists the elements, with no lookup per element
             where = dict(zip(from_tuple.values(), range(self.order)))
-            self._positions = (A, list(map(where.__getitem__, self.elements)))
+            self._lookup = lookup
+            self._positions = list(map(where.__getitem__, self.elements))
         return self._coords
 
     def characters(self):
         if self._characters is None:
-            self._characters = tuple(self.character(i)
-                                     for i in range(self.order))
+            self._characters = tuple(map(self.character, range(self.order)))
         return self._characters
 
     def character(self, index):
         # the character with tuple A.elements[index], built alone
-        A, to_tuple, _ = self.abelian_coordinates()
-        m = self.modulus
-
-        def lookup(a):
-            # the Dirichlet convention (see the header)
-            a %= m
-            x = to_tuple.get(a)
-            if x is None and gcd(a, m) == 1:
-                raise KeyError("residue %d outside subgroup of (Z/%d)^*"
-                               % (a, m))
-            return x
-
-        return AbelianCharacter(self, A, A.elements[index], lookup)
+        A = self.abelian_coordinates()[0]
+        return AbelianCharacter(self, A, A.elements[index], self._lookup,
+                                self._positions)
 
     def __eq__(self, other):
-        return (isinstance(other, ResidueGroup)
-                and self.modulus == other.modulus
-                and self.elements == other.elements)
+        return self is other or (isinstance(other, ResidueGroup)
+                                 and self.modulus == other.modulus
+                                 and self.elements == other.elements)
 
     def __hash__(self):
-        return hash((self.modulus, tuple(self.elements)))
+        return hash((self.modulus, self.order))
 
     def __repr__(self):
         return "ResidueGroup(%d, order %d)" % (self.modulus, self.order)

@@ -309,8 +309,10 @@ class SubgroupRecord:
         if self._characters is None:
             A, to_tuple, _ = coordinates(
                 list(self.ab.elements), self.ab.op, self.ab.identity)
+            positions = [A.index(to_tuple[q]) for q in self.ab.elements]
             self._characters = tuple(
-                AbelianCharacter(self.ab, A, t, to_tuple.__getitem__)
+                AbelianCharacter(self.ab, A, t, to_tuple.__getitem__,
+                                 positions)
                 for t in A.elements)
         return self._characters
 

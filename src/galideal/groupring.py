@@ -9,12 +9,13 @@
 #   det_over_group_ring  determinant via one character per Galois orbit,
 #                        fraction-free (Bareiss) on numerator rows
 #
-# One table per group (`_table`) holds the Galois orbits of the characters;
-# both directions assemble from one value per orbit (`assemble_orbits`), by
-# one integer trace per orbit and element, with no reduction.  Determinants
-# alone also keep each orbit's first character's values at the elements as
-# coordinates: they run on numerator rows at order N and below 3 x 3 build
-# no CyclotomicNumber.
+# One table per group (`_table`) holds the Galois orbits of the characters
+# and builds only each orbit's first character; both directions assemble
+# from one value per orbit (`assemble_orbits`), by one integer trace per
+# orbit and element, with no reduction.  Determinants alone also keep each
+# orbit's first character's values at the elements as coordinates: they
+# run on numerator rows at order N and below 3 x 3 build no
+# CyclotomicNumber.
 #
 # An element is `nums`, |G| integers indexed by group.index, over one
 # denominator den > 0 with gcd(den, nums) = 1.  Sums add numerators, tau
@@ -183,18 +184,19 @@ def _table(group):
     # (N, orbits), kept on the group: one (chi, n, phi(n), exps) per Galois
     # orbit {chi^a : a prime to n} of characters, chi its first character, n
     # its order and chi(g_j^-1) = zeta_n^exps[j]; the orbits are read off the
-    # coordinate tuples
+    # coordinate tuples, and only each orbit's first character is built
     kept = getattr(group, "_character_table", None)
     if kept is None:
-        if not hasattr(group, "characters"):
+        if not hasattr(group, "character"):
             raise ValueError("%r has no character table" % (group,))
-        chars = group.characters()
-        N, ds = chars[0].root_order, chars[0].coords.invariants
+        chi = group.character(0)  # the trivial character, an orbit alone
+        A, N = chi.coords, chi.root_order
         seen, orbits = set(), []
-        for chi in chars:
-            if chi.tuple not in seen:
+        for i, t in enumerate(A.elements):
+            if t not in seen:
+                chi = group.character(i) if i else chi
                 n = N // gcd(N, *chi.row)
-                seen.update(tuple(a * x % d for x, d in zip(chi.tuple, ds))
+                seen.update(tuple(a * x % d for x, d in zip(t, A.invariants))
                             for a in range(1, n + 1) if gcd(a, n) == 1)
                 orbits.append((chi, n, euler_phi(n),
                                [-k % N // (N // n) for k in chi.row]))

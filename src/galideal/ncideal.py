@@ -109,13 +109,15 @@ class TwoSidedReport(NamedTuple):
 
 
 def two_sided_check(I):
-    # a left ideal is two-sided iff every conjugate of every generator
-    # stays inside it
+    # a left ideal is two-sided iff every conjugate w x w^-1 of every
+    # generator x stays inside it.  It is a left ideal, so w x w^-1 lies in
+    # it exactly when x w^-1 does: each test is one right translation
     G = I.group
     for t, x in enumerate(I.generators):
         for w in G.elements:
-            conj = GroupRingElement.basis(G, w) * x * GroupRingElement.basis(G, G.inv(w))
-            if not contains_element(I.lattice, G, conj):
+            w_inv = G.inv(w)
+            moved = map_elements(x, G, lambda g: G.op(g, w_inv))
+            if not contains_element(I.lattice, G, moved):
                 return TwoSidedReport(False, (G.label(w), t))
     return TwoSidedReport(True, ())
 

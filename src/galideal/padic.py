@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .groupring import GroupRingElement
+from .groupring import GroupRingElement, map_elements
 from .lattice import canonicalize, group_labels
 from .abelian import unit_group
 from .cycloideal import smallest_primitive_root
@@ -209,12 +209,22 @@ def annihilator_integrality(m, ell, r, theta):
     # a Z[G]-combination of annihilator_pair, and G permutes theta's
     # coefficients, so its product has no lower valuation than the pair's:
     # two products give the worst over the whole ideal.  Only when it is
-    # negative are the generators walked, in order, to name the witness.
+    # negative are the generators walked, in order, to name the witness;
+    # each product is formed when the walk reaches it, with no product in
+    # Q[G]: ell^v theta is a scaling, and (sigma_a - a^(1-r)) theta is theta
+    # moved along b -> ab, less a^(1-r) theta.
     pair = [_worst(x * theta, ell) for x in annihilator_pair(m, ell, r)]
     worst = min((w for w in pair if w is not None), default=None)
     if worst is None or worst >= 0:
         return True, worst, None
-    gens = torsion_annihilator(m, ell, r).generators
-    witness = next(k for k, x in enumerate(gens)
-                   if _worst(x * theta, ell) == worst)
+    group = theta.group
+
+    def products():
+        yield theta.scale(ell ** torsion_exponent(m, ell, r))
+        for a in group.elements:
+            yield (map_elements(theta, group, lambda b: a * b % m)
+                   - theta.scale(a ** (1 - r)))
+
+    witness = next(k for k, x in enumerate(products())
+                   if _worst(x, ell) == worst)
     return False, worst, witness

@@ -127,8 +127,5 @@ def base_change_element(ell):
     h = squares_subgroup(ell)
     places = PlaceSet([ell])
     rho = quadratic_character(g)
-    values = {}
-    for eta in h.characters():
-        psi = even_extension(g, eta)
-        values[eta] = l_value(0, rho * psi, places).inverse()
-    return lambda_assemble(h, values)
+    return lambda_assemble(h, lambda eta: l_value(
+        0, rho * even_extension(g, eta), places).inverse())

@@ -215,6 +215,45 @@ def test_character_by_index_matches_the_list(m):
             [chi.exponent(a) for a in range(min(m, 40))]
 
 
+@pytest.mark.parametrize("invariants", [(), (2,), (2, 4), (2, 2, 6), (3, 9)],
+                         ids=str)
+def test_abelian_group_character_by_index_matches_the_list(invariants):
+    # character(i) is built alone, with the tuple and row of characters()[i]
+    g = FiniteAbelianGroup(invariants)
+    alone = [g.character(i) for i in range(g.order)]
+    assert g._characters is None
+    for chi, ref in zip(alone, g.characters()):
+        assert chi == ref and chi.tuple == ref.tuple
+        assert chi.row == ref.row == [ref.exponent(a) for a in g.elements]
+
+
+class _Unread:
+    # an element list that fails when it is read or compared
+    def __iter__(self):
+        raise AssertionError("element list read")
+
+    def __eq__(self, other):
+        raise AssertionError("element list compared")
+
+
+def test_residue_group_hash_and_self_equality_read_no_elements():
+    g = ResidueGroup(15, [1, 4])
+    h = hash(g)
+    assert h == hash(ResidueGroup(15, [4, 1]))
+    g.elements = _Unread()
+    assert hash(g) == h and g == g and not g != g
+    # subgroups of one order share a hash, and == tells them apart
+    a, b = ResidueGroup(15, [1, 4]), ResidueGroup(15, [1, 11])
+    assert hash(a) == hash(b) and a != b and a == ResidueGroup(15, [1, 4])
+
+
+def test_residue_group_makes_one_lookup():
+    g = ResidueGroup(7, [1, 2, 4])
+    first, second = g.character(1), g.character(2)
+    assert first._lookup is second._lookup
+    assert first._positions is second._positions
+
+
 def test_rows_are_the_exponents_and_built_on_first_read():
     # chi.row[i] = chi.exponent(group.elements[i]), for unit groups, a
     # proper subgroup of units, abstract groups and an abelianization; the

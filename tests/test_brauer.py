@@ -404,6 +404,19 @@ def test_monomial_table_twisted_by_each_character_is_induced(make):
                 assert twisted == _induced(G, rec, chi, g, cosets)
 
 
+@pytest.mark.parametrize("make", [symmetric3, alternating4],
+                         ids=["S3", "A4"])
+def test_subgroup_characters_set_nothing_on_the_abelianization(make):
+    # the positions a row reads come with the record's characters, one list
+    # per record, and are kept on no FiniteGroup
+    for rec in subgroup_lattice(make()):
+        chars = rec.characters()
+        for chi in chars:
+            assert chi.row == [chi.exponent(q) for q in rec.ab.elements]
+        assert len({id(chi._positions) for chi in chars}) == 1
+        assert not hasattr(rec.ab, "_positions")
+
+
 def test_monomial_table_is_built_once_per_subgroup(monkeypatch):
     # one table per subgroup, one entry per element, however many
     # characters the subgroup's abelianization has (A4 has up to 4)

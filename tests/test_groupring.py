@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galideal import cyclotomic
-from galideal.abelian import FiniteAbelianGroup, closure, unit_group
+from galideal.abelian import (FiniteAbelianGroup, ResidueGroup, closure,
+                              unit_group)
 from galideal.brauer import BUILTIN_GROUPS, from_cayley_text, symmetric3
 from galideal.cyclotomic import CyclotomicNumber, from_exponents
 from galideal.groupring import (
@@ -266,6 +267,37 @@ def test_orbit_assembly_matches_direct_sum(group):
         assert assemble_orbits(group, value) == x
     lifted = {chi: v.lift(2 * v.order) for chi, v in comps.items()}
     assert lambda_assemble(group, lifted) == x
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ResidueGroup._trusted(1000, list(unit_group(1000).elements)),
+    lambda: FiniteAbelianGroup((2, 4))], ids=["units1000", "C2xC4"])
+def test_orbit_table_builds_one_character_per_orbit(make, monkeypatch):
+    # _table builds each orbit's first character alone and never the list;
+    # the orbits are the cyclic subgroups of the coordinates, each listed at
+    # its first tuple
+    group = make()
+    kind = type(group)
+    built = []
+    character = kind.character
+
+    def counted(self, index):
+        built.append(index)
+        return character(self, index)
+
+    def no_list(self):
+        raise AssertionError("characters() was called")
+
+    monkeypatch.setattr(kind, "character", counted)
+    monkeypatch.setattr(kind, "characters", no_list)
+    N, orbits = _table(group)
+    A = orbits[0][0].coords
+    firsts = {}
+    for i, t in enumerate(A.elements):
+        firsts.setdefault(frozenset(closure(A, [t])), i)
+    assert built == [chi.index for chi, _, _, _ in orbits] \
+        == sorted(firsts.values())
+    assert N == A.exponent and len(built) < group.order
 
 
 @pytest.mark.parametrize("group", [C4, C6, unit_group(15), unit_group(27)],

@@ -140,6 +140,39 @@ def test_covariant_family_is_two_sided():
     assert report.passed and report.witness == ()
 
 
+def _conjugation_check(I):
+    # the reference: every conjugate w x w^-1 of every generator x, formed
+    # as two products in Q[G], in the order two_sided_check walks them
+    G = I.group
+    for t, x in enumerate(I.generators):
+        for w in G.elements:
+            conj = (GroupRingElement.basis(G, w) * x
+                    * GroupRingElement.basis(G, G.inv(w)))
+            if not contains_element(I.lattice, G, conj):
+                return False, (G.label(w), t)
+    return True, ()
+
+
+def test_right_translation_matches_the_conjugation_form():
+    # the nc-ideal suite's ideals: the S3 control that fails, its covariant
+    # completion, the full-subgroup datum of S3 and the C9 Stickelberger
+    # data; one verdict and one witness by either test
+    G, records, d = s3_transposition_datum()
+    full = subgroup_datum(records[-1], GroupRingElement(G, {0: F(1), 1: F(2)}),
+                          GroupRingElement.one(G), 3)
+    lev, G9, move = wrapped_level(9)
+    theta = stickelberger(9, ramified_places(9), -1)
+    rec9 = subgroup_lattice(G9)[-1]
+    data9 = [subgroup_datum(rec9, move(theta), move(b), 3)
+             for b in torsion_annihilator(9, 3, -1).generators]
+    ideals = [nc_ideal(G, [d]), nc_ideal(G, covariant_data(records, [d])),
+              nc_ideal(G, [full]), nc_ideal(G9, data9)]
+    verdicts = [tuple(two_sided_check(I)) for I in ideals]
+    assert verdicts == [_conjugation_check(I) for I in ideals]
+    assert verdicts[0] == (False, ("(23)", 0))
+    assert all(passed for passed, _ in verdicts[1:])
+
+
 def test_nc_ideal_is_left_closed():
     G, records, d = s3_transposition_datum()
     I = nc_ideal(G, [d])

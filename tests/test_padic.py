@@ -328,7 +328,9 @@ def test_annihilator_pair_lifts_a_root_that_is_one_mod_ell_squared(
 
 def test_annihilator_integrality_multiplies_theta_twice_unless_it_fails(
         monkeypatch):
-    # a passing verdict takes two products and never builds the full list
+    # a passing verdict takes two products and never builds the full list;
+    # a failing one forms its walk's candidates from theta's numerators,
+    # with no further product and no list either
     m, ell, r = 49, 7, -1
     x = theta(m, r)
     products = []
@@ -343,15 +345,38 @@ def test_annihilator_integrality_multiplies_theta_twice_unless_it_fails(
         raise AssertionError("the full list was built")
 
     monkeypatch.setattr(GroupRingElement, "__mul__", counting)
-    with monkeypatch.context() as patch:
-        patch.setattr(padic, "torsion_annihilator", no_list)
-        assert annihilator_integrality(m, ell, r, x) == (True, 0, None)
+    monkeypatch.setattr(padic, "torsion_annihilator", no_list)
+    assert annihilator_integrality(m, ell, r, x) == (True, 0, None)
     assert products == list(annihilator_pair(m, ell, r))
-    # a failure walks the list to its witness, here ell^v at index 0
+    # a failure walks to its witness, here ell^v at index 0
     x = x.scale(Fraction(1, ell))
     products.clear()
     assert annihilator_integrality(m, ell, r, x) == (False, -1, 0)
-    assert len(products) == 3
+    assert products == list(annihilator_pair(m, ell, r))
+
+
+def test_annihilator_integrality_names_a_witness_at_101_squared_in_512_mb():
+    # the walk forms each candidate when it reaches it: at m = 101^2 the
+    # failing theta(-1)/101 names witness 0 without the phi(m) + 1 products
+    # of torsion_annihilator, in a child that caps its address space
+    script = """
+import resource, time
+from fractions import Fraction
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, hard))
+from galideal.padic import annihilator_integrality
+from galideal.stickelberger import ramified_places, stickelberger
+ell = 101
+m = ell * ell
+x = stickelberger(m, ramified_places(m), -1).scale(Fraction(1, ell))
+start = time.perf_counter()
+got = annihilator_integrality(m, ell, -1, x)
+print(*got, time.perf_counter() - start)
+"""
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    *got, seconds = proc.stdout.split()
+    assert got == ["False", "-1", "0"] and float(seconds) < 2
 
 
 def test_torsion_annihilator_rejects_bad_inputs():
