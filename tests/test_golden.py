@@ -43,6 +43,18 @@ def test_deep_minus_lattices_keep_their_digest(argv, digest, capsys):
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
+def test_integers_past_the_digit_limit_print_exactly(capsys):
+    # the lattice of (37, minus, r = -140) has entries longer than the
+    # interpreter's 4300-digit limit for int -> str; its 234 KB report is
+    # pinned by the sha256 of its stdout, recorded with the limit lifted
+    argv = ["ideal", "--ell", "37", "--part", "minus", "--r", "-140"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+        "1ee0dd74ebdd2b7713645ea72bf1883a012920689138acb8336582044951fef1")
+
+
 LVALUE_9241 = ["lvalue", "--modulus", "9241", "--char", "1", "--r", "-2"]
 LVALUE_9241_DIGEST = (
     "b93419f14be343064df97c0c32dbee25b75c08cb59ea67bac509900deb0e478a")
