@@ -13,7 +13,7 @@
 # traces of induced representations, read off one monomial table per subgroup.
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import lcm
 from typing import NamedTuple
 
@@ -158,13 +158,16 @@ def to_cayley_text(G):
     return "\n".join(rows) + "\n"
 
 
+def table_group(elems, mul, labels):
+    # the group on a sequence of hashable elements under mul, by position
+    pos = {e: i for i, e in enumerate(elems)}
+    return FiniteGroup([[pos[mul(a, b)] for b in elems] for a in elems], labels)
+
+
 def from_group(g):
     # Re-present any group with the elements/op/inv/label protocol as a
     # Cayley table, preserving element order and labels.
-    elems = list(g.elements)
-    pos = {e: i for i, e in enumerate(elems)}
-    table = [[pos[g.op(a, b)] for b in elems] for a in elems]
-    return FiniteGroup(table, [g.label(e) for e in elems])
+    return table_group(g.elements, g.op, map(g.label, g.elements))
 
 
 # ---------------------------------------------------------------------------
@@ -194,34 +197,27 @@ def _perm_label(p):
 
 
 def _perm_group(perms):
-    perms = list(perms)
-    pos = {p: i for i, p in enumerate(perms)}
-    table = [[pos[_perm_mul(a, b)] for b in perms] for a in perms]
-    return FiniteGroup(table, [_perm_label(p) for p in perms])
+    return table_group(perms, _perm_mul, map(_perm_label, perms))
 
 
 def cyclic_group(n):
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, ["e"] + ["t%d" % i for i in range(1, n)])
+    return table_group(range(n), lambda i, j: (i + j) % n,
+                       ["e"] + ["t%d" % i for i in range(1, n)])
 
 
 def product_cyclic(n, m):
     pairs = [(i, j) for i in range(n) for j in range(m)]
-    pos = {p: k for k, p in enumerate(pairs)}
-    table = [[pos[((a + c) % n, (b + d) % m)] for (c, d) in pairs]
-             for (a, b) in pairs]
-    return FiniteGroup(table, ["u%dv%d" % p for p in pairs])
+    add = lambda p, q: ((p[0] + q[0]) % n, (p[1] + q[1]) % m)
+    return table_group(pairs, add, ["u%dv%d" % p for p in pairs])
 
 
 def symmetric3():
-    from itertools import permutations
     return _perm_group(sorted(permutations(range(3))))
 
 
 def alternating4():
     # the squares in S4: 3-cycles square to 3-cycles, 4-cycles to the double
     # transpositions, and every other permutation to e
-    from itertools import permutations
     return _perm_group(sorted({_perm_mul(p, p) for p in permutations(range(4))}))
 
 
@@ -247,9 +243,7 @@ def quaternion8():
         return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
                 a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
 
-    pos = {u: i for i, u in enumerate(units)}
-    return FiniteGroup([[pos[mul(p, q)] for q in units] for p in units],
-                       names)
+    return table_group(units, mul, names)
 
 
 BUILTIN_GROUPS = {
@@ -287,8 +281,9 @@ class SubgroupRecord:
         self.reps = tuple(reps)
         self.cosets = tuple(frozenset(G.op(r, c) for c in self.commutator)
                             for r in reps)
-        table = [[self.project[G.op(a, b)] for b in reps] for a in reps]
-        self.ab = FiniteGroup(table, [G.label(r) for r in reps])
+        self.ab = table_group(
+            reps, lambda a, b: reps[self.project[G.op(a, b)]],
+            map(G.label, reps))
         self._characters = None
 
     def induced(self, other, f):
@@ -620,8 +615,8 @@ def quotient_group(G, normal_elements):
                              "falls outside it" % G.label(h))
     # elements ascend, so each representative is its coset's minimum
     reps, coset_of = left_cosets(G.elements, G.op, nset)
-    table = [[coset_of[G.op(a, b)] for b in reps] for a in reps]
-    Q = FiniteGroup(table, [G.label(r) for r in reps])
+    Q = table_group(reps, lambda a, b: reps[coset_of[G.op(a, b)]],
+                    map(G.label, reps))
     return TowerDatum(G, Q, coset_of.__getitem__)
 
 

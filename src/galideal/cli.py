@@ -166,10 +166,25 @@ def require(args, *keys):
 # ---------------------------------------------------------------------------
 # shared pieces
 
-def parse_places(text):
-    # "infty,7" -> PlaceSet([7]); the infinite place is always implied
+def read_modulus(args):
+    if args.modulus < 1:
+        raise UsageError("--modulus must be a positive integer")
+    return args.modulus
+
+
+def read_r(args):
+    r = 0 if args.r is None else args.r
+    if r > 0:
+        raise UsageError("--r must be a non-positive integer")
+    return r
+
+
+def read_places(args, m):
+    # --s ("infty,7" -> PlaceSet([7]), infty implied), else the primes of m
+    if args.s is None:
+        return ramified_places(m)
     primes = []
-    for token in text.split(","):
+    for token in args.s.split(","):
         token = token.strip()
         if not token or token == "infty":
             continue
@@ -219,13 +234,9 @@ def read_fixture(path, kind):
 
 def cmd_stickelberger(args):
     require(args, "modulus")
-    m = args.modulus
-    if m < 1:
-        raise UsageError("--modulus must be a positive integer")
-    places = ramified_places(m) if args.s is None else parse_places(args.s)
-    r = 0 if args.r is None else args.r
-    if r > 0:
-        raise UsageError("--r must be a non-positive integer")
+    m = read_modulus(args)
+    places = read_places(args, m)
+    r = read_r(args)
     if not places.covers_modulus(m):
         raise UsageError("--s must contain every prime dividing the modulus")
     report = {
@@ -238,18 +249,14 @@ def cmd_stickelberger(args):
 
 def cmd_lvalue(args):
     require(args, "modulus", "char")
-    m = args.modulus
-    if m < 1:
-        raise UsageError("--modulus must be a positive integer")
+    m = read_modulus(args)
     g = unit_group(m)
     if not 0 <= args.char < g.order:
         raise UsageError("--char must lie in [0, %d) for modulus %d"
                          % (g.order, m))
     chi = g.character(args.char)
-    r = 0 if args.r is None else args.r
-    if r > 0:
-        raise UsageError("--r must be a non-positive integer")
-    places = ramified_places(m) if args.s is None else parse_places(args.s)
+    r = read_r(args)
+    places = read_places(args, m)
     value = l_value(r, chi, places)
     report = {
         "command": "lvalue",
@@ -272,11 +279,9 @@ def cmd_ideal(args):
         lev = CyclotomicLevel(args.ell, level_n)
     except ValueError as e:
         raise UsageError("--ell: %s" % e)
-    r = 0 if args.r is None else args.r
     if part != "minus" and args.r is not None:
         raise UsageError("--r only applies to --part minus")
-    if r > 0:
-        raise UsageError("--r must be a non-positive integer")
+    r = read_r(args)
     units = None
     if args.units is not None:
         if part not in ("full", "plus", "imagquad"):

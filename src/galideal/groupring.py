@@ -242,13 +242,13 @@ def assemble_orbits(group, value):
 
 def lambda_assemble(group, h):
     # Inverse of psi_eval: builds the unique x with psi_eval(x, chi) = h(chi)
-    # for every character chi.  h: callable on characters, or dict keyed by
-    # them.  Raises ValueError unless h(chi^a) = sigma_a h(chi) for a on
+    # for every character chi, h a callable on characters.  Raises
+    # ValueError unless h(chi^a) = sigma_a h(chi) for a on
     # generators of (Z/M)^*, which is exactly when the character sums are
     # rational, naming the first element, in element order, whose sum is not.
     N, _ = _table(group)
     chars = group.characters()
-    values = [h[chi] if isinstance(h, dict) else h(chi) for chi in chars]
+    values = [h(chi) for chi in chars]
     M = lcm(N, *(v.order for v in values))
     if any(values[(chi ** a).index] != v.galois(a)
            for a in _fixing(M, 1) for chi, v in zip(chars, values)):

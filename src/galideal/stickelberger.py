@@ -70,20 +70,18 @@ def complex_conjugation(m):
     return (-1) % m
 
 
-def half_stickelberger(m, places=None):
-    # theta-tilde = sum over sigma in H of zeta_S(0, sigma^{-1}) sigma,
-    # an element of Q[H] for H the squares in (Z/m)^*; H must have index 2
-    # and omit complex conjugation
+def half_stickelberger(m):
+    # theta-tilde = sum over sigma in H of zeta_S(0, sigma^{-1}) sigma, S the
+    # primes dividing m, an element of Q[H] for H the squares in (Z/m)^*; H
+    # must have index 2 and omit complex conjugation
     subgroup = squares_subgroup(m)
-    if places is None:
-        places = ramified_places(m)
     g = unit_group(m)
     if 2 * subgroup.order != g.order:
         raise ValueError("subgroup index is %d, need 2"
                          % (g.order // subgroup.order))
     if complex_conjugation(m) in subgroup:
         raise ValueError("complex conjugation lies in the subgroup")
-    theta = stickelberger(m, places, 0)
+    theta = stickelberger(m, ramified_places(m), 0)
     return GroupRingElement(subgroup, {a: theta.coefficient(a)
                                        for a in subgroup.elements})
 

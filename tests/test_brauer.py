@@ -93,6 +93,113 @@ def test_from_group_preserves_order_and_labels():
     assert G.op(i3, i3) == i2  # 3*3 = 2 mod 7
 
 
+# the constructions each table had before all of them went through
+# table_group, kept verbatim as the reference for its tables and labels
+
+def _old_from_group(g):
+    elems = list(g.elements)
+    pos = {e: i for i, e in enumerate(elems)}
+    table = [[pos[g.op(a, b)] for b in elems] for a in elems]
+    return FiniteGroup(table, [g.label(e) for e in elems])
+
+
+def _old_perm_group(perms):
+    perms = list(perms)
+    pos = {p: i for i, p in enumerate(perms)}
+    table = [[pos[brauer._perm_mul(a, b)] for b in perms] for a in perms]
+    return FiniteGroup(table, [brauer._perm_label(p) for p in perms])
+
+
+def _old_cyclic_group(n):
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    return FiniteGroup(table, ["e"] + ["t%d" % i for i in range(1, n)])
+
+
+def _old_product_cyclic(n, m):
+    pairs = [(i, j) for i in range(n) for j in range(m)]
+    pos = {p: k for k, p in enumerate(pairs)}
+    table = [[pos[((a + c) % n, (b + d) % m)] for (c, d) in pairs]
+             for (a, b) in pairs]
+    return FiniteGroup(table, ["u%dv%d" % p for p in pairs])
+
+
+def _old_dihedral4():
+    _perm_mul = brauer._perm_mul
+    e = (0, 1, 2, 3)
+    r = (1, 2, 3, 0)
+    s = (0, 3, 2, 1)
+    rots = [e, r, _perm_mul(r, r), _perm_mul(r, _perm_mul(r, r))]
+    return _old_perm_group(rots + [_perm_mul(rot, s) for rot in rots])
+
+
+def _old_quaternion8():
+    units = [tuple(s * (t == axis) for t in range(4))
+             for axis in range(4) for s in (1, -1)]
+    names = [sign + nm for nm in "1ijk" for sign in ("", "-")]
+
+    def mul(p, q):
+        a, b, c, d = p
+        e, f, g, h = q
+        return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+                a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
+
+    pos = {u: i for i, u in enumerate(units)}
+    return FiniteGroup([[pos[mul(p, q)] for q in units] for p in units],
+                       names)
+
+
+_OLD_BUILTIN_GROUPS = {
+    "C2": lambda: _old_cyclic_group(2),
+    "C3": lambda: _old_cyclic_group(3),
+    "C4": lambda: _old_cyclic_group(4),
+    "C6": lambda: _old_cyclic_group(6),
+    "C2xC2": lambda: _old_product_cyclic(2, 2),
+    "S3": lambda: _old_perm_group(sorted(permutations(range(3)))),
+    "D4": _old_dihedral4,
+    "Q8": _old_quaternion8,
+    "A4": lambda: _old_perm_group(sorted({brauer._perm_mul(p, p)
+                                          for p in permutations(range(4))})),
+}
+
+
+def _old_quotient(G, normal_elements):
+    nset = frozenset(normal_elements)
+    reps, coset_of = left_cosets(G.elements, G.op, nset)
+    table = [[coset_of[G.op(a, b)] for b in reps] for a in reps]
+    return FiniteGroup(table, [G.label(r) for r in reps])
+
+
+def _old_abelianization(G, elements):
+    elements = tuple(sorted(elements))
+    comm = closure(G, {
+        G.op(G.op(a, b), G.op(G.inv(a), G.inv(b)))
+        for a in elements for b in elements})
+    reps, project = left_cosets(elements, G.op, tuple(sorted(comm)))
+    table = [[project[G.op(a, b)] for b in reps] for a in reps]
+    return FiniteGroup(table, [G.label(r) for r in reps])
+
+
+def _same_table(G, H):
+    return (G.table, G.labels) == (H.table, H.labels)
+
+
+def test_table_group_builds_the_old_tables():
+    assert list(BUILTIN_GROUPS) == list(_OLD_BUILTIN_GROUPS)
+    for name, make in BUILTIN_GROUPS.items():
+        assert _same_table(make(), _OLD_BUILTIN_GROUPS[name]()), name
+    units = CyclotomicLevel(7, 0).group
+    assert _same_table(from_group(units), _old_from_group(units))
+    S3, D4 = symmetric3(), dihedral4()
+    for G, normal in [(S3, [0, 3, 4]), (D4, D4.center)]:
+        assert _same_table(quotient_group(G, normal).quotient,
+                           _old_quotient(G, normal))
+    for make in [symmetric3, dihedral4, quaternion8, alternating4,
+                 _golden_group("d6.txt")]:
+        G = make()
+        for rec in subgroup_lattice(G):
+            assert _same_table(rec.ab, _old_abelianization(G, rec.elements))
+
+
 def test_s3_structure():
     G = symmetric3()
     assert G.labels == ("e", "(23)", "(12)", "(123)", "(132)", "(13)")

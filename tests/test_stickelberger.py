@@ -120,11 +120,15 @@ def test_half_identity_one_minus_c():
 
 def test_half_stickelberger_extra_places():
     # (1 - c) theta-tilde_S = theta_S with S beyond the ramified primes,
-    # against the character route
+    # against the character route, theta-tilde_S being theta_S read on the
+    # squares as half_stickelberger reads theta on them
     for m, extra in [(7, (2,)), (11, (3, 5))]:
         s = PlaceSet((m,) + extra)
         g = unit_group(m)
-        ht = include_subgroup(half_stickelberger(m, places=s), g)
+        h = squares_subgroup(m)
+        theta = stickelberger(m, s, 0)
+        ht = include_subgroup(GroupRingElement(
+            h, {a: theta.coefficient(a) for a in h.elements}), g)
         c = GroupRingElement.basis(g, complex_conjugation(m))
         assert ht - c * ht == stickelberger_by_characters(m, s, 0), m
 

@@ -190,9 +190,6 @@ KEPT_PARAMS = {
     "eigen_projection.precision": "eigen_projection is kept for README "
                                   "(KEPT_FOR_TESTS above), and its caller "
                                   "chooses the ell-adic precision",
-    "half_stickelberger.places": "exported from the package root: theta-"
-                                 "tilde over a set S of places, as "
-                                 "stickelberger(m, places, r) takes one",
 }
 
 
