@@ -20,7 +20,7 @@ from .ncideal import (AnnihilatorDatum, IntegralityError, nc_ideal,
                       two_sided_check)
 from .serialize import (FixtureError, element_payload, fraction_str,
                         lattice_payload, load_fixture, parse_element,
-                        parse_lattice, to_json)
+                        parse_lattice, to_json, unlimited)
 from .stickelberger import ramified_places, stickelberger
 from .suites import SUITES, check_params, run_all
 
@@ -166,6 +166,13 @@ def require(args, *keys):
 # ---------------------------------------------------------------------------
 # shared pieces
 
+# the most negative --r: theta and L at s = r are read off the Bernoulli
+# polynomial B_(1-r), whose cost grows about as (1 - r)^3: stickelberger
+# --modulus 7 takes 2.9 s at r = -800 and 15 s at r = -1200 (one cold
+# process on 2 cores of a shared VM)
+MIN_R = -800
+
+
 def read_modulus(args):
     if args.modulus < 1:
         raise UsageError("--modulus must be a positive integer")
@@ -176,6 +183,10 @@ def read_r(args):
     r = 0 if args.r is None else args.r
     if r > 0:
         raise UsageError("--r must be a non-positive integer")
+    if r < MIN_R:
+        raise UsageError("--r must be at least %d: the Bernoulli index "
+                         "1 - r is at most %d, and this input predicts %s"
+                         % (MIN_R, 1 - MIN_R, unlimited(str, 1 - r)))
     return r
 
 

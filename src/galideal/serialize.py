@@ -2,10 +2,13 @@
 # writer: the bytes of json.dumps(sort_keys=True, indent=2) and a newline,
 # for dicts with str keys, lists, tuples, str, int, bool and None only, so a
 # float never reaches the output.  Rationals are written by `fraction_str`
-# from an integer numerator and a denominator.
+# from an integer numerator and a denominator.  Integers are written
+# exactly at any length: a writer that meets the interpreter's limit on
+# int -> str digits runs once more under `unlimited`.
 
 import json
 import re
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
@@ -22,13 +25,27 @@ class FixtureError(ValueError):
     pass
 
 
+def unlimited(f, *args):
+    # f(*args) with the interpreter's limit on int <-> str digits lifted, and
+    # put back as it was after
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def fraction_str(a, den):
     # the rational a/den (den > 0) as "n" or "n/d" in lowest terms with the
     # sign on n, the text of str(Fraction(a, den))
     g = gcd(a, den)
-    if g == den:
-        return f"{a // g}"
-    return f"{a // g}/{den // g}"
+    try:
+        if g == den:
+            return f"{a // g}"
+        return f"{a // g}/{den // g}"
+    except ValueError:
+        return unlimited(fraction_str, a, den)
 
 
 def _is_int(x):
@@ -57,10 +74,14 @@ def element_payload(x):
     # fraction_str, written inline as it runs once per coefficient
     den = x.den
     out = {}
-    for label, a in zip(group_labels(x.group), x.nums):
-        if a:
-            g = gcd(a, den)
-            out[label] = f"{a // g}" if g == den else f"{a // g}/{den // g}"
+    try:
+        for label, a in zip(group_labels(x.group), x.nums):
+            if a:
+                g = gcd(a, den)
+                out[label] = (f"{a // g}" if g == den
+                              else f"{a // g}/{den // g}")
+    except ValueError:
+        return unlimited(element_payload, x)
     return out
 
 
@@ -164,7 +185,10 @@ def _text(x, nl):
 
 
 def to_json(data):
-    return _text(data, "\n") + "\n"
+    try:
+        return _text(data, "\n") + "\n"
+    except ValueError:
+        return unlimited(_text, data, "\n") + "\n"
 
 
 def load_fixture(text, kind=None):

@@ -492,12 +492,14 @@ def _at_least(k):
     return (lambda v: v >= k, "an integer >= %d" % k, _GOT)
 
 
-def _odd_prime_with(size, what, limit):
-    # an odd prime ell with size(ell) <= limit, size tested before primality;
-    # an ell past the limit is refused with `what` at that ell
-    return (lambda v: size(v) <= limit and v > 2 and is_prime(v),
-            "an odd prime with %s <= %d" % (what, limit),
-            lambda v: "and this input predicts " + what.replace("ell", str(v))
+def _within(rule, size, what, name, limit):
+    # a value v that `rule` admits with size(v) <= limit, size tested first;
+    # a v past the limit is refused with `what` at v, where `what` names the
+    # value `name`
+    ok, want, _ = rule
+    return (lambda v: size(v) <= limit and ok(v),
+            "%s with %s <= %d" % (want, what % name, limit),
+            lambda v: "and this input predicts " + what % v
             if size(v) > limit else _GOT(v))
 
 
@@ -505,6 +507,11 @@ def _odd_prime_with(size, what, limit):
 # annihilator products at each modulus, a cost growing as ell^2, 0.5 s at
 # the limit ell = 313 (cold, 2-core shared VM)
 INTEGRALITY_MAX_MODULUS = 313 ** 2
+
+# the largest modulus M the oracles suite reaches: theta by both routes at
+# four values of r for each m <= M, a cost growing about as M^2, 2.0 s and
+# 43 MB at the limit (in-process, 2-core shared VM)
+ORACLES_MAX_MODULUS = 300
 
 SUITE_PARAMS = {
     "half-stickelberger": {},
@@ -514,12 +521,16 @@ SUITE_PARAMS = {
     "induced-det": {"seed": _ANY},
     "fixed-point": {"seed": _ANY},
     "brauer": {},
-    "abelian-reduction": {"ells": _odd_prime_with(
-        lambda v: v - 1, "group order ell - 1", SUBGROUP_ORDER_BUDGET)},
-    "integrality": {"ells": _odd_prime_with(
-        lambda v: v * v, "modulus ell^2", INTEGRALITY_MAX_MODULUS)},
+    "abelian-reduction": {"ells": _within(
+        _ODD_PRIME, lambda v: v - 1, "group order %s - 1", "ell",
+        SUBGROUP_ORDER_BUDGET)},
+    "integrality": {"ells": _within(
+        _ODD_PRIME, lambda v: v * v, "modulus %s^2", "ell",
+        INTEGRALITY_MAX_MODULUS)},
     "nc-ideal": {},
-    "oracles": {"max_modulus": _at_least(1)},
+    "oracles": {"max_modulus": _within(
+        _at_least(1), lambda v: v, "largest modulus %s", "M",
+        ORACLES_MAX_MODULUS)},
     "rank": {},
 }
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from galideal import brauer, ncideal, suites
+from galideal import brauer, cli, ncideal, suites
 from galideal.abelian import squares_subgroup, unit_group
 from galideal.brauer import (cyclic_group, product_cyclic, symmetric3,
                              to_cayley_text)
@@ -219,11 +219,20 @@ _BUDGET = brauer.SUBGROUP_ORDER_BUDGET
     (["integrality", "--ell", "9"],
      "--ell: suite 'integrality' needs an odd prime with modulus ell^2 <= "
      "97969, got 9"),
+    # theta by both routes at every m <= M, in time growing as M^2
+    (["oracles", "--max-modulus", "301"],
+     "--max-modulus: suite 'oracles' needs an integer >= 1 with largest "
+     "modulus M <= 300, and this input predicts largest modulus 301"),
+    (["oracles", "--max-modulus", str(10 ** 12)],
+     "--max-modulus: suite 'oracles' needs an integer >= 1 with largest "
+     "modulus M <= 300, and this input predicts largest modulus %d"
+     % 10 ** 12),
 ], ids=["functoriality-r", "integrality-r", "oracles-r", "induced-det-count",
         "half-stickelberger-ell", "half-stickelberger-levels",
         "lvalue-identity-ell", "base-change-ell", "abelian-reduction-37",
         "abelian-reduction-1000003", "integrality-317", "integrality-1009",
-        "integrality-10^30", "integrality-9"])
+        "integrality-10^30", "integrality-9", "oracles-301",
+        "oracles-10^12"])
 def test_check_refuses_before_any_suite_work(capsys, monkeypatch, argv,
                                              message):
     # check --r and --count are gone, three suites no longer take --ell or
@@ -238,6 +247,47 @@ def test_check_refuses_before_any_suite_work(capsys, monkeypatch, argv,
     monkeypatch.setattr(suites, "theta", no_work)
     code, out, err = run(capsys, ["check", "--suite"] + argv)
     assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["stickelberger", "--modulus", "7"],
+    ["lvalue", "--modulus", "7", "--char", "1"],
+    ["ideal", "--ell", "7", "--part", "minus"],
+], ids=["stickelberger", "lvalue", "ideal"])
+@pytest.mark.parametrize("r, predicted", [("-801", "802"),
+                                          ("-1000000000000", "1000000000001")])
+def test_r_below_its_budget_is_refused_before_any_work(
+        capsys, monkeypatch, argv, r, predicted):
+    # the Bernoulli index 1 - r sets the cost of theta and of L at s = r
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    for name in ("stickelberger", "l_value", "ideal_J_minus"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, err = run(capsys, argv + ["--r", r])
+    assert (code, out) == (2, "")
+    assert err == ("error: --r must be at least -800: the Bernoulli index "
+                   "1 - r is at most 801, and this input predicts %s\n"
+                   % predicted)
+
+
+@pytest.mark.parametrize("argv, at_limit, above", [
+    (["stickelberger", "--modulus", "7", "--r"], "-800", "-801"),
+    (["check", "--suite", "oracles", "--max-modulus"], "300", "301"),
+], ids=["r", "max-modulus"])
+def test_budget_admits_its_limit_and_refuses_one_step_above(argv, at_limit,
+                                                            above):
+    # in a fresh interpreter each: the limit runs to a report, and one step
+    # past it exits 2 with one error line within 0.5 s
+    proc = run_python("-m", "galideal.cli", *argv, at_limit, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["command"] == argv[0]
+    started = time.perf_counter()
+    proc = run_python("-m", "galideal.cli", *argv, above)
+    assert time.perf_counter() - started < 0.5
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: " + argv[-1])
+    assert proc.stderr.count("\n") == 1
 
 
 def test_integrality_budget_admits_its_limit():

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -112,6 +113,32 @@ def test_load_fixture_errors_name_fields():
         load_fixture('{"schema-version": 1, "kind": "other"}', kind="units")
     data = load_fixture('{"schema-version": 1, "kind": "units"}', kind="units")
     assert data["kind"] == "units"
+
+
+def test_integers_past_the_digit_limit_are_written_exactly():
+    # int -> str refuses past the interpreter's limit (4300 digits by
+    # default); each writer then runs once more with the limit lifted, and
+    # leaves the limit as it found it
+    limit = sys.get_int_max_str_digits()
+    big = 10 ** 5000 + 7
+    with pytest.raises(ValueError):
+        str(big)
+    sys.set_int_max_str_digits(0)
+    try:
+        texts = [str(big), str(Fraction(big, 3)), str(Fraction(1, big))]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert to_json([big, {"a": big}]) == (
+        "[\n  %s,\n  {\n    \"a\": %s\n  }\n]\n" % (texts[0], texts[0]))
+    assert fraction_str(big, 3) == texts[1]
+    assert fraction_str(1, big) == texts[2]
+    g = unit_group(3)
+    x = GroupRingElement.from_numerators(g, [big, 1], 3)
+    assert element_payload(x) == {g.label(1): texts[1], g.label(2): "1/3"}
+    assert sys.get_int_max_str_digits() == limit
+    # reading is not widened: a fixture still refuses such an integer
+    with pytest.raises(FixtureError, match="not valid JSON"):
+        load_fixture('{"schema-version": %s}' % ("9" * 5000))
 
 
 def test_unit_ideal_payload_is_identity_matrix():
