@@ -167,9 +167,9 @@ def require(args, *keys):
 # shared pieces
 
 # the most negative --r: theta and L at s = r are read off the Bernoulli
-# polynomial B_(1-r), whose cost grows about as (1 - r)^3: stickelberger
-# --modulus 7 takes 2.9 s at r = -800 and 15 s at r = -1200 (one cold
-# process on 2 cores of a shared VM)
+# polynomial B_(1-r), whose cost grows faster than (1 - r)^3:
+# stickelberger --modulus 7 takes 2.9-4.0 s at r = -800 and 15 s at
+# r = -1200 (one cold process each on 2 cores of a shared VM)
 MIN_R = -800
 
 
