@@ -199,11 +199,13 @@ def read_places(args, m):
         token = token.strip()
         if not token or token == "infty":
             continue
-        if not token.isdigit():
+        if not token.isdecimal():
             raise UsageError("--s: %r is not 'infty' or a prime" % token)
-        primes.append(int(token))
+        primes.append(token)
     try:
-        return PlaceSet(primes)
+        # PlaceSet reads the tokens, and names a refused one in full even
+        # past the interpreter's limit on int <-> str digits
+        return unlimited(PlaceSet, primes)
     except ValueError as e:
         raise UsageError("--s: %s" % e)
 

@@ -102,6 +102,18 @@ def test_places_checked_under_optimize_flag():
     assert proc.stderr == "error: --s: not a prime: 9\n"
 
 
+@pytest.mark.parametrize("token, message", [
+    ("\u00b2", "'\u00b2' is not 'infty' or a prime"),
+    ("1" + "0" * 4400, "not a prime: 1" + "0" * 4400),
+], ids=["superscript-two", "4401-digits"])
+def test_places_token_past_int_is_refused_in_words(capsys, token, message):
+    # a superscript digit passes str.isdigit but not int, and a token past
+    # the interpreter's 4300-digit limit is read and named in full
+    code, out, err = run(capsys, ["stickelberger", "--modulus", "7", "--s",
+                                  "infty,7," + token])
+    assert (code, out, err) == (2, "", "error: --s: %s\n" % message)
+
+
 def test_lvalue_zeta_minus_one(capsys):
     code, report = run_json(
         capsys, ["lvalue", "--modulus", "1", "--char", "0", "--r", "-1",
